@@ -14,7 +14,6 @@ import json
 import logging
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -61,7 +60,6 @@ class RunConfig:
     tagger_epochs: int = 5
     fallback: str = "nearest"  # nearest | skip
     path_direction: bool = True
-    workers: int = 1
     org_gazetteer: str | None = None
     rank_gazetteer: str | None = None
 
@@ -83,8 +81,8 @@ class RunConfig:
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**{k: v for k, v in values.items() if k in known})
 
-    # execution knobs that never change what gets computed
-    _UNHASHED = ("output_dir", "workers")
+    # where outputs go never changes what gets computed
+    _UNHASHED = ("output_dir",)
 
     def hash(self) -> str:
         payload = {
@@ -169,24 +167,14 @@ def cmd_extract(cfg: RunConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(entry):
-        doc, trees = entry
+    nodes, edges = [], []
+    n_attached = n_abstained = 0
+    for doc, trees in entries:
         view = _entities_for(cfg, doc, tagger)
         atts = extract_document(
             view, trees, strategy, model, vocab,
             fallback=cfg.fallback == "nearest",
         )
-        return doc, view, atts
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_one, entries))
-    else:
-        results = [run_one(e) for e in entries]
-
-    nodes, edges = [], []
-    n_attached = n_abstained = 0
-    for doc, view, atts in results:
         rels = []
         for i, att in enumerate(atts, start=1):
             if att.person is None:
@@ -539,7 +527,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--no-path-direction", dest="path_direction",
                         action="store_false", default=None,
                         help="drop up/down direction from path patterns")
-    common.add_argument("--workers", type=int)
     common.add_argument("--org-gazetteer", dest="org_gazetteer")
     common.add_argument("--rank-gazetteer", dest="rank_gazetteer")
 
@@ -615,3 +602,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

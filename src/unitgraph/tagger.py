@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import Document, EntitySpan
@@ -31,6 +32,8 @@ NEG_INF = float("-inf")
 START = "<start>"  # sentinel previous-tag key; validity-wise it acts like O
 
 MODEL_MAGIC = "unitgraph-tagger 1"
+# meta keys train_tagger writes as ints; every other key loads as a string
+_INT_META = ("seed", "epochs", "sentences")
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,9 @@ class Gazetteers:
 
         return cls(read(org_path), read(rank_path))
 
+    @cached_property
     def max_words(self) -> int:
+        """Words in the longest phrase (at least 1); computed once."""
         longest = 1
         for phrase in self.organizations | self.ranks:
             longest = max(longest, phrase.count(" ") + 1)
@@ -113,7 +118,7 @@ def featurize_token(tokens: list[Token], i: int, gazetteers: Gazetteers | None =
         f"next={tokens[i + 1].text.lower()}" if i + 1 < len(tokens) else "next=</s>"
     )
     if gazetteers is not None:
-        span = gazetteers.max_words()
+        span = gazetteers.max_words
         if gazetteers.organizations and _phrase_hits(tokens, i, gazetteers.organizations, span):
             feats.append("org-lex")
         if gazetteers.ranks and _phrase_hits(tokens, i, gazetteers.ranks, span):
@@ -137,49 +142,70 @@ class TaggerModel:
     tagset: tuple[IobTag, ...] = TAGSET
 
     def transition(self, prev: str, nxt_tag: IobTag) -> float:
-        prev_tag = O_TAG if prev == START else IobTag.parse(prev)
-        if not valid_transition(prev_tag, nxt_tag):
+        nxt = str(nxt_tag)
+        if (prev, nxt) not in _VALID:
             return NEG_INF
-        return self.transition_weights.get((prev, str(nxt_tag)), 0.0)
+        return self.transition_weights.get((prev, nxt), 0.0)
+
+
+# The (previous tag, next tag) name pairs valid_transition allows, with
+# START standing for O.  Only TaggerModel.transition reads it; the decoder
+# builds its tables through that method.
+_VALID = frozenset(
+    (prev, str(nxt))
+    for prev, prev_tag in [(START, O_TAG)] + [(str(t), t) for t in TAGSET]
+    for nxt in TAGSET
+    if valid_transition(prev_tag, nxt)
+)
 
 
 def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[IobTag]:
     """Argmax tag sequence under emission + transition scores.
 
-    Ties resolve to the lowest tagset index, so a zero model decodes to
-    all O.
+    Each call featurizes the tokens, builds its score tables once (a start
+    vector, a transition matrix holding minus infinity where
+    ``valid_transition`` forbids the pair, one emission row per token) and
+    then runs Viterbi as list arithmetic on them.  Nothing is cached
+    across calls, so the model's weights may change between calls.  Ties
+    resolve to the lowest tagset index, so a zero model decodes to all O.
     """
-    if not tokens:
+    feats = [featurize_token(tokens, i, model.gazetteers) for i in range(len(tokens))]
+    return _decode(model, feats)
+
+
+def _decode(model: TaggerModel, feats: list[list[str]]) -> list[IobTag]:
+    """Viterbi over one sentence given each token's feature list."""
+    if not feats:
         return []
     tags = model.tagset
-    n, m = len(tokens), len(tags)
-    feats = [featurize_token(tokens, i, model.gazetteers) for i in range(n)]
-    emit = [
-        [
-            sum(model.feature_weights.get((f, str(tag)), 0.0) for f in feats[i])
-            for tag in tags
-        ]
-        for i in range(n)
-    ]
-    score = [[NEG_INF] * m for _ in range(n)]
-    back = [[0] * m for _ in range(n)]
-    for t in range(m):
-        score[0][t] = emit[0][t] + model.transition(START, tags[t])
-    for i in range(1, n):
-        for t in range(m):
-            best_prev, best_score = 0, NEG_INF
-            for p in range(m):
-                if score[i - 1][p] == NEG_INF:
-                    continue
-                s = score[i - 1][p] + model.transition(str(tags[p]), tags[t])
-                if s > best_score:
-                    best_prev, best_score = p, s
-            score[i][t] = best_score + emit[i][t] if best_score != NEG_INF else NEG_INF
-            back[i][t] = best_prev
-    last = max(range(m), key=lambda t: (score[n - 1][t], -t))
+    names = [str(tag) for tag in tags]
+    start = [model.transition(START, tag) for tag in tags]
+    # into[t][p]: the score of moving from tag p to tag t
+    into = [[model.transition(p, tag) for p in names] for tag in tags]
+    weight = model.feature_weights.get
+
+    def emission(token_feats: list[str]) -> list[float]:
+        # per tag, the weights summed in feature order from 0, as sum() does
+        rows = [[weight((f, t), 0.0) for t in names] for f in token_feats]
+        return [sum(column) for column in zip(*rows)]
+
+    score = [e + s for e, s in zip(emission(feats[0]), start)]
+    back = []
+    for token_feats in feats[1:]:
+        pointers, nxt = [], []
+        for moves, e in zip(into, emission(token_feats)):
+            cand = [s + w for s, w in zip(score, moves)]
+            # max() replaces its pick only on a strictly greater value, so
+            # ties go to the lowest previous-tag index
+            best = max(cand)
+            pointers.append(cand.index(best))
+            nxt.append(best + e)
+        back.append(pointers)
+        score = nxt
+    last = max(range(len(names)), key=lambda t: (score[t], -t))
     path = [last]
-    for i in range(n - 1, 0, -1):
-        path.append(back[i][path[-1]])
+    for pointers in reversed(back):
+        path.append(pointers[path[-1]])
     path.reverse()
     return [tags[t] for t in path]
 
@@ -192,6 +218,8 @@ def train_tagger(
 ) -> TaggerModel:
     """Averaged-perceptron training against Viterbi predictions.
 
+    Every training sentence is featurized once, before the first epoch;
+    those feature lists feed both the decoder and the weight updates.
     Deterministic for a fixed seed: the sentence order is reshuffled per
     epoch from a seeded RNG and weight averaging uses exact counters.
     """
@@ -200,6 +228,10 @@ def train_tagger(
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     model = TaggerModel(gazetteers=gazetteers or Gazetteers())
+    feats = [
+        [featurize_token(tokens, i, model.gazetteers) for i in range(len(tokens))]
+        for tokens, _ in corpus
+    ]
     # model.*_weights are mutated in place so Viterbi always sees the
     # current weights; totals/stamps implement lazy averaging.
     tables = {"F": model.feature_weights, "T": model.transition_weights}
@@ -216,13 +248,14 @@ def train_tagger(
         stamps[full] = now
         table[key] = table.get(key, 0.0) + delta
 
-    def apply(tokens: list[Token], tags: list[IobTag], delta: float) -> None:
+    def apply(sent_feats: list[list[str]], tags: list[IobTag], delta: float) -> None:
         prev = START
-        for i, tag in enumerate(tags):
-            for f in featurize_token(tokens, i, model.gazetteers):
-                bump("F", (f, str(tag)), delta)
-            bump("T", (prev, str(tag)), delta)
-            prev = str(tag)
+        for token_feats, tag in zip(sent_feats, tags):
+            name = str(tag)
+            for f in token_feats:
+                bump("F", (f, name), delta)
+            bump("T", (prev, name), delta)
+            prev = name
 
     rng = random.Random(seed)
     order = list(range(len(corpus)))
@@ -230,14 +263,14 @@ def train_tagger(
         rng.shuffle(order)
         exact = 0
         for si in order:
-            tokens, gold = corpus[si]
-            pred = viterbi_decode(model, tokens)
+            gold = corpus[si][1]
+            pred = _decode(model, feats[si])
             now += 1
             if pred == gold:
                 exact += 1
                 continue
-            apply(tokens, gold, +1.0)
-            apply(tokens, pred, -1.0)
+            apply(feats[si], gold, +1.0)
+            apply(feats[si], pred, -1.0)
         log.info("tagger epoch %d: %d/%d sentences decoded exactly",
                  epoch + 1, exact, len(corpus))
 
@@ -297,7 +330,14 @@ def load_tagger(path) -> TaggerModel:
         kind, _, rest = line.partition("\t")
         if kind == "meta":
             key, _, value = rest.partition("\t")
-            meta[key] = int(value) if value.lstrip("-").isdigit() else value
+            if key in _INT_META:
+                try:
+                    meta[key] = int(value)
+                except ValueError:
+                    raise ValueError(f"{path}: meta {key} is not an integer: "
+                                     f"{value!r}") from None
+            else:
+                meta[key] = value
         elif kind == "gaz-org":
             orgs.add(rest)
         elif kind == "gaz-rank":

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import unitgraph
 from unitgraph.cli import main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntityType
@@ -60,13 +64,6 @@ class TestExtract:
                    "--strategy", "nn-free")
         assert code == 2
         assert "--relnet-model" in capsys.readouterr().err
-
-    def test_workers_flag_gives_same_graph(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run("extract", "--corpus", CORPUS_DIR, "--out", a)
-        run("extract", "--corpus", CORPUS_DIR, "--out", b, "--workers", "3")
-        # byte-for-byte: output location and parallelism change nothing
-        assert (a / "graph.json").read_bytes() == (b / "graph.json").read_bytes()
 
     def test_extract_then_rescore_matches_direct_evaluation(self, tmp_path):
         out = tmp_path / "out"
@@ -220,8 +217,9 @@ class TestUsage:
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"corpus_dir": "x", "warp_factor": 9}', encoding="utf-8")
-        assert run("extract", "--config", cfg, "--out", tmp_path) == 1
+        for key in ("warp_factor", "workers"):
+            cfg.write_text(json.dumps({"corpus_dir": "x", key: 9}), encoding="utf-8")
+            assert run("extract", "--config", cfg, "--out", tmp_path) == 1, key
 
     def test_config_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -234,3 +232,13 @@ class TestUsage:
 
     def test_missing_corpus_flag(self):
         assert run("extract") == 1
+
+    def test_module_runs_the_cli(self):
+        src = Path(unitgraph.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "unitgraph.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: unitgraph")

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from unitgraph.corpus import Document, EntitySpan, EntityType
+from unitgraph.corpus import Document, EntitySpan, EntityType, load_corpus
 from unitgraph.tagger import (
     Gazetteers,
     START,
@@ -20,12 +21,13 @@ from unitgraph.tokens import (
     IobTag,
     O_TAG,
     TAGSET,
+    sentences,
     spans_to_iob,
     tokenize,
     valid_transition,
 )
 
-from conftest import GAZETTEERS
+from conftest import CORPUS_DIR, GAZETTEERS
 
 
 def sequence_score(model, tokens, tags):
@@ -47,6 +49,63 @@ def exhaustive_best(model, tokens):
         if score > best_score:
             best_tags, best_score = list(combo), score
     return best_tags, best_score
+
+
+def reference_transition(model, prev, nxt_tag):
+    """The transition score as the per-token decoder computed it."""
+    prev_tag = O_TAG if prev == START else IobTag.parse(prev)
+    if not valid_transition(prev_tag, nxt_tag):
+        return float("-inf")
+    return model.transition_weights.get((prev, str(nxt_tag)), 0.0)
+
+
+def reference_decode(model, tokens):
+    """The decoder that scored every token and transition through dict
+    lookups, kept as the reference for tie-breaking."""
+    NEG_INF = float("-inf")
+    if not tokens:
+        return []
+    tags = model.tagset
+    n, m = len(tokens), len(tags)
+    feats = [featurize_token(tokens, i, model.gazetteers) for i in range(n)]
+    emit = [
+        [
+            sum(model.feature_weights.get((f, str(tag)), 0.0) for f in feats[i])
+            for tag in tags
+        ]
+        for i in range(n)
+    ]
+    score = [[NEG_INF] * m for _ in range(n)]
+    back = [[0] * m for _ in range(n)]
+    for t in range(m):
+        score[0][t] = emit[0][t] + reference_transition(model, START, tags[t])
+    for i in range(1, n):
+        for t in range(m):
+            best_prev, best_score = 0, NEG_INF
+            for p in range(m):
+                if score[i - 1][p] == NEG_INF:
+                    continue
+                s = score[i - 1][p] + reference_transition(model, str(tags[p]), tags[t])
+                if s > best_score:
+                    best_prev, best_score = p, s
+            score[i][t] = best_score + emit[i][t] if best_score != NEG_INF else NEG_INF
+            back[i][t] = best_prev
+    last = max(range(m), key=lambda t: (score[n - 1][t], -t))
+    path = [last]
+    for i in range(n - 1, 0, -1):
+        path.append(back[i][path[-1]])
+    path.reverse()
+    return [tags[t] for t in path]
+
+
+def fixture_training_corpus():
+    corpus = []
+    for doc, _ in load_corpus(CORPUS_DIR):
+        for sent in sentences(tokenize(doc.text)):
+            ents = [e for e in doc.entities
+                    if e.start < sent[-1].end and e.end > sent[0].start]
+            corpus.append((sent, spans_to_iob(sent, ents)))
+    return corpus
 
 
 def random_model(rng, tokens):
@@ -137,6 +196,34 @@ class TestViterbi:
             oracle, oracle_score = exhaustive_best(model, toks)
             assert decoded == oracle, f"trial {trial}"
 
+    def test_matches_reference_with_tied_integer_weights(self):
+        # small integer weights, half of them missing, over a vocabulary of
+        # eight words: many sequences tie, so tie-breaking decides the output
+        rng = random.Random(6151)
+        gaz = Gazetteers(organizations=frozenset({"nigerian army", "army"}),
+                         ranks=frozenset({"major general", "colonel"}))
+        vocab = ["Nigerian", "Army", "Major", "General", "Colonel", "Musa",
+                 "said", "the"]
+        names = [START] + [str(t) for t in TAGSET]
+        for trial in range(300):
+            n = rng.randint(1, 40)
+            toks = tokenize(" ".join(rng.choice(vocab) for _ in range(n)))
+            model = TaggerModel(gazetteers=gaz)
+            for i in range(len(toks)):
+                for f in featurize_token(toks, i, gaz):
+                    for tag in TAGSET:
+                        if rng.random() < 0.5:
+                            model.feature_weights[(f, str(tag))] = float(
+                                rng.randint(-2, 2))
+            # weights on forbidden pairs too: they must stay unreachable
+            for prev in names:
+                for tag in TAGSET:
+                    if rng.random() < 0.5:
+                        model.transition_weights[(prev, str(tag))] = float(
+                            rng.randint(-2, 2))
+            assert viterbi_decode(model, toks) == reference_decode(model, toks), \
+                f"trial {trial}"
+
     def test_output_always_transition_valid(self):
         rng = random.Random(7)
         for _ in range(25):
@@ -191,6 +278,19 @@ class TestTraining:
         m2 = train_tagger(pairs, epochs=4, seed=11)
         assert m1.feature_weights == m2.feature_weights
         assert m1.transition_weights == m2.transition_weights
+
+    def test_fixture_model_file_unchanged(self, tmp_path):
+        # sha256 of this model file as the per-token decoder trained it
+        gaz = Gazetteers.from_files(
+            GAZETTEERS / "organizations.txt", GAZETTEERS / "ranks.txt"
+        )
+        model = train_tagger(fixture_training_corpus(), epochs=2, seed=13,
+                             gazetteers=gaz)
+        save_tagger(model, tmp_path / "t.model")
+        digest = hashlib.sha256((tmp_path / "t.model").read_bytes()).hexdigest()
+        assert digest == (
+            "dbe4b618a3b548f9035f86d4e1a8fbe548a0efb5a772f9288112b3cdab5d721b"
+        )
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -250,4 +350,19 @@ class TestPersistence:
     def test_reject_foreign_file(self, tmp_path):
         (tmp_path / "x.model").write_text("not a model\n", encoding="utf-8")
         with pytest.raises(ValueError, match="not a tagger model"):
+            load_tagger(tmp_path / "x.model")
+
+    def test_meta_keeps_its_types(self, tmp_path):
+        model = TaggerModel(meta={"config_hash": "012345678901", "seed": 13,
+                                  "epochs": 2, "sentences": 1})
+        save_tagger(model, tmp_path / "a.model")
+        loaded = load_tagger(tmp_path / "a.model")
+        assert loaded.meta == model.meta
+        save_tagger(loaded, tmp_path / "b.model")
+        assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+    def test_reject_non_integer_seed(self, tmp_path):
+        (tmp_path / "x.model").write_text(
+            "unitgraph-tagger 1\nmeta\tseed\tthirteen\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="seed is not an integer"):
             load_tagger(tmp_path / "x.model")
