@@ -17,6 +17,7 @@ from .relations import (
     Attachment,
     SentenceContext,
     Strategy,
+    build_contexts,
     extract_document,
     nearest_person,
     sdp_attach,
@@ -44,6 +45,7 @@ __all__ = [
     "SentenceContext",
     "Strategy",
     "Token",
+    "build_contexts",
     "extract_document",
     "iob_to_spans",
     "load_corpus",

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import evaluation, relnet
 from .corpus import Document, RelationEdge, load_corpus, serialize_brat
-from .deptree import span_path
 from .errors import DataError
 from .relations import (
     NN_STRATEGIES,
@@ -35,8 +34,9 @@ from .tagger import (
     rank_lexicon,
     save_tagger,
     train_tagger,
+    training_corpus,
 )
-from .tokens import format_iob_block, sentences, spans_to_iob, tokenize
+from .tokens import format_iob_block
 
 
 class UsageError(Exception):
@@ -172,7 +172,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     for doc, trees in entries:
         view = _entities_for(cfg, doc, tagger)
         atts = extract_document(
-            view, trees, strategy, model, vocab,
+            view, build_contexts(view, trees), strategy, model, vocab,
             fallback=cfg.fallback == "nearest",
         )
         rels = []
@@ -252,14 +252,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
 
     if "tagger" in targets:
         gaz = _gazetteers(cfg, train_docs)
-        corpus = []
-        for doc in train_docs:
-            for sent in sentences(tokenize(doc.text)):
-                ents = [
-                    e for e in doc.entities
-                    if e.start < sent[-1].end and e.end > sent[0].start
-                ]
-                corpus.append((sent, spans_to_iob(sent, ents)))
+        corpus = training_corpus(train_docs)
         if not corpus:
             raise DataError("no training sentences with gold annotations")
         model = train_tagger(corpus, epochs=cfg.tagger_epochs, seed=cfg.seed,
@@ -312,24 +305,14 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     return 0
 
 
-def _evaluate_strategy(cfg, entries, strategy):
-    model, vocab = _load_relnet_for(cfg, strategy)
-    tp = fp = fn = 0
-    for doc, trees in entries:
-        atts = extract_document(
-            doc, trees, strategy, model, vocab,
-            fallback=cfg.fallback == "nearest",
-        )
-        dtp, dfp, dfn = evaluation.relation_counts(
-            doc.relations, atts, doc.entities
-        )
-        tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
-    return evaluation.PrfRow.from_counts(
-        evaluation.STRATEGY_ROW_NAMES[strategy], tp, fp, fn
-    )
-
-
 def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
+    """Score attachment strategies, the tagger, or the reference metrics.
+
+    Strategy scoring runs on gold entities.  Documents are the outer loop:
+    each document's sentence contexts are built once, and every requested
+    strategy and the cross-sentence count read those same contexts, so
+    each target-to-Person path is computed once per document.
+    """
     if metric_check:
         problems = evaluation.verify_reference_metrics()
         for name, tp, fp, fn, *_ in (
@@ -345,6 +328,11 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             return 2
         print("all reference metric cells reproduce within tolerance")
         return 0
+    if cfg.ner_mode == "model" and not ner_eval:
+        raise UsageError(
+            "evaluate scores strategies on gold entities; --ner-mode model "
+            "applies only with --ner-eval"
+        )
 
     entries = load_corpus(cfg.corpus_dir)
     gold_docs = [doc for doc, _ in entries if doc.entities or doc.relations]
@@ -359,16 +347,8 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             raise DataError("held-out split is empty; lower --split")
         train_docs = [doc for doc, _ in train_entries]
         gaz = _gazetteers(cfg, train_docs)
-        corpus = []
-        for doc in train_docs:
-            for sent in sentences(tokenize(doc.text)):
-                ents = [
-                    e for e in doc.entities
-                    if e.start < sent[-1].end and e.end > sent[0].start
-                ]
-                corpus.append((sent, spans_to_iob(sent, ents)))
-        model = train_tagger(corpus, epochs=cfg.tagger_epochs, seed=cfg.seed,
-                             gazetteers=gaz)
+        model = train_tagger(training_corpus(train_docs), epochs=cfg.tagger_epochs,
+                             seed=cfg.seed, gazetteers=gaz)
         totals: dict = {}
         for doc, _ in test_entries:
             pred = predict_entities(model, doc)
@@ -388,11 +368,23 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         )
         return 0
 
-    rows = [_evaluate_strategy(cfg, entries, s) for s in _strategies(cfg.strategy)]
+    strategies = _strategies(cfg.strategy)
+    models = {s: _load_relnet_for(cfg, s) for s in strategies}
+    counts = {s: (0, 0, 0) for s in strategies}
     cross = 0
     for doc, trees in entries:
-        _, doc_cross = gold_pairs(doc, build_contexts(doc, trees))
-        cross += doc_cross
+        contexts = build_contexts(doc, trees)
+        for s in strategies:
+            atts = extract_document(
+                doc, contexts, s, *models[s], fallback=cfg.fallback == "nearest"
+            )
+            doc_counts = evaluation.relation_counts(doc.relations, atts, doc.entities)
+            counts[s] = tuple(a + b for a, b in zip(counts[s], doc_counts))
+        cross += gold_pairs(doc, contexts)[1]
+    rows = [
+        evaluation.PrfRow.from_counts(evaluation.STRATEGY_ROW_NAMES[s], *counts[s])
+        for s in strategies
+    ]
     print(evaluation.format_prf_table(rows, decimals=3, label="Method"))
     print(f"gold relations joining different sentences: {cross} "
           "(unreachable for all strategies; scored as misses)")
@@ -417,15 +409,7 @@ def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
         tagger = load_tagger(cfg.tagger_model)
     else:
         docs = [doc for doc, _ in entries]
-        corpus = []
-        for doc in docs:
-            for sent in sentences(tokenize(doc.text)):
-                ents = [
-                    e for e in doc.entities
-                    if e.start < sent[-1].end and e.end > sent[0].start
-                ]
-                corpus.append((sent, spans_to_iob(sent, ents)))
-        tagger = train_tagger(corpus, epochs=1, seed=cfg.seed,
+        tagger = train_tagger(training_corpus(docs), epochs=1, seed=cfg.seed,
                               gazetteers=_gazetteers(cfg, docs))
     if cfg.relnet_model:
         model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED)
@@ -472,27 +456,16 @@ def cmd_inspect(cfg: RunConfig, doc_id: str | None, show_paths: bool) -> int:
     doc, trees = chosen
     print(f"# {doc.doc_id}: {len(doc.entities)} entities, "
           f"{len(doc.relations)} relations")
-    toks = tokenize(doc.text)
-    for sent in sentences(toks):
-        ents = [
-            e for e in doc.entities
-            if e.start < sent[-1].end and e.end > sent[0].start
-        ]
-        tags = spans_to_iob(sent, ents)
+    for sent, tags in training_corpus([doc]):
         print(format_iob_block(sent, tags))
     if show_paths:
         for ctx in build_contexts(doc, trees):
-            if ctx.tree is None:
-                continue
             for target in ctx.targets:
-                t_toks = ctx.tree_tokens(target)
                 for person in ctx.persons:
-                    p_toks = ctx.tree_tokens(person)
-                    if not t_toks or not p_toks:
-                        continue
-                    path = span_path(ctx.tree, t_toks, p_toks)
-                    print(f"{target.surface!r} -> {person.surface!r}: "
-                          f"{path.render()} (length {path.length})")
+                    path = ctx.path(target, person)
+                    if path is not None:
+                        print(f"{target.surface!r} -> {person.surface!r}: "
+                              f"{path.render()} (length {path.length})")
     return 0
 
 

@@ -311,14 +311,15 @@ def bench_pipeline(
 
         t0 = time.perf_counter()
         for doc, trees in entries:
-            extract_document(doc, trees, Strategy.SDP_CONSTRAINED)
+            extract_document(doc, build_contexts(doc, trees), Strategy.SDP_CONSTRAINED)
         samples["Shortest Dep. Path"].append((time.perf_counter() - t0) / n_lines)
 
         t0 = time.perf_counter()
         if relnet_model is not None and relnet_vocab is not None:
             for doc, trees in entries:
                 extract_document(
-                    doc, trees, Strategy.NN_CONSTRAINED, relnet_model, relnet_vocab
+                    doc, build_contexts(doc, trees), Strategy.NN_CONSTRAINED,
+                    relnet_model, relnet_vocab,
                 )
         samples["Neural Network"].append((time.perf_counter() - t0) / n_lines)
 

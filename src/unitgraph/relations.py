@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .corpus import Document, EntitySpan, EntityType, RelationType, SCHEMA_RELATION
-from .deptree import DepTree, align_to_text, span_path
+from .deptree import DepTree, PathPattern, align_to_text, span_path
 from .errors import MissingParseError
-from .tokens import Token, sentences, tokenize
+from .tokens import sentences, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -33,14 +33,17 @@ NN_STRATEGIES = (Strategy.NN_FREE, Strategy.NN_CONSTRAINED)
 
 @dataclass
 class SentenceContext:
-    """One sentence's entities, tokens and (optional) dependency tree."""
+    """One sentence's entities and (optional) dependency tree."""
 
-    tokens: list[Token]
     tree: DepTree | None
     persons: list[EntitySpan]  # sorted by start offset
     targets: list[EntitySpan]  # non-Person entities, sorted by start
     extent: tuple[int, int]
     tree_spans: list[tuple[int, int] | None] = field(default_factory=list)
+    # (target start, end, Person start, end) -> path; filled by path()
+    _paths: dict[tuple[int, int, int, int], PathPattern | None] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def tree_tokens(self, span: EntitySpan) -> set[int]:
         """Tree token indices whose aligned text overlaps the span."""
@@ -49,6 +52,21 @@ class SentenceContext:
             for i, s in enumerate(self.tree_spans)
             if s is not None and s[0] < span.end and s[1] > span.start
         }
+
+    def path(self, target: EntitySpan, person: EntitySpan) -> PathPattern | None:
+        """``span_path`` from the target's tree tokens to the Person's.
+
+        None when either span has no aligned tree token.  The path depends
+        only on the two spans' offsets, so it is computed once per pair
+        and every strategy, ``relnet.featurize`` and ``inspect`` share it.
+        """
+        key = (target.start, target.end, person.start, person.end)
+        if key not in self._paths:
+            t_toks, p_toks = self.tree_tokens(target), self.tree_tokens(person)
+            self._paths[key] = (
+                span_path(self.tree, t_toks, p_toks) if t_toks and p_toks else None
+            )
+        return self._paths[key]
 
 
 @dataclass(frozen=True)
@@ -105,20 +123,16 @@ def flanking_persons(
 def _sdp_best(
     ctx: SentenceContext, target: EntitySpan, candidates: list[EntitySpan]
 ) -> EntitySpan | None:
-    """Person with the shortest span path; ties by char distance, then left."""
-    target_toks = ctx.tree_tokens(target)
-    if not target_toks:
-        return None
+    """Person with the shortest span path; ties by char distance, then left.
+
+    None when no candidate has a path to the target (or there are none).
+    """
     scored = []
     for p in candidates:
-        p_toks = ctx.tree_tokens(p)
-        if not p_toks:
-            continue
-        path = span_path(ctx.tree, target_toks, p_toks)
-        scored.append((path.length, _char_distance(p, target), p.start, p))
-    if not scored:
-        return None
-    return min(scored)[3]
+        path = ctx.path(target, p)
+        if path is not None:
+            scored.append((path.length, _char_distance(p, target), p.start, p))
+    return min(scored)[3] if scored else None
 
 
 def sdp_attach(ctx: SentenceContext, target: EntitySpan, constrained: bool) -> Attachment:
@@ -153,13 +167,7 @@ def _context_from_tree(doc: Document, tree: DepTree, cursor: int) -> tuple[Sente
         cursor = extent[1]
     else:
         extent = (cursor, cursor)
-    tokens = [
-        Token(form, s[0], s[1], tree.sent_index, i)
-        for i, (form, s) in enumerate(zip(tree.forms, spans))
-        if s is not None
-    ]
     ctx = SentenceContext(
-        tokens=tokens,
         tree=tree,
         persons=[],
         targets=[],
@@ -185,7 +193,6 @@ def build_contexts(doc: Document, trees: list[DepTree]) -> list[SentenceContext]
         for sent in sentences(tokenize(doc.text)):
             contexts.append(
                 SentenceContext(
-                    tokens=sent,
                     tree=None,
                     persons=[],
                     targets=[],
@@ -216,7 +223,7 @@ def build_contexts(doc: Document, trees: list[DepTree]) -> list[SentenceContext]
 
 def extract_document(
     doc: Document,
-    trees: list[DepTree],
+    contexts: list[SentenceContext],
     strategy: Strategy,
     model=None,
     vocab=None,
@@ -224,9 +231,12 @@ def extract_document(
 ) -> list[Attachment]:
     """One attachment attempt per non-Person entity of the document.
 
-    Entities in sentences with no Person yield nothing.  When a sentence
-    lacks a usable parse, dependency strategies either fall back to
-    nearest-person (default) or skip the sentence (``fallback=False``).
+    ``contexts`` are ``build_contexts(doc, trees)``; build them once per
+    document and pass the same list to every strategy, which then share
+    its memoized paths.  Entities in sentences with no Person yield
+    nothing.  When a sentence lacks a usable parse, dependency strategies
+    either fall back to nearest-person (default) or skip the sentence
+    (``fallback=False``).
     """
     if strategy in NN_STRATEGIES and (model is None or vocab is None):
         raise ValueError(f"strategy {strategy.value} requires a relation-network "
@@ -235,7 +245,7 @@ def extract_document(
         from . import relnet  # local import keeps module dependencies one-way
 
     out: list[Attachment] = []
-    for ctx in build_contexts(doc, trees):
+    for ctx in contexts:
         for target in ctx.targets:
             if not ctx.persons:
                 continue

@@ -18,13 +18,13 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import EntitySpan, EntityType
-from .deptree import PathPattern, span_path
+from .deptree import PathPattern
 from .errors import MissingParseError
 from .relations import (
     Attachment,
     SentenceContext,
     Strategy,
-    _char_distance,
+    _sdp_best,
     flanking_persons,
     type_map,
 )
@@ -97,12 +97,10 @@ def featurize(
         raise MissingParseError("sentence has no dependency tree")
     slots = np.zeros((k, vocab.size + 1))
     truncated = len(ctx.persons) > k
-    target_toks = ctx.tree_tokens(target)
     for i, person in enumerate(ctx.persons[:k]):
-        person_toks = ctx.tree_tokens(person)
-        if not target_toks or not person_toks:
+        path = ctx.path(target, person)
+        if path is None:
             continue
-        path = span_path(ctx.tree, target_toks, person_toks)
         slots[i, vocab.lookup(path.key(directed))] = 1.0
         slots[i, -1] = float(path.length)
     type_onehot = np.zeros(3)
@@ -319,17 +317,11 @@ def collect_patterns(
     patterns = []
     for contexts in contexts_by_doc:
         for ctx in contexts:
-            if ctx.tree is None:
-                continue
             for target in ctx.targets:
-                t_toks = ctx.tree_tokens(target)
-                if not t_toks:
-                    continue
                 for person in ctx.persons[:MAX_PERSONS]:
-                    p_toks = ctx.tree_tokens(person)
-                    if not p_toks:
-                        continue
-                    patterns.append(span_path(ctx.tree, t_toks, p_toks))
+                    path = ctx.path(target, person)
+                    if path is not None:
+                        patterns.append(path)
     return patterns
 
 
@@ -368,24 +360,8 @@ def predict_person(
             person = right
         else:
             others = [p for p in ctx.persons if p is not left and p is not right]
-            person = _shortest_path_person(ctx, target, others)
+            person = _sdp_best(ctx, target, others)
     return Attachment(target, person, type_map(target.etype), strategy)
-
-
-def _shortest_path_person(
-    ctx: SentenceContext, target: EntitySpan, candidates: list[EntitySpan]
-) -> EntitySpan | None:
-    t_toks = ctx.tree_tokens(target)
-    if not t_toks or not candidates:
-        return None
-    scored = []
-    for p in candidates:
-        p_toks = ctx.tree_tokens(p)
-        if not p_toks:
-            continue
-        path = span_path(ctx.tree, t_toks, p_toks)
-        scored.append((path.length, _char_distance(p, target), p.start, p))
-    return min(scored)[3] if scored else None
 
 
 def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:

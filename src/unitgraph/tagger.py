@@ -22,6 +22,7 @@ from .tokens import (
     Token,
     iob_to_spans,
     sentences,
+    spans_to_iob,
     tokenize,
     valid_transition,
 )
@@ -208,6 +209,22 @@ def _decode(model: TaggerModel, feats: list[list[str]]) -> list[IobTag]:
         path.append(pointers[path[-1]])
     path.reverse()
     return [tags[t] for t in path]
+
+
+def training_corpus(docs: list[Document]) -> list[tuple[list[Token], list[IobTag]]]:
+    """Every rule-based sentence of the documents with its gold IOB tags.
+
+    A sentence's tags come from the entities overlapping its tokens.
+    """
+    corpus = []
+    for doc in docs:
+        for sent in sentences(tokenize(doc.text)):
+            ents = [
+                e for e in doc.entities
+                if e.start < sent[-1].end and e.end > sent[0].start
+            ]
+            corpus.append((sent, spans_to_iob(sent, ents)))
+    return corpus
 
 
 def train_tagger(

@@ -213,7 +213,8 @@ def test_criterion_7_mechanism_fixtures(corpus_by_id):
     doc, trees = corpus_by_id[DOC_LOGISTICS]
     ctx = build_contexts(doc, trees)[0]
     chief = next(t for t in ctx.targets if t.surface == "Chief of Logistics")
-    sdp_choice = extract_document(doc, trees, Strategy.SDP_FREE)
+    sdp_choice = extract_document(doc, build_contexts(doc, trees),
+                                  Strategy.SDP_FREE)
     wrong = next(a for a in sdp_choice if a.target == chief)
     assert wrong.person.surface == "M. T. Ibrahim"
     gold_person = doc.entity_by_id("T3")
@@ -237,8 +238,10 @@ def test_criterion_7_mechanism_fixtures(corpus_by_id):
     vocab4 = build_vocab(collect_patterns([build_contexts(doc4, trees4)]),
                          min_count=1)
     abstainer = rigged_model(vocab4, favored_output=6)
-    sdp_atts = extract_document(doc4, trees4, Strategy.SDP_CONSTRAINED)
-    nn_atts = extract_document(doc4, trees4, Strategy.NN_FREE, abstainer, vocab4)
+    sdp_atts = extract_document(doc4, build_contexts(doc4, trees4),
+                                Strategy.SDP_CONSTRAINED)
+    nn_atts = extract_document(doc4, build_contexts(doc4, trees4),
+                               Strategy.NN_FREE, abstainer, vocab4)
     assert len([a for a in nn_atts if a.person is not None]) < len(sdp_atts)
     report(7, "SDP commits the forced-attachment error; the network "
               "selects correctly or abstains as configured")

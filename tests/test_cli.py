@@ -12,13 +12,41 @@ from unitgraph.cli import main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntityType
 from unitgraph.evaluation import relation_counts
-from unitgraph.relations import Strategy, extract_document
+from unitgraph.relations import Strategy, build_contexts, extract_document
 
 from conftest import CORPUS_DIR, DOC_VANGUARD
 
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+# ``inspect --doc DOC_VANGUARD --paths`` as printed before target-to-Person
+# paths were memoized on the sentence context.
+INSPECT_VANGUARD_PATHS = (
+    "# 3f8a12bc-90de-4f61-8a2b-5c7e94d0a113: 7 entities, 3 relations\n"
+    "Boko  Haram : Army assures on safety\n"
+    "B-ORG I-ORG O O    O       O  O\n"
+    "\n"
+    "General Officer Commanding 3     Armoured Division of the\n"
+    "B-TTL   I-TTL   I-TTL      B-ORG I-ORG    I-ORG    O  O\n"
+    "\n"
+    "Nigerian Army  , Major General Jack  Nwaogbo , has again\n"
+    "B-ORG    I-ORG O B-RNK I-RNK   B-PER I-PER   O O   O\n"
+    "\n"
+    "re-assured Nigerians that the Boko  Haram insurgency\n"
+    "O          O         O    O   B-ORG I-ORG O\n"
+    "\n"
+    "would soon be contained .\n"
+    "O     O    O  O         O\n"
+    "\n"
+    "'General Officer Commanding' -> 'Jack Nwaogbo': appos↑ (length 1)\n"
+    "'3 Armoured Division' -> 'Jack Nwaogbo': obj↑ acl↑ appos↑ (length 3)\n"
+    "'Nigerian Army' -> 'Jack Nwaogbo': nmod↑ obj↑ acl↑ appos↑ (length 4)\n"
+    "'Major General' -> 'Jack Nwaogbo': compound↑ (length 1)\n"
+    "'Boko Haram' -> 'Jack Nwaogbo': compound↑ nsubj:pass↑ ccomp↑ nsubj↓ "
+    "(length 4)\n"
+)
 
 
 class TestExtract:
@@ -70,7 +98,8 @@ class TestExtract:
         run("extract", "--corpus", CORPUS_DIR, "--out", out,
             "--strategy", "sdp-constrained")
         for doc, trees in load_corpus(CORPUS_DIR):
-            atts = extract_document(doc, trees, Strategy.SDP_CONSTRAINED)
+            atts = extract_document(doc, build_contexts(doc, trees),
+                                    Strategy.SDP_CONSTRAINED)
             direct = relation_counts(doc.relations, atts, doc.entities)
             pred_doc = parse_brat(
                 (out / f"{doc.doc_id}.ann").read_text(encoding="utf-8"),
@@ -143,6 +172,35 @@ class TestEvaluate:
         assert len(metrics["rows"]) == 5
         assert metrics["cross_sentence_gold"] == 1
 
+    def test_all_strategies_rows_are_unchanged(self, models_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert run("evaluate", "--corpus", CORPUS_DIR, "--out", out,
+                   "--strategy", "all", "--relnet-model", models_dir) == 0
+        metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        assert metrics["cross_sentence_gold"] == 1
+        assert [(r["name"], r["tp"], r["fp"], r["fn"]) for r in metrics["rows"]] == [
+            ("Nearest Person (Baseline)", 6, 4, 2),
+            ("Shortest Dep. Path (No constraint)", 6, 4, 2),
+            ("Shortest Dep. Path (With constraint)", 6, 4, 2),
+            ("Neural Network (No constraint)", 6, 4, 2),
+            ("Neural Network (With constraint)", 5, 3, 3),
+        ]
+
+    def test_all_strategies_match_single_runs(self, models_dir, tmp_path):
+        # one set of contexts serves every strategy; none may leak state
+        def metrics(strategy):
+            out = tmp_path / strategy
+            assert run("evaluate", "--corpus", CORPUS_DIR, "--out", out,
+                       "--strategy", strategy, "--relnet-model", models_dir) == 0
+            return json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+
+        single = [metrics(s.value) for s in Strategy]
+        combined = metrics("all")
+        assert combined["rows"] == [row for m in single for row in m["rows"]]
+        assert {m["cross_sentence_gold"] for m in single} == {
+            combined["cross_sentence_gold"]
+        }
+
     def test_identical_seeds_identical_metrics(self, models_dir, tmp_path):
         outs = []
         for name in ("e1", "e2"):
@@ -172,6 +230,18 @@ class TestEvaluate:
         stdout = capsys.readouterr().out
         assert "All Classes" in stdout
         assert (out / "ner_metrics.json").exists()
+
+    def test_model_ner_mode_rejected_without_ner_eval(self, tmp_path, capsys):
+        # strategy scoring runs on gold entities and would ignore the mode
+        assert run("evaluate", "--corpus", CORPUS_DIR, "--out", tmp_path / "a",
+                   "--ner-mode", "model") == 1
+        assert "--ner-eval" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus_dir": str(CORPUS_DIR),
+                                   "ner_mode": "model"}), encoding="utf-8")
+        assert run("evaluate", "--config", cfg, "--out", tmp_path / "b") == 1
+        assert "--ner-eval" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
     def test_corpus_without_gold_fails(self, tmp_path):
         bare = tmp_path / "bare"
@@ -205,6 +275,11 @@ class TestInspect:
         assert run("inspect", "--corpus", CORPUS_DIR, "--doc", DOC_VANGUARD,
                    "--paths") == 0
         assert "↑" in capsys.readouterr().out
+
+    def test_paths_output_is_unchanged(self, capsys):
+        assert run("inspect", "--corpus", CORPUS_DIR, "--doc", DOC_VANGUARD,
+                   "--paths") == 0
+        assert capsys.readouterr().out == INSPECT_VANGUARD_PATHS
 
     def test_unknown_doc(self, capsys):
         assert run("inspect", "--corpus", CORPUS_DIR, "--doc", "nope") == 2

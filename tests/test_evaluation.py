@@ -19,7 +19,12 @@ from unitgraph.evaluation import (
     score_relations,
     verify_reference_metrics,
 )
-from unitgraph.relations import Attachment, Strategy, extract_document
+from unitgraph.relations import (
+    Attachment,
+    Strategy,
+    build_contexts,
+    extract_document,
+)
 
 from conftest import DOC_CEREMONY, DOC_VANGUARD
 
@@ -162,7 +167,7 @@ class TestScoreRelations:
         for doc, trees in corpus_entries:
             for strat in (Strategy.NEAREST_PERSON, Strategy.SDP_FREE,
                           Strategy.SDP_CONSTRAINED):
-                atts = extract_document(doc, trees, strat)
+                atts = extract_document(doc, build_contexts(doc, trees), strat)
                 tp, fp, fn = relation_counts(doc.relations, atts, doc.entities)
                 named = [a for a in atts if a.person is not None]
                 assert tp + fn == len(doc.relations)
@@ -170,7 +175,8 @@ class TestScoreRelations:
 
     def test_cross_sentence_gold_scores_fn(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_CEREMONY]
-        atts = extract_document(doc, trees, Strategy.SDP_CONSTRAINED)
+        atts = extract_document(doc, build_contexts(doc, trees),
+                                Strategy.SDP_CONSTRAINED)
         tp, fp, fn = relation_counts(doc.relations, atts, doc.entities)
         assert (tp, fn) == (0, 1)
 
@@ -184,7 +190,8 @@ class TestScoreRelations:
     def test_permutation_invariance(self, corpus_by_id):
         rng = random.Random(5)
         doc, trees = corpus_by_id[DOC_VANGUARD]
-        atts = extract_document(doc, trees, Strategy.NEAREST_PERSON)
+        atts = extract_document(doc, build_contexts(doc, trees),
+                                Strategy.NEAREST_PERSON)
         base = relation_counts(doc.relations, atts, doc.entities)
         gold = list(doc.relations)
         for _ in range(4):

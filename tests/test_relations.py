@@ -3,7 +3,7 @@ import random
 import pytest
 
 from unitgraph.corpus import Document, EntitySpan, EntityType, RelationType
-from unitgraph.deptree import DepTree
+from unitgraph.deptree import DepTree, span_path
 from unitgraph.relations import (
     Attachment,
     SentenceContext,
@@ -33,7 +33,6 @@ def plain_ctx(persons, targets):
     lo = min(e.start for e in ents)
     hi = max(e.end for e in ents)
     return SentenceContext(
-        tokens=[],
         tree=None,
         persons=sorted(persons, key=lambda e: e.start),
         targets=sorted(targets, key=lambda e: e.start),
@@ -114,6 +113,34 @@ class TestFlankingPersons:
             assert right == (min(after, key=lambda p: p.start) if after else None)
 
 
+class TestContextPath:
+    def test_matches_span_path_in_any_call_order(self, corpus_entries):
+        seen = {"path": 0, "none": 0}
+        for doc, trees in corpus_entries:
+            for parsed in (trees, []):
+                for backwards in (False, True):
+                    contexts = build_contexts(doc, parsed)
+                    pairs = [(ctx, t, p) for ctx in contexts
+                             for t in ctx.targets for p in ctx.persons]
+                    for ctx, t, p in reversed(pairs) if backwards else pairs:
+                        t_toks, p_toks = ctx.tree_tokens(t), ctx.tree_tokens(p)
+                        expected = (span_path(ctx.tree, t_toks, p_toks)
+                                    if t_toks and p_toks else None)
+                        assert ctx.path(t, p) == expected
+                        assert ctx.path(t, p) == expected  # memoized value
+                        seen["path" if expected else "none"] += 1
+        assert seen["path"] and seen["none"]
+
+    def test_memo_does_not_change_equality(self, corpus_by_id):
+        doc, trees = corpus_by_id[DOC_VANGUARD]
+        fresh, used = build_contexts(doc, trees), build_contexts(doc, trees)
+        for ctx in used:
+            for t in ctx.targets:
+                for p in ctx.persons:
+                    ctx.path(t, p)
+        assert fresh == used
+
+
 class TestSdpAttach:
     def test_single_person_regardless_of_constraint(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_VANGUARD]
@@ -159,7 +186,7 @@ class TestSdpAttach:
             tok = slots[3]
             tgt = EntitySpan("TT", EntityType.RANK, *spans[tok], tree.forms[tok])
             ctx = SentenceContext(
-                tokens=[], tree=tree,
+                tree=tree,
                 persons=sorted(persons, key=lambda e: e.start),
                 targets=[tgt], extent=(0, len(text)), tree_spans=spans,
             )
@@ -213,7 +240,8 @@ class TestExtractDocument:
 
     def test_one_person_three_targets(self, corpus_by_id):
         view, trees = self.vanguard_gold_view(corpus_by_id)
-        atts = extract_document(view, trees, Strategy.NEAREST_PERSON)
+        atts = extract_document(view, build_contexts(view, trees),
+                                Strategy.NEAREST_PERSON)
         assert len(atts) == 3
         assert {a.person.surface for a in atts} == {"Jack Nwaogbo"}
         assert {a.rtype for a in atts} == {
@@ -228,28 +256,31 @@ class TestExtractDocument:
             "d", text,
             [EntitySpan("T1", EntityType.ORGANIZATION, 4, 17, "Nigerian Army")],
         )
-        assert extract_document(doc, [], Strategy.NEAREST_PERSON) == []
+        contexts = build_contexts(doc, [])
+        assert extract_document(doc, contexts, Strategy.NEAREST_PERSON) == []
 
     def test_rtype_always_matches_target_class(self, corpus_entries):
         for doc, trees in corpus_entries:
             for strat in (Strategy.NEAREST_PERSON, Strategy.SDP_FREE,
                           Strategy.SDP_CONSTRAINED):
-                for att in extract_document(doc, trees, strat):
+                for att in extract_document(doc, build_contexts(doc, trees), strat):
                     assert att.rtype is type_map(att.target.etype)
                     assert isinstance(att, Attachment)
 
     def test_fallback_policy_without_parses(self, corpus_by_id):
         doc, _ = corpus_by_id[DOC_VANGUARD]
-        with_fallback = extract_document(doc, [], Strategy.SDP_CONSTRAINED)
+        contexts = build_contexts(doc, [])
+        with_fallback = extract_document(doc, contexts, Strategy.SDP_CONSTRAINED)
         assert with_fallback
         assert {a.strategy for a in with_fallback} == {Strategy.NEAREST_PERSON}
-        skipped = extract_document(doc, [], Strategy.SDP_CONSTRAINED, fallback=False)
+        skipped = extract_document(doc, contexts, Strategy.SDP_CONSTRAINED,
+                                   fallback=False)
         assert skipped == []
 
     def test_nn_strategy_requires_model(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_VANGUARD]
         with pytest.raises(ValueError, match="model"):
-            extract_document(doc, trees, Strategy.NN_FREE)
+            extract_document(doc, build_contexts(doc, trees), Strategy.NN_FREE)
 
 
 class TestGoldPairs:

@@ -44,7 +44,6 @@ def chain_context(n_persons, etype=EntityType.ORGANIZATION):
     ]
     target = EntitySpan("TT", etype, spans[0][0], spans[0][1], "unit")
     ctx = SentenceContext(
-        tokens=[],
         tree=tree,
         persons=persons,
         targets=[target],
@@ -373,8 +372,10 @@ class TestPredictPerson:
             collect_patterns([build_contexts(doc, trees)]), min_count=1
         )
         abstainer = rigged_model(vocab, favored_output=6)
-        sdp = extract_document(doc, trees, Strategy.SDP_CONSTRAINED)
-        nn = extract_document(doc, trees, Strategy.NN_FREE, abstainer, vocab)
+        sdp = extract_document(doc, build_contexts(doc, trees),
+                               Strategy.SDP_CONSTRAINED)
+        nn = extract_document(doc, build_contexts(doc, trees), Strategy.NN_FREE,
+                              abstainer, vocab)
         named = [a for a in nn if a.person is not None]
         assert len(sdp) == 2  # forced: including the spurious unit edge
         assert len(named) < len(sdp)

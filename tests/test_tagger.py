@@ -15,6 +15,7 @@ from unitgraph.tagger import (
     rank_lexicon,
     save_tagger,
     train_tagger,
+    training_corpus,
     viterbi_decode,
 )
 from unitgraph.tokens import (
@@ -295,6 +296,11 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train_tagger([], epochs=1, seed=0)
+
+    def test_training_corpus_matches_reference_loop(self):
+        docs = [doc for doc, _ in load_corpus(CORPUS_DIR)]
+        assert training_corpus(docs) == fixture_training_corpus()
+        assert training_corpus([]) == []
 
 
 class TestPredictEntities:
