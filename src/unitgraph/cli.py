@@ -20,13 +20,7 @@ from pathlib import Path
 from . import evaluation, relnet
 from .corpus import Document, RelationEdge, load_corpus, serialize_brat
 from .errors import DataError
-from .relations import (
-    NN_STRATEGIES,
-    Strategy,
-    build_contexts,
-    extract_document,
-    gold_pairs,
-)
+from .relations import Strategy, build_contexts, extract_document, gold_pairs
 from .tagger import (
     Gazetteers,
     load_tagger,
@@ -79,7 +73,7 @@ class RunConfig:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
             values.update(raw)
         values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**{k: v for k, v in values.items() if k in known})
+        return cls(**values)
 
     # where outputs go never changes what gets computed
     _UNHASHED = ("output_dir",)
@@ -122,7 +116,8 @@ def _gazetteers(cfg: RunConfig, train_docs: list[Document]) -> Gazetteers:
 
 
 def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
-    if strategy not in NN_STRATEGIES:
+    net = relnet.NETWORKS.get(strategy)
+    if net is None:
         return None, None
     if not cfg.relnet_model:
         raise DataError(
@@ -131,17 +126,14 @@ def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
         )
     path = Path(cfg.relnet_model)
     if path.is_dir():
-        name = "relnet_select.model" if strategy is Strategy.NN_FREE \
-            else "relnet_constrained.model"
-        path = path / name
+        path = path / net.filename
     if not path.exists():
         raise DataError(f"model file not found: {path}")
     model, vocab = relnet.load_relnet(path)
-    wanted = "select_k" if strategy is Strategy.NN_FREE else "constrained3"
-    if model.mode != wanted:
+    if model.mode != net.mode:
         raise DataError(
             f"{path} is a {model.mode} model but strategy {strategy.value} "
-            f"needs {wanted}"
+            f"needs {net.mode}"
         )
     return model, vocab
 
@@ -260,29 +252,20 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
         model.meta["config_hash"] = cfg.hash()
         path = out_dir / "tagger.model"
         save_tagger(model, path)
-        n_params = len(model.feature_weights) + len(model.transition_weights)
-        print(f"tagger: {n_params} weights -> {path}")
+        print(f"tagger: {model.param_count()} weights -> {path}")
 
-    relnet_modes = [t for t in targets if t.startswith("relnet")]
-    if relnet_modes:
-        contexts_by_doc = [build_contexts(doc, trees) for doc, trees in train_entries]
-        patterns = relnet.collect_patterns(contexts_by_doc)
-        vocab = relnet.build_vocab(
-            patterns, min_count=cfg.min_count, directed=cfg.path_direction
+    networks = [net for t in targets for net in relnet.NETWORKS.values()
+                if net.target == t]
+    if networks:
+        vocab, pairs = relnet.training_set(
+            train_entries, cfg.min_count, cfg.path_direction
         )
-        pairs = []
-        for (doc, _), contexts in zip(train_entries, contexts_by_doc):
-            doc_pairs, _ = gold_pairs(doc, contexts)
-            pairs.extend(doc_pairs)
-        for target in relnet_modes:
-            mode = "select_k" if target == "relnet-select" else "constrained3"
-            dataset = relnet.build_dataset(
-                pairs, vocab, mode, directed=cfg.path_direction
-            )
+        for net in networks:
+            dataset = relnet.build_dataset(pairs, vocab, net.mode)
             if len(dataset[0]) == 0:
                 raise DataError("no same-sentence gold relations to train on")
             model = relnet.init_model(
-                mode, vocab.size, hidden=cfg.hidden_size, seed=cfg.seed
+                net.mode, vocab.size, hidden=cfg.hidden_size, seed=cfg.seed
             )
             relnet.train(
                 model, dataset, epochs=cfg.epochs,
@@ -290,15 +273,12 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
             )
             model.hyper.update({
                 "min_count": cfg.min_count,
-                "directed": int(cfg.path_direction),
                 "config_hash": cfg.hash(),
             })
-            name = ("relnet_select.model" if mode == "select_k"
-                    else "relnet_constrained.model")
-            path = out_dir / name
+            path = out_dir / net.filename
             relnet.save_relnet(path, model, vocab)
             print(
-                f"relnet {mode}: {model.param_count()} parameters "
+                f"relnet {net.mode}: {model.param_count()} parameters "
                 f"(vocab {vocab.size}, {len(dataset[0])} examples, "
                 f"final loss {model.loss_curve[-1]:.4f}) -> {path}"
             )
@@ -414,16 +394,10 @@ def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
     if cfg.relnet_model:
         model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED)
     else:
-        contexts_by_doc = [build_contexts(doc, trees) for doc, trees in entries]
-        vocab = relnet.build_vocab(
-            relnet.collect_patterns(contexts_by_doc), min_count=1
-        )
-        pairs = []
-        for (doc, _), contexts in zip(entries, contexts_by_doc):
-            doc_pairs, _ = gold_pairs(doc, contexts)
-            pairs.extend(doc_pairs)
-        dataset = relnet.build_dataset(pairs, vocab, "constrained3")
-        model = relnet.init_model("constrained3", vocab.size,
+        vocab, pairs = relnet.training_set(entries, min_count=1)
+        mode = relnet.NETWORKS[Strategy.NN_CONSTRAINED].mode
+        dataset = relnet.build_dataset(pairs, vocab, mode)
+        model = relnet.init_model(mode, vocab.size,
                                   hidden=cfg.hidden_size, seed=cfg.seed)
         if len(dataset[0]):
             relnet.train(model, dataset, epochs=30,
@@ -469,6 +443,9 @@ def cmd_inspect(cfg: RunConfig, doc_id: str | None, show_paths: bool) -> int:
     return 0
 
 
+_TRAIN_TARGETS = ("tagger", *(net.target for net in relnet.NETWORKS.values()))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -508,8 +485,8 @@ def _build_parser() -> _Parser:
     p_train = sub.add_parser("train", parents=[common],
                              help="train tagger and/or relation-network models")
     p_train.add_argument(
-        "--targets", default="tagger,relnet-select,relnet-constrained",
-        help="comma list of tagger|relnet-select|relnet-constrained",
+        "--targets", default=",".join(_TRAIN_TARGETS),
+        help="comma list of " + "|".join(_TRAIN_TARGETS),
     )
     p_eval = sub.add_parser("evaluate", parents=[common],
                             help="score strategies or the tagger against gold")
@@ -528,28 +505,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_KEYS = [f.name for f in fields(RunConfig)]
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = RunConfig.load(args.config, overrides)
-        if args.command in ("extract", "train", "evaluate", "bench", "inspect"):
-            needs_corpus = not (
-                args.command == "evaluate" and args.metric_check
-            )
-            if needs_corpus and not cfg.corpus_dir:
-                raise UsageError("--corpus is required")
+        needs_corpus = not (args.command == "evaluate" and args.metric_check)
+        if needs_corpus and not cfg.corpus_dir:
+            raise UsageError("--corpus is required")
         if args.command == "extract":
             return cmd_extract(cfg)
         if args.command == "train":
             targets = [t.strip() for t in args.targets.split(",") if t.strip()]
-            bad = [t for t in targets
-                   if t not in ("tagger", "relnet-select", "relnet-constrained")]
+            bad = [t for t in targets if t not in _TRAIN_TARGETS]
             if bad:
                 raise UsageError(f"unknown train targets: {', '.join(bad)}")
             return cmd_train(cfg, targets)
@@ -559,9 +529,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.repetitions < 3:
                 raise UsageError("--repetitions must be at least 3")
             return cmd_bench(cfg, args.repetitions)
-        if args.command == "inspect":
-            return cmd_inspect(cfg, args.doc_id, args.paths)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_inspect(cfg, args.doc_id, args.paths)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

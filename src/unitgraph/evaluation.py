@@ -16,7 +16,9 @@ import numpy as np
 
 from .corpus import Document, EntitySpan, EntityType, RelationEdge
 from .deptree import DepTree, align_to_text
-from .relations import Attachment, Strategy, build_contexts, extract_document
+from .relations import (Attachment, Strategy, build_contexts, extract_document,
+                        gold_person_target)
+from .tokens import sentences, tokenize
 
 ENTITY_ROW_ORDER = (
     (EntityType.PERSON, "Person"),
@@ -121,6 +123,11 @@ def rows_from_entity_counts(
     return rows
 
 
+def _edge_key(person: EntitySpan, target: EntitySpan, rtype) -> tuple:
+    """What a gold and a predicted edge must share to match."""
+    return (person.start, person.end, target.start, target.end, rtype)
+
+
 def _gold_relation_triples(
     gold: list[RelationEdge], entities: list[EntitySpan]
 ) -> Counter:
@@ -133,19 +140,11 @@ def _gold_relation_triples(
     by_id = {e.id: e for e in entities}
     triples: Counter = Counter()
     for rel in gold:
-        a, b = by_id.get(rel.arg1), by_id.get(rel.arg2)
-        if a is None or b is None:
-            triples[("dangling", rel.id)] += 1
+        pair = gold_person_target(rel, by_id)
+        if pair is None:
+            triples[("unpaired", rel.id)] += 1
             continue
-        people = [e for e in (a, b) if e.etype is EntityType.PERSON]
-        if len(people) != 1:
-            triples[("untypable", rel.id)] += 1
-            continue
-        person = people[0]
-        target = b if person is a else a
-        triples[
-            (person.start, person.end, target.start, target.end, rel.rtype)
-        ] += 1
+        triples[_edge_key(*pair, rel.rtype)] += 1
     return triples
 
 
@@ -158,15 +157,7 @@ def relation_counts(
     for att in pred:
         if att.person is None:
             continue
-        pred_triples[
-            (
-                att.person.start,
-                att.person.end,
-                att.target.start,
-                att.target.end,
-                att.rtype,
-            )
-        ] += 1
+        pred_triples[_edge_key(att.person, att.target, att.rtype)] += 1
     tp = sum((gold_triples & pred_triples).values())
     return (
         tp,
@@ -214,20 +205,7 @@ def format_prf_table(rows: list[PrfRow], decimals: int = 2, label: str = "Class"
         ]
         for row in rows
     ]
-    widths = [
-        max(len(h), *(len(r[i]) for r in body)) if body else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = [
-        "  ".join(h.ljust(w) if i == 0 else h.rjust(w)
-                  for i, (h, w) in enumerate(zip(headers, widths)))
-    ]
-    for r in body:
-        lines.append(
-            "  ".join(c.ljust(w) if i == 0 else c.rjust(w)
-                      for i, (c, w) in enumerate(zip(r, widths)))
-        )
-    return "\n".join(lines) + "\n"
+    return _format_table(headers, body)
 
 
 def format_timing_table(rows: list[TimingRow]) -> str:
@@ -245,13 +223,21 @@ def format_timing_table(rows: list[TimingRow]) -> str:
                 str(ref_params) if ref_params else "N/A",
             ]
         )
-    widths = [max(len(h), *(len(r[i]) for r in body)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) if i == 0 else h.rjust(w)
-                       for i, (h, w) in enumerate(zip(headers, widths)))]
-    for r in body:
-        lines.append("  ".join(c.ljust(w) if i == 0 else c.rjust(w)
-                               for i, (c, w) in enumerate(zip(r, widths))))
-    return "\n".join(lines) + "\n"
+    return _format_table(headers, body)
+
+
+def _format_table(headers: list[str], body: list[list[str]]) -> str:
+    """Columns padded to their widest cell: the first left-aligned, the
+    rest right-aligned."""
+    widths = [
+        max(len(h), *(len(r[i]) for r in body)) if body else len(h)
+        for i, h in enumerate(headers)
+    ]
+    return "".join(
+        "  ".join(c.ljust(w) if i == 0 else c.rjust(w)
+                  for i, (c, w) in enumerate(zip(r, widths))) + "\n"
+        for r in [headers, *body]
+    )
 
 
 def discard_outliers(values: list[float], spread: float = 3.0) -> list[float]:
@@ -271,25 +257,29 @@ def bench_pipeline(
     tagger_model=None,
     relnet_model=None,
     relnet_vocab=None,
-    conllu_texts: dict[str, str] | None = None,
 ) -> list[TimingRow]:
     """Per-line wall times for the four pipeline components.
 
     Each repetition times every component over the whole corpus; means are
     taken after the outlier rule.  Setup (model training elsewhere) is
-    never timed.  Line counts are sentences as segmented for extraction.
+    never timed.  Every row counts lines as tokenizer sentences.  "Tree
+    alignment" times only aligning given parses to the text; no parser
+    runs, so it has no pilot reference cell.
     """
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
-    from .corpus import parse_conllu
     from .tagger import predict_entities
 
     n_lines = max(
-        1, sum(len(build_contexts(doc, trees)) for doc, trees in entries)
+        1, sum(len(sentences(tokenize(doc.text))) for doc, _ in entries)
     )
-    samples: dict[str, list[float]] = {
-        "NER": [], "Dep. Parsing": [], "Shortest Dep. Path": [], "Neural Network": [],
+    params = {  # row order, and each component's model size
+        "NER": tagger_model.param_count() if tagger_model is not None else None,
+        "Tree alignment": None,
+        "Shortest Dep. Path": None,
+        "Neural Network": relnet_model.param_count() if relnet_model is not None else None,
     }
+    samples: dict[str, list[float]] = {name: [] for name in params}
     for _ in range(repetitions):
         t0 = time.perf_counter()
         for doc, _ in entries:
@@ -297,17 +287,10 @@ def bench_pipeline(
         samples["NER"].append((time.perf_counter() - t0) / n_lines)
 
         t0 = time.perf_counter()
-        if conllu_texts:
-            for doc, _ in entries:
-                raw = conllu_texts.get(doc.doc_id)
-                if raw:
-                    for tree in parse_conllu(raw):
-                        align_to_text(tree, doc.text)
-        else:
-            for doc, trees in entries:
-                for tree in trees:
-                    align_to_text(tree, doc.text)
-        samples["Dep. Parsing"].append((time.perf_counter() - t0) / n_lines)
+        for doc, trees in entries:
+            for tree in trees:
+                align_to_text(tree, doc.text)
+        samples["Tree alignment"].append((time.perf_counter() - t0) / n_lines)
 
         t0 = time.perf_counter()
         for doc, trees in entries:
@@ -323,19 +306,8 @@ def bench_pipeline(
                 )
         samples["Neural Network"].append((time.perf_counter() - t0) / n_lines)
 
-    tagger_params = (
-        len(tagger_model.feature_weights) + len(tagger_model.transition_weights)
-        if tagger_model is not None
-        else None
-    )
-    relnet_params = relnet_model.param_count() if relnet_model is not None else None
     rows = []
-    for component, params in (
-        ("NER", tagger_params),
-        ("Dep. Parsing", None),
-        ("Shortest Dep. Path", None),
-        ("Neural Network", relnet_params),
-    ):
+    for component, n_params in params.items():
         kept = discard_outliers(samples[component])
-        rows.append(TimingRow(component, sum(kept) / len(kept), params))
+        rows.append(TimingRow(component, sum(kept) / len(kept), n_params))
     return rows

@@ -11,7 +11,8 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .corpus import Document, EntitySpan, EntityType, RelationType, SCHEMA_RELATION
+from .corpus import (Document, EntitySpan, EntityType, RelationEdge, RelationType,
+                     SCHEMA_RELATION)
 from .deptree import DepTree, PathPattern, align_to_text, span_path
 from .errors import MissingParseError
 from .tokens import sentences, tokenize
@@ -126,13 +127,13 @@ def _sdp_best(
     """Person with the shortest span path; ties by char distance, then left.
 
     None when no candidate has a path to the target (or there are none).
+    A full tie (one span annotated twice) goes to the first candidate.
     """
-    scored = []
-    for p in candidates:
-        path = ctx.path(target, p)
-        if path is not None:
-            scored.append((path.length, _char_distance(p, target), p.start, p))
-    return min(scored)[3] if scored else None
+    def rank(p: EntitySpan) -> tuple[int, int, int]:
+        return ctx.path(target, p).length, _char_distance(p, target), p.start
+
+    reachable = [p for p in candidates if ctx.path(target, p) is not None]
+    return min(reachable, key=rank, default=None)
 
 
 def sdp_attach(ctx: SentenceContext, target: EntitySpan, constrained: bool) -> Attachment:
@@ -264,6 +265,22 @@ def extract_document(
     return out
 
 
+def gold_person_target(
+    rel: RelationEdge, by_id: dict[str, EntitySpan]
+) -> tuple[EntitySpan, EntitySpan] | None:
+    """The (Person, target) a gold edge joins, given entities by ID.
+
+    None when an argument is missing or the edge does not pair exactly one
+    Person with one non-Person; no strategy can predict such an edge.
+    """
+    a, b = by_id.get(rel.arg1), by_id.get(rel.arg2)
+    if a is None or b is None:
+        return None
+    if (a.etype is EntityType.PERSON) == (b.etype is EntityType.PERSON):
+        return None  # no Person, or two
+    return (a, b) if a.etype is EntityType.PERSON else (b, a)
+
+
 def gold_pairs(
     doc: Document, contexts: list[SentenceContext]
 ) -> tuple[list[tuple[SentenceContext, EntitySpan, EntitySpan]], int]:
@@ -281,19 +298,13 @@ def gold_pairs(
     pairs = []
     cross = 0
     for rel in doc.relations:
-        a, b = by_id.get(rel.arg1), by_id.get(rel.arg2)
-        if a is None or b is None:
-            continue
-        people = [e for e in (a, b) if e.etype is EntityType.PERSON]
-        if len(people) != 1:
+        pair = gold_person_target(rel, by_id)
+        if pair is None:
             continue  # schema-flagged edge; not a person/target pair
-        person = people[0]
-        target = b if person is a else a
-        if person.id not in home or target.id not in home:
+        person, target = pair
+        i = home.get(target.id)
+        if i is None or home.get(person.id) != i:
             cross += 1
             continue
-        if home[person.id] != home[target.id]:
-            cross += 1
-            continue
-        pairs.append((contexts[home[target.id]], target, person))
+        pairs.append((contexts[i], target, person))
     return pairs, cross

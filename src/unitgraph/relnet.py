@@ -13,19 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .corpus import EntitySpan, EntityType
-from .deptree import PathPattern
+from .corpus import Document, EntitySpan, EntityType
+from .deptree import DepTree, PathPattern
 from .errors import MissingParseError
 from .relations import (
     Attachment,
     SentenceContext,
     Strategy,
     _sdp_best,
+    build_contexts,
     flanking_persons,
+    gold_pairs,
     type_map,
 )
 
@@ -34,13 +36,39 @@ TYPE_ORDER = (EntityType.ORGANIZATION, EntityType.RANK, EntityType.TITLE_ROLE)
 MODEL_MAGIC = "unitgraph-relnet 1"
 
 
+class Network(NamedTuple):
+    """How a network strategy is trained, named and stored."""
+
+    mode: str  # the output layer: K candidate slots or 3 flank classes
+    target: str  # its name in ``train --targets``
+    filename: str  # its file in a model directory written by ``train``
+
+
+# the only map from the network strategies to their models
+NETWORKS = {
+    Strategy.NN_FREE: Network("select_k", "relnet-select", "relnet_select.model"),
+    Strategy.NN_CONSTRAINED: Network("constrained3", "relnet-constrained",
+                                     "relnet_constrained.model"),
+}
+
+
+def output_width(mode: str, k: int) -> int:
+    """Output width: one unit per candidate slot, or the three flank classes."""
+    return k if mode == "select_k" else 3
+
+
 @dataclass(frozen=True)
 class PatternVocab:
-    """Dense index over path-pattern keys; rare patterns share ``unknown``."""
+    """Dense index over path-pattern keys; rare patterns share ``unknown``.
+
+    Keys keep each step's up/down direction when ``directed``; fixed at
+    build time, so lookups always use the key form training used.
+    """
 
     index: dict[str, int]
     min_count: int
     unknown_index: int
+    directed: bool = True
 
     @property
     def size(self) -> int:
@@ -65,6 +93,7 @@ def build_vocab(
         index={k: i for i, k in enumerate(kept)},
         min_count=min_count,
         unknown_index=len(kept),
+        directed=directed,
     )
 
 
@@ -86,7 +115,6 @@ def featurize(
     target: EntitySpan,
     vocab: PatternVocab,
     k: int = MAX_PERSONS,
-    directed: bool = True,
 ) -> RelCandidateFeatures:
     """Per-Person path features for a target entity, in sentence order.
 
@@ -101,7 +129,7 @@ def featurize(
         path = ctx.path(target, person)
         if path is None:
             continue
-        slots[i, vocab.lookup(path.key(directed))] = 1.0
+        slots[i, vocab.lookup(path.key(vocab.directed))] = 1.0
         slots[i, -1] = float(path.length)
     type_onehot = np.zeros(3)
     type_onehot[TYPE_ORDER.index(target.etype)] = 1.0
@@ -128,7 +156,7 @@ class RelNetModel:
 
     @property
     def out_dim(self) -> int:
-        return self.k if self.mode == "select_k" else 3
+        return output_width(self.mode, self.k)
 
     def param_count(self) -> int:
         return sum(
@@ -148,10 +176,10 @@ def init_model(
     seed: int = 13,
     length_scale: float = 0.1,
 ) -> RelNetModel:
-    if mode not in ("select_k", "constrained3"):
+    if mode not in {net.mode for net in NETWORKS.values()}:
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
-    out_dim = k if mode == "select_k" else 3
+    width = output_width(mode, k)
     return RelNetModel(
         mode=mode,
         k=k,
@@ -161,8 +189,8 @@ def init_model(
         b1=np.zeros(hidden),
         W2=0.1 * rng.standard_normal((3, hidden)),
         b2=np.zeros(hidden),
-        W3=0.1 * rng.standard_normal((k * hidden + hidden, out_dim)),
-        b3=np.zeros(out_dim),
+        W3=0.1 * rng.standard_normal((k * hidden + hidden, width)),
+        b3=np.zeros(width),
         length_scale=length_scale,
         hyper={"seed": seed},
     )
@@ -274,7 +302,6 @@ def build_dataset(
     vocab: PatternVocab,
     mode: str,
     k: int = MAX_PERSONS,
-    directed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Training arrays from (context, target, gold Person) triples.
 
@@ -283,13 +310,13 @@ def build_dataset(
     some other Person.
     """
     xs, ts, ys = [], [], []
-    out_dim = k if mode == "select_k" else 3
+    width = output_width(mode, k)
     for ctx, target, gold in pairs:
         try:
-            feats = featurize(ctx, target, vocab, k=k, directed=directed)
+            feats = featurize(ctx, target, vocab, k=k)
         except MissingParseError:
             continue
-        y = np.zeros(out_dim)
+        y = np.zeros(width)
         if gold in ctx.persons[:k]:
             if mode == "select_k":
                 y[ctx.persons.index(gold)] = 1.0
@@ -306,7 +333,7 @@ def build_dataset(
         ys.append(y)
     if not xs:
         return (np.zeros((0, k, vocab.size + 1)), np.zeros((0, 3)),
-                np.zeros((0, out_dim)))
+                np.zeros((0, width)))
     return np.stack(xs), np.stack(ts), np.stack(ys)
 
 
@@ -325,28 +352,38 @@ def collect_patterns(
     return patterns
 
 
+def training_set(
+    entries: list[tuple[Document, list[DepTree]]],
+    min_count: int = 2,
+    directed: bool = True,
+) -> tuple[PatternVocab, list[tuple[SentenceContext, EntitySpan, EntitySpan]]]:
+    """The pattern vocabulary and the same-sentence gold triples of a corpus,
+    both read from one set of contexts per document."""
+    contexts_by_doc = [build_contexts(doc, trees) for doc, trees in entries]
+    vocab = build_vocab(collect_patterns(contexts_by_doc), min_count, directed)
+    pairs = []
+    for (doc, _), contexts in zip(entries, contexts_by_doc):
+        pairs.extend(gold_pairs(doc, contexts)[0])
+    return vocab, pairs
+
+
 def predict_person(
     model: RelNetModel,
     ctx: SentenceContext,
     target: EntitySpan,
     vocab: PatternVocab,
-    directed: bool | None = None,
 ) -> Attachment:
     """Predict the related Person for a target, or abstain.
 
     select_k: the argmax slot, abstaining when it names no actual Person.
     constrained3: left flank / right flank / best non-flank by shortest
     dependency path, abstaining when the chosen class has no Person.
-    Pattern direction defaults to whatever the model was trained with.
+    Path patterns are keyed the way ``vocab`` was built.
     """
-    if directed is None:
-        directed = bool(model.hyper.get("directed", 1))
-    feats = featurize(ctx, target, vocab, k=model.k, directed=directed)
+    feats = featurize(ctx, target, vocab, k=model.k)
     probs = forward(model, feats)
     choice = int(np.argmax(probs))
-    strategy = (
-        Strategy.NN_FREE if model.mode == "select_k" else Strategy.NN_CONSTRAINED
-    )
+    strategy = next(s for s, net in NETWORKS.items() if net.mode == model.mode)
     person: EntitySpan | None = None
     if model.mode == "select_k":
         candidates = ctx.persons[: model.k]
@@ -369,8 +406,10 @@ def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:
     lines = [MODEL_MAGIC, f"mode {model.mode}", f"k {model.k}",
              f"hidden {model.hidden}", f"vocab_size {model.vocab_size}",
              f"length_scale {model.length_scale!r}"]
-    for key in sorted(model.hyper):
-        lines.append(f"hyper {key} {model.hyper[key]!r}")
+    # the vocabulary's key form, restored by load_relnet
+    hyper = {**model.hyper, "directed": int(vocab.directed)}
+    for key in sorted(hyper):
+        lines.append(f"hyper {key} {hyper[key]!r}")
     for pattern, idx in sorted(vocab.index.items()):
         lines.append(f"pattern\t{pattern}\t{idx}")
     lines.append(f"unknown {vocab.unknown_index}")
@@ -424,7 +463,9 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
             key, _, value = line.partition(" ")
             header[key] = value
         i += 1
-    vocab = PatternVocab(index, int(header["min_count"]), int(header["unknown"]))
+    # files without a ``hyper directed`` line have always been read as directed
+    vocab = PatternVocab(index, int(header["min_count"]), int(header["unknown"]),
+                         directed=bool(hyper.get("directed", 1)))
     model = RelNetModel(
         mode=header["mode"],
         k=int(header["k"]),

@@ -142,6 +142,9 @@ class TaggerModel:
 
     tagset: tuple[IobTag, ...] = TAGSET
 
+    def param_count(self) -> int:
+        return len(self.feature_weights) + len(self.transition_weights)
+
     def transition(self, prev: str, nxt_tag: IobTag) -> float:
         nxt = str(nxt_tag)
         if (prev, nxt) not in _VALID:

@@ -37,6 +37,25 @@ EXAMPLE_SENTENCE = (
     "Boko Haram insurgency would soon be contained."
 )
 
+# One parsed sentence whose Person is annotated twice on the same offsets
+# (T1 and T2, both "John Smith" at 12..22); parse_brat accepts this.
+DUPLICATE_PERSON_TXT = "The colonel John Smith spoke.\n"
+DUPLICATE_PERSON_ANN = (
+    "T1\tPerson 12 22\tJohn Smith\n"
+    "T2\tPerson 12 22\tJohn Smith\n"
+    "T3\tRank 4 11\tcolonel\n"
+)
+DUPLICATE_PERSON_CONLLU = (
+    "# sent_id = 1\n"
+    "1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+    "2\tcolonel\tcolonel\tNOUN\t_\t_\t4\tcompound\t_\t_\n"
+    "3\tJohn\tJohn\tPROPN\t_\t_\t4\tcompound\t_\t_\n"
+    "4\tSmith\tSmith\tPROPN\t_\t_\t5\tnsubj\t_\t_\n"
+    "5\tspoke\tspeak\tVERB\t_\t_\t0\troot\t_\t_\n"
+    "6\t.\t.\tPUNCT\t_\t_\t5\tpunct\t_\t_\n"
+    "\n"
+)
+
 DOC_VANGUARD = "3f8a12bc-90de-4f61-8a2b-5c7e94d0a113"
 DOC_ADEOSUN = "7b4c55e0-1a2f-4d3c-9e8b-0f6a7c2d4e85"
 DOC_LOGISTICS = "a95d77f2-63b8-4c04-b1de-2f90c3a6b7c1"

@@ -14,7 +14,13 @@ from unitgraph.corpus import EntityType
 from unitgraph.evaluation import relation_counts
 from unitgraph.relations import Strategy, build_contexts, extract_document
 
-from conftest import CORPUS_DIR, DOC_VANGUARD
+from conftest import (
+    CORPUS_DIR,
+    DOC_VANGUARD,
+    DUPLICATE_PERSON_ANN,
+    DUPLICATE_PERSON_CONLLU,
+    DUPLICATE_PERSON_TXT,
+)
 
 
 def run(*args):
@@ -93,6 +99,20 @@ class TestExtract:
         assert code == 2
         assert "--relnet-model" in capsys.readouterr().err
 
+    def test_duplicate_person_annotation(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for ext, body in ((".txt", DUPLICATE_PERSON_TXT), (".ann", DUPLICATE_PERSON_ANN),
+                          (".conllu", DUPLICATE_PERSON_CONLLU)):
+            (corpus / f"dup{ext}").write_text(body, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("extract", "--corpus", corpus, "--out", out,
+                   "--strategy", "sdp-free") == 0
+        graph = json.loads((out / "graph.json").read_text(encoding="utf-8"))
+        assert [(e["from"], e["to"], e["strategy"]) for e in graph["edges"]] == [
+            ("dup:T1", "dup:T3", "sdp-free"),
+        ]
+
     def test_extract_then_rescore_matches_direct_evaluation(self, tmp_path):
         out = tmp_path / "out"
         run("extract", "--corpus", CORPUS_DIR, "--out", out,
@@ -142,6 +162,27 @@ class TestTrain:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("train", "--corpus", empty, "--out", tmp_path / "o") == 2
+
+    def test_no_path_direction_is_kept_in_the_model(self, tmp_path, corpus_by_id):
+        from unitgraph.relnet import featurize, load_relnet
+
+        assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path,
+                   "--targets", "relnet-select,relnet-constrained",
+                   "--epochs", "5", "--no-path-direction") == 0
+        doc, trees = corpus_by_id[DOC_VANGUARD]
+        ctx = next(c for c in build_contexts(doc, trees) if c.persons)
+        for name in ("relnet_select.model", "relnet_constrained.model"):
+            model, vocab = load_relnet(tmp_path / name)
+            assert vocab.directed is False and model.hyper["directed"] == 0
+            assert vocab.index
+            assert not any("↑" in key or "↓" in key for key in vocab.index)
+            # directed keys would miss this vocabulary: only the unknown bit
+            known = {
+                int(i)
+                for target in ctx.targets
+                for i in featurize(ctx, target, vocab).slots[:, :-1].nonzero()[1]
+            }
+            assert known - {vocab.unknown_index}
 
     def test_unknown_target_rejected(self, tmp_path):
         assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path,
@@ -255,7 +296,7 @@ class TestBench:
         assert run("bench", "--corpus", CORPUS_DIR, "--out", tmp_path,
                    "--repetitions", "3") == 0
         stdout = capsys.readouterr().out
-        for component in ("NER", "Dep. Parsing", "Shortest Dep. Path",
+        for component in ("NER", "Tree alignment", "Shortest Dep. Path",
                           "Neural Network"):
             assert component in stdout
         assert "reference 294" in stdout

@@ -235,7 +235,7 @@ class TestBench:
     def test_bench_smoke(self, corpus_entries):
         rows = bench_pipeline(corpus_entries, repetitions=3)
         assert [r.component for r in rows] == [
-            "NER", "Dep. Parsing", "Shortest Dep. Path", "Neural Network",
+            "NER", "Tree alignment", "Shortest Dep. Path", "Neural Network",
         ]
         for row in rows:
             assert row.seconds_per_line > 0

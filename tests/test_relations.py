@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from unitgraph.corpus import Document, EntitySpan, EntityType, RelationType
+from unitgraph.corpus import (Document, EntitySpan, EntityType, RelationEdge,
+                              RelationType, parse_brat, parse_conllu)
 from unitgraph.deptree import DepTree, span_path
 from unitgraph.relations import (
     Attachment,
@@ -12,12 +13,20 @@ from unitgraph.relations import (
     extract_document,
     flanking_persons,
     gold_pairs,
+    gold_person_target,
     nearest_person,
     sdp_attach,
     type_map,
 )
 
-from conftest import DOC_CEREMONY, DOC_LOGISTICS, DOC_VANGUARD
+from conftest import (
+    DOC_CEREMONY,
+    DOC_LOGISTICS,
+    DOC_VANGUARD,
+    DUPLICATE_PERSON_ANN,
+    DUPLICATE_PERSON_CONLLU,
+    DUPLICATE_PERSON_TXT,
+)
 
 
 def person(i, start, width=6):
@@ -277,6 +286,16 @@ class TestExtractDocument:
                                    fallback=False)
         assert skipped == []
 
+    def test_duplicate_person_annotation_goes_to_first(self):
+        # the two Persons tie on path length, distance and start
+        doc = parse_brat(DUPLICATE_PERSON_ANN, DUPLICATE_PERSON_TXT, "dup")
+        contexts = build_contexts(doc, parse_conllu(DUPLICATE_PERSON_CONLLU))
+        for strat in (Strategy.SDP_FREE, Strategy.SDP_CONSTRAINED,
+                      Strategy.NEAREST_PERSON):
+            atts = extract_document(doc, contexts, strat, fallback=False)
+            assert [(a.person.id, a.target.id) for a in atts] == [("T1", "T3")]
+            assert atts[0].strategy is strat
+
     def test_nn_strategy_requires_model(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_VANGUARD]
         with pytest.raises(ValueError, match="model"):
@@ -299,3 +318,21 @@ class TestGoldPairs:
             ("3 Armoured Division", "Jack Nwaogbo"),
             ("Major General", "Jack Nwaogbo"),
         }
+
+
+class TestGoldPersonTarget:
+    P = EntitySpan("T1", EntityType.PERSON, 0, 4, "John")
+    Q = EntitySpan("T2", EntityType.PERSON, 10, 14, "Mary")
+    R = EntitySpan("T3", EntityType.RANK, 5, 9, "Col.")
+    BY_ID = {e.id: e for e in (P, Q, R)}
+
+    def edge(self, arg1, arg2):
+        return RelationEdge("R1", RelationType.HAS_RANK, arg1, arg2)
+
+    def test_either_argument_order(self):
+        assert gold_person_target(self.edge("T1", "T3"), self.BY_ID) == (self.P, self.R)
+        assert gold_person_target(self.edge("T3", "T2"), self.BY_ID) == (self.Q, self.R)
+
+    def test_unpairable_edges(self):
+        for arg1, arg2 in (("T1", "T9"), ("T9", "T3"), ("T1", "T2"), ("T3", "T3")):
+            assert gold_person_target(self.edge(arg1, arg2), self.BY_ID) is None

@@ -5,7 +5,7 @@ import pytest
 
 from unitgraph.corpus import EntitySpan, EntityType
 from unitgraph.deptree import DepTree, PathPattern, Step, align_to_text
-from unitgraph.relations import SentenceContext, Strategy, build_contexts
+from unitgraph.relations import SentenceContext, Strategy, build_contexts, gold_pairs
 from unitgraph.relnet import (
     MAX_PERSONS,
     RelCandidateFeatures,
@@ -22,6 +22,7 @@ from unitgraph.relnet import (
     predict_person,
     save_relnet,
     train,
+    training_set,
 )
 
 from conftest import DOC_GOVERNOR, DOC_LOGISTICS
@@ -401,6 +402,21 @@ class TestPersistence:
             assert np.array_equal(arr, loaded.params()[name]), name
         assert loaded.hyper["learning_rate"] == 0.1
 
+    def test_pattern_direction_round_trips(self, tmp_path):
+        model = init_model("select_k", vocab_size=1, k=3, seed=9)
+        for directed in (True, False):
+            vocab = build_vocab([pattern("nsubj")] * 2, directed=directed)
+            assert vocab.directed is directed
+            save_relnet(tmp_path / "m.relnet", model, vocab)
+            assert load_relnet(tmp_path / "m.relnet")[1].directed is directed
+        # a file without the line keeps the directed default
+        lines = (tmp_path / "m.relnet").read_text(encoding="utf-8").splitlines(True)
+        (tmp_path / "old.relnet").write_text(
+            "".join(l for l in lines if not l.startswith("hyper directed")),
+            encoding="utf-8",
+        )
+        assert load_relnet(tmp_path / "old.relnet")[1].directed is True
+
     def test_identical_training_runs_write_identical_files(self, tmp_path):
         rng = np.random.default_rng(8)
         dataset = TestTraining().separable_dataset(rng, n=30)
@@ -413,3 +429,28 @@ class TestPersistence:
             save_relnet(path, model, vocab)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestTrainingSet:
+    def test_matches_reference_loop(self, corpus_entries):
+        for min_count, directed in ((2, True), (1, False)):
+            vocab, pairs = training_set(corpus_entries, min_count, directed)
+            # the loop train and bench each ran before training_set existed
+            contexts_by_doc = [build_contexts(doc, trees)
+                               for doc, trees in corpus_entries]
+            ref_vocab = build_vocab(collect_patterns(contexts_by_doc),
+                                    min_count=min_count, directed=directed)
+            ref_pairs = []
+            for (doc, _), contexts in zip(corpus_entries, contexts_by_doc):
+                doc_pairs, _ = gold_pairs(doc, contexts)
+                ref_pairs.extend(doc_pairs)
+            assert vocab == ref_vocab
+            assert pairs == ref_pairs and pairs
+            for mode in ("select_k", "constrained3"):
+                for got, want in zip(build_dataset(pairs, vocab, mode),
+                                     build_dataset(ref_pairs, ref_vocab, mode)):
+                    assert np.array_equal(got, want)
+
+    def test_empty_corpus(self):
+        vocab, pairs = training_set([])
+        assert vocab.size == 1 and pairs == []
