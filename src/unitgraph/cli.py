@@ -135,6 +135,9 @@ def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
             f"{path} is a {model.mode} model but strategy {strategy.value} "
             f"needs {net.mode}"
         )
+    if model.vocab_size != vocab.size:
+        raise DataError(f"{path}: vocab_size {model.vocab_size} does not match "
+                        f"its {vocab.size - 1} patterns plus unknown")
     return model, vocab
 
 

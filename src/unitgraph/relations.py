@@ -115,10 +115,15 @@ def nearest_person(ctx: SentenceContext, target: EntitySpan) -> Attachment:
 def flanking_persons(
     ctx: SentenceContext, target: EntitySpan
 ) -> tuple[EntitySpan | None, EntitySpan | None]:
-    """The nearest Persons starting before and after the target."""
+    """The nearest Persons starting before and after the target.
+
+    Of Persons sharing the nearest start (one span annotated twice), the
+    first is taken, as ``nearest_person`` and ``_sdp_best`` take it.
+    """
     left = [p for p in ctx.persons if p.start < target.start]
     right = [p for p in ctx.persons if p.start > target.start]
-    return (left[-1] if left else None, right[0] if right else None)
+    # persons are sorted by start, so right[0] is already the first of its start
+    return max(left, key=lambda p: p.start, default=None), right[0] if right else None
 
 
 def _sdp_best(

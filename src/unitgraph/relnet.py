@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Document, EntitySpan, EntityType
 from .deptree import DepTree, PathPattern
-from .errors import MissingParseError
+from .errors import MissingParseError, ModelFileError, read_model_lines
 from .relations import (
     Attachment,
     SentenceContext,
@@ -433,51 +433,99 @@ def _parse_scalar(value: str):
     return value
 
 
+# the header records save_relnet writes, each with its type, and its arrays
+_HEADER = {"mode": str, "k": int, "hidden": int, "vocab_size": int,
+           "length_scale": float, "unknown": int, "min_count": int}
+_ARRAY_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
+
+
 def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a relation-network model file")
-    header: dict[str, str] = {}
+    """Read a file written by ``save_relnet``.
+
+    A malformed or truncated file raises ``ModelFileError`` naming the
+    file and line.
+    """
+    lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
+    header: dict = {}
     hyper: dict = {}
     index: dict[str, int] = {}
     arrays: dict[str, np.ndarray] = {}
+    where: dict[str, int] = {}  # the line of each header and array record
     i = 1
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("array "):
-            _, name, rows_s, cols_s = line.split()
-            rows, cols = int(rows_s), int(cols_s)
-            mat = np.array(
-                [[float(v) for v in lines[i + 1 + r].split()] for r in range(rows)]
-            ).reshape(rows, cols)
-            arrays[name] = mat
-            i += rows + 1
-            continue
-        if line.startswith("pattern\t"):
-            _, pattern, idx = line.split("\t")
-            index[pattern] = int(idx)
-        elif line.startswith("hyper "):
-            _, key, value = line.split(" ", 2)
-            hyper[key] = _parse_scalar(value)
-        else:
-            key, _, value = line.partition(" ")
-            header[key] = value
-        i += 1
+    try:
+        while i < len(lines):
+            number, line = i + 1, lines[i]
+            if line.startswith("array "):
+                fields = line.split()
+                if len(fields) != 4 or fields[1] not in _ARRAY_NAMES:
+                    raise ValueError(f"bad array record {line!r}")
+                name, rows, cols = fields[1], int(fields[2]), int(fields[3])
+                if rows < 0 or cols < 0:
+                    raise ValueError(f"array {name} has a negative size")
+                where[name] = number
+                mat = []
+                for number in range(i + 2, i + 2 + rows):
+                    if number > len(lines):
+                        raise ValueError(f"file ends inside array {name}")
+                    mat.append([float(v) for v in lines[number - 1].split()])
+                    if len(mat[-1]) != cols:
+                        raise ValueError(f"array {name} row has {len(mat[-1])} "
+                                         f"values, expected {cols}")
+                arrays[name] = np.array(mat).reshape(rows, cols)
+                i += rows + 1
+                continue
+            if line.startswith("pattern\t"):
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ValueError(f"pattern record needs 3 fields, has {len(fields)}")
+                index[fields[1]] = int(fields[2])
+            elif line.startswith("hyper "):
+                fields = line.split(" ", 2)
+                if len(fields) != 3:
+                    raise ValueError("hyper record needs a key and a value")
+                hyper[fields[1]] = _parse_scalar(fields[2])
+            else:
+                key, _, value = line.partition(" ")
+                if key not in _HEADER:
+                    raise ValueError(f"unknown record {key!r}")
+                header[key] = _HEADER[key](value)
+                where[key] = number
+            i += 1
+    except ValueError as exc:
+        raise ModelFileError(path, str(exc), number) from None
+    missing = [key for key in _HEADER if key not in header]
+    missing += [name for name in _ARRAY_NAMES if name not in arrays]
+    if missing:
+        raise ModelFileError(path, f"no {missing[0]!r} record; the file ends "
+                             f"at line {len(lines)}")
+    if header["mode"] not in {net.mode for net in NETWORKS.values()}:
+        raise ModelFileError(path, f"unknown mode {header['mode']!r}", where["mode"])
+    if not all(0 <= idx <= len(index) for idx in [*index.values(), header["unknown"]]):
+        raise ModelFileError(path, f"a pattern index is outside 0..{len(index)}")
+    vocab_size = header["vocab_size"]
+    hidden, width = header["hidden"], output_width(header["mode"], header["k"])
+    shapes = {"W1": (vocab_size + 1, hidden), "b1": (1, hidden), "W2": (3, hidden),
+              "b2": (1, hidden), "W3": ((header["k"] + 1) * hidden, width),
+              "b3": (1, width)}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ModelFileError(path, f"array {name} is {arrays[name].shape}, "
+                                 f"expected {shape}", where[name])
     # files without a ``hyper directed`` line have always been read as directed
-    vocab = PatternVocab(index, int(header["min_count"]), int(header["unknown"]),
+    vocab = PatternVocab(index, header["min_count"], header["unknown"],
                          directed=bool(hyper.get("directed", 1)))
     model = RelNetModel(
         mode=header["mode"],
-        k=int(header["k"]),
-        hidden=int(header["hidden"]),
-        vocab_size=int(header["vocab_size"]),
+        k=header["k"],
+        hidden=hidden,
+        vocab_size=vocab_size,
         W1=arrays["W1"],
         b1=arrays["b1"].ravel(),
         W2=arrays["W2"],
         b2=arrays["b2"].ravel(),
         W3=arrays["W3"],
         b3=arrays["b3"].ravel(),
-        length_scale=float(header["length_scale"]),
+        length_scale=header["length_scale"],
         hyper=hyper,
     )
     return model, vocab

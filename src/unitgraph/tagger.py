@@ -9,12 +9,16 @@ tag sequence.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Document, EntitySpan
+from .errors import ModelFileError, read_model_lines
 from .tokens import (
     IobTag,
     O_TAG,
@@ -166,52 +170,87 @@ _VALID = frozenset(
 def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[IobTag]:
     """Argmax tag sequence under emission + transition scores.
 
-    Each call featurizes the tokens, builds its score tables once (a start
-    vector, a transition matrix holding minus infinity where
-    ``valid_transition`` forbids the pair, one emission row per token) and
-    then runs Viterbi as list arithmetic on them.  Nothing is cached
-    across calls, so the model's weights may change between calls.  Ties
-    resolve to the lowest tagset index, so a zero model decodes to all O.
+    Each call featurizes the tokens, reads the model into fresh score
+    tables and decodes them as a batch of one sentence (see ``_decode``).
+    Nothing is cached across calls, so the model's weights may change
+    between calls.  Ties resolve to the lowest tagset index, so a zero
+    model decodes to all O.
     """
     feats = [featurize_token(tokens, i, model.gazetteers) for i in range(len(tokens))]
-    return _decode(model, feats)
+    return _decode(_Scores(model), [feats])[0]
 
 
-def _decode(model: TaggerModel, feats: list[list[str]]) -> list[IobTag]:
-    """Viterbi over one sentence given each token's feature list."""
-    if not feats:
-        return []
-    tags = model.tagset
-    names = [str(tag) for tag in tags]
-    start = [model.transition(START, tag) for tag in tags]
-    # into[t][p]: the score of moving from tag p to tag t
-    into = [[model.transition(p, tag) for p in names] for tag in tags]
-    weight = model.feature_weights.get
+class _Scores:
+    """A model's decoding scores, read once and fixed while they are used.
 
-    def emission(token_feats: list[str]) -> list[float]:
-        # per tag, the weights summed in feature order from 0, as sum() does
-        rows = [[weight((f, t), 0.0) for t in names] for f in token_feats]
+    ``start`` holds the score of each tag opening a sentence and
+    ``into[t, p]`` the score of moving from tag p to tag t, both read
+    through ``TaggerModel.transition`` (so forbidden pairs are minus
+    infinity).  A feature's 9 weights are looked up on its first use.
+    """
+
+    def __init__(self, model: TaggerModel):
+        self.tags = model.tagset
+        self._names = [str(tag) for tag in self.tags]
+        self.start = np.array([model.transition(START, tag) for tag in self.tags])
+        self.into = np.array([[model.transition(p, tag) for p in self._names]
+                              for tag in self.tags])
+        self._weight = model.feature_weights.get
+        self._rows: dict[str, list[float]] = {}
+
+    def emission(self, token_feats: list[str]) -> list[float]:
+        """Per tag, the token's feature weights summed in feature order
+        from 0, as sum() does."""
+        rows = []
+        for f in token_feats:
+            row = self._rows.get(f)
+            if row is None:
+                row = self._rows[f] = [self._weight((f, t), 0.0) for t in self._names]
+            rows.append(row)
         return [sum(column) for column in zip(*rows)]
 
-    score = [e + s for e, s in zip(emission(feats[0]), start)]
+
+def _decode(scores: _Scores, feats_by_sentence: list[list[list[str]]]) -> list[list[IobTag]]:
+    """Viterbi over a batch of sentences, given each token's feature list.
+
+    The sentences are padded to the longest one and advanced together:
+    each step adds every sentence's scores to the transition matrix and
+    keeps the first maximum over the previous tag (so ties go to the
+    lowest index), and a sentence's scores stop changing once the step
+    passes its last token.  Each sentence sees the same float64 additions
+    as when it is decoded alone, so batching does not change a tag.
+    """
+    lengths = np.array([len(feats) for feats in feats_by_sentence], dtype=int)
+    width = int(lengths.max(initial=0))
+    if width == 0:
+        return [[] for _ in feats_by_sentence]
+    emit = np.zeros((len(lengths), width, len(scores.tags)))
+    # the mask lists its cells sentence by sentence, token by token
+    emit[np.arange(width) < lengths[:, None]] = [
+        scores.emission(token_feats)
+        for feats in feats_by_sentence for token_feats in feats
+    ]
+    score = emit[:, 0] + scores.start
     back = []
-    for token_feats in feats[1:]:
-        pointers, nxt = [], []
-        for moves, e in zip(into, emission(token_feats)):
-            cand = [s + w for s, w in zip(score, moves)]
-            # max() replaces its pick only on a strictly greater value, so
-            # ties go to the lowest previous-tag index
-            best = max(cand)
-            pointers.append(cand.index(best))
-            nxt.append(best + e)
-        back.append(pointers)
-        score = nxt
-    last = max(range(len(names)), key=lambda t: (score[t], -t))
-    path = [last]
-    for pointers in reversed(back):
-        path.append(pointers[path[-1]])
-    path.reverse()
-    return [tags[t] for t in path]
+    for i in range(1, width):
+        # cand[k, t, p]: sentence k's score of reaching tag t from tag p
+        cand = score[:, None, :] + scores.into
+        back.append(cand.argmax(axis=2))
+        step = cand.max(axis=2) + emit[:, i]
+        score = np.where((i < lengths)[:, None], step, score)
+    back_rows = [pointers.tolist() for pointers in back]
+    tags = scores.tags
+    out = []
+    for k, (n, last) in enumerate(zip(lengths.tolist(), score.argmax(axis=1).tolist())):
+        if n == 0:
+            out.append([])
+            continue
+        path = [last]
+        for i in range(n - 2, -1, -1):
+            path.append(back_rows[i][k][path[-1]])
+        path.reverse()
+        out.append([tags[t] for t in path])
+    return out
 
 
 def training_corpus(docs: list[Document]) -> list[tuple[list[Token], list[IobTag]]]:
@@ -284,7 +323,7 @@ def train_tagger(
         exact = 0
         for si in order:
             gold = corpus[si][1]
-            pred = _decode(model, feats[si])
+            pred = _decode(_Scores(model), [feats[si]])[0]
             now += 1
             if pred == gold:
                 exact += 1
@@ -312,12 +351,19 @@ def predict_entities(model: TaggerModel | None, doc: Document) -> list[EntitySpa
     """Entity spans for a document: gold pass-through or decoded spans.
 
     ``model=None`` is gold mode and returns ``doc.entities`` unchanged.
+    Otherwise every sentence of the document is featurized and the
+    sentences are decoded together in one batch over one set of score
+    tables; each sentence's tags are those ``viterbi_decode`` gives it.
     """
     if model is None:
         return list(doc.entities)
+    sents = sentences(tokenize(doc.text))
+    feats = [
+        [featurize_token(sent, i, model.gazetteers) for i in range(len(sent))]
+        for sent in sents
+    ]
     out: list[EntitySpan] = []
-    for sent in sentences(tokenize(doc.text)):
-        tags = viterbi_decode(model, sent)
+    for sent, tags in zip(sents, _decode(_Scores(model), feats)):
         out.extend(iob_to_spans(sent, tags, text=doc.text, first_id=len(out) + 1))
     return out
 
@@ -338,38 +384,52 @@ def save_tagger(model: TaggerModel, path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _weight(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"weight is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"weight is not finite: {text!r}")
+    return value
+
+
 def load_tagger(path) -> TaggerModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a tagger model file")
+    """Read a file written by ``save_tagger``.
+
+    A malformed file raises ``ModelFileError`` naming the file and line.
+    """
+    lines = read_model_lines(path, MODEL_MAGIC, "tagger model")
     feature_weights: dict[tuple[str, str], float] = {}
     transition_weights: dict[tuple[str, str], float] = {}
     orgs, ranks = set(), set()
     meta: dict = {}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         kind, _, rest = line.partition("\t")
-        if kind == "meta":
-            key, _, value = rest.partition("\t")
-            if key in _INT_META:
-                try:
-                    meta[key] = int(value)
-                except ValueError:
-                    raise ValueError(f"{path}: meta {key} is not an integer: "
-                                     f"{value!r}") from None
-            else:
+        try:
+            if kind == "meta":
+                key, _, value = rest.partition("\t")
                 meta[key] = value
-        elif kind == "gaz-org":
-            orgs.add(rest)
-        elif kind == "gaz-rank":
-            ranks.add(rest)
-        elif kind == "F":
-            feat, tag, w = rest.rsplit("\t", 2)
-            feature_weights[(feat, tag)] = float(w)
-        elif kind == "T":
-            prev, nxt, w = rest.split("\t")
-            transition_weights[(prev, nxt)] = float(w)
-        else:
-            raise ValueError(f"{path}: unknown record {kind!r}")
+                if key in _INT_META:
+                    try:
+                        meta[key] = int(value)
+                    except ValueError:
+                        raise ValueError(f"meta {key} is not an integer: "
+                                         f"{value!r}") from None
+            elif kind == "gaz-org":
+                orgs.add(rest)
+            elif kind == "gaz-rank":
+                ranks.add(rest)
+            elif kind in ("F", "T"):
+                fields = rest.split("\t")  # features and tags hold no whitespace
+                if len(fields) != 3:
+                    raise ValueError(f"{kind} record needs 3 fields, has {len(fields)}")
+                table = feature_weights if kind == "F" else transition_weights
+                table[(fields[0], fields[1])] = _weight(fields[2])
+            else:
+                raise ValueError(f"unknown record {kind!r}")
+        except ValueError as exc:
+            raise ModelFileError(path, str(exc), number) from None
     return TaggerModel(
         feature_weights,
         transition_weights,

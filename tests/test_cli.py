@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -26,6 +28,24 @@ from conftest import (
 def run(*args):
     return main([str(a) for a in args])
 
+
+# sha256 of each output of ``extract --ner-mode model --strategy
+# nn-constrained`` on the fixtures, recorded while the tagger decoded one
+# sentence per call.
+MODEL_NER_DIGESTS = {
+    "3f8a12bc-90de-4f61-8a2b-5c7e94d0a113.ann":
+        "6f65f3f2aaa09fe45f279fbb65501e08a15852d3e12962509e40c58348721832",
+    "7b4c55e0-1a2f-4d3c-9e8b-0f6a7c2d4e85.ann":
+        "3515933b3708492bc48a51eafa8a8317486fca8cbc3c50849dcc464a0f4d079d",
+    "a95d77f2-63b8-4c04-b1de-2f90c3a6b7c1.ann":
+        "11aa5bd17e02edd6d0746da96dd4264569daf12db4428c2b41fe6e9d9e2860d8",
+    "c2e94b08-5f17-4a6d-8c3b-91d0e4f2a5b6.ann":
+        "22d8523bae361a54fe8a03eb6c1edc69a3eab113b03e962da60d40b7eb806d32",
+    "e610f3a9-8d2c-4b75-a0e1-7c4f92b8d3e2.ann":
+        "2bff96ae9f4d92ac40600c937096ca461e25d10ec49cf0436b030f4eda2b5bca",
+    "graph.json":
+        "6f43c1b9c55dacc3a5b0e81623e19af262b8401d0c4b12ee6b9d73fd731cc03d",
+}
 
 # ``inspect --doc DOC_VANGUARD --paths`` as printed before target-to-Person
 # paths were memoized on the sentence context.
@@ -112,6 +132,21 @@ class TestExtract:
         assert [(e["from"], e["to"], e["strategy"]) for e in graph["edges"]] == [
             ("dup:T1", "dup:T3", "sdp-free"),
         ]
+
+    def test_model_ner_outputs_unchanged(self, tmp_path, monkeypatch):
+        # relative paths keep graph.json's config hash the same in any checkout
+        shutil.copytree(CORPUS_DIR, tmp_path / "corpus")
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--corpus", "corpus", "--out", "models") == 0
+        assert run("extract", "--corpus", "corpus", "--out", "out",
+                   "--ner-mode", "model", "--tagger-model", "models/tagger.model",
+                   "--strategy", "nn-constrained", "--relnet-model", "models") == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((tmp_path / "out").iterdir())
+            if path.name != "run.json"
+        }
+        assert digests == MODEL_NER_DIGESTS
 
     def test_extract_then_rescore_matches_direct_evaluation(self, tmp_path):
         out = tmp_path / "out"
@@ -289,6 +324,42 @@ class TestEvaluate:
         bare.mkdir()
         (bare / "a.txt").write_text("Some text.\n", encoding="utf-8")
         assert run("evaluate", "--corpus", bare, "--out", tmp_path / "o") == 2
+
+
+class TestCorruptModels:
+    def test_extract_with_bad_tagger_weight_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "tagger.model"
+        bad.write_text("unitgraph-tagger 1\nF\tw=musa\tB-PER\tabc\n",
+                       encoding="utf-8")
+        code = run("extract", "--corpus", CORPUS_DIR, "--out", tmp_path / "o",
+                   "--ner-mode", "model", "--tagger-model", bad)
+        assert code == 2
+        assert f"{bad}: line 2: weight is not a number" in capsys.readouterr().err
+
+    def test_evaluate_with_truncated_relnet_exits_2(self, models_dir, tmp_path,
+                                                    capsys):
+        models = tmp_path / "models"
+        shutil.copytree(models_dir, models)
+        path = models / "relnet_select.model"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:text.index("\nmin_count ") + 1], encoding="utf-8")
+        code = run("evaluate", "--corpus", CORPUS_DIR, "--out", tmp_path / "e",
+                   "--strategy", "nn-free", "--relnet-model", models)
+        assert code == 2
+        assert f"{path}: no 'min_count' record" in capsys.readouterr().err
+
+    def test_relnet_vocabulary_unlike_its_network_exits_2(self, models_dir, tmp_path,
+                                                          capsys):
+        models = tmp_path / "models"
+        shutil.copytree(models_dir, models)
+        path = models / "relnet_select.model"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\nunknown ", "\npattern\textra\t0\nunknown ", 1),
+                        encoding="utf-8")
+        code = run("evaluate", "--corpus", CORPUS_DIR, "--out", tmp_path / "e",
+                   "--strategy", "nn-free", "--relnet-model", models)
+        assert code == 2
+        assert "does not match" in capsys.readouterr().err
 
 
 class TestBench:

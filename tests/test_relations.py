@@ -296,6 +296,32 @@ class TestExtractDocument:
             assert [(a.person.id, a.target.id) for a in atts] == [("T1", "T3")]
             assert atts[0].strategy is strat
 
+    def test_duplicate_person_left_of_target_goes_to_first(self):
+        # both copies are left of the target, where sdp-constrained takes
+        # its left flank
+        text = "John Smith was the colonel.\n"
+        ann = ("T1\tPerson 0 10\tJohn Smith\n"
+               "T2\tPerson 0 10\tJohn Smith\n"
+               "T3\tRank 19 26\tcolonel\n")
+        conllu = (
+            "# sent_id = 1\n"
+            "1\tJohn\tJohn\tPROPN\t_\t_\t2\tcompound\t_\t_\n"
+            "2\tSmith\tSmith\tPROPN\t_\t_\t5\tnsubj\t_\t_\n"
+            "3\twas\tbe\tAUX\t_\t_\t5\tcop\t_\t_\n"
+            "4\tthe\tthe\tDET\t_\t_\t5\tdet\t_\t_\n"
+            "5\tcolonel\tcolonel\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "6\t.\t.\tPUNCT\t_\t_\t5\tpunct\t_\t_\n"
+            "\n"
+        )
+        doc = parse_brat(ann, text, "dup")
+        contexts = build_contexts(doc, parse_conllu(conllu))
+        left, right = flanking_persons(contexts[0], doc.entities[2])
+        assert (left.id, right) == ("T1", None)
+        for strat in (Strategy.NEAREST_PERSON, Strategy.SDP_FREE,
+                      Strategy.SDP_CONSTRAINED):
+            atts = extract_document(doc, contexts, strat, fallback=False)
+            assert [(a.person.id, a.target.id) for a in atts] == [("T1", "T3")], strat
+
     def test_nn_strategy_requires_model(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_VANGUARD]
         with pytest.raises(ValueError, match="model"):

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from unitgraph.corpus import EntitySpan, EntityType
 from unitgraph.deptree import DepTree, PathPattern, Step, align_to_text
+from unitgraph.errors import DataError, ModelFileError
 from unitgraph.relations import SentenceContext, Strategy, build_contexts, gold_pairs
 from unitgraph.relnet import (
     MAX_PERSONS,
@@ -416,6 +418,41 @@ class TestPersistence:
             encoding="utf-8",
         )
         assert load_relnet(tmp_path / "old.relnet")[1].directed is True
+
+    @staticmethod
+    def saved_text(tmp_path):
+        model = init_model("select_k", vocab_size=1, k=3, seed=9)
+        save_relnet(tmp_path / "m.relnet", model, build_vocab([pattern("nsubj")] * 2))
+        return (tmp_path / "m.relnet").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("old, new, message, marker", [
+        # ``marker`` is on the line the error must name (None: no line)
+        ("relnet 1\n", "relnet 2\n", "not a relation-network model file", "relnet 2"),
+        ("\nk 3\n", "\ncolour blue\nk 3\n", "unknown record 'colour'", "colour"),
+        ("\nk 3\n", "\nk three\n", "invalid literal for int()", "k three"),
+        ("\nmin_count 2\n", "\n", "no 'min_count' record", None),
+        ("\narray W1 2 8\n", "\narray W1 2 8\nabc ",
+         "could not convert string to float: 'abc'", "abc"),
+        ("\narray b1 1 8\n", "\narray b1 -1 8\n", "negative size", "array b1"),
+        ("\nk 3\n", "\nk 4\n", "array W3 is (32, 3), expected (40, 4)", "array W3"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, old, new, message,
+                                                marker):
+        text = self.saved_text(tmp_path).replace(old, new, 1)
+        (tmp_path / "m.relnet").write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFileError, match=re.escape(message)) as err:
+            load_relnet(tmp_path / "m.relnet")
+        assert isinstance(err.value, DataError) and isinstance(err.value, ValueError)
+        assert str(err.value).startswith(str(tmp_path / "m.relnet"))
+        line = text[:text.index(marker)].count("\n") + 1 if marker else None
+        assert err.value.line == line
+
+    def test_every_truncation_is_a_model_file_error(self, tmp_path):
+        lines = self.saved_text(tmp_path).splitlines(True)
+        for cut in range(len(lines)):
+            (tmp_path / "cut.relnet").write_text("".join(lines[:cut]), encoding="utf-8")
+            with pytest.raises(ModelFileError):
+                load_relnet(tmp_path / "cut.relnet")
 
     def test_identical_training_runs_write_identical_files(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from unitgraph.corpus import Document, EntitySpan, EntityType, load_corpus
+from unitgraph.errors import DataError, ModelFileError
 from unitgraph.tagger import (
     Gazetteers,
     START,
@@ -22,6 +24,7 @@ from unitgraph.tokens import (
     IobTag,
     O_TAG,
     TAGSET,
+    iob_to_spans,
     sentences,
     spans_to_iob,
     tokenize,
@@ -312,6 +315,43 @@ class TestPredictEntities:
     def test_model_mode_empty_text(self):
         assert predict_entities(TaggerModel(), Document("d", "")) == []
 
+    def test_document_batch_matches_one_sentence_at_a_time(self):
+        # tied integer weights make tie-breaking decide many tags; sentences
+        # of 1 and 40 tokens in one document make the batch pad a lot
+        rng = random.Random(5122)
+        gaz = Gazetteers(organizations=frozenset({"nigerian army", "army"}),
+                         ranks=frozenset({"major general", "colonel"}))
+        vocab = ["Nigerian", "Army", "Major", "General", "Colonel", "Musa",
+                 "said", "the"]
+        names = [START] + [str(t) for t in TAGSET]
+        for trial in range(60):
+            lengths = [rng.choice([1, 40, rng.randint(1, 40)])
+                       for _ in range(rng.randint(2, 8))]
+            # one paragraph per sentence, with no sentence-ending punctuation
+            text = "\n\n".join(" ".join(rng.choice(vocab) for _ in range(n))
+                               for n in lengths)
+            sents = sentences(tokenize(text))
+            assert [len(sent) for sent in sents] == lengths
+            model = TaggerModel(gazetteers=gaz)
+            for sent in sents:
+                for i in range(len(sent)):
+                    for f in featurize_token(sent, i, gaz):
+                        for tag in TAGSET:
+                            if rng.random() < 0.5:
+                                model.feature_weights[(f, str(tag))] = float(
+                                    rng.randint(-2, 2))
+            for prev in names:
+                for tag in TAGSET:
+                    if rng.random() < 0.5:
+                        model.transition_weights[(prev, str(tag))] = float(
+                            rng.randint(-2, 2))
+            expected = []
+            for sent in sents:
+                expected.extend(iob_to_spans(sent, viterbi_decode(model, sent),
+                                             text=text, first_id=len(expected) + 1))
+            assert predict_entities(model, Document("d", text)) == expected, \
+                f"trial {trial}"
+
     def test_model_mode_finds_trained_name(self):
         text = "Major General Jack Nwaogbo spoke"
         pair = TestTraining().sentence_pair(
@@ -366,6 +406,28 @@ class TestPersistence:
         assert loaded.meta == model.meta
         save_tagger(loaded, tmp_path / "b.model")
         assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+    @pytest.mark.parametrize("body, message, line", [
+        ("unitgraph-tagger 2\n", "not a tagger model file", 1),
+        ("unitgraph-tagger 1\nF\tw=musa\tB-PER\tabc\n",
+         "weight is not a number: 'abc'", 2),
+        ("unitgraph-tagger 1\nT\t<start>\tO\t1.0\nT\tO\tO\tinf\n",
+         "weight is not finite: 'inf'", 3),
+        ("unitgraph-tagger 1\nF\tw=musa\t1.0\n", "F record needs 3 fields", 2),
+        ("unitgraph-tagger 1\nmeta\tseed\t13\nW\tw=musa\n",
+         "unknown record 'W'", 3),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, body, message, line):
+        (tmp_path / "x.model").write_text(body, encoding="utf-8")
+        with pytest.raises(ModelFileError, match=re.escape(message)) as err:
+            load_tagger(tmp_path / "x.model")
+        assert isinstance(err.value, DataError) and isinstance(err.value, ValueError)
+        assert str(err.value).startswith(f"{tmp_path / 'x.model'}: line {line}: ")
+
+    def test_binary_file_is_a_model_file_error(self, tmp_path):
+        (tmp_path / "x.model").write_bytes(b"\x80\x81 not text")
+        with pytest.raises(ModelFileError, match="not UTF-8 text"):
+            load_tagger(tmp_path / "x.model")
 
     def test_reject_non_integer_seed(self, tmp_path):
         (tmp_path / "x.model").write_text(
