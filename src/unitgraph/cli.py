@@ -135,9 +135,6 @@ def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
             f"{path} is a {model.mode} model but strategy {strategy.value} "
             f"needs {net.mode}"
         )
-    if model.vocab_size != vocab.size:
-        raise DataError(f"{path}: vocab_size {model.vocab_size} does not match "
-                        f"its {vocab.size - 1} patterns plus unknown")
     return model, vocab
 
 
@@ -411,9 +408,7 @@ def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
         relnet_model=model, relnet_vocab=vocab,
     )
     print(evaluation.format_timing_table(rows))
-    reference_nn = dict(
-        (name, params) for name, _, params in evaluation.REFERENCE_TIMINGS
-    )
+    reference_nn = {name: params for name, _, params in evaluation.REFERENCE_TIMINGS}
     print(f"relation-network parameters: {model.param_count()} "
           f"(reference {reference_nn['Neural Network']})")
     return 0
@@ -423,11 +418,8 @@ def cmd_inspect(cfg: RunConfig, doc_id: str | None, show_paths: bool) -> int:
     entries = load_corpus(cfg.corpus_dir)
     if not entries:
         raise DataError("empty corpus")
-    chosen = None
-    for doc, trees in entries:
-        if doc_id is None or doc.doc_id == doc_id:
-            chosen = (doc, trees)
-            break
+    chosen = next((entry for entry in entries
+                   if doc_id is None or entry[0].doc_id == doc_id), None)
     if chosen is None:
         raise DataError(f"document {doc_id!r} not found in corpus")
     doc, trees = chosen

@@ -503,6 +503,9 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     if not all(0 <= idx <= len(index) for idx in [*index.values(), header["unknown"]]):
         raise ModelFileError(path, f"a pattern index is outside 0..{len(index)}")
     vocab_size = header["vocab_size"]
+    if vocab_size != len(index) + 1:
+        raise ModelFileError(path, f"vocab_size {vocab_size} does not match its "
+                             f"{len(index)} patterns plus unknown", where["vocab_size"])
     hidden, width = header["hidden"], output_width(header["mode"], header["k"])
     shapes = {"W1": (vocab_size + 1, hidden), "b1": (1, hidden), "W2": (3, hidden),
               "b2": (1, hidden), "W3": ((header["k"] + 1) * hidden, width),

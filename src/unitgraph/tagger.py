@@ -11,13 +11,15 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import Document, EntitySpan
+from .corpus import Document, EntitySpan, EntityType
 from .errors import ModelFileError, read_model_lines
 from .tokens import (
     IobTag,
@@ -61,90 +63,76 @@ class Gazetteers:
     @cached_property
     def max_words(self) -> int:
         """Words in the longest phrase (at least 1); computed once."""
-        longest = 1
-        for phrase in self.organizations | self.ranks:
-            longest = max(longest, phrase.count(" ") + 1)
-        return longest
+        return max((p.count(" ") + 1 for p in self.organizations | self.ranks), default=1)
 
 
 def rank_lexicon(docs: list[Document]) -> frozenset[str]:
     """Compile a rank lexicon from the gold Rank spans of training docs."""
-    from .corpus import EntityType
-
-    ranks = set()
-    for doc in docs:
-        for ent in doc.entities:
-            if ent.etype is EntityType.RANK:
-                ranks.add(ent.surface.lower())
-    return frozenset(ranks)
+    return frozenset(ent.surface.lower() for doc in docs for ent in doc.entities
+                     if ent.etype is EntityType.RANK)
 
 
 def _shape(word: str) -> str:
+    return "".join("X" if ch.isupper() else "x" if ch.islower() else "d" if ch.isdigit()
+                   else ch for ch in word)
+
+
+def featurize_sentence(tokens: list[Token], gazetteers: Gazetteers | None = None
+                       ) -> list[list[str]]:
+    """Deterministic discrete features for every token of a sentence.
+
+    Each token is lower-cased once, and each gazetteer window of at most
+    ``max_words`` tokens is joined once; a window found in a lexicon
+    marks every token it covers.
+    """
+    lower = [tok.text.lower() for tok in tokens]
+    padded = ["<s>", *lower, "</s>"]
+    n = len(tokens)
+    org, rank = [False] * n, [False] * n
+    if gazetteers is not None and (gazetteers.organizations or gazetteers.ranks):
+        for width in range(1, gazetteers.max_words + 1):
+            for lo in range(n - width + 1):
+                phrase = " ".join(lower[lo:lo + width])
+                if phrase in gazetteers.organizations:
+                    org[lo:lo + width] = [True] * width
+                if phrase in gazetteers.ranks:
+                    rank[lo:lo + width] = [True] * width
     out = []
-    for ch in word:
-        if ch.isupper():
-            out.append("X")
-        elif ch.islower():
-            out.append("x")
-        elif ch.isdigit():
-            out.append("d")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _phrase_hits(tokens: list[Token], i: int, phrases: frozenset[str], span: int) -> bool:
-    for width in range(1, span + 1):
-        for offset in range(width):
-            lo = i - offset
-            if lo < 0 or lo + width > len(tokens):
-                continue
-            phrase = " ".join(t.text.lower() for t in tokens[lo:lo + width])
-            if phrase in phrases:
-                return True
-    return False
+    for i, tok in enumerate(tokens):
+        word, low = tok.text, lower[i]
+        feats = [f"w={low}", f"shape={_shape(word)}", f"pre3={low[:3]}", f"suf3={low[-3:]}"]
+        if word[:1].isupper():
+            feats.append("cap")
+        feats += [f"prev={padded[i]}", f"next={padded[i + 2]}"]
+        if org[i]:
+            feats.append("org-lex")
+        if rank[i]:
+            feats.append("rank-lex")
+        out.append(feats)
+    return out
 
 
 def featurize_token(tokens: list[Token], i: int, gazetteers: Gazetteers | None = None) -> list[str]:
-    """Deterministic discrete features for one token in context."""
-    tok = tokens[i]
-    word = tok.text
-    lower = word.lower()
-    feats = [
-        f"w={lower}",
-        f"shape={_shape(word)}",
-        f"pre3={lower[:3]}",
-        f"suf3={lower[-3:]}",
-    ]
-    if word[:1].isupper():
-        feats.append("cap")
-    feats.append(f"prev={tokens[i - 1].text.lower()}" if i > 0 else "prev=<s>")
-    feats.append(
-        f"next={tokens[i + 1].text.lower()}" if i + 1 < len(tokens) else "next=</s>"
-    )
-    if gazetteers is not None:
-        span = gazetteers.max_words
-        if gazetteers.organizations and _phrase_hits(tokens, i, gazetteers.organizations, span):
-            feats.append("org-lex")
-        if gazetteers.ranks and _phrase_hits(tokens, i, gazetteers.ranks, span):
-            feats.append("rank-lex")
-    return feats
+    """The features ``featurize_sentence`` gives token ``i``."""
+    return featurize_sentence(tokens, gazetteers)[i]
 
 
 @dataclass
 class TaggerModel:
     """Feature and transition weights over the 9-tag IOB set.
 
-    Invalid transitions are never stored; they score minus infinity at
-    decode time and so are never selected.
+    Invalid transitions score minus infinity at decode time and so are
+    never selected.  Models from ``load_tagger`` and ``train_tagger`` have
+    read-only tables and keep their decoding scores (``_sealed``).
     """
 
-    feature_weights: dict[tuple[str, str], float] = field(default_factory=dict)
-    transition_weights: dict[tuple[str, str], float] = field(default_factory=dict)
+    feature_weights: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    transition_weights: Mapping[tuple[str, str], float] = field(default_factory=dict)
     gazetteers: Gazetteers = field(default_factory=Gazetteers)
     meta: dict = field(default_factory=dict)
 
     tagset: tuple[IobTag, ...] = TAGSET
+    _scores: "_Scores | None" = field(default=None, init=False, compare=False, repr=False)
 
     def param_count(self) -> int:
         return len(self.feature_weights) + len(self.transition_weights)
@@ -167,51 +155,69 @@ _VALID = frozenset(
 )
 
 
-def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[IobTag]:
-    """Argmax tag sequence under emission + transition scores.
-
-    Each call featurizes the tokens, reads the model into fresh score
-    tables and decodes them as a batch of one sentence (see ``_decode``).
-    Nothing is cached across calls, so the model's weights may change
-    between calls.  Ties resolve to the lowest tagset index, so a zero
-    model decodes to all O.
-    """
-    feats = [featurize_token(tokens, i, model.gazetteers) for i in range(len(tokens))]
-    return _decode(_Scores(model), [feats])[0]
+def _sealed(model: TaggerModel) -> TaggerModel:
+    """The model with read-only weight tables and its decoding scores."""
+    model.feature_weights = MappingProxyType(model.feature_weights)
+    model.transition_weights = MappingProxyType(model.transition_weights)
+    model._scores = _Scores(model)
+    return model
 
 
 class _Scores:
-    """A model's decoding scores, read once and fixed while they are used.
+    """A model's decoding scores as arrays.
 
-    ``start`` holds the score of each tag opening a sentence and
-    ``into[t, p]`` the score of moving from tag p to tag t, both read
-    through ``TaggerModel.transition`` (so forbidden pairs are minus
-    infinity).  A feature's 9 weights are looked up on its first use.
+    ``start[t]`` scores tag t opening a sentence and ``into[t, p]`` a move
+    from tag p to tag t, both read through ``TaggerModel.transition``.
+    ``weights`` has a row of tag weights for each feature in ``row`` (by
+    default, the model's) and a last row of zeros for any other feature.
     """
 
-    def __init__(self, model: TaggerModel):
+    def __init__(self, model: TaggerModel, features: Iterable[str] | None = None):
+        self.tables = (model.feature_weights, model.transition_weights)
         self.tags = model.tagset
-        self._names = [str(tag) for tag in self.tags]
+        self.column = {str(tag): c for c, tag in enumerate(self.tags)}
         self.start = np.array([model.transition(START, tag) for tag in self.tags])
-        self.into = np.array([[model.transition(p, tag) for p in self._names]
+        self.into = np.array([[model.transition(p, tag) for p in self.column]
                               for tag in self.tags])
-        self._weight = model.feature_weights.get
-        self._rows: dict[str, list[float]] = {}
+        if features is None:
+            features = (f for f, _ in model.feature_weights)
+        self.row = {f: r for r, f in enumerate(dict.fromkeys(features))}
+        self.weights = np.zeros((len(self.row) + 1, len(self.tags)))
+        for (f, tag), w in model.feature_weights.items():
+            if tag in self.column:
+                self.weights[self.row[f], self.column[tag]] = w
 
-    def emission(self, token_feats: list[str]) -> list[float]:
-        """Per tag, the token's feature weights summed in feature order
-        from 0, as sum() does."""
-        rows = []
-        for f in token_feats:
-            row = self._rows.get(f)
-            if row is None:
-                row = self._rows[f] = [self._weight((f, t), 0.0) for t in self._names]
-            rows.append(row)
-        return [sum(column) for column in zip(*rows)]
+    def update(self, model: TaggerModel, kind: str, key: tuple[str, str]) -> None:
+        """Copy one of the model's ``F`` or ``T`` weights into the arrays."""
+        first, name = key
+        t = self.column[name]
+        if kind == "F":
+            self.weights[self.row[first], t] = model.feature_weights[key]
+        elif first == START:
+            self.start[t] = model.transition(START, self.tags[t])
+        else:
+            self.into[t, self.column[first]] = model.transition(first, self.tags[t])
+
+    def ids(self, token_feats: list[list[str]]) -> np.ndarray:
+        """Each token's feature rows, padded with the last row."""
+        unknown = len(self.row)
+        lengths = np.array([len(feats) for feats in token_feats], dtype=int)
+        ids = np.full((len(lengths), lengths.max(initial=0)), unknown)
+        ids[np.arange(ids.shape[1]) < lengths[:, None]] = [
+            self.row.get(f, unknown) for feats in token_feats for f in feats]
+        return ids
+
+    def emissions(self, ids: np.ndarray) -> np.ndarray:
+        """Per token and tag, the feature weights added from 0.0 in order."""
+        total = np.zeros((len(ids), len(self.tags)))
+        for column in ids.T:
+            total += self.weights[column]
+        return total
 
 
-def _decode(scores: _Scores, feats_by_sentence: list[list[list[str]]]) -> list[list[IobTag]]:
-    """Viterbi over a batch of sentences, given each token's feature list.
+def _decode(scores: _Scores, ids: np.ndarray, lengths: list[int]) -> list[list[IobTag]]:
+    """Viterbi over a batch of sentences, given the feature rows of their
+    tokens in order (``_Scores.ids``) and each sentence's length.
 
     The sentences are padded to the longest one and advanced together:
     each step adds every sentence's scores to the transition matrix and
@@ -220,16 +226,13 @@ def _decode(scores: _Scores, feats_by_sentence: list[list[list[str]]]) -> list[l
     passes its last token.  Each sentence sees the same float64 additions
     as when it is decoded alone, so batching does not change a tag.
     """
-    lengths = np.array([len(feats) for feats in feats_by_sentence], dtype=int)
+    lengths = np.array(lengths, dtype=int)
     width = int(lengths.max(initial=0))
     if width == 0:
-        return [[] for _ in feats_by_sentence]
+        return [[] for _ in lengths]
     emit = np.zeros((len(lengths), width, len(scores.tags)))
     # the mask lists its cells sentence by sentence, token by token
-    emit[np.arange(width) < lengths[:, None]] = [
-        scores.emission(token_feats)
-        for feats in feats_by_sentence for token_feats in feats
-    ]
+    emit[np.arange(width) < lengths[:, None]] = scores.emissions(ids)
     score = emit[:, 0] + scores.start
     back = []
     for i in range(1, width):
@@ -239,18 +242,36 @@ def _decode(scores: _Scores, feats_by_sentence: list[list[list[str]]]) -> list[l
         step = cand.max(axis=2) + emit[:, i]
         score = np.where((i < lengths)[:, None], step, score)
     back_rows = [pointers.tolist() for pointers in back]
-    tags = scores.tags
     out = []
     for k, (n, last) in enumerate(zip(lengths.tolist(), score.argmax(axis=1).tolist())):
-        if n == 0:
-            out.append([])
-            continue
         path = [last]
         for i in range(n - 2, -1, -1):
             path.append(back_rows[i][k][path[-1]])
-        path.reverse()
-        out.append([tags[t] for t in path])
+        out.append([scores.tags[t] for t in reversed(path)] if n else [])
     return out
+
+
+def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[IobTag]]:
+    """Featurize the sentences and decode them in one batch under the
+    model's current weights: a sealed model's scores serve while its
+    tables are the read-only ones they were read from (or equal them)."""
+    scores = model._scores
+    if scores is None or scores.tables != (model.feature_weights, model.transition_weights):
+        scores = _Scores(model)
+    feats = [f for sent in sents for f in featurize_sentence(sent, model.gazetteers)]
+    return _decode(scores, scores.ids(feats), [len(sent) for sent in sents])
+
+
+def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[IobTag]:
+    """Argmax tag sequence under emission + transition scores.
+
+    The tokens are decoded as a batch of one sentence (see ``_decode``)
+    under the model's current weights: a loaded or trained model's tables
+    are read-only, and a hand-built model's tables are read on every
+    call, so a change to them shows in the next decode.  Ties resolve to
+    the lowest tagset index, so a zero model decodes to all O.
+    """
+    return _tag_sentences(model, [tokens])[0]
 
 
 def training_corpus(docs: list[Document]) -> list[tuple[list[Token], list[IobTag]]]:
@@ -261,10 +282,8 @@ def training_corpus(docs: list[Document]) -> list[tuple[list[Token], list[IobTag
     corpus = []
     for doc in docs:
         for sent in sentences(tokenize(doc.text)):
-            ents = [
-                e for e in doc.entities
-                if e.start < sent[-1].end and e.end > sent[0].start
-            ]
+            ents = [e for e in doc.entities
+                    if e.start < sent[-1].end and e.end > sent[0].start]
             corpus.append((sent, spans_to_iob(sent, ents)))
     return corpus
 
@@ -277,22 +296,22 @@ def train_tagger(
 ) -> TaggerModel:
     """Averaged-perceptron training against Viterbi predictions.
 
-    Every training sentence is featurized once, before the first epoch;
-    those feature lists feed both the decoder and the weight updates.
-    Deterministic for a fixed seed: the sentence order is reshuffled per
-    epoch from a seeded RNG and weight averaging uses exact counters.
+    Every training sentence is featurized once, before the first epoch,
+    and every weight update is copied into one set of score arrays with
+    a row for each training feature.  Deterministic for a fixed seed: the
+    sentence order is reshuffled per epoch from a seeded RNG and weight
+    averaging uses exact counters.
     """
     if not corpus:
         raise ValueError("empty training corpus")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     model = TaggerModel(gazetteers=gazetteers or Gazetteers())
-    feats = [
-        [featurize_token(tokens, i, model.gazetteers) for i in range(len(tokens))]
-        for tokens, _ in corpus
-    ]
-    # model.*_weights are mutated in place so Viterbi always sees the
-    # current weights; totals/stamps implement lazy averaging.
+    feats = [featurize_sentence(tokens, model.gazetteers) for tokens, _ in corpus]
+    scores = _Scores(model, (f for sent in feats for token in sent for f in token))
+    ids = [scores.ids(sent_feats) for sent_feats in feats]
+    # model.*_weights are mutated in place and copied into scores, so Viterbi
+    # always sees the current weights; totals/stamps implement lazy averaging.
     tables = {"F": model.feature_weights, "T": model.transition_weights}
     totals: dict[tuple, float] = {}
     stamps: dict[tuple, int] = {}
@@ -301,11 +320,10 @@ def train_tagger(
     def bump(kind: str, key: tuple[str, str], delta: float) -> None:
         table = tables[kind]
         full = (kind,) + key
-        totals[full] = totals.get(full, 0.0) + table.get(key, 0.0) * (
-            now - stamps.get(full, 0)
-        )
+        totals[full] = totals.get(full, 0.0) + table.get(key, 0.0) * (now - stamps.get(full, 0))
         stamps[full] = now
         table[key] = table.get(key, 0.0) + delta
+        scores.update(model, kind, key)
 
     def apply(sent_feats: list[list[str]], tags: list[IobTag], delta: float) -> None:
         prev = START
@@ -323,7 +341,7 @@ def train_tagger(
         exact = 0
         for si in order:
             gold = corpus[si][1]
-            pred = _decode(_Scores(model), [feats[si]])[0]
+            pred = _decode(scores, ids[si], [len(feats[si])])[0]
             now += 1
             if pred == gold:
                 exact += 1
@@ -344,26 +362,22 @@ def train_tagger(
         table.clear()
         table.update(averaged)
     model.meta = {"seed": seed, "epochs": epochs, "sentences": len(corpus)}
-    return model
+    return _sealed(model)
 
 
 def predict_entities(model: TaggerModel | None, doc: Document) -> list[EntitySpan]:
     """Entity spans for a document: gold pass-through or decoded spans.
 
     ``model=None`` is gold mode and returns ``doc.entities`` unchanged.
-    Otherwise every sentence of the document is featurized and the
-    sentences are decoded together in one batch over one set of score
-    tables; each sentence's tags are those ``viterbi_decode`` gives it.
+    Otherwise the sentences of the document are decoded together in one
+    batch under the model's current weights; each sentence's tags are
+    those ``viterbi_decode`` gives it.
     """
     if model is None:
         return list(doc.entities)
     sents = sentences(tokenize(doc.text))
-    feats = [
-        [featurize_token(sent, i, model.gazetteers) for i in range(len(sent))]
-        for sent in sents
-    ]
     out: list[EntitySpan] = []
-    for sent, tags in zip(sents, _decode(_Scores(model), feats)):
+    for sent, tags in zip(sents, _tag_sentences(model, sents)):
         out.extend(iob_to_spans(sent, tags, text=doc.text, first_id=len(out) + 1))
     return out
 
@@ -371,16 +385,11 @@ def predict_entities(model: TaggerModel | None, doc: Document) -> list[EntitySpa
 def save_tagger(model: TaggerModel, path) -> None:
     """Sorted key->weight text format; reruns with one seed diff clean."""
     lines = [MODEL_MAGIC]
-    for key in sorted(model.meta):
-        lines.append(f"meta\t{key}\t{model.meta[key]}")
-    for phrase in sorted(model.gazetteers.organizations):
-        lines.append(f"gaz-org\t{phrase}")
-    for phrase in sorted(model.gazetteers.ranks):
-        lines.append(f"gaz-rank\t{phrase}")
-    for (feat, tag), w in sorted(model.feature_weights.items()):
-        lines.append(f"F\t{feat}\t{tag}\t{w!r}")
-    for (prev, nxt), w in sorted(model.transition_weights.items()):
-        lines.append(f"T\t{prev}\t{nxt}\t{w!r}")
+    lines += [f"meta\t{key}\t{model.meta[key]}" for key in sorted(model.meta)]
+    lines += [f"gaz-org\t{phrase}" for phrase in sorted(model.gazetteers.organizations)]
+    lines += [f"gaz-rank\t{phrase}" for phrase in sorted(model.gazetteers.ranks)]
+    for kind, table in (("F", model.feature_weights), ("T", model.transition_weights)):
+        lines += [f"{kind}\t{a}\t{b}\t{w!r}" for (a, b), w in sorted(table.items())]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -414,8 +423,7 @@ def load_tagger(path) -> TaggerModel:
                     try:
                         meta[key] = int(value)
                     except ValueError:
-                        raise ValueError(f"meta {key} is not an integer: "
-                                         f"{value!r}") from None
+                        raise ValueError(f"meta {key} is not an integer: {value!r}") from None
             elif kind == "gaz-org":
                 orgs.add(rest)
             elif kind == "gaz-rank":
@@ -430,9 +438,5 @@ def load_tagger(path) -> TaggerModel:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as exc:
             raise ModelFileError(path, str(exc), number) from None
-    return TaggerModel(
-        feature_weights,
-        transition_weights,
-        Gazetteers(frozenset(orgs), frozenset(ranks)),
-        meta,
-    )
+    gazetteers = Gazetteers(frozenset(orgs), frozenset(ranks))
+    return _sealed(TaggerModel(feature_weights, transition_weights, gazetteers, meta))

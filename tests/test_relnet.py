@@ -244,10 +244,10 @@ class TestGradients:
 
 
 class TestTraining:
-    def separable_dataset(self, rng, n=160, k=3):
-        """Target = the slot whose path length is largest."""
-        vocab = build_vocab([], min_count=1)  # unknown only
-        X = np.zeros((n, k, vocab.size + 1))
+    def separable_dataset(self, rng, n=160, k=3, vocab_size=1):
+        """Target = the slot whose path length is largest; every path has
+        pattern 0 (with the default size, the unknown pattern)."""
+        X = np.zeros((n, k, vocab_size + 1))
         Y = np.zeros((n, k))
         T = np.zeros((n, 3))
         for i in range(n):
@@ -388,12 +388,12 @@ class TestPredictPerson:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        dataset = TestTraining().separable_dataset(rng, n=30)
         vocab = build_vocab(
             [pattern("nsubj"), pattern("nsubj"), pattern("obj"), pattern("obj")],
             min_count=2,
         )
-        model = init_model("select_k", vocab_size=1, k=3, seed=9)
+        dataset = TestTraining().separable_dataset(rng, n=30, vocab_size=vocab.size)
+        model = init_model("select_k", vocab_size=vocab.size, k=3, seed=9)
         train(model, dataset, epochs=10, learning_rate=0.1, seed=9)
         save_relnet(tmp_path / "m.relnet", model, vocab)
         loaded, loaded_vocab = load_relnet(tmp_path / "m.relnet")
@@ -405,7 +405,7 @@ class TestPersistence:
         assert loaded.hyper["learning_rate"] == 0.1
 
     def test_pattern_direction_round_trips(self, tmp_path):
-        model = init_model("select_k", vocab_size=1, k=3, seed=9)
+        model = init_model("select_k", vocab_size=2, k=3, seed=9)
         for directed in (True, False):
             vocab = build_vocab([pattern("nsubj")] * 2, directed=directed)
             assert vocab.directed is directed
@@ -421,8 +421,9 @@ class TestPersistence:
 
     @staticmethod
     def saved_text(tmp_path):
+        # one sighting is below min_count 2: the vocabulary is unknown only
         model = init_model("select_k", vocab_size=1, k=3, seed=9)
-        save_relnet(tmp_path / "m.relnet", model, build_vocab([pattern("nsubj")] * 2))
+        save_relnet(tmp_path / "m.relnet", model, build_vocab([pattern("nsubj")]))
         return (tmp_path / "m.relnet").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("old, new, message, marker", [
@@ -446,6 +447,16 @@ class TestPersistence:
         assert str(err.value).startswith(str(tmp_path / "m.relnet"))
         line = text[:text.index(marker)].count("\n") + 1 if marker else None
         assert err.value.line == line
+
+    def test_vocabulary_unlike_its_network_is_rejected(self, tmp_path):
+        text = self.saved_text(tmp_path).replace(
+            "\nunknown ", "\npattern\textra\t0\nunknown ", 1)
+        (tmp_path / "m.relnet").write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFileError, match=re.escape(
+                "vocab_size 1 does not match its 1 patterns plus unknown")) as err:
+            load_relnet(tmp_path / "m.relnet")
+        assert str(err.value).startswith(str(tmp_path / "m.relnet"))
+        assert err.value.line == text[:text.index("vocab_size")].count("\n") + 1
 
     def test_every_truncation_is_a_model_file_error(self, tmp_path):
         lines = self.saved_text(tmp_path).splitlines(True)

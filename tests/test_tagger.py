@@ -3,7 +3,10 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitgraph.corpus import Document, EntitySpan, EntityType, load_corpus
 from unitgraph.errors import DataError, ModelFileError
@@ -11,6 +14,9 @@ from unitgraph.tagger import (
     Gazetteers,
     START,
     TaggerModel,
+    _Scores,
+    _shape,
+    featurize_sentence,
     featurize_token,
     load_tagger,
     predict_entities,
@@ -102,6 +108,41 @@ def reference_decode(model, tokens):
     return [tags[t] for t in path]
 
 
+def reference_phrase_hits(tokens, i, phrases, span):
+    """Whether a window of at most ``span`` tokens covering token i is a
+    phrase, as the per-token featurizer looked it up."""
+    for width in range(1, span + 1):
+        for offset in range(width):
+            lo = i - offset
+            if lo < 0 or lo + width > len(tokens):
+                continue
+            phrase = " ".join(t.text.lower() for t in tokens[lo:lo + width])
+            if phrase in phrases:
+                return True
+    return False
+
+
+def reference_features(tokens, i, gazetteers=None):
+    """The per-token featurizer, kept as the reference for the features."""
+    word = tokens[i].text
+    lower = word.lower()
+    feats = [f"w={lower}", f"shape={_shape(word)}", f"pre3={lower[:3]}",
+             f"suf3={lower[-3:]}"]
+    if word[:1].isupper():
+        feats.append("cap")
+    feats.append(f"prev={tokens[i - 1].text.lower()}" if i > 0 else "prev=<s>")
+    feats.append(f"next={tokens[i + 1].text.lower()}" if i + 1 < len(tokens)
+                 else "next=</s>")
+    if gazetteers is not None:
+        span = gazetteers.max_words
+        if gazetteers.organizations and reference_phrase_hits(
+                tokens, i, gazetteers.organizations, span):
+            feats.append("org-lex")
+        if gazetteers.ranks and reference_phrase_hits(tokens, i, gazetteers.ranks, span):
+            feats.append("rank-lex")
+    return feats
+
+
 def fixture_training_corpus():
     corpus = []
     for doc, _ in load_corpus(CORPUS_DIR):
@@ -162,6 +203,60 @@ class TestFeatures:
         assert "org-lex" in featurize_token(toks, 1, gaz)
         assert "org-lex" in featurize_token(toks, 2, gaz)
         assert "org-lex" not in featurize_token(toks, 3, gaz)
+
+
+_WORDS = ["Nigerian", "nigerian", "ARMY", "Army", "Major", "General", "general",
+          "of", "the", "3", "Division", "Brig.", "Gen.", "O'Neil", "Émile", "said",
+          "-", ","]
+_PHRASES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(
+    lambda words: " ".join(words).lower())
+
+
+@given(st.lists(st.sampled_from(_WORDS), max_size=30),
+       st.none() | st.builds(Gazetteers, st.frozensets(_PHRASES, max_size=6),
+                             st.frozensets(_PHRASES, max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_sentence_features_match_per_token_reference(words, gazetteers):
+    # phrases drawn from the same words overlap and nest in the sentence
+    tokens = tokenize(" ".join(words))
+    expected = [reference_features(tokens, i, gazetteers) for i in range(len(tokens))]
+    assert featurize_sentence(tokens, gazetteers) == expected
+    assert [featurize_token(tokens, i, gazetteers)
+            for i in range(len(tokens))] == expected
+
+
+class TestEmissions:
+    def test_match_a_left_to_right_float_loop(self):
+        # magnitudes from 1e-8 to 1e8 make the order of the additions show
+        # in the low bits; signed zeros and unknown features are mixed in
+        rng = random.Random(3318)
+        names = [str(tag) for tag in TAGSET]
+        for trial in range(200):
+            vocab = [f"f{i}" for i in range(rng.randint(1, 30))]
+            model = TaggerModel()
+            for f in vocab:
+                for name in names:
+                    if rng.random() < 0.7:
+                        model.feature_weights[(f, name)] = rng.choice([
+                            rng.gauss(0, 1) * 10.0 ** rng.randint(-8, 8), -0.0, 0.0])
+            token_feats = [
+                [rng.choice(vocab + ["unknown", "also-unknown"])
+                 for _ in range(rng.randint(1, 12))]
+                for _ in range(rng.randint(1, 20))
+            ]
+            expected = []
+            for feats in token_feats:
+                row = []
+                for name in names:
+                    acc = 0.0
+                    for f in feats:
+                        acc += model.feature_weights.get((f, name), 0.0)
+                    row.append(acc)
+                expected.append(row)
+            scores = _Scores(model)
+            got = scores.emissions(scores.ids(token_feats))
+            assert np.array_equal(got.view(np.int64),
+                                  np.array(expected).view(np.int64)), f"trial {trial}"
 
 
 class TestViterbi:
@@ -238,6 +333,44 @@ class TestViterbi:
             for tag in viterbi_decode(model, toks):
                 assert valid_transition(prev, tag)
                 prev = tag
+
+
+class TestCurrentWeights:
+    """A decode never uses weights other than the model's current ones."""
+
+    def test_hand_built_model_follows_changed_weights(self):
+        toks = tokenize("Jack Nwaogbo said")
+        model = TaggerModel()
+        assert viterbi_decode(model, toks) == [O_TAG] * 3
+        model.feature_weights[("w=jack", "B-PER")] = 2.0
+        model.transition_weights[("B-PER", "I-PER")] = 3.0
+        assert [str(t) for t in viterbi_decode(model, toks)] == ["B-PER", "I-PER", "O"]
+        assert [e.surface for e in predict_entities(
+            model, Document("d", "Jack Nwaogbo said"))] == ["Jack Nwaogbo"]
+        del model.transition_weights[("B-PER", "I-PER")]
+        assert [str(t) for t in viterbi_decode(model, toks)] == ["B-PER", "O", "O"]
+
+    def test_trained_and_loaded_models_follow_replaced_tables(self, tmp_path):
+        text = "Colonel Musa arrived"
+        pair = TestTraining().sentence_pair(
+            text, ("Colonel", EntityType.RANK), ("Musa", EntityType.PERSON))
+        trained = train_tagger([pair] * 3, epochs=3, seed=2)
+        save_tagger(trained, tmp_path / "t.model")
+        for model in (trained, load_tagger(tmp_path / "t.model")):
+            assert viterbi_decode(model, pair[0]) == pair[1]
+            # the tables the decoder read cannot change under it ...
+            with pytest.raises(TypeError):
+                model.feature_weights[("w=arrived", "B-ORG")] = 100.0
+            with pytest.raises(TypeError):
+                model.transition_weights[(START, "B-PER")] = 100.0
+            # ... and replacing them takes effect at the next decode
+            model.feature_weights = {("w=arrived", "B-ORG"): 100.0}
+            model.transition_weights = {}
+            assert [str(t) for t in viterbi_decode(model, pair[0])] == ["O", "O", "B-ORG"]
+            model.feature_weights[("w=musa", "B-PER")] = 100.0
+            assert [(e.surface, e.etype) for e in predict_entities(
+                model, Document("d", text))] == [("Musa", EntityType.PERSON),
+                                                 ("arrived", EntityType.ORGANIZATION)]
 
 
 class TestTraining:
