@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import random
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -73,7 +74,25 @@ class RunConfig:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
             values.update(raw)
         values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+        cfg = cls(**values)
+        cfg._check_ranges()
+        return cfg
+
+    def _check_ranges(self) -> None:
+        """Reject values no command can run with, naming the key and its flag."""
+        rate, split = self.learning_rate, self.split
+        checks = [(key, type(getattr(self, key)) is int and getattr(self, key) >= 1,
+                   "an integer >= 1")
+                  for key in ("epochs", "tagger_epochs", "min_count", "hidden_size")]
+        checks += [
+            ("learning_rate", _is_number(rate) and math.isfinite(rate) and rate > 0,
+             "a finite number > 0"),
+            ("split", _is_number(split) and 0 < split <= 1, "in (0, 1]"),
+        ]
+        for key, ok, wanted in checks:
+            if not ok:
+                raise UsageError(f"{key} (--{key.replace('_', '-')}) must be "
+                                 f"{wanted}, got {getattr(self, key)!r}")
 
     # where outputs go never changes what gets computed
     _UNHASHED = ("output_dir",)
@@ -84,6 +103,10 @@ class RunConfig:
         }
         canon = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
 
 
 def _strategies(name: str) -> list[Strategy]:

@@ -11,6 +11,7 @@ abstain: a prediction that names no actual Person yields no relation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -202,17 +203,27 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(model: RelNetModel, X: np.ndarray, T: np.ndarray):
-    b = X.shape[0]
+def _scaled(model: RelNetModel, X: np.ndarray) -> np.ndarray:
+    """A copy of ``X`` with the path-length column scaled by ``length_scale``."""
     Xs = X.copy()
     Xs[..., -1] *= model.length_scale  # keep length comparable to one-hots
+    return Xs
+
+
+def _forward_scaled(model: RelNetModel, Xs: np.ndarray, T: np.ndarray):
+    b = Xs.shape[0]
     A1 = Xs @ model.W1 + model.b1  # (b, k, hidden)
     H1 = np.maximum(A1, 0.0)
     A2 = T @ model.W2 + model.b2  # (b, hidden)
     H2 = np.maximum(A2, 0.0)
     hidden = np.concatenate([H1.reshape(b, -1), H2], axis=1)
     Z = hidden @ model.W3 + model.b3
-    P = _softmax(Z)
+    return _softmax(Z), A1, A2, hidden
+
+
+def _forward_batch(model: RelNetModel, X: np.ndarray, T: np.ndarray):
+    Xs = _scaled(model, X)
+    P, A1, A2, hidden = _forward_scaled(model, Xs, T)
     return P, (Xs, A1, A2, hidden)
 
 
@@ -227,34 +238,54 @@ def forward(model: RelNetModel, feats: RelCandidateFeatures) -> np.ndarray:
     return P[0]
 
 
-def loss_and_gradients(
-    model: RelNetModel, X: np.ndarray, T: np.ndarray, Y: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy and analytic gradients for every parameter group.
+def _step(model: RelNetModel, Xs: np.ndarray, T: np.ndarray, Y: np.ndarray,
+          mass: np.ndarray, grads: dict[str, np.ndarray]) -> float:
+    """Forward and backward pass on one batch: returns the mean
+    cross-entropy and writes each parameter's gradient into ``grads``.
 
-    All-zero target rows (the >K-Persons rule) contribute neither loss nor
-    gradient.
+    ``Xs`` has its length column scaled already, and ``mass`` is
+    ``Y.sum(axis=1, keepdims=True)``: 1 for real targets, 0 for all-zero
+    rows, which therefore add neither loss nor gradient.
     """
-    b = X.shape[0]
-    P, (Xs, A1, A2, hidden) = _forward_batch(model, X, T)
-    mass = Y.sum(axis=1, keepdims=True)  # 1 for real targets, 0 for zero rows
-    loss = float(-(Y * np.log(np.clip(P, 1e-12, None))).sum() / b)
+    b = Xs.shape[0]
+    P, A1, A2, hidden = _forward_scaled(model, Xs, T)
+    loss = float(-(Y * np.log(np.maximum(P, 1e-12))).sum() / b)
     dZ = (P * mass - Y) / b
-    grads = {
-        "W3": hidden.T @ dZ,
-        "b3": dZ.sum(axis=0),
-    }
+    np.matmul(hidden.T, dZ, out=grads["W3"])
+    dZ.sum(axis=0, out=grads["b3"])
     dhidden = dZ @ model.W3.T
     kh = model.k * model.hidden
     dH1 = dhidden[:, :kh].reshape(b, model.k, model.hidden)
     dH2 = dhidden[:, kh:]
     dA1 = dH1 * (A1 > 0)
     dA2 = dH2 * (A2 > 0)
-    grads["W1"] = np.einsum("bkv,bkh->vh", Xs, dA1)
-    grads["b1"] = dA1.sum(axis=(0, 1))
-    grads["W2"] = T.T @ dA2
-    grads["b2"] = dA2.sum(axis=0)
-    return loss, grads
+    np.einsum("bkv,bkh->vh", Xs, dA1, out=grads["W1"])
+    dA1.sum(axis=(0, 1), out=grads["b1"])
+    np.matmul(T.T, dA2, out=grads["W2"])
+    dA2.sum(axis=0, out=grads["b2"])
+    return loss
+
+
+def loss_and_gradients(
+    model: RelNetModel, X: np.ndarray, T: np.ndarray, Y: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy and analytic gradients for every parameter group.
+
+    All-zero target rows (the >K-Persons rule) contribute neither loss nor
+    gradient.  Runs the step ``train`` runs.
+    """
+    grads = {name: np.empty(arr.shape) for name, arr in model.params().items()}
+    mass = Y.sum(axis=1, keepdims=True)
+    return _step(model, _scaled(model, X), T, Y, mass, grads), grads
+
+
+def _views(buffer: np.ndarray, model: RelNetModel) -> dict[str, np.ndarray]:
+    """Consecutive pieces of a flat buffer shaped like the model's parameters."""
+    views, start = {}, 0
+    for name, arr in model.params().items():
+        views[name] = buffer[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
 
 
 def train(
@@ -265,31 +296,49 @@ def train(
     seed: int = 13,
     batch_size: int = 8,
 ) -> RelNetModel:
-    """Seeded mini-batch gradient descent; the loss curve lands on the model."""
+    """Seeded mini-batch gradient descent; the loss curve lands on the model.
+
+    Once per dataset: the length column of ``X`` is scaled and the target
+    mass ``Y.sum(axis=1)`` is summed.  Once per epoch: the arrays are
+    gathered in a fresh permutation, and each batch is a slice of them.
+    Each step runs the forward and backward pass of ``loss_and_gradients``
+    and one update of all parameters at once: they live in one flat
+    buffer (``model.W1``...``b3`` become views into it) and the gradients
+    in another.  The arithmetic is that of updating each parameter after
+    ``loss_and_gradients`` on ``X[idx], T[idx], Y[idx]``, bit for bit.
+    """
     X, T, Y = dataset
     if len(X) == 0:
         raise ValueError("empty training set")
     if not (len(X) == len(T) == len(Y)):
         raise ValueError("dataset arrays disagree on length")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(seed)
-    params = model.params()
+    Xs, mass = _scaled(model, X), Y.sum(axis=1, keepdims=True)
+    flat = np.concatenate([arr.ravel() for arr in model.params().values()])
+    grad = np.empty_like(flat)
+    grads = _views(grad, model)
+    for name, view in _views(flat, model).items():
+        setattr(model, name, view)
+    starts = range(0, len(X), batch_size)
     model.loss_curve = []
     for _ in range(epochs):
         order = rng.permutation(len(X))
+        Xe, Te, Ye, Me = Xs[order], T[order], Y[order], mass[order]
         epoch_loss = 0.0
-        batches = 0
-        for lo in range(0, len(X), batch_size):
-            idx = order[lo:lo + batch_size]
-            loss, grads = loss_and_gradients(model, X[idx], T[idx], Y[idx])
-            if not np.isfinite(loss):
+        for lo in starts:
+            hi = lo + batch_size
+            loss = _step(model, Xe[lo:hi], Te[lo:hi], Ye[lo:hi], Me[lo:hi], grads)
+            if not math.isfinite(loss):
                 raise FloatingPointError(
                     "training loss is not finite; lower the learning rate"
                 )
-            for name, g in grads.items():
-                params[name] -= learning_rate * g
+            flat -= learning_rate * grad
             epoch_loss += loss
-            batches += 1
-        model.loss_curve.append(epoch_loss / batches)
+        model.loss_curve.append(epoch_loss / len(starts))
     model.hyper.update(
         {"epochs": epochs, "learning_rate": learning_rate, "seed": seed,
          "batch_size": batch_size}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import unitgraph
-from unitgraph.cli import main
+from unitgraph.cli import RunConfig, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntityType
 from unitgraph.evaluation import relation_counts
@@ -416,6 +416,47 @@ class TestUsage:
         assert run("extract", "--config", cfg, "--out", out) == 0
         graph = json.loads((out / "graph.json").read_text(encoding="utf-8"))
         assert graph["seed"] == 21
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "epochs", 0),
+        ("train", "epochs", -3),
+        ("train", "tagger_epochs", 0),
+        ("evaluate", "tagger_epochs", 0),
+        ("train", "min_count", 0),
+        ("train", "hidden_size", 0),
+        ("train", "learning_rate", float("nan")),
+        ("train", "learning_rate", float("inf")),
+        ("train", "learning_rate", 0.0),
+        ("train", "learning_rate", -0.05),
+        ("train", "split", 0.0),
+        ("train", "split", 1.5),
+    ])
+    def test_out_of_range_value_is_rejected(self, tmp_path, capsys, form, command,
+                                            key, value):
+        args = [command, "--out", tmp_path / "out"]
+        if command == "evaluate":
+            args.append("--ner-eval")
+        config = {"corpus_dir": str(CORPUS_DIR)}
+        if form == "flag":
+            args += ["--" + key.replace("_", "-"), value]
+        else:
+            config[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(*args, "--config", tmp_path / "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} (--{key.replace('_', '-')}) must be")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"epochs": 5}, {"epochs": 60}, {"epochs": 80}, {"split": 1.0},
+        {"split": 1}, {"tagger_epochs": 1, "min_count": 1, "hidden_size": 1},
+        {"learning_rate": 1e-9},
+    ])
+    def test_values_in_range_are_accepted(self, overrides):
+        cfg = RunConfig.load(None, overrides)
+        assert all(getattr(cfg, key) == value for key, value in overrides.items())
 
     def test_missing_corpus_flag(self):
         assert run("extract") == 1

@@ -21,6 +21,7 @@ from unitgraph.relnet import (
     init_model,
     load_relnet,
     loss_and_gradients,
+    output_width,
     predict_person,
     save_relnet,
     train,
@@ -287,11 +288,135 @@ class TestTraining:
         with pytest.raises(FloatingPointError, match="learning rate"):
             train(model, dataset, epochs=10, learning_rate=1e150, seed=2)
 
+    @pytest.mark.parametrize("epochs, batch_size, message", [
+        (0, 8, "epochs"), (-3, 8, "epochs"), (5, 0, "batch_size"),
+        (5, -1, "batch_size"),
+    ])
+    def test_rejects_fewer_than_one_epoch_or_example(self, epochs, batch_size,
+                                                     message):
+        rng = np.random.default_rng(2)
+        dataset = self.separable_dataset(rng, n=24)
+        model = init_model("select_k", vocab_size=1, k=3, seed=2)
+        with pytest.raises(ValueError, match=message):
+            train(model, dataset, epochs=epochs, batch_size=batch_size)
+
     def test_empty_dataset_rejected(self):
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
         empty = (np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
             train(model, empty, epochs=1, learning_rate=0.1, seed=0)
+
+
+def reference_loss_and_gradients(model, X, T, Y):
+    """The forward and backward pass of one batch as it was computed
+    before training moved its constant work out of the step."""
+    b = X.shape[0]
+    Xs = X.copy()
+    Xs[..., -1] *= model.length_scale
+    A1 = Xs @ model.W1 + model.b1
+    H1 = np.maximum(A1, 0.0)
+    A2 = T @ model.W2 + model.b2
+    H2 = np.maximum(A2, 0.0)
+    hidden = np.concatenate([H1.reshape(b, -1), H2], axis=1)
+    Z = hidden @ model.W3 + model.b3
+    e = np.exp(Z - Z.max(axis=-1, keepdims=True))
+    P = e / e.sum(axis=-1, keepdims=True)
+    mass = Y.sum(axis=1, keepdims=True)
+    loss = float(-(Y * np.log(np.clip(P, 1e-12, None))).sum() / b)
+    dZ = (P * mass - Y) / b
+    grads = {"W3": hidden.T @ dZ, "b3": dZ.sum(axis=0)}
+    dhidden = dZ @ model.W3.T
+    kh = model.k * model.hidden
+    dA1 = dhidden[:, :kh].reshape(b, model.k, model.hidden) * (A1 > 0)
+    dA2 = dhidden[:, kh:] * (A2 > 0)
+    grads["W1"] = np.einsum("bkv,bkh->vh", Xs, dA1)
+    grads["b1"] = dA1.sum(axis=(0, 1))
+    grads["W2"] = T.T @ dA2
+    grads["b2"] = dA2.sum(axis=0)
+    return loss, grads
+
+
+def reference_train(model, dataset, epochs, learning_rate, seed, batch_size):
+    """The per-batch training loop: gather, scale and sum every batch
+    afresh, then update each parameter on its own."""
+    X, T, Y = dataset
+    rng = np.random.default_rng(seed)
+    params = model.params()
+    model.loss_curve = []
+    for _ in range(epochs):
+        order = rng.permutation(len(X))
+        epoch_loss = 0.0
+        batches = 0
+        for lo in range(0, len(X), batch_size):
+            idx = order[lo:lo + batch_size]
+            loss, grads = reference_loss_and_gradients(model, X[idx], T[idx], Y[idx])
+            for name, g in grads.items():
+                params[name] -= learning_rate * g
+            epoch_loss += loss
+            batches += 1
+        model.loss_curve.append(epoch_loss / batches)
+    return model
+
+
+def random_dataset(rng, n, k, vocab_size, width):
+    """Network inputs shaped like ``build_dataset``'s: empty slots, integer
+    path lengths, and about one all-zero target row in five."""
+    X = np.zeros((n, k, vocab_size + 1))
+    T = np.zeros((n, 3))
+    Y = np.zeros((n, width))
+    for i in range(n):
+        for slot in range(k):
+            if rng.random() < 0.7:
+                X[i, slot, int(rng.integers(0, vocab_size))] = 1.0
+                X[i, slot, -1] = float(rng.integers(1, 9))
+        T[i, int(rng.integers(0, 3))] = 1.0
+        if rng.random() < 0.8:
+            Y[i, int(rng.integers(0, width))] = 1.0
+    return X, T, Y
+
+
+class TestTrainingMatchesPerBatchLoop:
+    """``train`` must give the per-batch loop's bits on every parameter and
+    on the loss curve."""
+
+    @staticmethod
+    def assert_same_bits(dataset, init, epochs, learning_rate, seed, batch_size):
+        got = train(init_model(**init), dataset, epochs=epochs,
+                    learning_rate=learning_rate, seed=seed, batch_size=batch_size)
+        want = reference_train(init_model(**init), dataset, epochs,
+                               learning_rate, seed, batch_size)
+        for name, arr in want.params().items():
+            assert np.array_equal(got.params()[name].view(np.int64),
+                                  arr.view(np.int64)), name
+        assert np.array_equal(np.array(got.loss_curve).view(np.int64),
+                              np.array(want.loss_curve).view(np.int64))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("mode", ["select_k", "constrained3"])
+    def test_fixture_datasets(self, corpus_entries, mode, directed):
+        vocab, pairs = training_set(corpus_entries, 1, directed)
+        dataset = build_dataset(pairs, vocab, mode)
+        assert len(dataset[0]) > 4
+        init = dict(mode=mode, vocab_size=vocab.size, seed=13)
+        for batch_size in (8, 4):  # the default, and a short last batch
+            self.assert_same_bits(dataset, init, 150, 0.05, 13, batch_size)
+
+    def test_random_datasets(self):
+        rng = np.random.default_rng(7)
+        for case in range(40):
+            mode = ("select_k", "constrained3")[case % 2]
+            k = int(rng.integers(1, MAX_PERSONS + 1))
+            vocab_size = int(rng.integers(1, 6))
+            batch_size = int(rng.choice([1, 3, 8, 13]))
+            n = int(rng.integers(1, 60))  # mostly with a short last batch
+            init = dict(mode=mode, vocab_size=vocab_size, k=k,
+                        hidden=int(rng.integers(1, 12)),
+                        seed=int(rng.integers(0, 2**31)),
+                        length_scale=float(rng.choice([0.1, 0.37, 1.0])))
+            dataset = random_dataset(rng, n, k, vocab_size, output_width(mode, k))
+            self.assert_same_bits(dataset, init, int(rng.integers(1, 25)),
+                                  float(rng.choice([0.05, 0.5, 2.0])),
+                                  int(rng.integers(0, 2**31)), batch_size)
 
 
 class TestWeightSharing:
