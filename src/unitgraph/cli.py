@@ -9,10 +9,10 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
-import math
 import random
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -38,12 +38,35 @@ class UsageError(Exception):
     pass
 
 
+# the values a key may take; --strategy all scores every strategy at once
+_CHOICES = {
+    "strategy": (*(s.value for s in Strategy), "all"),
+    "ner_mode": ("gold", "model"),
+    "fallback": ("nearest", "skip"),
+}
+
+# the types each field annotation accepts: a float field takes an int too
+_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+          "str | None": (str, type(None))}
+
+# for some keys, a test that a value of the right type must pass too
+_RULES = {
+    **{key: (choices.__contains__, "one of " + ", ".join(choices))
+       for key, choices in _CHOICES.items()},
+    "seed": (lambda v: v >= 0, "an integer >= 0"),
+    **{key: (lambda v: v >= 1, "an integer >= 1")
+       for key in ("epochs", "tagger_epochs", "min_count", "hidden_size")},
+    "learning_rate": (lambda v: 0 < v <= sys.float_info.max, "a finite number > 0"),
+    "split": (lambda v: 0 < v <= 1, "a number in (0, 1]"),
+}
+
+
 @dataclass
 class RunConfig:
     corpus_dir: str = ""
     output_dir: str = "out"
     strategy: str = "nearest-person"
-    ner_mode: str = "gold"  # gold | model
+    ner_mode: str = "gold"
     tagger_model: str | None = None
     relnet_model: str | None = None
     seed: int = 13
@@ -53,46 +76,43 @@ class RunConfig:
     learning_rate: float = 0.05
     epochs: int = 300
     tagger_epochs: int = 5
-    fallback: str = "nearest"  # nearest | skip
+    fallback: str = "nearest"
     path_direction: bool = True
     org_gazetteer: str | None = None
     rank_gazetteer: str | None = None
 
     @classmethod
     def load(cls, config_path: str | None, overrides: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
+        """The config file's values with the flags' on top, every value checked:
+        a UsageError names the key, its flag and what the value must be."""
+        kinds = {f.name: f.type for f in fields(cls)}
         values: dict = {}
         if config_path:
             try:
                 raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
             except OSError as exc:
                 raise UsageError(f"cannot read config file: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise UsageError(f"config file is not valid JSON: {exc}") from exc
-            unknown = sorted(set(raw) - known)
+            if not isinstance(raw, dict):
+                raise UsageError("config file must hold a JSON object")
+            unknown = sorted(set(raw) - set(kinds))
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
             values.update(raw)
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        for key, value in overrides.items():
+            if value is not None:
+                values[key] = value
+            if isinstance(value, str) and kinds[key] in ("int", "float"):
+                with contextlib.suppress(ValueError):  # else the check rejects it
+                    values[key] = (int if kinds[key] == "int" else float)(value)
         cfg = cls(**values)
-        cfg._check_ranges()
+        for key, kind in kinds.items():
+            value = getattr(cfg, key)
+            test, wanted = _RULES.get(key, (lambda v: True, f"of type {kind}"))
+            if type(value) not in _TYPES[kind] or not test(value):
+                raise UsageError(f"{key} ({_FLAGS[key]}) must be {wanted}, got {value!r}")
         return cfg
-
-    def _check_ranges(self) -> None:
-        """Reject values no command can run with, naming the key and its flag."""
-        rate, split = self.learning_rate, self.split
-        checks = [(key, type(getattr(self, key)) is int and getattr(self, key) >= 1,
-                   "an integer >= 1")
-                  for key in ("epochs", "tagger_epochs", "min_count", "hidden_size")]
-        checks += [
-            ("learning_rate", _is_number(rate) and math.isfinite(rate) and rate > 0,
-             "a finite number > 0"),
-            ("split", _is_number(split) and 0 < split <= 1, "in (0, 1]"),
-        ]
-        for key, ok, wanted in checks:
-            if not ok:
-                raise UsageError(f"{key} (--{key.replace('_', '-')}) must be "
-                                 f"{wanted}, got {getattr(self, key)!r}")
 
     # where outputs go never changes what gets computed
     _UNHASHED = ("output_dir",)
@@ -105,22 +125,6 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
-def _strategies(name: str) -> list[Strategy]:
-    if name == "all":
-        return list(Strategy)
-    try:
-        return [Strategy(name)]
-    except ValueError:
-        raise UsageError(
-            f"unknown strategy {name!r}; choose from "
-            f"{', '.join(s.value for s in Strategy)} or 'all'"
-        ) from None
-
-
 def _split_corpus(entries, fraction: float, seed: int):
     """Seeded document-level split; returns (train, held_out)."""
     order = list(range(len(entries)))
@@ -131,11 +135,40 @@ def _split_corpus(entries, fraction: float, seed: int):
     return [entries[i] for i in train_idx], [entries[i] for i in test_idx]
 
 
-def _gazetteers(cfg: RunConfig, train_docs: list[Document]) -> Gazetteers:
+def _fit_tagger(cfg: RunConfig, train_docs: list[Document], epochs: int):
+    """The tagger fitted on ``train_docs``, with the configured gazetteers;
+    without a rank gazetteer the ranks come from the training documents."""
     gaz = Gazetteers.from_files(cfg.org_gazetteer, cfg.rank_gazetteer)
     if not gaz.ranks and train_docs:
         gaz = Gazetteers(gaz.organizations, rank_lexicon(train_docs))
-    return gaz
+    corpus = training_corpus(train_docs)
+    if not corpus:
+        raise DataError("no training sentences with gold annotations")
+    return train_tagger(corpus, epochs=epochs, seed=cfg.seed, gazetteers=gaz)
+
+
+def _fit_relnets(cfg: RunConfig, entries, modes: list[str], min_count: int,
+                 epochs: int):
+    """One network per mode over one shared pattern vocabulary, fitted on the
+    same-sentence gold relations of ``entries``; one with no examples stays as
+    initialised.  Returns the vocabulary and a (model, examples) pair per mode."""
+    vocab, pairs = relnet.training_set(entries, min_count, cfg.path_direction)
+    fitted = []
+    for mode in modes:
+        dataset = relnet.build_dataset(pairs, vocab, mode)
+        model = relnet.init_model(mode, vocab.size, hidden=cfg.hidden_size,
+                                  seed=cfg.seed)
+        if len(dataset[0]):
+            relnet.train(model, dataset, epochs=epochs,
+                         learning_rate=cfg.learning_rate, seed=cfg.seed)
+        fitted.append((model, len(dataset[0])))
+    return vocab, fitted
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write one JSON artifact: sorted keys, so identical runs give identical bytes."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
 
 def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
@@ -161,17 +194,12 @@ def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
     return model, vocab
 
 
-def _entities_for(cfg: RunConfig, doc: Document, tagger) -> Document:
-    """The document whose entities the extractor will see."""
-    if cfg.ner_mode == "gold":
-        return doc
-    predicted = predict_entities(tagger, doc)
-    return Document(doc.doc_id, doc.text, predicted, [])
-
-
 def cmd_extract(cfg: RunConfig) -> int:
+    if cfg.strategy == "all":
+        raise UsageError("extract writes one strategy's graph; --strategy all "
+                         "applies to evaluate")
     entries = load_corpus(cfg.corpus_dir)
-    strategy = _strategies(cfg.strategy)[0]
+    strategy = Strategy(cfg.strategy)
     model, vocab = _load_relnet_for(cfg, strategy)
     tagger = None
     if cfg.ner_mode == "model":
@@ -185,7 +213,8 @@ def cmd_extract(cfg: RunConfig) -> int:
     nodes, edges = [], []
     n_attached = n_abstained = 0
     for doc, trees in entries:
-        view = _entities_for(cfg, doc, tagger)
+        view = doc if tagger is None else Document(
+            doc.doc_id, doc.text, predict_entities(tagger, doc), [])
         atts = extract_document(
             view, build_contexts(view, trees), strategy, model, vocab,
             fallback=cfg.fallback == "nearest",
@@ -225,26 +254,20 @@ def cmd_extract(cfg: RunConfig) -> int:
             serialize_brat(pred_doc), encoding="utf-8"
         )
 
-    graph = {
+    _write_json(out_dir / "graph.json", {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "strategy": strategy.value,
         "ner_mode": cfg.ner_mode,
         "nodes": nodes,
         "edges": edges,
-    }
-    (out_dir / "graph.json").write_text(
-        json.dumps(graph, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    manifest = {
+    })
+    _write_json(out_dir / "run.json", {
         "command": "extract",
         "config": asdict(cfg),
         "config_hash": cfg.hash(),
         "documents": len(entries),
-    }
-    (out_dir / "run.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
     print(
         f"extracted {len(entries)} documents: {len(nodes)} entities, "
         f"{n_attached} attachments, {n_abstained} abstentions -> {out_dir}"
@@ -257,7 +280,6 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
     if not train_entries:
         raise DataError("training split is empty")
-    train_docs = [doc for doc, _ in train_entries]
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(
@@ -266,12 +288,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     )
 
     if "tagger" in targets:
-        gaz = _gazetteers(cfg, train_docs)
-        corpus = training_corpus(train_docs)
-        if not corpus:
-            raise DataError("no training sentences with gold annotations")
-        model = train_tagger(corpus, epochs=cfg.tagger_epochs, seed=cfg.seed,
-                             gazetteers=gaz)
+        model = _fit_tagger(cfg, [doc for doc, _ in train_entries], cfg.tagger_epochs)
         model.meta["config_hash"] = cfg.hash()
         path = out_dir / "tagger.model"
         save_tagger(model, path)
@@ -280,20 +297,12 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     networks = [net for t in targets for net in relnet.NETWORKS.values()
                 if net.target == t]
     if networks:
-        vocab, pairs = relnet.training_set(
-            train_entries, cfg.min_count, cfg.path_direction
-        )
-        for net in networks:
-            dataset = relnet.build_dataset(pairs, vocab, net.mode)
-            if len(dataset[0]) == 0:
-                raise DataError("no same-sentence gold relations to train on")
-            model = relnet.init_model(
-                net.mode, vocab.size, hidden=cfg.hidden_size, seed=cfg.seed
-            )
-            relnet.train(
-                model, dataset, epochs=cfg.epochs,
-                learning_rate=cfg.learning_rate, seed=cfg.seed,
-            )
+        vocab, fitted = _fit_relnets(cfg, train_entries,
+                                     [net.mode for net in networks],
+                                     cfg.min_count, cfg.epochs)
+        if not all(examples for _, examples in fitted):
+            raise DataError("no same-sentence gold relations to train on")
+        for net, (model, examples) in zip(networks, fitted):
             model.hyper.update({
                 "min_count": cfg.min_count,
                 "config_hash": cfg.hash(),
@@ -302,7 +311,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
             relnet.save_relnet(path, model, vocab)
             print(
                 f"relnet {net.mode}: {model.param_count()} parameters "
-                f"(vocab {vocab.size}, {len(dataset[0])} examples, "
+                f"(vocab {vocab.size}, {examples} examples, "
                 f"final loss {model.loss_curve[-1]:.4f}) -> {path}"
             )
     return 0
@@ -338,8 +347,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         )
 
     entries = load_corpus(cfg.corpus_dir)
-    gold_docs = [doc for doc, _ in entries if doc.entities or doc.relations]
-    if not gold_docs:
+    if not any(doc.entities or doc.relations for doc, _ in entries):
         raise DataError("corpus has no gold annotations to evaluate against")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -348,10 +356,8 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
         if not test_entries:
             raise DataError("held-out split is empty; lower --split")
-        train_docs = [doc for doc, _ in train_entries]
-        gaz = _gazetteers(cfg, train_docs)
-        model = train_tagger(training_corpus(train_docs), epochs=cfg.tagger_epochs,
-                             seed=cfg.seed, gazetteers=gaz)
+        model = _fit_tagger(cfg, [doc for doc, _ in train_entries],
+                            cfg.tagger_epochs)
         totals: dict = {}
         for doc, _ in test_entries:
             pred = predict_entities(model, doc)
@@ -362,16 +368,13 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         print(f"NER on held-out split ({len(test_entries)} docs, "
               f"{cfg.split:.0%} train, seed {cfg.seed}):")
         print(evaluation.format_prf_table(rows, decimals=2))
-        payload = {
+        _write_json(out_dir / "ner_metrics.json", {
             "config_hash": cfg.hash(), "seed": cfg.seed,
             "rows": [asdict(r) for r in rows],
-        }
-        (out_dir / "ner_metrics.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        })
         return 0
 
-    strategies = _strategies(cfg.strategy)
+    strategies = list(Strategy) if cfg.strategy == "all" else [Strategy(cfg.strategy)]
     models = {s: _load_relnet_for(cfg, s) for s in strategies}
     counts = {s: (0, 0, 0) for s in strategies}
     cross = 0
@@ -391,15 +394,12 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
     print(evaluation.format_prf_table(rows, decimals=3, label="Method"))
     print(f"gold relations joining different sentences: {cross} "
           "(unreachable for all strategies; scored as misses)")
-    payload = {
+    _write_json(out_dir / "metrics.json", {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "cross_sentence_gold": cross,
         "rows": [asdict(r) for r in rows],
-    }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    })
     return 0
 
 
@@ -411,20 +411,13 @@ def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
     if cfg.tagger_model:
         tagger = load_tagger(cfg.tagger_model)
     else:
-        docs = [doc for doc, _ in entries]
-        tagger = train_tagger(training_corpus(docs), epochs=1, seed=cfg.seed,
-                              gazetteers=_gazetteers(cfg, docs))
+        tagger = _fit_tagger(cfg, [doc for doc, _ in entries], epochs=1)
     if cfg.relnet_model:
         model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED)
     else:
-        vocab, pairs = relnet.training_set(entries, min_count=1)
         mode = relnet.NETWORKS[Strategy.NN_CONSTRAINED].mode
-        dataset = relnet.build_dataset(pairs, vocab, mode)
-        model = relnet.init_model(mode, vocab.size,
-                                  hidden=cfg.hidden_size, seed=cfg.seed)
-        if len(dataset[0]):
-            relnet.train(model, dataset, epochs=30,
-                         learning_rate=cfg.learning_rate, seed=cfg.seed)
+        vocab, [(model, _)] = _fit_relnets(cfg, entries, [mode], min_count=1,
+                                           epochs=30)
 
     rows = evaluation.bench_pipeline(
         entries, repetitions=repetitions, tagger_model=tagger,
@@ -470,52 +463,59 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the flags every command takes: --config, and one per RunConfig key, whose
+# text RunConfig.load reads and checks
+_COMMON = argparse.ArgumentParser(add_help=False)
+_COMMON.add_argument("--config", help="JSON config file; flags override it")
+_COMMON.add_argument("--corpus", dest="corpus_dir", help="corpus directory")
+_COMMON.add_argument("--out", dest="output_dir", help="output directory")
+_COMMON.add_argument("--seed")
+_COMMON.add_argument("--strategy", help="|".join(_CHOICES["strategy"]))
+_COMMON.add_argument("--ner-mode", dest="ner_mode",
+                     help="|".join(_CHOICES["ner_mode"]))
+_COMMON.add_argument("--tagger-model", dest="tagger_model")
+_COMMON.add_argument("--relnet-model", dest="relnet_model",
+                     help="model file, or a directory holding relnet_*.model")
+_COMMON.add_argument("--split", help="training fraction (default 0.8)")
+_COMMON.add_argument("--hidden-size", dest="hidden_size")
+_COMMON.add_argument("--min-count", dest="min_count")
+_COMMON.add_argument("--learning-rate", dest="learning_rate")
+_COMMON.add_argument("--epochs")
+_COMMON.add_argument("--tagger-epochs", dest="tagger_epochs")
+_COMMON.add_argument("--fallback",
+                     help="what to do when a sentence has no usable parse: "
+                     + "|".join(_CHOICES["fallback"]))
+_COMMON.add_argument("--no-path-direction", dest="path_direction",
+                     action="store_false", default=None,
+                     help="drop up/down direction from path patterns")
+_COMMON.add_argument("--org-gazetteer", dest="org_gazetteer")
+_COMMON.add_argument("--rank-gazetteer", dest="rank_gazetteer")
+
+# the flag that sets each config key, for messages
+_FLAGS = {action.dest: action.option_strings[0] for action in _COMMON._actions}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unitgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--corpus", dest="corpus_dir", help="corpus directory")
-    common.add_argument("--out", dest="output_dir", help="output directory")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--strategy", help="|".join(s.value for s in Strategy) + "|all")
-    common.add_argument("--ner-mode", dest="ner_mode", choices=["gold", "model"])
-    common.add_argument("--tagger-model", dest="tagger_model")
-    common.add_argument("--relnet-model", dest="relnet_model",
-                        help="model file, or a directory holding relnet_*.model")
-    common.add_argument("--split", type=float, help="training fraction (default 0.8)")
-    common.add_argument("--hidden-size", dest="hidden_size", type=int)
-    common.add_argument("--min-count", dest="min_count", type=int)
-    common.add_argument("--learning-rate", dest="learning_rate", type=float)
-    common.add_argument("--epochs", type=int)
-    common.add_argument("--tagger-epochs", dest="tagger_epochs", type=int)
-    common.add_argument("--fallback", choices=["nearest", "skip"],
-                        help="what to do when a sentence has no usable parse")
-    common.add_argument("--no-path-direction", dest="path_direction",
-                        action="store_false", default=None,
-                        help="drop up/down direction from path patterns")
-    common.add_argument("--org-gazetteer", dest="org_gazetteer")
-    common.add_argument("--rank-gazetteer", dest="rank_gazetteer")
-
-    sub.add_parser("extract", parents=[common],
+    sub.add_parser("extract", parents=[_COMMON],
                    help="write predicted .ann files and graph.json")
-    p_train = sub.add_parser("train", parents=[common],
+    p_train = sub.add_parser("train", parents=[_COMMON],
                              help="train tagger and/or relation-network models")
     p_train.add_argument(
         "--targets", default=",".join(_TRAIN_TARGETS),
         help="comma list of " + "|".join(_TRAIN_TARGETS),
     )
-    p_eval = sub.add_parser("evaluate", parents=[common],
+    p_eval = sub.add_parser("evaluate", parents=[_COMMON],
                             help="score strategies or the tagger against gold")
     p_eval.add_argument("--metric-check", action="store_true",
                         help="recompute reference P/R/F1 cells from their counts")
     p_eval.add_argument("--ner-eval", action="store_true",
                         help="train on a split and score entity predictions")
-    p_bench = sub.add_parser("bench", parents=[common],
+    p_bench = sub.add_parser("bench", parents=[_COMMON],
                              help="measure per-line component timings")
     p_bench.add_argument("--repetitions", type=int, default=3)
-    p_inspect = sub.add_parser("inspect", parents=[common],
+    p_inspect = sub.add_parser("inspect", parents=[_COMMON],
                                help="print token/tag rows for a document")
     p_inspect.add_argument("--doc", dest="doc_id")
     p_inspect.add_argument("--paths", action="store_true",
@@ -551,10 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,13 +4,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unitgraph
-from unitgraph.cli import RunConfig, main
+from unitgraph.cli import RunConfig, UsageError, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntityType
 from unitgraph.evaluation import relation_counts
@@ -112,6 +116,14 @@ class TestExtract:
         empty.mkdir()
         assert run("extract", "--corpus", empty, "--out", tmp_path / "o") == 0
         assert "0 documents" in capsys.readouterr().out
+
+    def test_strategy_all_is_rejected(self, tmp_path, capsys):
+        # a graph holds one strategy's edges; "all" is for evaluate
+        out = tmp_path / "out"
+        assert run("extract", "--corpus", CORPUS_DIR, "--out", out,
+                   "--strategy", "all") == 1
+        assert "one strategy's graph" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nn_without_model_fails_actionably(self, tmp_path, capsys):
         code = run("extract", "--corpus", CORPUS_DIR, "--out", tmp_path / "o",
@@ -307,6 +319,20 @@ class TestEvaluate:
         assert "All Classes" in stdout
         assert (out / "ner_metrics.json").exists()
 
+    def test_no_training_sentences_is_a_data_error(self, tmp_path, capsys):
+        # the seeded half-split trains on the empty document alone
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for path in CORPUS_DIR.glob(DOC_VANGUARD + ".*"):
+            shutil.copy(path, corpus)
+        (corpus / "aaa_empty.txt").write_text("", encoding="utf-8")
+        split = ["--split", "0.5", "--seed", "1"]
+        assert run("evaluate", "--corpus", corpus, "--out", tmp_path / "e",
+                   "--ner-eval", *split) == 2
+        assert "data error: no training sentences" in capsys.readouterr().err
+        assert run("train", "--corpus", corpus, "--out", tmp_path / "t", *split) == 2
+        assert "data error: no training sentences" in capsys.readouterr().err
+
     def test_model_ner_mode_rejected_without_ner_eval(self, tmp_path, capsys):
         # strategy scoring runs on gold entities and would ignore the mode
         assert run("evaluate", "--corpus", CORPUS_DIR, "--out", tmp_path / "a",
@@ -408,6 +434,14 @@ class TestUsage:
             cfg.write_text(json.dumps({"corpus_dir": "x", key: 9}), encoding="utf-8")
             assert run("extract", "--config", cfg, "--out", tmp_path) == 1, key
 
+    @pytest.mark.parametrize("content", [b"[1]", b'"seed"', b"\xff\xfe{}", b"{"])
+    def test_config_file_must_be_a_json_object(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert run("extract", "--config", cfg, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith("error: config file ")
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"corpus_dir": str(CORPUS_DIR), "seed": 21}),
@@ -457,6 +491,61 @@ class TestUsage:
     def test_values_in_range_are_accepted(self, overrides):
         cfg = RunConfig.load(None, overrides)
         assert all(getattr(cfg, key) == value for key, value in overrides.items())
+
+    # a wrong type or a value outside the choices, named with the flag the
+    # parser defines; "no" and "5" come only from a config file:
+    # --no-path-direction takes no value, and --epochs 5 is a valid five
+    @pytest.mark.parametrize("form, command, key, value, flag", [
+        ("flag", "train", "seed", "x", "--seed"),
+        ("config", "train", "seed", "x", "--seed"),
+        ("flag", "extract", "ner_mode", "bogus", "--ner-mode"),
+        ("config", "extract", "ner_mode", "bogus", "--ner-mode"),
+        ("flag", "extract", "fallback", "bogus", "--fallback"),
+        ("config", "extract", "fallback", "bogus", "--fallback"),
+        ("config", "train", "path_direction", "no", "--no-path-direction"),
+        ("config", "train", "epochs", "5", "--epochs"),
+        ("config", "extract", "corpus_dir", 5, "--corpus"),
+        ("config", "extract", "output_dir", None, "--out"),
+        ("config", "train", "learning_rate", 10 ** 400, "--learning-rate"),
+    ])
+    def test_bad_value_is_rejected_up_front(self, tmp_path, capsys, form, command,
+                                            key, value, flag):
+        out = tmp_path / "out"
+        config = {"corpus_dir": str(CORPUS_DIR), "output_dir": str(out)}
+        args = [command]
+        if form == "flag":
+            args += [flag, value]
+        else:
+            config[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run(*args, "--config", tmp_path / "cfg.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ({flag}) must be ")
+        assert err.rstrip().endswith(f"got {value!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from([f.name for f in fields(RunConfig)]),
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                  st.lists(st.integers(), max_size=2),
+                  st.sampled_from(["gold", "model", "skip", "all", "sdp-free"]),
+                  st.integers(1, 9), st.floats(0.01, 1)),
+        max_size=4,
+    ))
+    def test_any_config_file_loads_typed_or_is_rejected(self, config):
+        accepts = {"int": (int,), "float": (int, float), "bool": (bool,),
+                   "str": (str,), "str | None": (str, type(None))}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            try:
+                cfg = RunConfig.load(str(path), {})
+            except UsageError:
+                return
+        for f in fields(cfg):
+            assert type(getattr(cfg, f.name)) in accepts[f.type], f.name
 
     def test_missing_corpus_flag(self):
         assert run("extract") == 1

@@ -40,12 +40,19 @@ from unitgraph.tokens import (
 from conftest import CORPUS_DIR, GAZETTEERS
 
 
-def sequence_score(model, tokens, tags):
-    """Independent scorer used by the exhaustive oracle."""
+def token_features(model, tokens):
+    """Each token's features from the per-token featurizer, built once per
+    sentence rather than once per scored tag sequence."""
+    return [featurize_token(tokens, i, model.gazetteers) for i in range(len(tokens))]
+
+
+def sequence_score(model, feats, tags):
+    """Independent scorer used by the exhaustive oracle; ``feats`` holds
+    each token's features (``token_features``)."""
     total = 0.0
     prev = START
-    for i, tag in enumerate(tags):
-        for f in featurize_token(tokens, i, model.gazetteers):
+    for token_feats, tag in zip(feats, tags):
+        for f in token_feats:
             total += model.feature_weights.get((f, str(tag)), 0.0)
         total += model.transition(prev, tag)
         prev = str(tag)
@@ -54,8 +61,9 @@ def sequence_score(model, tokens, tags):
 
 def exhaustive_best(model, tokens):
     best_tags, best_score = None, float("-inf")
+    feats = token_features(model, tokens)
     for combo in itertools.product(TAGSET, repeat=len(tokens)):
-        score = sequence_score(model, tokens, combo)
+        score = sequence_score(model, feats, combo)
         if score > best_score:
             best_tags, best_score = list(combo), score
     return best_tags, best_score
@@ -77,7 +85,7 @@ def reference_decode(model, tokens):
         return []
     tags = model.tagset
     n, m = len(tokens), len(tags)
-    feats = [featurize_token(tokens, i, model.gazetteers) for i in range(n)]
+    feats = token_features(model, tokens)
     emit = [
         [
             sum(model.feature_weights.get((f, str(tag)), 0.0) for f in feats[i])
@@ -283,7 +291,8 @@ class TestViterbi:
         assert [str(t) for t in decoded] == ["B-PER", "I-PER", "O"]
         oracle, oracle_score = exhaustive_best(model, toks)
         assert decoded == oracle
-        assert sequence_score(model, toks, decoded) == pytest.approx(oracle_score)
+        feats = token_features(model, toks)
+        assert sequence_score(model, feats, decoded) == pytest.approx(oracle_score)
 
     def test_matches_exhaustive_on_random_models(self):
         rng = random.Random(20240801)
