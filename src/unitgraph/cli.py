@@ -171,6 +171,14 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, made as a command is about to write its first
+    file there, so a command that fails before that leaves no directory."""
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
     net = relnet.NETWORKS.get(strategy)
     if net is None:
@@ -207,9 +215,7 @@ def cmd_extract(cfg: RunConfig) -> int:
             raise DataError("--ner-mode model needs --tagger-model")
         tagger = load_tagger(cfg.tagger_model)
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    out_dir = _out_dir(cfg)
     nodes, edges = [], []
     n_attached = n_abstained = 0
     for doc, trees in entries:
@@ -280,8 +286,6 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
     if not train_entries:
         raise DataError("training split is empty")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     print(
         f"split: {len(train_entries)} train / {len(test_entries)} held out "
         f"(fraction {cfg.split}, seed {cfg.seed})"
@@ -290,7 +294,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     if "tagger" in targets:
         model = _fit_tagger(cfg, [doc for doc, _ in train_entries], cfg.tagger_epochs)
         model.meta["config_hash"] = cfg.hash()
-        path = out_dir / "tagger.model"
+        path = _out_dir(cfg) / "tagger.model"
         save_tagger(model, path)
         print(f"tagger: {model.param_count()} weights -> {path}")
 
@@ -307,7 +311,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
                 "min_count": cfg.min_count,
                 "config_hash": cfg.hash(),
             })
-            path = out_dir / net.filename
+            path = _out_dir(cfg) / net.filename
             relnet.save_relnet(path, model, vocab)
             print(
                 f"relnet {net.mode}: {model.param_count()} parameters "
@@ -349,8 +353,6 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
     entries = load_corpus(cfg.corpus_dir)
     if not any(doc.entities or doc.relations for doc, _ in entries):
         raise DataError("corpus has no gold annotations to evaluate against")
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if ner_eval:
         train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
@@ -368,7 +370,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         print(f"NER on held-out split ({len(test_entries)} docs, "
               f"{cfg.split:.0%} train, seed {cfg.seed}):")
         print(evaluation.format_prf_table(rows, decimals=2))
-        _write_json(out_dir / "ner_metrics.json", {
+        _write_json(_out_dir(cfg) / "ner_metrics.json", {
             "config_hash": cfg.hash(), "seed": cfg.seed,
             "rows": [asdict(r) for r in rows],
         })
@@ -394,7 +396,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
     print(evaluation.format_prf_table(rows, decimals=3, label="Method"))
     print(f"gold relations joining different sentences: {cross} "
           "(unreachable for all strategies; scored as misses)")
-    _write_json(out_dir / "metrics.json", {
+    _write_json(_out_dir(cfg) / "metrics.json", {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "cross_sentence_gold": cross,
@@ -537,9 +539,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_extract(cfg)
         if args.command == "train":
             targets = [t.strip() for t in args.targets.split(",") if t.strip()]
-            bad = [t for t in targets if t not in _TRAIN_TARGETS]
-            if bad:
-                raise UsageError(f"unknown train targets: {', '.join(bad)}")
+            if not targets or not set(targets) <= set(_TRAIN_TARGETS):
+                raise UsageError(f"--targets must name one or more of "
+                                 f"{', '.join(_TRAIN_TARGETS)}, got {args.targets!r}")
             return cmd_train(cfg, targets)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.metric_check, args.ner_eval)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -71,6 +72,11 @@ class DepTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def depth(self) -> dict[int, int]:
+        """Edges from each token of the tree up to the root, computed once."""
+        return {tok: len(_ancestry(self, tok)) - 1 for tok in (self.root, *self.parent)}
+
     def is_tree(self) -> bool:
         n = len(self.nodes)
         if len(self.edges) != n - 1 or self.root not in self.nodes:
@@ -121,24 +127,32 @@ def shortest_path(tree: DepTree, from_tok: int, to_tok: int) -> PathPattern:
     return PathPattern(tuple(steps))
 
 
+def _distance(tree: DepTree, x: int, y: int) -> int:
+    """Edges between two tokens: their depths less twice their common ancestor's."""
+    depth, parent = tree.depth, tree.parent
+    total = depth[x] + depth[y]
+    while x != y:
+        if depth[x] < depth[y]:
+            x, y = y, x
+        x = parent[x][0]
+    return total - 2 * depth[x]
+
+
 def span_path(tree: DepTree, a: set[int], b: set[int]) -> PathPattern:
     """Minimum-length path over all token pairs of two entity spans.
 
     Ties break on (leftmost token of ``a``, then leftmost token of ``b``)
-    for reproducibility.
+    for reproducibility.  Only the winning pair's path is built.
     """
     if not a or not b:
         raise PathError("entity has no token in this sentence's tree")
-    best: tuple[int, int, int] | None = None
-    best_path: PathPattern | None = None
-    for ta in sorted(a):
-        for tb in sorted(b):
-            path = shortest_path(tree, ta, tb)
-            key = (path.length, ta, tb)
-            if best is None or key < best:
-                best, best_path = key, path
-    assert best_path is not None
-    return best_path
+    if len(a) == 1 and len(b) == 1:
+        return shortest_path(tree, *a, *b)
+    unknown = (a | b) - tree.depth.keys()
+    if unknown:
+        raise PathError(f"token {min(unknown)} is not in the tree")
+    _, ta, tb = min((_distance(tree, ta, tb), ta, tb) for ta in a for tb in b)
+    return shortest_path(tree, ta, tb)
 
 
 def align_to_text(tree: DepTree, text: str, start: int = 0) -> list[tuple[int, int] | None]:

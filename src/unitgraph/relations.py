@@ -242,13 +242,17 @@ def extract_document(
     its memoized paths.  Entities in sentences with no Person yield
     nothing.  When a sentence lacks a usable parse, dependency strategies
     either fall back to nearest-person (default) or skip the sentence
-    (``fallback=False``).
+    (``fallback=False``).  Network strategies score all parsed targets at once.
     """
     if strategy in NN_STRATEGIES and (model is None or vocab is None):
         raise ValueError(f"strategy {strategy.value} requires a relation-network "
                          "model and pattern vocabulary")
     if strategy in NN_STRATEGIES:
         from . import relnet  # local import keeps module dependencies one-way
+
+        parsed = [(ctx, target) for ctx in contexts
+                  if ctx.persons and ctx.tree is not None for target in ctx.targets]
+        scored = iter(relnet.predict_batch(model, parsed, vocab))
 
     out: list[Attachment] = []
     for ctx in contexts:
@@ -260,8 +264,10 @@ def extract_document(
                     att = nearest_person(ctx, target)
                 elif strategy in SDP_STRATEGIES:
                     att = sdp_attach(ctx, target, strategy is Strategy.SDP_CONSTRAINED)
+                elif ctx.tree is None:
+                    raise MissingParseError("sentence has no dependency tree")
                 else:
-                    att = relnet.predict_person(model, ctx, target, vocab)
+                    att = next(scored)
             except MissingParseError:
                 if not fallback:
                     continue

@@ -210,15 +210,17 @@ def _scaled(model: RelNetModel, X: np.ndarray) -> np.ndarray:
     return Xs
 
 
-def _forward_scaled(model: RelNetModel, Xs: np.ndarray, T: np.ndarray):
+def _forward_scaled(model: RelNetModel, Xs: np.ndarray, T: np.ndarray,
+                    rows_apart: bool = False):
     b = Xs.shape[0]
     A1 = Xs @ model.W1 + model.b1  # (b, k, hidden)
     H1 = np.maximum(A1, 0.0)
     A2 = T @ model.W2 + model.b2  # (b, hidden)
     H2 = np.maximum(A2, 0.0)
     hidden = np.concatenate([H1.reshape(b, -1), H2], axis=1)
-    Z = hidden @ model.W3 + model.b3
-    return _softmax(Z), A1, A2, hidden
+    # one-row products (BLAS gemv, not gemm) give each row its bits when alone
+    Z = (hidden[:, None, :] @ model.W3)[:, 0] if rows_apart else hidden @ model.W3
+    return _softmax(Z + model.b3), A1, A2, hidden
 
 
 def _forward_batch(model: RelNetModel, X: np.ndarray, T: np.ndarray):
@@ -227,15 +229,20 @@ def _forward_batch(model: RelNetModel, X: np.ndarray, T: np.ndarray):
     return P, (Xs, A1, A2, hidden)
 
 
-def forward(model: RelNetModel, feats: RelCandidateFeatures) -> np.ndarray:
-    """Probability vector over the K slots (or the 3 constrained classes)."""
-    if feats.slots.shape != (model.k, model.vocab_size + 1):
+def predict_proba(model: RelNetModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Probability rows for stacked features; row i equals ``forward`` on
+    target i alone, bit for bit."""
+    if X.shape[1:] != (model.k, model.vocab_size + 1):
         raise ValueError(
-            f"feature shape {feats.slots.shape} does not match model "
+            f"feature shape {X.shape[1:]} does not match model "
             f"({model.k}, {model.vocab_size + 1})"
         )
-    P, _ = _forward_batch(model, feats.slots[None, ...], feats.type_onehot[None, ...])
-    return P[0]
+    return _forward_scaled(model, _scaled(model, X), T, rows_apart=True)[0]
+
+
+def forward(model: RelNetModel, feats: RelCandidateFeatures) -> np.ndarray:
+    """Probability vector over the K slots (or the 3 constrained classes)."""
+    return predict_proba(model, feats.slots[None, ...], feats.type_onehot[None, ...])[0]
 
 
 def _step(model: RelNetModel, Xs: np.ndarray, T: np.ndarray, Y: np.ndarray,
@@ -416,38 +423,49 @@ def training_set(
     return vocab, pairs
 
 
-def predict_person(
-    model: RelNetModel,
-    ctx: SentenceContext,
-    target: EntitySpan,
-    vocab: PatternVocab,
-) -> Attachment:
-    """Predict the related Person for a target, or abstain.
+def predict_batch(model: RelNetModel, pairs: list[tuple[SentenceContext, EntitySpan]],
+                  vocab: PatternVocab) -> list[Attachment]:
+    """Each (context, target) pair's Person, or None, from one forward pass.
 
     select_k: the argmax slot, abstaining when it names no actual Person.
     constrained3: left flank / right flank / best non-flank by shortest
     dependency path, abstaining when the chosen class has no Person.
     Path patterns are keyed the way ``vocab`` was built.
     """
-    feats = featurize(ctx, target, vocab, k=model.k)
-    probs = forward(model, feats)
-    choice = int(np.argmax(probs))
+    if not pairs:
+        return []
+    feats = [featurize(ctx, target, vocab, k=model.k) for ctx, target in pairs]
+    probs = predict_proba(model, np.stack([f.slots for f in feats]),
+                          np.stack([f.type_onehot for f in feats]))
     strategy = next(s for s, net in NETWORKS.items() if net.mode == model.mode)
-    person: EntitySpan | None = None
-    if model.mode == "select_k":
-        candidates = ctx.persons[: model.k]
-        if choice < len(candidates):
-            person = candidates[choice]
-    else:
-        left, right = flanking_persons(ctx, target)
-        if choice == 0:
-            person = left
-        elif choice == 1:
-            person = right
+    out = []
+    for (ctx, target), choice in zip(pairs, probs.argmax(axis=1).tolist()):
+        person: EntitySpan | None = None
+        if model.mode == "select_k":
+            candidates = ctx.persons[: model.k]
+            if choice < len(candidates):
+                person = candidates[choice]
         else:
-            others = [p for p in ctx.persons if p is not left and p is not right]
-            person = _sdp_best(ctx, target, others)
-    return Attachment(target, person, type_map(target.etype), strategy)
+            left, right = flanking_persons(ctx, target)
+            if choice == 0:
+                person = left
+            elif choice == 1:
+                person = right
+            else:
+                others = [p for p in ctx.persons if p is not left and p is not right]
+                person = _sdp_best(ctx, target, others)
+        out.append(Attachment(target, person, type_map(target.etype), strategy))
+    return out
+
+
+def predict_person(
+    model: RelNetModel,
+    ctx: SentenceContext,
+    target: EntitySpan,
+    vocab: PatternVocab,
+) -> Attachment:
+    """``predict_batch`` for one target: its related Person, or abstain."""
+    return predict_batch(model, [(ctx, target)], vocab)[0]
 
 
 def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:

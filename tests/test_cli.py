@@ -235,6 +235,15 @@ class TestTrain:
         assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path,
                    "--targets", "frobnicator") == 1
 
+    @pytest.mark.parametrize("targets", ["", ","])
+    def test_empty_target_list_is_a_usage_error(self, tmp_path, capsys, targets):
+        out = tmp_path / "o"
+        assert run("train", "--corpus", CORPUS_DIR, "--out", out,
+                   "--targets", targets) == 1
+        captured = capsys.readouterr()
+        assert "--targets must name" in captured.err and "split" not in captured.out
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def models_dir(tmp_path_factory):
@@ -350,6 +359,25 @@ class TestEvaluate:
         bare.mkdir()
         (bare / "a.txt").write_text("Some text.\n", encoding="utf-8")
         assert run("evaluate", "--corpus", bare, "--out", tmp_path / "o") == 2
+
+    def test_failed_command_leaves_no_output_directory(self, tmp_path, capsys):
+        # the seeded half-split trains on the empty document alone
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for path in CORPUS_DIR.glob(DOC_VANGUARD + ".*"):
+            shutil.copy(path, corpus)
+        (corpus / "aaa_empty.txt").write_text("", encoding="utf-8")
+        split = ["--split", "0.5", "--seed", "1"]
+        failures = [
+            ("train", "--corpus", corpus, *split),
+            ("evaluate", "--corpus", corpus, "--ner-eval", *split),
+            ("evaluate", "--corpus", CORPUS_DIR, "--strategy", "nn-free"),
+        ]
+        for i, args in enumerate(failures):
+            out = tmp_path / f"out{i}"
+            assert run(*args, "--out", out) == 2, args
+            assert "data error" in capsys.readouterr().err
+            assert not out.exists(), args
 
 
 class TestCorruptModels:

@@ -76,7 +76,47 @@ class TestShortestPath:
             shortest_path(tree, 0, 9)
 
 
+def reference_span_path(tree, a, b):
+    """``span_path`` as an all-pairs loop: every token pair's path is built
+    and the shortest kept, ties going to the leftmost tokens of ``a``, then
+    of ``b``."""
+    if not a or not b:
+        raise PathError("entity has no token in this sentence's tree")
+    best = best_path = None
+    for ta in sorted(a):
+        for tb in sorted(b):
+            path = shortest_path(tree, ta, tb)
+            key = (path.length, ta, tb)
+            if best is None or key < best:
+                best, best_path = key, path
+    return best_path
+
+
+def shuffled_tree(rng, n):
+    """``random_tree`` with its tokens renumbered, so the root and the heads
+    fall anywhere in the sentence."""
+    tree = random_tree(rng, n)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[head], ids[dep], label) for head, dep, label in tree.edges]
+    return DepTree(0, tree.forms, edges, root=ids[0])
+
+
 class TestSpanPath:
+    def test_matches_all_pairs_reference_on_random_trees(self):
+        rng = random.Random(9152)
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            tree = shuffled_tree(rng, n)
+            a = set(rng.sample(tree.nodes, rng.randint(1, min(n, 4))))
+            b = set(rng.sample(tree.nodes, rng.randint(1, min(n, 4))))
+            assert span_path(tree, a, b) == reference_span_path(tree, a, b)
+            unknown = rng.choice([a, b, set()]) | {n + rng.randint(0, 3)}
+            for pair in ((unknown, b), (a, unknown)):
+                for fn in (span_path, reference_span_path):
+                    with pytest.raises(PathError):
+                        fn(tree, *pair)
+
     def test_singletons_match_shortest_path(self):
         rng = random.Random(7)
         tree = random_tree(rng, 10)

@@ -1,15 +1,26 @@
+import itertools
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
-from unitgraph.corpus import EntitySpan, EntityType
+from unitgraph.corpus import Document, EntitySpan, EntityType
 from unitgraph.deptree import DepTree, PathPattern, Step, align_to_text
 from unitgraph.errors import DataError, ModelFileError
-from unitgraph.relations import SentenceContext, Strategy, build_contexts, gold_pairs
+from unitgraph.relations import (
+    NN_STRATEGIES,
+    SentenceContext,
+    Strategy,
+    build_contexts,
+    extract_document,
+    gold_pairs,
+    nearest_person,
+)
 from unitgraph.relnet import (
     MAX_PERSONS,
+    NETWORKS,
     RelCandidateFeatures,
     RelNetModel,
     _forward_batch,
@@ -23,6 +34,7 @@ from unitgraph.relnet import (
     loss_and_gradients,
     output_width,
     predict_person,
+    predict_proba,
     save_relnet,
     train,
     training_set,
@@ -508,6 +520,120 @@ class TestPredictPerson:
         assert len(sdp) == 2  # forced: including the spurious unit edge
         assert len(named) < len(sdp)
         assert all(a.person is None for a in nn)
+
+
+TARGET_TYPES = (EntityType.ORGANIZATION, EntityType.RANK, EntityType.TITLE_ROLE)
+
+
+def random_contexts(rng):
+    """Sentences of random trees and entities: crowds of Persons, Persons
+    annotated twice, entities between tokens (no path), unparsed sentences."""
+    contexts, ids = [], itertools.count()
+    for _ in range(rng.randint(1, 6)):
+        n = rng.choice([rng.randint(1, 12), 30])
+        crowded = n == 30 and rng.random() < 0.6
+        order = list(range(n))
+        rng.shuffle(order)  # the root and the heads fall anywhere in the sentence
+        edges = [(order[rng.randrange(i)], order[i], rng.choice(("nsubj", "obj", "nmod")))
+                 for i in range(1, n)]
+        forms = [f"w{i}" for i in range(n)]
+        tree = DepTree(0, forms, edges, root=order[0])
+        text = " ".join(forms)
+        spans = align_to_text(tree, text)
+        persons, targets = [], []
+        i = 0
+        while i < n:
+            width = min(rng.randint(1, 3), n - i)
+            start, end = spans[i][0], spans[i + width - 1][1]
+            if rng.random() < 0.05 and i + 1 < n:  # the space after a token
+                start, end = spans[i][1], spans[i + 1][0]
+            if rng.random() < (0.7 if crowded else 0.3):
+                persons.append(EntitySpan(f"T{next(ids)}", EntityType.PERSON,
+                                          start, end, "p"))
+                if rng.random() < 0.1:
+                    persons.append(EntitySpan(f"T{next(ids)}", EntityType.PERSON,
+                                              start, end, "p"))
+            elif rng.random() < 0.6:
+                targets.append(EntitySpan(f"T{next(ids)}", rng.choice(TARGET_TYPES),
+                                          start, end, "t"))
+            i += width + rng.randint(0, 1)
+        parsed = rng.random() < 0.75
+        contexts.append(SentenceContext(tree if parsed else None, persons, targets,
+                                        (0, len(text)), spans if parsed else []))
+    return contexts
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+class TestBatchedPrediction:
+    """A document's targets scored in one pass get what each gets alone."""
+
+    def check(self, model, vocab, contexts, fallback, seen):
+        strategy = next(s for s in NN_STRATEGIES if NETWORKS[s].mode == model.mode)
+        got = extract_document(Document("d", ""), contexts, strategy, model, vocab,
+                               fallback=fallback)
+        expected, pairs = [], []
+        for ctx in contexts:
+            if not ctx.persons:
+                continue
+            for target in ctx.targets:
+                if ctx.tree is None:
+                    seen["unparsed"] += 1
+                    if fallback:
+                        expected.append(nearest_person(ctx, target))
+                    continue
+                pairs.append((ctx, target))
+                expected.append(predict_person(model, ctx, target, vocab))
+        assert got == expected
+        if not pairs:
+            return
+        feats = [featurize(ctx, target, vocab, k=model.k) for ctx, target in pairs]
+        batched = predict_proba(model, np.stack([f.slots for f in feats]),
+                                np.stack([f.type_onehot for f in feats]))
+        for row, f in zip(batched, feats):
+            # forward as it was: the training pass on a batch of one
+            before = _forward_batch(model, f.slots[None], f.type_onehot[None])[0][0]
+            assert np.array_equal(bits(row), bits(forward(model, f)))
+            assert np.array_equal(bits(row), bits(before))
+            seen["truncated"] += f.truncated
+        if model.mode == "select_k":
+            seen["abstained"] += sum(a.person is None for a in expected)
+        else:
+            seen["other"] += int((batched.argmax(axis=1) == 2).sum())
+
+    def test_fixture_models(self, corpus_entries):
+        seen = {"unparsed": 0, "truncated": 0, "abstained": 0, "other": 0}
+        for directed in (True, False):
+            vocab, pairs = training_set(corpus_entries, 2, directed)
+            for mode in ("select_k", "constrained3"):
+                dataset = build_dataset(pairs, vocab, mode)
+                model = train(init_model(mode, vocab.size), dataset, epochs=60)
+                for doc, trees in corpus_entries:
+                    for fallback in (True, False):
+                        self.check(model, vocab, build_contexts(doc, trees),
+                                   fallback, seen)
+                        self.check(model, vocab, build_contexts(doc, []),
+                                   fallback, seen)
+        assert seen["unparsed"]
+
+    def test_random_models_and_contexts(self):
+        rng = random.Random(9151)
+        seen = {"unparsed": 0, "truncated": 0, "abstained": 0, "other": 0}
+        for trial in range(48):
+            docs = [random_contexts(rng) for _ in range(4)]
+            vocab = build_vocab(collect_patterns(docs), min_count=rng.choice([1, 2]),
+                                directed=rng.random() < 0.5)
+            model = init_model(("select_k", "constrained3")[trial % 2], vocab.size,
+                               hidden=rng.choice([2, 8, 16]), seed=trial,
+                               length_scale=rng.choice([0.1, 1.0]))
+            for arr in model.params().values():
+                arr *= rng.choice([1.0, 30.0])  # flat and peaked outputs
+            for contexts in docs:
+                for fallback in (True, False):
+                    self.check(model, vocab, contexts, fallback, seen)
+        assert all(seen.values()), seen
 
 
 class TestPersistence:
