@@ -6,6 +6,7 @@ from .corpus import (
     EntityType,
     RelationEdge,
     RelationType,
+    iter_corpus,
     load_corpus,
     parse_brat,
     parse_conllu,
@@ -48,6 +49,7 @@ __all__ = [
     "build_contexts",
     "extract_document",
     "iob_to_spans",
+    "iter_corpus",
     "load_corpus",
     "nearest_person",
     "parse_brat",

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import evaluation, relnet
-from .corpus import Document, RelationEdge, load_corpus, serialize_brat
+from .corpus import Document, RelationEdge, iter_corpus, load_corpus, serialize_brat
 from .errors import DataError
 from .relations import Strategy, build_contexts, extract_document, gold_pairs
 from .tagger import (
@@ -166,9 +166,16 @@ def _fit_relnets(cfg: RunConfig, entries, modes: list[str], min_count: int,
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write one JSON artifact: sorted keys, so identical runs give identical bytes."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    """Write one JSON artifact: sorted keys, so identical runs give identical
+    bytes.  The text goes to the file as it is encoded, never whole in memory."""
+    with path.open("w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _require_gold(found: bool) -> None:
+    if not found:
+        raise DataError("corpus has no gold annotations to evaluate against")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -203,10 +210,13 @@ def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
 
 
 def cmd_extract(cfg: RunConfig) -> int:
+    """Attach every document's targets and write its ``.ann`` file and the
+    graph.  Documents are streamed: each is dropped once its nodes, edges and
+    ``.ann`` text are kept, and the output directory is written only after
+    the last one, so a bad document leaves no output directory."""
     if cfg.strategy == "all":
         raise UsageError("extract writes one strategy's graph; --strategy all "
                          "applies to evaluate")
-    entries = load_corpus(cfg.corpus_dir)
     strategy = Strategy(cfg.strategy)
     model, vocab = _load_relnet_for(cfg, strategy)
     tagger = None
@@ -215,10 +225,9 @@ def cmd_extract(cfg: RunConfig) -> int:
             raise DataError("--ner-mode model needs --tagger-model")
         tagger = load_tagger(cfg.tagger_model)
 
-    out_dir = _out_dir(cfg)
-    nodes, edges = [], []
+    nodes, edges, anns = [], [], []
     n_attached = n_abstained = 0
-    for doc, trees in entries:
+    for doc, trees in iter_corpus(cfg.corpus_dir):
         view = doc if tagger is None else Document(
             doc.doc_id, doc.text, predict_entities(tagger, doc), [])
         atts = extract_document(
@@ -256,10 +265,11 @@ def cmd_extract(cfg: RunConfig) -> int:
                 }
             )
         pred_doc = Document(doc.doc_id, doc.text, list(view.entities), rels)
-        (out_dir / f"{doc.doc_id}.ann").write_text(
-            serialize_brat(pred_doc), encoding="utf-8"
-        )
+        anns.append((doc.doc_id, serialize_brat(pred_doc)))
 
+    out_dir = _out_dir(cfg)
+    for doc_id, ann in anns:
+        (out_dir / f"{doc_id}.ann").write_text(ann, encoding="utf-8")
     _write_json(out_dir / "graph.json", {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
@@ -272,10 +282,10 @@ def cmd_extract(cfg: RunConfig) -> int:
         "command": "extract",
         "config": asdict(cfg),
         "config_hash": cfg.hash(),
-        "documents": len(entries),
+        "documents": len(anns),
     })
     print(
-        f"extracted {len(entries)} documents: {len(nodes)} entities, "
+        f"extracted {len(anns)} documents: {len(nodes)} entities, "
         f"{n_attached} attachments, {n_abstained} abstentions -> {out_dir}"
     )
     return 0
@@ -324,10 +334,12 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
 def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
     """Score attachment strategies, the tagger, or the reference metrics.
 
-    Strategy scoring runs on gold entities.  Documents are the outer loop:
-    each document's sentence contexts are built once, and every requested
-    strategy and the cross-sentence count read those same contexts, so
-    each target-to-Person path is computed once per document.
+    Strategy scoring runs on gold entities.  Documents are the outer loop,
+    streamed one at a time: each document's sentence contexts are built
+    once, and every requested strategy and the cross-sentence count read
+    those same contexts, so each target-to-Person path is computed once per
+    document.  The tagger's split needs the whole corpus, so --ner-eval
+    loads it at once.
     """
     if metric_check:
         problems = evaluation.verify_reference_metrics()
@@ -350,11 +362,9 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             "applies only with --ner-eval"
         )
 
-    entries = load_corpus(cfg.corpus_dir)
-    if not any(doc.entities or doc.relations for doc, _ in entries):
-        raise DataError("corpus has no gold annotations to evaluate against")
-
     if ner_eval:
+        entries = load_corpus(cfg.corpus_dir)
+        _require_gold(any(doc.entities or doc.relations for doc, _ in entries))
         train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
         if not test_entries:
             raise DataError("held-out split is empty; lower --split")
@@ -380,7 +390,9 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
     models = {s: _load_relnet_for(cfg, s) for s in strategies}
     counts = {s: (0, 0, 0) for s in strategies}
     cross = 0
-    for doc, trees in entries:
+    annotated = False
+    for doc, trees in iter_corpus(cfg.corpus_dir):
+        annotated = annotated or bool(doc.entities or doc.relations)
         contexts = build_contexts(doc, trees)
         for s in strategies:
             atts = extract_document(
@@ -389,6 +401,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             doc_counts = evaluation.relation_counts(doc.relations, atts, doc.entities)
             counts[s] = tuple(a + b for a, b in zip(counts[s], doc_counts))
         cross += gold_pairs(doc, contexts)[1]
+    _require_gold(annotated)
     rows = [
         evaluation.PrfRow.from_counts(evaluation.STRATEGY_ROW_NAMES[s], *counts[s])
         for s in strategies
@@ -433,13 +446,13 @@ def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
 
 
 def cmd_inspect(cfg: RunConfig, doc_id: str | None, show_paths: bool) -> int:
-    entries = load_corpus(cfg.corpus_dir)
-    if not entries:
-        raise DataError("empty corpus")
-    chosen = next((entry for entry in entries
+    """Print one document: the one named, else the first; documents are read
+    only until it is found."""
+    chosen = next((entry for entry in iter_corpus(cfg.corpus_dir)
                    if doc_id is None or entry[0].doc_id == doc_id), None)
     if chosen is None:
-        raise DataError(f"document {doc_id!r} not found in corpus")
+        raise DataError("empty corpus" if doc_id is None
+                        else f"document {doc_id!r} not found in corpus")
     doc, trees = chosen
     print(f"# {doc.doc_id}: {len(doc.entities)} entities, "
           f"{len(doc.relations)} relations")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -301,28 +302,36 @@ def parse_conllu(conllu_text: str) -> list[DepTree]:
     return trees
 
 
-def load_corpus(corpus_dir: str | Path) -> list[tuple[Document, list[DepTree]]]:
-    """Load every stem with a ``.txt`` file, sorted by stem.
+def _read(path: Path, what: str) -> str:
+    """The UTF-8 text of one corpus file; a CorpusError names the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise CorpusError(f"cannot read {what} for {path.stem}: {exc}") from exc
 
-    Missing ``.ann`` yields an empty annotation set; missing ``.conllu``
-    yields an empty parse list with a warning (dependency-based extractors
-    are unavailable for that document).
+
+def iter_corpus(corpus_dir: str | Path) -> Iterator[tuple[Document, list[DepTree]]]:
+    """Yield every stem with a ``.txt`` file, sorted by stem, one at a time.
+
+    Each document is read and checked only when the previous one has been
+    taken, so a caller that keeps no document past its loop step holds at
+    most two: the one it has and the one being read.  Missing ``.ann``
+    yields an empty annotation set; missing ``.conllu`` yields an empty
+    parse list with a warning (dependency-based extractors are unavailable
+    for that document).  A missing corpus directory is a CorpusError; an
+    empty one yields nothing.
     """
     corpus_dir = Path(corpus_dir)
-    entries: list[tuple[Document, list[DepTree]]] = []
+    if not corpus_dir.is_dir():
+        problem = "not a directory" if corpus_dir.exists() else "no such directory"
+        raise CorpusError(f"corpus {corpus_dir}: {problem}")
     for txt_path in sorted(corpus_dir.glob("*.txt")):
         stem = txt_path.stem
-        try:
-            text = txt_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CorpusError(f"cannot read text for {stem}: {exc}") from exc
+        text = _read(txt_path, "text")
         ann_path = txt_path.with_suffix(".ann")
-        ann_text = ""
-        if ann_path.exists():
-            try:
-                ann_text = ann_path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise CorpusError(f"cannot read annotations for {stem}: {exc}") from exc
+        ann_text = _read(ann_path, "annotations") if ann_path.exists() else ""
         try:
             doc = parse_brat(ann_text, text, doc_id=stem)
         except BratError as exc:
@@ -331,16 +340,19 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[Document, list[DepTree]]]:
         trees: list[DepTree] = []
         if conllu_path.exists():
             try:
-                trees = parse_conllu(conllu_path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise CorpusError(f"cannot read parses for {stem}: {exc}") from exc
+                trees = parse_conllu(_read(conllu_path, "parses"))
             except ConlluError as exc:
                 raise CorpusError(f"{stem}: {exc}") from exc
         else:
             log.warning("%s: no .conllu file; dependency-based extraction "
                         "unavailable for this document", stem)
-        entries.append((doc, trees))
-    return entries
+        yield doc, trees
+
+
+def load_corpus(corpus_dir: str | Path) -> list[tuple[Document, list[DepTree]]]:
+    """Every document of :func:`iter_corpus` at once, for callers that need
+    the whole list (a seeded split, repeated passes)."""
+    return list(iter_corpus(corpus_dir))
 
 
 def check_document(doc: Document) -> list[str]:

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitgraph
+import unitgraph.corpus
 from unitgraph.cli import RunConfig, UsageError, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntityType
@@ -22,6 +24,8 @@ from unitgraph.relations import Strategy, build_contexts, extract_document
 
 from conftest import (
     CORPUS_DIR,
+    DOC_ADEOSUN,
+    DOC_CEREMONY,
     DOC_VANGUARD,
     DUPLICATE_PERSON_ANN,
     DUPLICATE_PERSON_CONLLU,
@@ -414,6 +418,97 @@ class TestCorruptModels:
                    "--strategy", "nn-free", "--relnet-model", models)
         assert code == 2
         assert "does not match" in capsys.readouterr().err
+
+
+def _track_documents(monkeypatch):
+    """Count the documents the corpus reader parses: returns a list with one
+    weak reference per document and a one-item list holding the most of
+    them alive at once (counted as each new one is made)."""
+    parse_brat = unitgraph.corpus.parse_brat
+    refs, peak = [], [0]
+
+    def tracked(*args, **kwargs):
+        doc = parse_brat(*args, **kwargs)
+        refs.append(weakref.ref(doc))
+        peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
+        return doc
+
+    monkeypatch.setattr(unitgraph.corpus, "parse_brat", tracked)
+    return refs, peak
+
+
+class TestStreaming:
+    """extract, evaluate and inspect read the corpus one document at a time."""
+
+    COMMANDS = ("evaluate", "extract")
+
+    def _argv(self, command, models_dir, corpus, out):
+        if command == "extract":
+            mode = ("--ner-mode", "model", "--tagger-model",
+                    models_dir / "tagger.model", "--strategy", "nn-constrained")
+        else:
+            mode = ("--strategy", "all")
+        return [command, *mode, "--relnet-model", models_dir,
+                "--corpus", corpus, "--out", out]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_at_most_two_documents_alive(self, command, models_dir, tmp_path,
+                                         monkeypatch):
+        refs, peak = _track_documents(monkeypatch)
+        assert run(*self._argv(command, models_dir, CORPUS_DIR, tmp_path / "o")) == 0
+        assert len(refs) == 5
+        assert peak[0] <= 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_last_document_leaves_no_output_directory(self, command, models_dir,
+                                                          tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        assert sorted(p.stem for p in corpus.glob("*.txt"))[-1] == DOC_CEREMONY
+        (corpus / f"{DOC_CEREMONY}.conllu").write_text("1\tonly three\tcolumns\n",
+                                                      encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(*self._argv(command, models_dir, corpus, out)) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {DOC_CEREMONY}: line 1: expected 10" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_utf8_parse_file_exits_2(self, command, models_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        bad = corpus / f"{DOC_VANGUARD}.conllu"
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe")
+        out = tmp_path / "out"
+        assert run(*self._argv(command, models_dir, corpus, out)) == 2
+        assert f"data error: {bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate", "train", "inspect"])
+    def test_missing_corpus_directory_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(command, "--corpus", tmp_path / "absent", "--out", out) == 2
+        assert "no such directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_corpus_that_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = CORPUS_DIR / f"{DOC_VANGUARD}.txt"
+        assert run("extract", "--corpus", path, "--out", out) == 2
+        assert f"{path}: not a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inspect_reads_until_the_document_is_found(self, monkeypatch, capsys):
+        refs, _ = _track_documents(monkeypatch)
+        assert run("inspect", "--corpus", CORPUS_DIR, "--doc", DOC_ADEOSUN) == 0
+        assert f"# {DOC_ADEOSUN}:" in capsys.readouterr().out
+        assert len(refs) == 2  # DOC_ADEOSUN is the second stem
+
+    def test_inspect_reports_not_found_after_a_full_pass(self, monkeypatch, capsys):
+        refs, _ = _track_documents(monkeypatch)
+        assert run("inspect", "--corpus", CORPUS_DIR, "--doc", "nope") == 2
+        assert "document 'nope' not found" in capsys.readouterr().err
+        assert len(refs) == 5
 
 
 class TestBench:

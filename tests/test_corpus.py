@@ -1,4 +1,5 @@
 import logging
+import shutil
 
 import pytest
 
@@ -9,6 +10,7 @@ from unitgraph.corpus import (
     RelationEdge,
     RelationType,
     check_document,
+    iter_corpus,
     load_corpus,
     parse_brat,
     parse_conllu,
@@ -16,7 +18,7 @@ from unitgraph.corpus import (
 )
 from unitgraph.errors import BratError, ConlluError, CorpusError
 
-from conftest import CORPUS_DIR, EXAMPLE_ANN, EXAMPLE_TEXT
+from conftest import CORPUS_DIR, DOC_ADEOSUN, DOC_VANGUARD, EXAMPLE_ANN, EXAMPLE_TEXT
 
 
 class TestParseBrat:
@@ -244,3 +246,49 @@ class TestLoadCorpus:
         for doc, _ in corpus_entries:
             for ent in doc.entities:
                 assert doc.text[ent.start:ent.end] == ent.surface
+
+
+class TestIterCorpus:
+    def test_equals_load_corpus_element_by_element(self, corpus_entries):
+        streamed = list(iter_corpus(CORPUS_DIR))
+        assert len(streamed) == len(corpus_entries) == 5
+        for (doc, trees), (ref_doc, ref_trees) in zip(streamed, corpus_entries):
+            assert doc == ref_doc
+            assert doc.schema_flags == ref_doc.schema_flags
+            assert trees == ref_trees
+
+    def test_reads_one_document_per_step(self, tmp_path):
+        # the second stem is malformed: the first still comes out whole
+        for path in CORPUS_DIR.glob(DOC_VANGUARD + ".*"):
+            shutil.copy(path, tmp_path)
+        (tmp_path / f"{DOC_ADEOSUN}.txt").write_text("short\n", encoding="utf-8")
+        (tmp_path / f"{DOC_ADEOSUN}.ann").write_text("T1\tPerson 0 50\tshort\n",
+                                                    encoding="utf-8")
+        stream = iter_corpus(tmp_path)
+        doc, trees = next(stream)
+        assert doc.doc_id == DOC_VANGUARD and trees
+        with pytest.raises(CorpusError, match=DOC_ADEOSUN):
+            next(stream)
+
+    @pytest.mark.parametrize("suffix", [".txt", ".ann", ".conllu"])
+    def test_non_utf8_file_is_named(self, tmp_path, suffix):
+        for path in CORPUS_DIR.glob(DOC_VANGUARD + ".*"):
+            shutil.copy(path, tmp_path)
+        bad = tmp_path / f"{DOC_VANGUARD}{suffix}"
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe")
+        with pytest.raises(CorpusError, match="not UTF-8") as info:
+            load_corpus(tmp_path)
+        assert str(bad) in str(info.value)
+
+    def test_missing_directory_is_an_error(self, tmp_path):
+        with pytest.raises(CorpusError, match="no such directory"):
+            load_corpus(tmp_path / "absent")
+
+    def test_file_is_not_a_corpus_directory(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("text\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="not a directory"):
+            load_corpus(path)
+
+    def test_empty_directory_yields_nothing(self, tmp_path):
+        assert list(iter_corpus(tmp_path)) == []
