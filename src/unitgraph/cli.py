@@ -16,6 +16,7 @@ import logging
 import random
 import sys
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import evaluation, relnet
@@ -173,6 +174,68 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+# One graph.json node and edge as json.dump(indent=2, sort_keys=True) lays
+# them out inside their list: keys sorted, strings (%s) already encoded
+_NODE = """    {
+      "doc_id": %s,
+      "id": %s,
+      "offsets": [
+        %d,
+        %d
+      ],
+      "surface": %s,
+      "type": %s
+    }"""
+_EDGE = """    {
+      "doc_id": %s,
+      "from": %s,
+      "person_span": [
+        %d,
+        %d
+      ],
+      "rtype": %s,
+      "strategy": %s,
+      "target_span": [
+        %d,
+        %d
+      ],
+      "to": %s
+    }"""
+
+
+def _write_records(f, key: str, records) -> None:
+    """One list member of the graph, its records written one at a time."""
+    f.write(f'  "{key}": [')
+    first = True
+    for record in records:
+        f.write("\n" if first else ",\n")
+        f.write(record)
+        first = False
+    f.write("],\n" if first else "\n  ],\n")
+
+
+def _write_graph(path: Path, graph: dict) -> None:
+    """Write graph.json with the bytes ``_write_json`` gives it, record by
+    record from the graph's fixed schema: strings are escaped to ASCII by
+    the encoder ``json`` uses, ints are written in decimal as ``str`` gives
+    them, and no text of the whole file is built."""
+    enc = encode_basestring_ascii
+    with path.open("w", encoding="utf-8") as f:
+        f.write('{\n  "config_hash": %s,\n' % enc(graph["config_hash"]))
+        _write_records(f, "edges", (
+            _EDGE % (enc(e["doc_id"]), enc(e["from"]), *e["person_span"],
+                     enc(e["rtype"]), enc(e["strategy"]), *e["target_span"],
+                     enc(e["to"]))
+            for e in graph["edges"]))
+        f.write('  "ner_mode": %s,\n' % enc(graph["ner_mode"]))
+        _write_records(f, "nodes", (
+            _NODE % (enc(n["doc_id"]), enc(n["id"]), *n["offsets"],
+                     enc(n["surface"]), enc(n["type"]))
+            for n in graph["nodes"]))
+        f.write('  "seed": %d,\n  "strategy": %s\n}\n'
+                % (graph["seed"], enc(graph["strategy"])))
+
+
 def _require_gold(found: bool) -> None:
     if not found:
         raise DataError("corpus has no gold annotations to evaluate against")
@@ -270,7 +333,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     out_dir = _out_dir(cfg)
     for doc_id, ann in anns:
         (out_dir / f"{doc_id}.ann").write_text(ann, encoding="utf-8")
-    _write_json(out_dir / "graph.json", {
+    _write_graph(out_dir / "graph.json", {
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
         "strategy": strategy.value,

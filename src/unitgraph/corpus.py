@@ -172,6 +172,7 @@ def parse_brat(ann_text: str, text: str, doc_id: str = "") -> Document:
     """
     entities: list[EntitySpan] = []
     relations: list[RelationEdge] = []
+    relation_lines: list[int] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(ann_text.splitlines(), start=1):
         line = raw.rstrip()
@@ -189,16 +190,18 @@ def parse_brat(ann_text: str, text: str, doc_id: str = "") -> Document:
                 raise BratError(f"duplicate annotation ID {rel.id}", lineno)
             seen.add(rel.id)
             relations.append(rel)
+            relation_lines.append(lineno)
         else:
             log.warning("%s: skipping unsupported annotation line %d: %r",
                         doc_id or "<doc>", lineno, line[:60])
 
     doc = Document(doc_id, text, entities, relations)
     by_id = {e.id: e for e in entities}
-    for rel in relations:
+    for rel, lineno in zip(relations, relation_lines):
         for arg in (rel.arg1, rel.arg2):
             if arg not in by_id:
-                raise BratError(f"relation {rel.id} references unknown entity {arg}")
+                raise BratError(f"relation {rel.id} references unknown entity {arg}",
+                                lineno)
         arg2 = by_id[rel.arg2]
         expected = SCHEMA_RELATION.get(arg2.etype)
         if expected is not rel.rtype:
@@ -335,14 +338,14 @@ def iter_corpus(corpus_dir: str | Path) -> Iterator[tuple[Document, list[DepTree
         try:
             doc = parse_brat(ann_text, text, doc_id=stem)
         except BratError as exc:
-            raise CorpusError(f"{stem}: {exc}") from exc
+            raise CorpusError(f"{ann_path.name}: {exc}") from exc
         conllu_path = txt_path.with_suffix(".conllu")
         trees: list[DepTree] = []
         if conllu_path.exists():
             try:
                 trees = parse_conllu(_read(conllu_path, "parses"))
             except ConlluError as exc:
-                raise CorpusError(f"{stem}: {exc}") from exc
+                raise CorpusError(f"{conllu_path.name}: {exc}") from exc
         else:
             log.warning("%s: no .conllu file; dependency-based extraction "
                         "unavailable for this document", stem)

@@ -65,6 +65,11 @@ class Gazetteers:
         """Words in the longest phrase (at least 1); computed once."""
         return max((p.count(" ") + 1 for p in self.organizations | self.ranks), default=1)
 
+    @cached_property
+    def first_words(self) -> frozenset[str]:
+        """The first word of every phrase; computed once."""
+        return frozenset(p.split(" ", 1)[0] for p in self.organizations | self.ranks)
+
 
 def rank_lexicon(docs: list[Document]) -> frozenset[str]:
     """Compile a rank lexicon from the gold Rank spans of training docs."""
@@ -77,39 +82,68 @@ def _shape(word: str) -> str:
                    else ch for ch in word)
 
 
-def featurize_sentence(tokens: list[Token], gazetteers: Gazetteers | None = None
-                       ) -> list[list[str]]:
-    """Deterministic discrete features for every token of a sentence.
+def featurize_sentences(sents: list[list[Token]], gazetteers: Gazetteers | None = None
+                        ) -> list[list[list[str]]]:
+    """Deterministic discrete features for every token of every sentence.
 
-    Each token is lower-cased once, and each gazetteer window of at most
-    ``max_words`` tokens is joined once; a window found in a lexicon
-    marks every token it covers.
+    A word's own features (``w=``, ``shape=``, ``pre3=``, ``suf3=``,
+    ``cap``) and its ``prev=``/``next=`` features as a neighbour are built
+    once per distinct token text in the call.  A gazetteer window of at
+    most ``max_words`` tokens is joined only when its first word starts a
+    phrase; a window found in a lexicon marks every token it covers.
     """
-    lower = [tok.text.lower() for tok in tokens]
-    padded = ["<s>", *lower, "</s>"]
-    n = len(tokens)
-    org, rank = [False] * n, [False] * n
-    if gazetteers is not None and (gazetteers.organizations or gazetteers.ranks):
-        for width in range(1, gazetteers.max_words + 1):
-            for lo in range(n - width + 1):
-                phrase = " ".join(lower[lo:lo + width])
-                if phrase in gazetteers.organizations:
-                    org[lo:lo + width] = [True] * width
-                if phrase in gazetteers.ranks:
-                    rank[lo:lo + width] = [True] * width
+    # token text -> (lower-cased, own features, its prev= and next= features)
+    words: dict[str, tuple[str, list[str], str, str]] = {}
     out = []
-    for i, tok in enumerate(tokens):
-        word, low = tok.text, lower[i]
-        feats = [f"w={low}", f"shape={_shape(word)}", f"pre3={low[:3]}", f"suf3={low[-3:]}"]
-        if word[:1].isupper():
-            feats.append("cap")
-        feats += [f"prev={padded[i]}", f"next={padded[i + 2]}"]
-        if org[i]:
-            feats.append("org-lex")
-        if rank[i]:
-            feats.append("rank-lex")
+    for tokens in sents:
+        entries = []
+        for tok in tokens:
+            entry = words.get(tok.text)
+            if entry is None:
+                word = tok.text
+                low = word.lower()
+                own = [f"w={low}", f"shape={_shape(word)}", f"pre3={low[:3]}",
+                       f"suf3={low[-3:]}"]
+                if word[:1].isupper():
+                    own.append("cap")
+                entry = words[word] = (low, own, f"prev={low}", f"next={low}")
+            entries.append(entry)
+        prevs = ["prev=<s>", *(e[2] for e in entries)]
+        nexts = [*(e[3] for e in entries[1:]), "next=</s>"]
+        feats = [[*e[1], prev, nxt] for e, prev, nxt in zip(entries, prevs, nexts)]
+        if gazetteers is not None and gazetteers.first_words:
+            org, rank = _lexicon_hits([e[0] for e in entries], gazetteers)
+            for i in org:
+                feats[i].append("org-lex")
+            for i in rank:
+                feats[i].append("rank-lex")
         out.append(feats)
     return out
+
+
+def _lexicon_hits(lower: list[str], gazetteers: Gazetteers) -> tuple[set[int], set[int]]:
+    """The positions of the lower-cased words covered by an organization
+    phrase and by a rank phrase."""
+    org: set[int] = set()
+    rank: set[int] = set()
+    n, firsts, max_words = len(lower), gazetteers.first_words, gazetteers.max_words
+    for lo, first in enumerate(lower):
+        if first not in firsts:
+            continue
+        for width in range(1, min(max_words, n - lo) + 1):
+            phrase = " ".join(lower[lo:lo + width])
+            if phrase in gazetteers.organizations:
+                org.update(range(lo, lo + width))
+            if phrase in gazetteers.ranks:
+                rank.update(range(lo, lo + width))
+    return org, rank
+
+
+def featurize_sentence(tokens: list[Token], gazetteers: Gazetteers | None = None
+                       ) -> list[list[str]]:
+    """The features of one sentence's tokens: ``featurize_sentences`` on a
+    batch of one."""
+    return featurize_sentences([tokens], gazetteers)[0]
 
 
 def featurize_token(tokens: list[Token], i: int, gazetteers: Gazetteers | None = None) -> list[str]:
@@ -220,34 +254,39 @@ def _decode(scores: _Scores, ids: np.ndarray, lengths: list[int]) -> list[list[I
     tokens in order (``_Scores.ids``) and each sentence's length.
 
     The sentences are padded to the longest one and advanced together:
-    each step adds every sentence's scores to the transition matrix and
-    keeps the first maximum over the previous tag (so ties go to the
-    lowest index), and a sentence's scores stop changing once the step
-    passes its last token.  Each sentence sees the same float64 additions
-    as when it is decoded alone, so batching does not change a tag.
+    each step adds every sentence's scores to the transition matrix, keeps
+    the first maximum over the previous tag (so ties go to the lowest
+    index) and adds the step's emissions.  Every step's ``(n, tags)``
+    scores are kept, and each sentence's last tag is read from the step of
+    its own last token, so the padded steps after it change nothing.  Each
+    sentence sees the same float64 additions as when it is decoded alone,
+    so batching does not change a tag.
     """
     lengths = np.array(lengths, dtype=int)
-    width = int(lengths.max(initial=0))
+    n, width, m = len(lengths), int(lengths.max(initial=0)), len(scores.tags)
     if width == 0:
         return [[] for _ in lengths]
-    emit = np.zeros((len(lengths), width, len(scores.tags)))
+    emit = np.zeros((n, width, m))
     # the mask lists its cells sentence by sentence, token by token
     emit[np.arange(width) < lengths[:, None]] = scores.emissions(ids)
-    score = emit[:, 0] + scores.start
-    back = []
+    score = np.empty((width, n, m))
+    back = np.empty((width - 1, n, m), dtype=np.intp)
+    score[0] = emit[:, 0] + scores.start
+    rows = np.arange(n * m) * m  # where each (k, t) row of a flattened cand starts
     for i in range(1, width):
-        # cand[k, t, p]: sentence k's score of reaching tag t from tag p
-        cand = score[:, None, :] + scores.into
-        back.append(cand.argmax(axis=2))
-        step = cand.max(axis=2) + emit[:, i]
-        score = np.where((i < lengths)[:, None], step, score)
-    back_rows = [pointers.tolist() for pointers in back]
+        # cand[k, t, p]: sentence k's score of reaching tag t from tag p; the
+        # maximum is read at the argmax, which is cheaper than a second reduction
+        cand = score[i - 1][:, None, :] + scores.into
+        best = cand.argmax(axis=2, out=back[i - 1])
+        np.add(cand.ravel()[rows + best.ravel()].reshape(n, m), emit[:, i], out=score[i])
+    last = score[lengths - 1, np.arange(n)].argmax(axis=1)
+    back_rows = back.tolist()
     out = []
-    for k, (n, last) in enumerate(zip(lengths.tolist(), score.argmax(axis=1).tolist())):
-        path = [last]
-        for i in range(n - 2, -1, -1):
+    for k, (length, tag) in enumerate(zip(lengths.tolist(), last.tolist())):
+        path = [tag]
+        for i in range(length - 2, -1, -1):
             path.append(back_rows[i][k][path[-1]])
-        out.append([scores.tags[t] for t in reversed(path)] if n else [])
+        out.append([scores.tags[t] for t in reversed(path)] if length else [])
     return out
 
 
@@ -258,7 +297,7 @@ def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[Io
     scores = model._scores
     if scores is None or scores.tables != (model.feature_weights, model.transition_weights):
         scores = _Scores(model)
-    feats = [f for sent in sents for f in featurize_sentence(sent, model.gazetteers)]
+    feats = [f for sent in featurize_sentences(sents, model.gazetteers) for f in sent]
     return _decode(scores, scores.ids(feats), [len(sent) for sent in sents])
 
 
@@ -307,7 +346,7 @@ def train_tagger(
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     model = TaggerModel(gazetteers=gazetteers or Gazetteers())
-    feats = [featurize_sentence(tokens, model.gazetteers) for tokens, _ in corpus]
+    feats = featurize_sentences([tokens for tokens, _ in corpus], model.gazetteers)
     scores = _Scores(model, (f for sent in feats for token in sent for f in token))
     ids = [scores.ids(sent_feats) for sent_feats in feats]
     # model.*_weights are mutated in place and copied into scores, so Viterbi

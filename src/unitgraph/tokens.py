@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import EntitySpan, EntityType
 from .errors import DataError
@@ -32,10 +33,14 @@ _TOKEN_RE = re.compile(
 )
 
 _GUARD_RE = re.compile(r"([A-Za-z]+\.)$")
+_PARAGRAPH_RE = re.compile(r"\n[ \t]*\n")
+# a run of sentence-ending punctuation and the whitespace after it
+_END_RE = re.compile(r"([.!?]+)\s*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: a named tuple, so it is immutable and cheap to build."""
+
     text: str
     start: int
     end: int
@@ -88,9 +93,13 @@ def _guarded(text: str, dot: int) -> bool:
 
 
 def _sentence_spans(text: str) -> list[tuple[int, int]]:
+    """Sentence extents: paragraphs split at blank lines, and each paragraph
+    at a run of ``.``/``!``/``?`` followed by whitespace and an upper-case
+    letter, unless the run is one period ending an abbreviation or initial.
+    """
     paragraphs = []
     pos = 0
-    for m in re.finditer(r"\n[ \t]*\n", text):
+    for m in _PARAGRAPH_RE.finditer(text):
         paragraphs.append((pos, m.start()))
         pos = m.end()
     paragraphs.append((pos, len(text)))
@@ -98,25 +107,12 @@ def _sentence_spans(text: str) -> list[tuple[int, int]]:
     spans = []
     for pstart, pend in paragraphs:
         sent_start = pstart
-        i = pstart
-        while i < pend:
-            ch = text[i]
-            if ch in ".!?":
-                j = i + 1
-                while j < pend and text[j] in ".!?":
-                    j += 1
-                k = j
-                while k < pend and text[k].isspace():
-                    k += 1
-                boundary = k > j and k < pend and text[k].isupper()
-                if boundary and ch == "." and j == i + 1 and _guarded(text, i):
-                    boundary = False
-                if boundary:
-                    spans.append((sent_start, j))
-                    sent_start = k
-                i = j
-            else:
-                i += 1
+        for m in _END_RE.finditer(text, pstart, pend):
+            i, j, k = m.start(), m.end(1), m.end()
+            if (k > j and k < pend and text[k].isupper()
+                    and not (j == i + 1 and text[i] == "." and _guarded(text, i))):
+                spans.append((sent_start, j))
+                sent_start = k
         if sent_start < pend:
             spans.append((sent_start, pend))
     return [(s, e) for s, e in spans if text[s:e].strip()]
@@ -126,10 +122,8 @@ def tokenize(text: str) -> list[Token]:
     """Segment text into sentences and offset-bearing tokens."""
     tokens: list[Token] = []
     for sent_index, (start, end) in enumerate(_sentence_spans(text)):
-        tok_index = 0
-        for m in _TOKEN_RE.finditer(text, start, end):
+        for tok_index, m in enumerate(_TOKEN_RE.finditer(text, start, end)):
             tokens.append(Token(m.group(), m.start(), m.end(), sent_index, tok_index))
-            tok_index += 1
     return tokens
 
 

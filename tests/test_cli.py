@@ -11,12 +11,12 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unitgraph
 import unitgraph.corpus
-from unitgraph.cli import RunConfig, UsageError, main
+from unitgraph.cli import RunConfig, UsageError, _write_graph, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntityType
 from unitgraph.evaluation import relation_counts
@@ -194,6 +194,39 @@ class TestExtract:
             rescored = (tp, sum(pred_triples.values()) - tp,
                         sum(gold_triples.values()) - tp)
             assert rescored == direct
+
+
+# strings that json escapes: quotes, backslashes, control characters, line
+# and paragraph separators, a lone surrogate, and any other code point
+_JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u2029\ud800é€😀')
+                     | st.characters(), max_size=8)
+_SPAN = st.lists(st.integers(), min_size=2, max_size=2)
+_GRAPHS = st.fixed_dictionaries({
+    "config_hash": _JSON_TEXT,
+    "seed": st.integers(min_value=0),
+    "strategy": _JSON_TEXT,
+    "ner_mode": _JSON_TEXT,
+    "nodes": st.lists(st.fixed_dictionaries({
+        "id": _JSON_TEXT, "type": _JSON_TEXT, "surface": _JSON_TEXT,
+        "doc_id": _JSON_TEXT, "offsets": _SPAN}), max_size=3),
+    "edges": st.lists(st.fixed_dictionaries({
+        "rtype": _JSON_TEXT, "from": _JSON_TEXT, "to": _JSON_TEXT,
+        "strategy": _JSON_TEXT, "doc_id": _JSON_TEXT, "person_span": _SPAN,
+        "target_span": _SPAN}), max_size=3),
+})
+
+
+@given(_GRAPHS)
+@example({"config_hash": "", "seed": 0, "strategy": "", "ner_mode": "",
+          "nodes": [], "edges": []})
+@settings(max_examples=100, deadline=None)
+def test_graph_writer_matches_json_dump(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        _write_graph(path, graph)
+        written = path.read_bytes()
+    expected = json.dumps(graph, indent=2, sort_keys=True) + "\n"
+    assert written == expected.encode("utf-8")
 
 
 class TestTrain:
@@ -470,7 +503,7 @@ class TestStreaming:
         out = tmp_path / "out"
         assert run(*self._argv(command, models_dir, corpus, out)) == 2
         err = capsys.readouterr().err
-        assert f"data error: {DOC_CEREMONY}: line 1: expected 10" in err
+        assert f"data error: {DOC_CEREMONY}.conllu: line 1: expected 10" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)

@@ -239,7 +239,22 @@ class TestLoadCorpus:
     def test_annotation_beyond_text_is_error(self, tmp_path):
         (tmp_path / "a.txt").write_text("short\n", encoding="utf-8")
         (tmp_path / "a.ann").write_text("T1\tPerson 0 50\tshort\n", encoding="utf-8")
-        with pytest.raises(CorpusError, match="a:"):
+        with pytest.raises(CorpusError, match=r"a\.ann: line 1"):
+            load_corpus(tmp_path)
+
+    def test_unknown_relation_argument_names_file_and_line(self, tmp_path):
+        (tmp_path / "a.txt").write_text("John went home.\n", encoding="utf-8")
+        (tmp_path / "a.ann").write_text(
+            "T1\tPerson 0 4\tJohn\nR1\tis_posted Arg1:T1 Arg2:T9\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as info:
+            load_corpus(tmp_path)
+        assert str(info.value) == ("a.ann: line 2: relation R1 references "
+                                   "unknown entity T9")
+
+    def test_malformed_parse_names_conllu_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("John went home.\n", encoding="utf-8")
+        (tmp_path / "a.conllu").write_text("1\tJohn\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"^a\.conllu: line 1: expected 10"):
             load_corpus(tmp_path)
 
     def test_offset_fidelity_fixture_corpus(self, corpus_entries):

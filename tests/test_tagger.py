@@ -16,6 +16,7 @@ from unitgraph.tagger import (
     TaggerModel,
     _Scores,
     _shape,
+    _tag_sentences,
     featurize_sentence,
     featurize_token,
     load_tagger,
@@ -331,6 +332,30 @@ class TestViterbi:
                             rng.randint(-2, 2))
             assert viterbi_decode(model, toks) == reference_decode(model, toks), \
                 f"trial {trial}"
+
+    def test_ragged_batch_matches_reference_sentence_by_sentence(self):
+        # a 1-token sentence beside the longest one: its tags come from the
+        # first step's scores, though the batch runs on to the longest
+        rng = random.Random(4417)
+        vocab = ["Musa", "Army", "General", "said", "the", "x"]
+        for trial in range(40):
+            lengths = [1, 12] + [rng.randint(1, 12) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(lengths)
+            text = "\n\n".join(" ".join(rng.choice(vocab) for _ in range(n))
+                               for n in lengths)
+            sents = sentences(tokenize(text))
+            assert [len(sent) for sent in sents] == lengths
+            model = TaggerModel()
+            for sent in sents:
+                for token_feats in featurize_sentence(sent):
+                    for f in token_feats:
+                        for tag in TAGSET:
+                            model.feature_weights[(f, str(tag))] = rng.gauss(0, 1)
+            for prev in [START] + [str(t) for t in TAGSET]:
+                for tag in TAGSET:
+                    model.transition_weights[(prev, str(tag))] = rng.gauss(0, 1)
+            assert _tag_sentences(model, sents) == [
+                reference_decode(model, sent) for sent in sents], f"trial {trial}"
 
     def test_output_always_transition_valid(self):
         rng = random.Random(7)

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 from unitgraph.corpus import EntitySpan, EntityType
 from unitgraph.errors import DataError
 from unitgraph.tokens import (
+    ABBREVIATIONS,
+    _TOKEN_RE,
     IobTag,
     O_TAG,
     TAGSET,
+    Token,
+    _guarded,
     iob_to_spans,
     sentences,
     spans_to_iob,
@@ -76,6 +81,76 @@ class TestTokenize:
             for sent in sentences(tokenize(doc.text)):
                 for prev, cur in zip(sent, sent[1:]):
                     assert doc.text[prev.end:cur.start].strip() == ""
+
+
+def reference_sentence_spans(text):
+    """The per-character sentence scan the tokenizer used before it matched
+    punctuation runs with a regex, kept as the reference for the boundaries."""
+    paragraphs = []
+    pos = 0
+    for m in re.finditer(r"\n[ \t]*\n", text):
+        paragraphs.append((pos, m.start()))
+        pos = m.end()
+    paragraphs.append((pos, len(text)))
+
+    spans = []
+    for pstart, pend in paragraphs:
+        sent_start = pstart
+        i = pstart
+        while i < pend:
+            ch = text[i]
+            if ch in ".!?":
+                j = i + 1
+                while j < pend and text[j] in ".!?":
+                    j += 1
+                k = j
+                while k < pend and text[k].isspace():
+                    k += 1
+                boundary = k > j and k < pend and text[k].isupper()
+                if boundary and ch == "." and j == i + 1 and _guarded(text, i):
+                    boundary = False
+                if boundary:
+                    spans.append((sent_start, j))
+                    sent_start = k
+                i = j
+            else:
+                i += 1
+        if sent_start < pend:
+            spans.append((sent_start, pend))
+    return [(s, e) for s, e in spans if text[s:e].strip()]
+
+
+def reference_tokenize(text):
+    """``tokenize`` over the reference sentence scan, as plain tuples."""
+    return [(m.group(), m.start(), m.end(), sent_index, tok_index)
+            for sent_index, (start, end) in enumerate(reference_sentence_spans(text))
+            for tok_index, m in enumerate(_TOKEN_RE.finditer(text, start, end))]
+
+
+# sentence-ending punctuation, every kind of gap (blank lines, unicode
+# spaces), ASCII, non-ASCII and title-case capitals, abbreviations and
+# initials: the pieces whose order decides where a sentence ends
+_PIECES = st.sampled_from([
+    ".", "!", "?", "...", " ", "  ", "\t", "\n", "\n\n", "\n \t\n", "\u00a0",
+    "\u2003", "\x1c", "A", "Z", "É", "Ω", "Ж", "ǅ", "word", "x", "é", "3", "'",
+    "-", *ABBREVIATIONS, "M.", "T.", "j.", "Gen", "mr.",
+])
+
+
+@given(st.lists(_PIECES, max_size=40).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_per_character_scan(text):
+    tokens = tokenize(text)
+    assert tokens == reference_tokenize(text)
+    assert all(type(tok) is Token for tok in tokens)
+
+
+def test_token_is_an_immutable_named_tuple():
+    tok = tokenize("Maj. Gen. Jack")[1]
+    assert tok == Token("Gen.", 5, 9, 0, 1) == ("Gen.", 5, 9, 0, 1)
+    assert tok._fields == ("text", "start", "end", "sent_index", "tok_index")
+    with pytest.raises(AttributeError):
+        tok.text = "Col."
 
 
 class TestSpansToIob:
