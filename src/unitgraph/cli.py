@@ -11,10 +11,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import logging
+import os
 import random
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -203,42 +207,83 @@ _EDGE = """    {
     }"""
 
 
-def _write_records(f, key: str, records) -> None:
-    """One list member of the graph, its records written one at a time."""
-    f.write(f'  "{key}": [')
-    first = True
-    for record in records:
-        f.write("\n" if first else ",\n")
-        f.write(record)
-        first = False
-    f.write("],\n" if first else "\n  ],\n")
-
-
-def _write_graph(path: Path, graph: dict) -> None:
-    """Write graph.json with the bytes ``_write_json`` gives it, record by
-    record from the graph's fixed schema: strings are escaped to ASCII by
-    the encoder ``json`` uses, ints are written in decimal as ``str`` gives
-    them, and no text of the whole file is built."""
+@contextlib.contextmanager
+def _graph_writer(path: Path, graph: dict):
+    """Write graph.json a document at a time, with the bytes ``_write_json``
+    gives the whole graph: strings are escaped to ASCII by the encoder
+    ``json`` uses and ints are written in decimal as ``str`` gives them.
+    ``graph`` holds the scalar members; the block gets a function that
+    takes one document's edge and node dicts.  Edges sort before nodes, so
+    each edge record goes into the file at once and each node record into
+    an unnamed spool file beside it, copied in after the last edge when the
+    block ends without an error."""
     enc = encode_basestring_ascii
-    with path.open("w", encoding="utf-8") as f:
-        f.write('{\n  "config_hash": %s,\n' % enc(graph["config_hash"]))
-        _write_records(f, "edges", (
-            _EDGE % (enc(e["doc_id"]), enc(e["from"]), *e["person_span"],
-                     enc(e["rtype"]), enc(e["strategy"]), *e["target_span"],
-                     enc(e["to"]))
-            for e in graph["edges"]))
-        f.write('  "ner_mode": %s,\n' % enc(graph["ner_mode"]))
-        _write_records(f, "nodes", (
-            _NODE % (enc(n["doc_id"]), enc(n["id"]), *n["offsets"],
-                     enc(n["surface"]), enc(n["type"]))
-            for n in graph["nodes"]))
+    with path.open("w", encoding="utf-8") as f, \
+            tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent) as spool:
+        n_edges = n_nodes = 0
+
+        def add(edges, nodes) -> None:
+            nonlocal n_edges, n_nodes
+            for e in edges:
+                f.write(",\n" if n_edges else "\n")
+                f.write(_EDGE % (enc(e["doc_id"]), enc(e["from"]), *e["person_span"],
+                                 enc(e["rtype"]), enc(e["strategy"]),
+                                 *e["target_span"], enc(e["to"])))
+                n_edges += 1
+            for n in nodes:
+                spool.write(",\n" if n_nodes else "\n")
+                spool.write(_NODE % (enc(n["doc_id"]), enc(n["id"]), *n["offsets"],
+                                     enc(n["surface"]), enc(n["type"])))
+                n_nodes += 1
+
+        f.write('{\n  "config_hash": %s,\n  "edges": [' % enc(graph["config_hash"]))
+        yield add
+        f.write("\n  ],\n" if n_edges else "],\n")
+        f.write('  "ner_mode": %s,\n  "nodes": [' % enc(graph["ner_mode"]))
+        spool.seek(0)
+        shutil.copyfileobj(spool, f, io.DEFAULT_BUFFER_SIZE)
+        f.write("\n  ],\n" if n_nodes else "],\n")
         f.write('  "seed": %d,\n  "strategy": %s\n}\n'
                 % (graph["seed"], enc(graph["strategy"])))
+
+
+@contextlib.contextmanager
+def _spooled(out_dir: Path):
+    """A new hidden directory beside ``out_dir``, on its filesystem, for a
+    command to write its outputs into.  When the block ends, each file in
+    it moves into ``out_dir``, which is made if missing and keeps the files
+    it holds under other names.  If the block raises, the spool and every
+    directory made for it are removed, so a failed command leaves nothing."""
+    out_dir = out_dir.resolve()
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # nearest first
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    spool = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        yield spool
+        out_dir.mkdir(exist_ok=True)
+        for path in spool.iterdir():
+            os.replace(path, out_dir / path.name)
+    except BaseException:
+        shutil.rmtree(spool, ignore_errors=True)
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+    spool.rmdir()
 
 
 def _require_gold(found: bool) -> None:
     if not found:
         raise DataError("corpus has no gold annotations to evaluate against")
+
+
+def _check_out(output_dir: str) -> None:
+    """Reject an ``--out`` that names a file, or lies under one, before any
+    model or corpus is read."""
+    path = Path(output_dir)
+    found = next((p for p in (path, *path.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        raise DataError(f"--out {output_dir}: {found} exists and is not a directory")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -274,9 +319,10 @@ def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
 
 def cmd_extract(cfg: RunConfig) -> int:
     """Attach every document's targets and write its ``.ann`` file and the
-    graph.  Documents are streamed: each is dropped once its nodes, edges and
-    ``.ann`` text are kept, and the output directory is written only after
-    the last one, so a bad document leaves no output directory."""
+    graph.  Documents are streamed, and each one's outputs are written as
+    soon as it is attached, into a spool directory that moves into place
+    after the last one (``_spooled``): memory stays flat however long the
+    corpus is, and a bad document leaves no output directory."""
     if cfg.strategy == "all":
         raise UsageError("extract writes one strategy's graph; --strategy all "
                          "applies to evaluate")
@@ -288,67 +334,64 @@ def cmd_extract(cfg: RunConfig) -> int:
             raise DataError("--ner-mode model needs --tagger-model")
         tagger = load_tagger(cfg.tagger_model)
 
-    nodes, edges, anns = [], [], []
-    n_attached = n_abstained = 0
-    for doc, trees in iter_corpus(cfg.corpus_dir):
-        view = doc if tagger is None else Document(
-            doc.doc_id, doc.text, predict_entities(tagger, doc), [])
-        atts = extract_document(
-            view, build_contexts(view, trees), strategy, model, vocab,
-            fallback=cfg.fallback == "nearest",
-        )
-        rels = []
-        for i, att in enumerate(atts, start=1):
-            if att.person is None:
-                n_abstained += 1
-                continue
-            n_attached += 1
-            rels.append(
-                RelationEdge(f"R{i}", att.rtype, att.person.id, att.target.id)
-            )
-            edges.append(
-                {
-                    "rtype": att.rtype.value,
-                    "from": f"{doc.doc_id}:{att.person.id}",
-                    "to": f"{doc.doc_id}:{att.target.id}",
-                    "strategy": att.strategy.value,
-                    "doc_id": doc.doc_id,
-                    "person_span": [att.person.start, att.person.end],
-                    "target_span": [att.target.start, att.target.end],
-                }
-            )
-        for ent in view.entities:
-            nodes.append(
-                {
-                    "id": f"{doc.doc_id}:{ent.id}",
-                    "type": ent.etype.value,
-                    "surface": ent.surface,
-                    "doc_id": doc.doc_id,
-                    "offsets": [ent.start, ent.end],
-                }
-            )
-        pred_doc = Document(doc.doc_id, doc.text, list(view.entities), rels)
-        anns.append((doc.doc_id, serialize_brat(pred_doc)))
-
-    out_dir = _out_dir(cfg)
-    for doc_id, ann in anns:
-        (out_dir / f"{doc_id}.ann").write_text(ann, encoding="utf-8")
-    _write_graph(out_dir / "graph.json", {
-        "config_hash": cfg.hash(),
-        "seed": cfg.seed,
-        "strategy": strategy.value,
-        "ner_mode": cfg.ner_mode,
-        "nodes": nodes,
-        "edges": edges,
-    })
-    _write_json(out_dir / "run.json", {
-        "command": "extract",
-        "config": asdict(cfg),
-        "config_hash": cfg.hash(),
-        "documents": len(anns),
-    })
+    out_dir = Path(cfg.output_dir)
+    n_docs = n_nodes = n_attached = n_abstained = 0
+    graph = {"config_hash": cfg.hash(), "seed": cfg.seed,
+             "strategy": strategy.value, "ner_mode": cfg.ner_mode}
+    with _spooled(out_dir) as spool:
+        with _graph_writer(spool / "graph.json", graph) as add_to_graph:
+            for doc, trees in iter_corpus(cfg.corpus_dir):
+                # the tagger's sentences, reused for an unparsed document's contexts
+                sents = None if tagger is None else []
+                view = doc if tagger is None else Document(
+                    doc.doc_id, doc.text, predict_entities(tagger, doc, sents), [])
+                atts = extract_document(
+                    view, build_contexts(view, trees, sents), strategy, model, vocab,
+                    fallback=cfg.fallback == "nearest",
+                )
+                rels, edges = [], []
+                for i, att in enumerate(atts, start=1):
+                    if att.person is None:
+                        n_abstained += 1
+                        continue
+                    n_attached += 1
+                    rels.append(
+                        RelationEdge(f"R{i}", att.rtype, att.person.id, att.target.id)
+                    )
+                    edges.append(
+                        {
+                            "rtype": att.rtype.value,
+                            "from": f"{doc.doc_id}:{att.person.id}",
+                            "to": f"{doc.doc_id}:{att.target.id}",
+                            "strategy": att.strategy.value,
+                            "doc_id": doc.doc_id,
+                            "person_span": [att.person.start, att.person.end],
+                            "target_span": [att.target.start, att.target.end],
+                        }
+                    )
+                add_to_graph(edges, [
+                    {
+                        "id": f"{doc.doc_id}:{ent.id}",
+                        "type": ent.etype.value,
+                        "surface": ent.surface,
+                        "doc_id": doc.doc_id,
+                        "offsets": [ent.start, ent.end],
+                    }
+                    for ent in view.entities
+                ])
+                pred_doc = Document(doc.doc_id, doc.text, list(view.entities), rels)
+                (spool / f"{doc.doc_id}.ann").write_text(serialize_brat(pred_doc),
+                                                          encoding="utf-8")
+                n_docs += 1
+                n_nodes += len(view.entities)
+        _write_json(spool / "run.json", {
+            "command": "extract",
+            "config": asdict(cfg),
+            "config_hash": cfg.hash(),
+            "documents": n_docs,
+        })
     print(
-        f"extracted {len(anns)} documents: {len(nodes)} entities, "
+        f"extracted {n_docs} documents: {n_nodes} entities, "
         f"{n_attached} attachments, {n_abstained} abstentions -> {out_dir}"
     )
     return 0
@@ -611,6 +654,8 @@ def main(argv: list[str] | None = None) -> int:
         needs_corpus = not (args.command == "evaluate" and args.metric_check)
         if needs_corpus and not cfg.corpus_dir:
             raise UsageError("--corpus is required")
+        if needs_corpus and args.command in ("extract", "train", "evaluate"):
+            _check_out(cfg.output_dir)
         if args.command == "extract":
             return cmd_extract(cfg)
         if args.command == "train":

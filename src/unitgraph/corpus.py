@@ -8,6 +8,7 @@ the same file stem.  Offsets are Unicode character offsets, never bytes.
 from __future__ import annotations
 
 import logging
+import os
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -330,7 +331,13 @@ def iter_corpus(corpus_dir: str | Path) -> Iterator[tuple[Document, list[DepTree
     if not corpus_dir.is_dir():
         problem = "not a directory" if corpus_dir.exists() else "no such directory"
         raise CorpusError(f"corpus {corpus_dir}: {problem}")
-    for txt_path in sorted(corpus_dir.glob("*.txt")):
+    # the listing is all a streamed pass keeps for the whole corpus, so it
+    # holds names alone, taken one directory entry at a time (Path.glob
+    # lists every entry of the directory at once)
+    with os.scandir(corpus_dir) as entries:
+        names = sorted(entry.name for entry in entries if entry.name.endswith(".txt"))
+    for name in names:
+        txt_path = corpus_dir / name
         stem = txt_path.stem
         text = _read(txt_path, "text")
         ann_path = txt_path.with_suffix(".ann")

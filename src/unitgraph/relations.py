@@ -15,7 +15,7 @@ from .corpus import (Document, EntitySpan, EntityType, RelationEdge, RelationTyp
                      SCHEMA_RELATION)
 from .deptree import DepTree, PathPattern, align_to_text, span_path
 from .errors import MissingParseError
-from .tokens import sentences, tokenize
+from .tokens import Token, sentences, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -183,11 +183,14 @@ def _context_from_tree(doc: Document, tree: DepTree, cursor: int) -> tuple[Sente
     return ctx, cursor
 
 
-def build_contexts(doc: Document, trees: list[DepTree]) -> list[SentenceContext]:
+def build_contexts(doc: Document, trees: list[DepTree],
+                   sents: list[list[Token]] | None = None) -> list[SentenceContext]:
     """Sentence contexts with entities assigned by character overlap.
 
     Sentence extents come from the aligned dependency trees when parses
-    exist, otherwise from the rule-based tokenizer.
+    exist, otherwise from the rule-based sentences: ``sents`` if the
+    caller has them (they must be ``sentences(tokenize(doc.text))``),
+    else the text is tokenized here.
     """
     contexts: list[SentenceContext] = []
     if trees:
@@ -196,7 +199,9 @@ def build_contexts(doc: Document, trees: list[DepTree]) -> list[SentenceContext]
             ctx, cursor = _context_from_tree(doc, tree, cursor)
             contexts.append(ctx)
     else:
-        for sent in sentences(tokenize(doc.text)):
+        if sents is None:
+            sents = sentences(tokenize(doc.text))
+        for sent in sents:
             contexts.append(
                 SentenceContext(
                     tree=None,

@@ -404,17 +404,22 @@ def train_tagger(
     return _sealed(model)
 
 
-def predict_entities(model: TaggerModel | None, doc: Document) -> list[EntitySpan]:
+def predict_entities(model: TaggerModel | None, doc: Document,
+                     sents_out: list | None = None) -> list[EntitySpan]:
     """Entity spans for a document: gold pass-through or decoded spans.
 
     ``model=None`` is gold mode and returns ``doc.entities`` unchanged.
     Otherwise the sentences of the document are decoded together in one
     batch under the model's current weights; each sentence's tags are
-    those ``viterbi_decode`` gives it.
+    those ``viterbi_decode`` gives it.  ``sents_out``, if given, receives
+    those sentences (``sentences(tokenize(doc.text))``), so a caller can
+    build the document's contexts without tokenizing it again.
     """
     if model is None:
         return list(doc.entities)
     sents = sentences(tokenize(doc.text))
+    if sents_out is not None:
+        sents_out.extend(sents)
     out: list[EntitySpan] = []
     for sent, tags in zip(sents, _tag_sentences(model, sents)):
         out.extend(iob_to_spans(sent, tags, text=doc.text, first_id=len(out) + 1))

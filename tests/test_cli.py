@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import fields
@@ -16,7 +17,10 @@ from hypothesis import strategies as st
 
 import unitgraph
 import unitgraph.corpus
-from unitgraph.cli import RunConfig, UsageError, _write_graph, main
+import unitgraph.relations
+import unitgraph.tagger
+import unitgraph.tokens
+from unitgraph.cli import RunConfig, UsageError, _graph_writer, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntityType
 from unitgraph.evaluation import relation_counts
@@ -114,6 +118,18 @@ class TestExtract:
             ann = (out / f"{doc.doc_id}.ann").read_text(encoding="utf-8")
             reparsed = parse_brat(ann, doc.text, doc.doc_id)
             assert reparsed.entities == doc.entities
+
+    def test_existing_out_keeps_its_other_files(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        (out / "graph.json").write_text("stale\n", encoding="utf-8")
+        assert run("extract", "--corpus", CORPUS_DIR, "--out", out,
+                   "--strategy", "nearest-person") == 0
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+        assert json.loads((out / "graph.json").read_text(encoding="utf-8"))["nodes"]
+        assert len(list(out.glob("*.ann"))) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_empty_corpus_is_fine(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -223,7 +239,8 @@ _GRAPHS = st.fixed_dictionaries({
 def test_graph_writer_matches_json_dump(graph):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
-        _write_graph(path, graph)
+        with _graph_writer(path, graph) as add_to_graph:
+            add_to_graph(graph["edges"], graph["nodes"])
         written = path.read_bytes()
     expected = json.dumps(graph, indent=2, sort_keys=True) + "\n"
     assert written == expected.encode("utf-8")
@@ -426,6 +443,7 @@ class TestCorruptModels:
                    "--ner-mode", "model", "--tagger-model", bad)
         assert code == 2
         assert f"{bad}: line 2: weight is not a number" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["tagger.model"]
 
     def test_evaluate_with_truncated_relnet_exits_2(self, models_dir, tmp_path,
                                                     capsys):
@@ -504,7 +522,52 @@ class TestStreaming:
         assert run(*self._argv(command, models_dir, corpus, out)) == 2
         err = capsys.readouterr().err
         assert f"data error: {DOC_CEREMONY}.conllu: line 1: expected 10" in err
-        assert not out.exists()
+        # no --out, no spool beside it, and no parent made for either
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+        assert run(*self._argv(command, models_dir, corpus, out / "a" / "b")) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus"]
+
+    def test_extract_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        # nothing is kept per document: the traced peak on 20 renamed copies
+        # of the fixtures stays within a small margin of the peak on one
+        def peak(copies):
+            corpus = tmp_path / f"corpus{copies}"
+            if not corpus.exists():
+                corpus.mkdir()
+                for k in range(copies):
+                    for path in CORPUS_DIR.iterdir():
+                        shutil.copy(path, corpus / f"c{k:02d}_{path.name}")
+            tracemalloc.start()
+            try:
+                assert run("extract", "--corpus", corpus, "--out",
+                           tmp_path / f"out{copies}", "--strategy",
+                           "nearest-person") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the first run's one-time allocations
+        one, twenty = peak(1), peak(20)
+        assert len(list((tmp_path / "out20").glob("*.ann"))) == 100
+        assert twenty - one < 64 * 1024, (one, twenty)
+
+    def test_model_ner_tokenizes_each_document_once(self, models_dir, tmp_path,
+                                                     monkeypatch):
+        # an unparsed document's contexts reuse the tagger's sentences
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        (corpus / f"{DOC_VANGUARD}.conllu").unlink()
+        texts = Counter()
+        tokenize = unitgraph.tokens.tokenize
+
+        def counted(text):
+            texts[text] += 1
+            return tokenize(text)
+
+        for module in (unitgraph.tagger, unitgraph.relations):
+            monkeypatch.setattr(module, "tokenize", counted)
+        assert run(*self._argv("extract", models_dir, corpus, tmp_path / "o")) == 0
+        assert len(texts) == 5 and set(texts.values()) == {1}
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_utf8_parse_file_exits_2(self, command, models_dir, tmp_path, capsys):
@@ -523,6 +586,26 @@ class TestStreaming:
         assert run(command, "--corpus", tmp_path / "absent", "--out", out) == 2
         assert "no such directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "evaluate", "train"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_is_a_file_exits_2_before_any_work(self, command, under,
+                                                         tmp_path, capsys):
+        # neither the corpus nor a model exists: reading either first would
+        # report that instead
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = afile / "sub" if under else afile
+        argv = [command, "--corpus", tmp_path / "absent", "--out", out]
+        if command == "extract":
+            argv += ["--ner-mode", "model", "--tagger-model", tmp_path / "none.model"]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert f"data error: --out {out}: {afile} exists and is not a directory" \
+            in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert afile.read_text(encoding="utf-8") == "kept\n"
 
     def test_corpus_that_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

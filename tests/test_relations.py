@@ -18,6 +18,7 @@ from unitgraph.relations import (
     sdp_attach,
     type_map,
 )
+from unitgraph.tokens import sentences, tokenize
 
 from conftest import (
     DOC_CEREMONY,
@@ -275,6 +276,12 @@ class TestExtractDocument:
                 for att in extract_document(doc, build_contexts(doc, trees), strat):
                     assert att.rtype is type_map(att.target.etype)
                     assert isinstance(att, Attachment)
+
+    def test_given_sentences_give_the_same_contexts(self, corpus_entries):
+        for doc, trees in corpus_entries:
+            sents = sentences(tokenize(doc.text))
+            assert build_contexts(doc, [], sents) == build_contexts(doc, [])
+            assert build_contexts(doc, trees, sents) == build_contexts(doc, trees)
 
     def test_fallback_policy_without_parses(self, corpus_by_id):
         doc, _ = corpus_by_id[DOC_VANGUARD]

@@ -519,6 +519,14 @@ class TestPredictEntities:
             assert predict_entities(model, Document("d", text)) == expected, \
                 f"trial {trial}"
 
+    def test_sentences_out_receives_the_decoded_sentences(self):
+        text = "Major General Jack Nwaogbo spoke. The Army said so."
+        model = TaggerModel(feature_weights={("w=jack", "B-PER"): 1.0})
+        sents: list = []
+        spans = predict_entities(model, Document("d", text), sents)
+        assert sents == sentences(tokenize(text))
+        assert spans == predict_entities(model, Document("d", text))
+
     def test_model_mode_finds_trained_name(self):
         text = "Major General Jack Nwaogbo spoke"
         pair = TestTraining().sentence_pair(
