@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -363,23 +362,3 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[Document, list[DepTree]]]:
     """Every document of :func:`iter_corpus` at once, for callers that need
     the whole list (a seeded split, repeated passes)."""
     return list(iter_corpus(corpus_dir))
-
-
-def check_document(doc: Document) -> list[str]:
-    """Return invariant violations (empty list when the document is sound)."""
-    problems = []
-    for e in doc.entities:
-        if not (0 <= e.start < e.end <= len(doc.text)):
-            problems.append(f"{e.id}: span {e.start}..{e.end} out of range")
-        elif doc.text[e.start:e.end] != e.surface:
-            problems.append(f"{e.id}: surface does not match text slice")
-    ids = Counter(e.id for e in doc.entities) + Counter(r.id for r in doc.relations)
-    for dup in [i for i, c in ids.items() if c > 1]:
-        problems.append(f"duplicate annotation ID {dup}")
-    known = {e.id for e in doc.entities}
-    for r in doc.relations:
-        if r.arg1 not in known or r.arg2 not in known:
-            problems.append(f"{r.id}: dangling argument")
-        if r.arg1 == r.arg2:
-            problems.append(f"{r.id}: self-relation")
-    return problems

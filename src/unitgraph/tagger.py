@@ -12,10 +12,10 @@ import logging
 import math
 import random
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .tokens import (
 log = logging.getLogger(__name__)
 
 NEG_INF = float("-inf")
-START = "<start>"  # sentinel previous-tag key; validity-wise it acts like O
+START = "<start>"  # the previous tag of a first token; valid_transition treats it as O
 
 MODEL_MAGIC = "unitgraph-tagger 1"
 # meta keys train_tagger writes as ints; every other key loads as a string
@@ -139,98 +139,81 @@ def _lexicon_hits(lower: list[str], gazetteers: Gazetteers) -> tuple[set[int], s
     return org, rank
 
 
-def featurize_sentence(tokens: list[Token], gazetteers: Gazetteers | None = None
-                       ) -> list[list[str]]:
-    """The features of one sentence's tokens: ``featurize_sentences`` on a
-    batch of one."""
-    return featurize_sentences([tokens], gazetteers)[0]
-
-
 def featurize_token(tokens: list[Token], i: int, gazetteers: Gazetteers | None = None) -> list[str]:
-    """The features ``featurize_sentence`` gives token ``i``."""
-    return featurize_sentence(tokens, gazetteers)[i]
+    """The features ``featurize_sentences`` gives token ``i`` of one sentence."""
+    return featurize_sentences([tokens], gazetteers)[0][i]
 
 
-@dataclass
+_NAMES = tuple(str(tag) for tag in TAGSET)
+_COLUMN = {name: t for t, name in enumerate(_NAMES)}
+# the rows of TaggerModel.transitions: the previous tag, then START
+_ROW = {**_COLUMN, START: len(TAGSET)}
+# -inf where valid_transition forbids the move from the row's tag (START
+# acts as O) to the column's tag, else 0.0; the decoder adds it to the
+# transition weights, so a forbidden move is never taken
+_BARRED = np.array([[0.0 if valid_transition(prev, tag) else NEG_INF for tag in TAGSET]
+                    for prev in (*TAGSET, O_TAG)])
+
+
+def _column(tag: str) -> int:
+    """The column of a tag's weights."""
+    if tag not in _COLUMN:
+        raise ValueError(f"unknown tag {tag!r}")
+    return _COLUMN[tag]
+
+
+def _move(prev: str, tag: str) -> tuple[int, int]:
+    """The ``transitions`` cell of a move the decoder can take."""
+    if prev not in _ROW:
+        raise ValueError(f"unknown tag {prev!r}")
+    cell = _ROW[prev], _column(tag)
+    if _BARRED[cell] < 0:
+        raise ValueError(f"forbidden move {prev} -> {tag}")
+    return cell
+
+
 class TaggerModel:
-    """Feature and transition weights over the 9-tag IOB set.
+    """A tagger's weights over the 9-tag IOB set, held as arrays.
 
-    Invalid transitions score minus infinity at decode time and so are
-    never selected.  Models from ``load_tagger`` and ``train_tagger`` have
-    read-only tables and keep their decoding scores (``_sealed``).
+    ``row`` maps each feature to its row of ``weights``, an ``(F + 1, 9)``
+    matrix with a column per tag of ``TAGSET`` and a last row of zeros
+    for any other feature.  ``transitions[p, t]`` weighs the move from
+    tag p to tag t; its last row moves from ``START``.  A cell that is not
+    zero is a stored weight.  Forbidden moves hold 0, and the decoder
+    bars them.
     """
 
-    feature_weights: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    transition_weights: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    gazetteers: Gazetteers = field(default_factory=Gazetteers)
-    meta: dict = field(default_factory=dict)
+    def __init__(self, feature_weights: Mapping[tuple[str, str], float] | None = None,
+                 transition_weights: Mapping[tuple[str, str], float] | None = None,
+                 gazetteers: Gazetteers | None = None, meta: dict | None = None,
+                 features: Iterable[str] = ()):
+        """A model from ``(feature, tag)`` and ``(previous tag, tag)``
+        weights; ``features`` get rows ahead of the weighted features.  A
+        tag outside ``TAGSET`` or a forbidden move raises ``ValueError``."""
+        feature_weights = feature_weights or {}
+        self.row = {f: r for r, f in enumerate(
+            dict.fromkeys(chain(features, (f for f, _ in feature_weights))))}
+        self.weights = np.zeros((len(self.row) + 1, len(TAGSET)))
+        for (f, tag), w in feature_weights.items():
+            self.weights[self.row[f], _column(tag)] = w
+        self.transitions = np.zeros(_BARRED.shape)
+        for (prev, tag), w in (transition_weights or {}).items():
+            self.transitions[_move(prev, tag)] = w
+        self.gazetteers = gazetteers or Gazetteers()
+        self.meta = meta or {}
 
-    tagset: tuple[IobTag, ...] = TAGSET
-    _scores: "_Scores | None" = field(default=None, init=False, compare=False, repr=False)
+    @property
+    def feature_weights(self) -> dict[tuple[str, str], float]:
+        """The stored feature weights by ``(feature, tag)``."""
+        return _stored(self.weights, list(self.row))
+
+    @property
+    def transition_weights(self) -> dict[tuple[str, str], float]:
+        """The stored transition weights by ``(previous tag, tag)``."""
+        return _stored(self.transitions, list(_ROW))
 
     def param_count(self) -> int:
-        return len(self.feature_weights) + len(self.transition_weights)
-
-    def transition(self, prev: str, nxt_tag: IobTag) -> float:
-        nxt = str(nxt_tag)
-        if (prev, nxt) not in _VALID:
-            return NEG_INF
-        return self.transition_weights.get((prev, nxt), 0.0)
-
-
-# The (previous tag, next tag) name pairs valid_transition allows, with
-# START standing for O.  Only TaggerModel.transition reads it; the decoder
-# builds its tables through that method.
-_VALID = frozenset(
-    (prev, str(nxt))
-    for prev, prev_tag in [(START, O_TAG)] + [(str(t), t) for t in TAGSET]
-    for nxt in TAGSET
-    if valid_transition(prev_tag, nxt)
-)
-
-
-def _sealed(model: TaggerModel) -> TaggerModel:
-    """The model with read-only weight tables and its decoding scores."""
-    model.feature_weights = MappingProxyType(model.feature_weights)
-    model.transition_weights = MappingProxyType(model.transition_weights)
-    model._scores = _Scores(model)
-    return model
-
-
-class _Scores:
-    """A model's decoding scores as arrays.
-
-    ``start[t]`` scores tag t opening a sentence and ``into[t, p]`` a move
-    from tag p to tag t, both read through ``TaggerModel.transition``.
-    ``weights`` has a row of tag weights for each feature in ``row`` (by
-    default, the model's) and a last row of zeros for any other feature.
-    """
-
-    def __init__(self, model: TaggerModel, features: Iterable[str] | None = None):
-        self.tables = (model.feature_weights, model.transition_weights)
-        self.tags = model.tagset
-        self.column = {str(tag): c for c, tag in enumerate(self.tags)}
-        self.start = np.array([model.transition(START, tag) for tag in self.tags])
-        self.into = np.array([[model.transition(p, tag) for p in self.column]
-                              for tag in self.tags])
-        if features is None:
-            features = (f for f, _ in model.feature_weights)
-        self.row = {f: r for r, f in enumerate(dict.fromkeys(features))}
-        self.weights = np.zeros((len(self.row) + 1, len(self.tags)))
-        for (f, tag), w in model.feature_weights.items():
-            if tag in self.column:
-                self.weights[self.row[f], self.column[tag]] = w
-
-    def update(self, model: TaggerModel, kind: str, key: tuple[str, str]) -> None:
-        """Copy one of the model's ``F`` or ``T`` weights into the arrays."""
-        first, name = key
-        t = self.column[name]
-        if kind == "F":
-            self.weights[self.row[first], t] = model.feature_weights[key]
-        elif first == START:
-            self.start[t] = model.transition(START, self.tags[t])
-        else:
-            self.into[t, self.column[first]] = model.transition(first, self.tags[t])
+        return int(np.count_nonzero(self.weights) + np.count_nonzero(self.transitions))
 
     def ids(self, token_feats: list[list[str]]) -> np.ndarray:
         """Each token's feature rows, padded with the last row."""
@@ -243,15 +226,24 @@ class _Scores:
 
     def emissions(self, ids: np.ndarray) -> np.ndarray:
         """Per token and tag, the feature weights added from 0.0 in order."""
-        total = np.zeros((len(ids), len(self.tags)))
+        total = np.zeros((len(ids), len(TAGSET)))
         for column in ids.T:
             total += self.weights[column]
         return total
 
 
-def _decode(scores: _Scores, ids: np.ndarray, lengths: list[int]) -> list[list[IobTag]]:
+def _stored(matrix: np.ndarray, names: list[str]) -> dict[tuple[str, str], float]:
+    """The non-zero cells of a weight matrix by the name of their row and
+    their tag, as Python floats."""
+    rows, tags = np.nonzero(matrix)
+    return {(names[r], _NAMES[t]): w for r, t, w in
+            zip(rows.tolist(), tags.tolist(), matrix[rows, tags].tolist())}
+
+
+def _decode(model: TaggerModel, ids: np.ndarray, lengths: list[int]) -> list[list[int]]:
     """Viterbi over a batch of sentences, given the feature rows of their
-    tokens in order (``_Scores.ids``) and each sentence's length.
+    tokens in order (``TaggerModel.ids``) and each sentence's length; each
+    sentence's tags come back as ``TAGSET`` indices.
 
     The sentences are padded to the longest one and advanced together:
     each step adds every sentence's scores to the transition matrix, keeps
@@ -263,20 +255,23 @@ def _decode(scores: _Scores, ids: np.ndarray, lengths: list[int]) -> list[list[I
     so batching does not change a tag.
     """
     lengths = np.array(lengths, dtype=int)
-    n, width, m = len(lengths), int(lengths.max(initial=0)), len(scores.tags)
+    n, width, m = len(lengths), int(lengths.max(initial=0)), len(TAGSET)
     if width == 0:
         return [[] for _ in lengths]
+    moves = model.transitions + _BARRED
+    # into[t, p]: the score of a move from tag p to tag t
+    start, into = moves[-1], moves[:-1].T
     emit = np.zeros((n, width, m))
     # the mask lists its cells sentence by sentence, token by token
-    emit[np.arange(width) < lengths[:, None]] = scores.emissions(ids)
+    emit[np.arange(width) < lengths[:, None]] = model.emissions(ids)
     score = np.empty((width, n, m))
     back = np.empty((width - 1, n, m), dtype=np.intp)
-    score[0] = emit[:, 0] + scores.start
+    score[0] = emit[:, 0] + start
     rows = np.arange(n * m) * m  # where each (k, t) row of a flattened cand starts
     for i in range(1, width):
         # cand[k, t, p]: sentence k's score of reaching tag t from tag p; the
         # maximum is read at the argmax, which is cheaper than a second reduction
-        cand = score[i - 1][:, None, :] + scores.into
+        cand = score[i - 1][:, None, :] + into
         best = cand.argmax(axis=2, out=back[i - 1])
         np.add(cand.ravel()[rows + best.ravel()].reshape(n, m), emit[:, i], out=score[i])
     last = score[lengths - 1, np.arange(n)].argmax(axis=1)
@@ -286,29 +281,23 @@ def _decode(scores: _Scores, ids: np.ndarray, lengths: list[int]) -> list[list[I
         path = [tag]
         for i in range(length - 2, -1, -1):
             path.append(back_rows[i][k][path[-1]])
-        out.append([scores.tags[t] for t in reversed(path)] if length else [])
+        out.append(path[::-1] if length else [])
     return out
 
 
 def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[IobTag]]:
-    """Featurize the sentences and decode them in one batch under the
-    model's current weights: a sealed model's scores serve while its
-    tables are the read-only ones they were read from (or equal them)."""
-    scores = model._scores
-    if scores is None or scores.tables != (model.feature_weights, model.transition_weights):
-        scores = _Scores(model)
+    """Featurize the sentences and decode them in one batch."""
     feats = [f for sent in featurize_sentences(sents, model.gazetteers) for f in sent]
-    return _decode(scores, scores.ids(feats), [len(sent) for sent in sents])
+    paths = _decode(model, model.ids(feats), [len(sent) for sent in sents])
+    return [[TAGSET[t] for t in path] for path in paths]
 
 
 def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[IobTag]:
     """Argmax tag sequence under emission + transition scores.
 
-    The tokens are decoded as a batch of one sentence (see ``_decode``)
-    under the model's current weights: a loaded or trained model's tables
-    are read-only, and a hand-built model's tables are read on every
-    call, so a change to them shows in the next decode.  Ties resolve to
-    the lowest tagset index, so a zero model decodes to all O.
+    The tokens are decoded as a batch of one sentence (see ``_decode``).
+    Ties resolve to the lowest tagset index, so a zero model decodes to
+    all O.
     """
     return _tag_sentences(model, [tokens])[0]
 
@@ -336,42 +325,45 @@ def train_tagger(
     """Averaged-perceptron training against Viterbi predictions.
 
     Every training sentence is featurized once, before the first epoch,
-    and every weight update is copied into one set of score arrays with
-    a row for each training feature.  Deterministic for a fixed seed: the
-    sentence order is reshuffled per epoch from a seeded RNG and weight
-    averaging uses exact counters.
+    and the model starts with a row for each training feature, so each
+    update adds +-1.0 to its arrays in place.  Averaging is lazy: each
+    cell also accumulates ``delta * now`` over its updates, so after
+    ``now`` steps the sum of the cell's weight over the steps is ``weight
+    * now - accumulated``.  All of these are integers below 2**53 and so
+    exact, and the averaged weight is that sum divided by ``now``.  The
+    averaged model keeps only its non-zero cells, as a loaded one does.
+    Deterministic for a fixed seed: the sentence order is reshuffled per
+    epoch from a seeded RNG.  A gold move the decoder can never take
+    raises ``ValueError``.
     """
     if not corpus:
         raise ValueError("empty training corpus")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    model = TaggerModel(gazetteers=gazetteers or Gazetteers())
-    feats = featurize_sentences([tokens for tokens, _ in corpus], model.gazetteers)
-    scores = _Scores(model, (f for sent in feats for token in sent for f in token))
-    ids = [scores.ids(sent_feats) for sent_feats in feats]
-    # model.*_weights are mutated in place and copied into scores, so Viterbi
-    # always sees the current weights; totals/stamps implement lazy averaging.
-    tables = {"F": model.feature_weights, "T": model.transition_weights}
-    totals: dict[tuple, float] = {}
-    stamps: dict[tuple, int] = {}
+    gold = []
+    for _, tags in corpus:
+        names = [str(tag) for tag in tags]
+        for prev, name in zip([START, *names], names):
+            _move(prev, name)
+        gold.append([_COLUMN[name] for name in names])
+    gazetteers = gazetteers or Gazetteers()
+    feats = featurize_sentences([tokens for tokens, _ in corpus], gazetteers)
+    model = TaggerModel(gazetteers=gazetteers,
+                        features=(f for sent in feats for token in sent for f in token))
+    ids = [model.ids(sent_feats) for sent_feats in feats]
+    # per cell, the sum of delta * now over the cell's updates
+    weights_at, transitions_at = np.zeros_like(model.weights), np.zeros_like(model.transitions)
     now = 0
 
-    def bump(kind: str, key: tuple[str, str], delta: float) -> None:
-        table = tables[kind]
-        full = (kind,) + key
-        totals[full] = totals.get(full, 0.0) + table.get(key, 0.0) * (now - stamps.get(full, 0))
-        stamps[full] = now
-        table[key] = table.get(key, 0.0) + delta
-        scores.update(model, kind, key)
-
-    def apply(sent_feats: list[list[str]], tags: list[IobTag], delta: float) -> None:
-        prev = START
-        for token_feats, tag in zip(sent_feats, tags):
-            name = str(tag)
-            for f in token_feats:
-                bump("F", (f, name), delta)
-            bump("T", (prev, name), delta)
-            prev = name
+    def apply(si: int, tags: list[int], delta: float) -> None:
+        columns = np.array(tags)
+        tokens, slots = np.nonzero(ids[si] < len(model.row))  # the cells without padding
+        cells = ids[si][tokens, slots], columns[tokens]
+        np.add.at(model.weights, cells, delta)
+        np.add.at(weights_at, cells, delta * now)
+        moves = [_ROW[START], *tags[:-1]], columns
+        np.add.at(model.transitions, moves, delta)
+        np.add.at(transitions_at, moves, delta * now)
 
     rng = random.Random(seed)
     order = list(range(len(corpus)))
@@ -379,29 +371,20 @@ def train_tagger(
         rng.shuffle(order)
         exact = 0
         for si in order:
-            gold = corpus[si][1]
-            pred = _decode(scores, ids[si], [len(feats[si])])[0]
+            pred = _decode(model, ids[si], [len(gold[si])])[0]
             now += 1
-            if pred == gold:
+            if pred == gold[si]:
                 exact += 1
                 continue
-            apply(feats[si], gold, +1.0)
-            apply(feats[si], pred, -1.0)
+            apply(si, gold[si], +1.0)
+            apply(si, pred, -1.0)
         log.info("tagger epoch %d: %d/%d sentences decoded exactly",
                  epoch + 1, exact, len(corpus))
 
-    denom = max(now, 1)
-    for kind, table in tables.items():
-        averaged = {}
-        for key, w in table.items():
-            full = (kind,) + key
-            total = totals.get(full, 0.0) + w * (now - stamps.get(full, 0))
-            if total != 0.0:
-                averaged[key] = total / denom
-        table.clear()
-        table.update(averaged)
-    model.meta = {"seed": seed, "epochs": epochs, "sentences": len(corpus)}
-    return _sealed(model)
+    weights = (model.weights * now - weights_at) / now
+    transitions = (model.transitions * now - transitions_at) / now
+    return TaggerModel(_stored(weights, list(model.row)), _stored(transitions, list(_ROW)),
+                       gazetteers, {"seed": seed, "epochs": epochs, "sentences": len(corpus)})
 
 
 def predict_entities(model: TaggerModel | None, doc: Document,
@@ -410,7 +393,7 @@ def predict_entities(model: TaggerModel | None, doc: Document,
 
     ``model=None`` is gold mode and returns ``doc.entities`` unchanged.
     Otherwise the sentences of the document are decoded together in one
-    batch under the model's current weights; each sentence's tags are
+    batch; each sentence's tags are
     those ``viterbi_decode`` gives it.  ``sents_out``, if given, receives
     those sentences (``sentences(tokenize(doc.text))``), so a caller can
     build the document's contexts without tokenizing it again.
@@ -450,7 +433,8 @@ def _weight(text: str) -> float:
 def load_tagger(path) -> TaggerModel:
     """Read a file written by ``save_tagger``.
 
-    A malformed file raises ``ModelFileError`` naming the file and line.
+    A malformed file, or a weight on a tag outside ``TAGSET`` or on a
+    forbidden move, raises ``ModelFileError`` naming the file and line.
     """
     lines = read_model_lines(path, MODEL_MAGIC, "tagger model")
     feature_weights: dict[tuple[str, str], float] = {}
@@ -476,11 +460,16 @@ def load_tagger(path) -> TaggerModel:
                 fields = rest.split("\t")  # features and tags hold no whitespace
                 if len(fields) != 3:
                     raise ValueError(f"{kind} record needs 3 fields, has {len(fields)}")
+                first, tag, weight = fields
+                if kind == "F":
+                    _column(tag)
+                else:
+                    _move(first, tag)
                 table = feature_weights if kind == "F" else transition_weights
-                table[(fields[0], fields[1])] = _weight(fields[2])
+                table[(first, tag)] = _weight(weight)
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as exc:
             raise ModelFileError(path, str(exc), number) from None
     gazetteers = Gazetteers(frozenset(orgs), frozenset(ranks))
-    return _sealed(TaggerModel(feature_weights, transition_weights, gazetteers, meta))
+    return TaggerModel(feature_weights, transition_weights, gazetteers, meta)

@@ -25,7 +25,14 @@ from unitgraph.relnet import (
     predict_person,
 )
 from unitgraph.tagger import START, TaggerModel, featurize_token, viterbi_decode
-from unitgraph.tokens import TAGSET, iob_to_spans, spans_to_iob, tokenize
+from unitgraph.tokens import (
+    O_TAG,
+    TAGSET,
+    iob_to_spans,
+    spans_to_iob,
+    tokenize,
+    valid_transition,
+)
 
 from conftest import (
     CORPUS_DIR,
@@ -152,14 +159,14 @@ def test_criterion_4_path_oracle():
               f"(in {elapsed:.2f}s)")
 
 
-def _oracle_decode(model, tokens):
+def _oracle_decode(feature_weights, transition_weights, tokens):
     """Vectorized exhaustive search over all 9^n tag sequences."""
     n, m = len(tokens), len(TAGSET)
     emit = np.array(
         [
             [
                 sum(
-                    model.feature_weights.get((f, str(tag)), 0.0)
+                    feature_weights.get((f, str(tag)), 0.0)
                     for f in featurize_token(tokens, i, None)
                 )
                 for tag in TAGSET
@@ -167,10 +174,14 @@ def _oracle_decode(model, tokens):
             for i in range(n)
         ]
     )
-    start = np.array([model.transition(START, tag) for tag in TAGSET])
-    trans = np.array(
-        [[model.transition(str(p), tag) for tag in TAGSET] for p in TAGSET]
-    )
+
+    def move(prev, prev_tag, tag):
+        if not valid_transition(prev_tag, tag):
+            return float("-inf")
+        return transition_weights.get((prev, str(tag)), 0.0)
+
+    start = np.array([move(START, O_TAG, tag) for tag in TAGSET])
+    trans = np.array([[move(str(p), p, tag) for tag in TAGSET] for p in TAGSET])
     seqs = np.indices((m,) * n).reshape(n, -1).T
     scores = emit[np.arange(n), seqs].sum(axis=1) + start[seqs[:, 0]]
     if n > 1:
@@ -184,16 +195,22 @@ def test_criterion_5_decoder_oracle():
     for trial in range(200):
         n = trial % 6 + 1
         tokens = tokenize(" ".join(f"word{i}" for i in range(n)))
-        model = TaggerModel()
+        feature_weights, transition_weights = {}, {}
         for i in range(n):
             for f in featurize_token(tokens, i, None):
                 for tag in TAGSET:
-                    model.feature_weights[(f, str(tag))] = rng.gauss(0, 1)
-        for prev in [START] + [str(t) for t in TAGSET]:
+                    feature_weights[(f, str(tag))] = rng.gauss(0, 1)
+        # a forbidden move holds no weight, but still draws one, so the
+        # allowed moves get the same weights
+        for prev, prev_tag in [(START, O_TAG)] + [(str(t), t) for t in TAGSET]:
             for tag in TAGSET:
-                model.transition_weights[(prev, str(tag))] = rng.gauss(0, 1)
+                w = rng.gauss(0, 1)
+                if valid_transition(prev_tag, tag):
+                    transition_weights[(prev, str(tag))] = w
+        model = TaggerModel(feature_weights, transition_weights)
         decoded = [index_of[str(t)] for t in viterbi_decode(model, tokens)]
-        assert decoded == _oracle_decode(model, tokens), f"trial {trial}"
+        assert decoded == _oracle_decode(feature_weights, transition_weights, tokens), \
+            f"trial {trial}"
     report(5, "Viterbi equals exhaustive 9^n argmax on 200 random models")
 
 

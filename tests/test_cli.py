@@ -445,6 +445,15 @@ class TestCorruptModels:
         assert f"{bad}: line 2: weight is not a number" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["tagger.model"]
 
+    def test_extract_with_forbidden_tagger_move_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "tagger.model"
+        bad.write_text("unitgraph-tagger 1\nT\t<start>\tI-PER\t1.0\n", encoding="utf-8")
+        code = run("extract", "--corpus", CORPUS_DIR, "--out", tmp_path / "o",
+                   "--ner-mode", "model", "--tagger-model", bad)
+        assert code == 2
+        assert f"{bad}: line 2: forbidden move <start> -> I-PER" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["tagger.model"]
+
     def test_evaluate_with_truncated_relnet_exits_2(self, models_dir, tmp_path,
                                                     capsys):
         models = tmp_path / "models"

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,13 @@ from hypothesis import strategies as st
 from unitgraph.corpus import Document, EntitySpan, EntityType, load_corpus
 from unitgraph.errors import DataError, ModelFileError
 from unitgraph.tagger import (
+    MODEL_MAGIC,
     Gazetteers,
     START,
     TaggerModel,
-    _Scores,
     _shape,
     _tag_sentences,
-    featurize_sentence,
+    featurize_sentences,
     featurize_token,
     load_tagger,
     predict_entities,
@@ -40,56 +42,61 @@ from unitgraph.tokens import (
 
 from conftest import CORPUS_DIR, GAZETTEERS
 
+# every (previous tag, tag) name pair, with START first, and those that
+# valid_transition allows (it treats START as O)
+MOVES = [(prev, str(tag)) for prev in [START] + [str(t) for t in TAGSET] for tag in TAGSET]
+ALLOWED = frozenset(
+    (prev, tag) for prev, tag in MOVES
+    if valid_transition(O_TAG if prev == START else IobTag.parse(prev), IobTag.parse(tag)))
 
-def token_features(model, tokens):
+
+def token_features(tokens, gazetteers=None):
     """Each token's features from the per-token featurizer, built once per
     sentence rather than once per scored tag sequence."""
-    return [featurize_token(tokens, i, model.gazetteers) for i in range(len(tokens))]
+    return [featurize_token(tokens, i, gazetteers) for i in range(len(tokens))]
 
 
-def sequence_score(model, feats, tags):
+def sequence_score(feature_weights, transition_weights, feats, tags):
     """Independent scorer used by the exhaustive oracle; ``feats`` holds
     each token's features (``token_features``)."""
     total = 0.0
     prev = START
     for token_feats, tag in zip(feats, tags):
         for f in token_feats:
-            total += model.feature_weights.get((f, str(tag)), 0.0)
-        total += model.transition(prev, tag)
+            total += feature_weights.get((f, str(tag)), 0.0)
+        total += reference_transition(transition_weights, prev, tag)
         prev = str(tag)
     return total
 
 
-def exhaustive_best(model, tokens):
+def exhaustive_best(feature_weights, transition_weights, feats):
     best_tags, best_score = None, float("-inf")
-    feats = token_features(model, tokens)
-    for combo in itertools.product(TAGSET, repeat=len(tokens)):
-        score = sequence_score(model, feats, combo)
+    for combo in itertools.product(TAGSET, repeat=len(feats)):
+        score = sequence_score(feature_weights, transition_weights, feats, combo)
         if score > best_score:
             best_tags, best_score = list(combo), score
     return best_tags, best_score
 
 
-def reference_transition(model, prev, nxt_tag):
+def reference_transition(transition_weights, prev, nxt_tag):
     """The transition score as the per-token decoder computed it."""
-    prev_tag = O_TAG if prev == START else IobTag.parse(prev)
-    if not valid_transition(prev_tag, nxt_tag):
+    if (prev, str(nxt_tag)) not in ALLOWED:
         return float("-inf")
-    return model.transition_weights.get((prev, str(nxt_tag)), 0.0)
+    return transition_weights.get((prev, str(nxt_tag)), 0.0)
 
 
-def reference_decode(model, tokens):
+def reference_decode(feature_weights, transition_weights, feats):
     """The decoder that scored every token and transition through dict
-    lookups, kept as the reference for tie-breaking."""
+    lookups, kept as the reference for tie-breaking; ``feats`` holds each
+    token's features."""
     NEG_INF = float("-inf")
-    if not tokens:
+    if not feats:
         return []
-    tags = model.tagset
-    n, m = len(tokens), len(tags)
-    feats = token_features(model, tokens)
+    tags = TAGSET
+    n, m = len(feats), len(tags)
     emit = [
         [
-            sum(model.feature_weights.get((f, str(tag)), 0.0) for f in feats[i])
+            sum(feature_weights.get((f, str(tag)), 0.0) for f in feats[i])
             for tag in tags
         ]
         for i in range(n)
@@ -97,14 +104,15 @@ def reference_decode(model, tokens):
     score = [[NEG_INF] * m for _ in range(n)]
     back = [[0] * m for _ in range(n)]
     for t in range(m):
-        score[0][t] = emit[0][t] + reference_transition(model, START, tags[t])
+        score[0][t] = emit[0][t] + reference_transition(transition_weights, START, tags[t])
     for i in range(1, n):
         for t in range(m):
             best_prev, best_score = 0, NEG_INF
             for p in range(m):
                 if score[i - 1][p] == NEG_INF:
                     continue
-                s = score[i - 1][p] + reference_transition(model, str(tags[p]), tags[t])
+                s = score[i - 1][p] + reference_transition(
+                    transition_weights, str(tags[p]), tags[t])
                 if s > best_score:
                     best_prev, best_score = p, s
             score[i][t] = best_score + emit[i][t] if best_score != NEG_INF else NEG_INF
@@ -115,6 +123,66 @@ def reference_decode(model, tokens):
         path.append(back[i][path[-1]])
     path.reverse()
     return [tags[t] for t in path]
+
+
+def reference_train(corpus, epochs, seed, gazetteers=None):
+    """The dict trainer the array trainer replaced, kept as its oracle.
+
+    Each update bumps one ``(feature, tag)`` or ``(previous tag, tag)``
+    weight by +-1.0.  Lazy averaging keeps, per key, the weight's total
+    over the steps before its last bump and the step of that bump.
+    """
+    gazetteers = gazetteers or Gazetteers()
+    feats = [token_features(tokens, gazetteers) for tokens, _ in corpus]
+    tables = {"F": {}, "T": {}}
+    totals, stamps = {}, {}
+    now = 0
+
+    def bump(kind, key, delta):
+        table = tables[kind]
+        full = (kind,) + key
+        totals[full] = totals.get(full, 0.0) + table.get(key, 0.0) * (now - stamps.get(full, 0))
+        stamps[full] = now
+        table[key] = table.get(key, 0.0) + delta
+
+    def apply(sent_feats, tags, delta):
+        prev = START
+        for token_feats, tag in zip(sent_feats, tags):
+            name = str(tag)
+            for f in token_feats:
+                bump("F", (f, name), delta)
+            bump("T", (prev, name), delta)
+            prev = name
+
+    rng = random.Random(seed)
+    order = list(range(len(corpus)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for si in order:
+            gold = corpus[si][1]
+            pred = reference_decode(tables["F"], tables["T"], feats[si])
+            now += 1
+            if pred != gold:
+                apply(feats[si], gold, +1.0)
+                apply(feats[si], pred, -1.0)
+
+    averaged = {"F": {}, "T": {}}
+    for kind, table in tables.items():
+        for key, w in table.items():
+            full = (kind,) + key
+            total = totals.get(full, 0.0) + w * (now - stamps.get(full, 0))
+            if total != 0.0:
+                averaged[kind][key] = total / now
+    return TaggerModel(averaged["F"], averaged["T"], gazetteers,
+                       {"seed": seed, "epochs": epochs, "sentences": len(corpus)})
+
+
+def saved_bytes(model):
+    """The bytes ``save_tagger`` writes for the model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.model"
+        save_tagger(model, path)
+        return path.read_bytes()
 
 
 def reference_phrase_hits(tokens, i, phrases, span):
@@ -162,18 +230,16 @@ def fixture_training_corpus():
     return corpus
 
 
-def random_model(rng, tokens):
-    model = TaggerModel()
+def random_weights(rng, tokens):
+    """Gaussian feature weights for every tag of every token feature, and
+    transition weights for every allowed move."""
+    feature_weights = {}
     for i in range(len(tokens)):
         for f in featurize_token(tokens, i, None):
             for tag in TAGSET:
-                model.feature_weights[(f, str(tag))] = rng.gauss(0, 1)
-    for prev in [START] + [str(t) for t in TAGSET]:
-        prev_tag = O_TAG if prev == START else IobTag.parse(prev)
-        for tag in TAGSET:
-            if valid_transition(prev_tag, tag):
-                model.transition_weights[(prev, str(tag))] = rng.gauss(0, 1)
-    return model
+                feature_weights[(f, str(tag))] = rng.gauss(0, 1)
+    transition_weights = {move: rng.gauss(0, 1) for move in MOVES if move in ALLOWED}
+    return feature_weights, transition_weights
 
 
 class TestFeatures:
@@ -229,7 +295,7 @@ def test_sentence_features_match_per_token_reference(words, gazetteers):
     # phrases drawn from the same words overlap and nest in the sentence
     tokens = tokenize(" ".join(words))
     expected = [reference_features(tokens, i, gazetteers) for i in range(len(tokens))]
-    assert featurize_sentence(tokens, gazetteers) == expected
+    assert featurize_sentences([tokens], gazetteers)[0] == expected
     assert [featurize_token(tokens, i, gazetteers)
             for i in range(len(tokens))] == expected
 
@@ -242,11 +308,11 @@ class TestEmissions:
         names = [str(tag) for tag in TAGSET]
         for trial in range(200):
             vocab = [f"f{i}" for i in range(rng.randint(1, 30))]
-            model = TaggerModel()
+            weights = {}
             for f in vocab:
                 for name in names:
                     if rng.random() < 0.7:
-                        model.feature_weights[(f, name)] = rng.choice([
+                        weights[(f, name)] = rng.choice([
                             rng.gauss(0, 1) * 10.0 ** rng.randint(-8, 8), -0.0, 0.0])
             token_feats = [
                 [rng.choice(vocab + ["unknown", "also-unknown"])
@@ -259,11 +325,11 @@ class TestEmissions:
                 for name in names:
                     acc = 0.0
                     for f in feats:
-                        acc += model.feature_weights.get((f, name), 0.0)
+                        acc += weights.get((f, name), 0.0)
                     row.append(acc)
                 expected.append(row)
-            scores = _Scores(model)
-            got = scores.emissions(scores.ids(token_feats))
+            model = TaggerModel(weights)
+            got = model.emissions(model.ids(token_feats))
             assert np.array_equal(got.view(np.int64),
                                   np.array(expected).view(np.int64)), f"trial {trial}"
 
@@ -279,30 +345,28 @@ class TestViterbi:
 
     def test_hand_set_weights_match_exhaustive(self):
         toks = tokenize("Jack Nwaogbo said")
-        model = TaggerModel()
-        model.feature_weights.update(
-            {
-                ("w=jack", "B-PER"): 2.0,
-                ("w=nwaogbo", "I-PER"): 2.0,
-                ("w=said", "O"): 1.0,
-                ("w=said", "I-PER"): 0.5,
-            }
-        )
+        weights = {
+            ("w=jack", "B-PER"): 2.0,
+            ("w=nwaogbo", "I-PER"): 2.0,
+            ("w=said", "O"): 1.0,
+            ("w=said", "I-PER"): 0.5,
+        }
+        model = TaggerModel(weights)
         decoded = viterbi_decode(model, toks)
         assert [str(t) for t in decoded] == ["B-PER", "I-PER", "O"]
-        oracle, oracle_score = exhaustive_best(model, toks)
+        feats = token_features(toks)
+        oracle, oracle_score = exhaustive_best(weights, {}, feats)
         assert decoded == oracle
-        feats = token_features(model, toks)
-        assert sequence_score(model, feats, decoded) == pytest.approx(oracle_score)
+        assert sequence_score(weights, {}, feats, decoded) == pytest.approx(oracle_score)
 
     def test_matches_exhaustive_on_random_models(self):
         rng = random.Random(20240801)
         for trial in range(20):
             n = rng.randint(1, 5)
             toks = tokenize(" ".join(f"word{i}" for i in range(n)))
-            model = random_model(rng, toks)
-            decoded = viterbi_decode(model, toks)
-            oracle, oracle_score = exhaustive_best(model, toks)
+            weights = random_weights(rng, toks)
+            decoded = viterbi_decode(TaggerModel(*weights), toks)
+            oracle, oracle_score = exhaustive_best(*weights, token_features(toks))
             assert decoded == oracle, f"trial {trial}"
 
     def test_matches_reference_with_tied_integer_weights(self):
@@ -313,24 +377,25 @@ class TestViterbi:
                          ranks=frozenset({"major general", "colonel"}))
         vocab = ["Nigerian", "Army", "Major", "General", "Colonel", "Musa",
                  "said", "the"]
-        names = [START] + [str(t) for t in TAGSET]
         for trial in range(300):
             n = rng.randint(1, 40)
             toks = tokenize(" ".join(rng.choice(vocab) for _ in range(n)))
-            model = TaggerModel(gazetteers=gaz)
+            feature_weights, transition_weights = {}, {}
             for i in range(len(toks)):
                 for f in featurize_token(toks, i, gaz):
                     for tag in TAGSET:
                         if rng.random() < 0.5:
-                            model.feature_weights[(f, str(tag))] = float(
-                                rng.randint(-2, 2))
-            # weights on forbidden pairs too: they must stay unreachable
-            for prev in names:
-                for tag in TAGSET:
-                    if rng.random() < 0.5:
-                        model.transition_weights[(prev, str(tag))] = float(
-                            rng.randint(-2, 2))
-            assert viterbi_decode(model, toks) == reference_decode(model, toks), \
+                            feature_weights[(f, str(tag))] = float(rng.randint(-2, 2))
+            # a forbidden move holds no weight (test_rejects_weights_it_cannot_use);
+            # it still draws one, so the allowed moves get the same weights
+            for move in MOVES:
+                if rng.random() < 0.5:
+                    w = float(rng.randint(-2, 2))
+                    if move in ALLOWED:
+                        transition_weights[move] = w
+            model = TaggerModel(feature_weights, transition_weights, gaz)
+            assert viterbi_decode(model, toks) == reference_decode(
+                feature_weights, transition_weights, token_features(toks, gaz)), \
                 f"trial {trial}"
 
     def test_ragged_batch_matches_reference_sentence_by_sentence(self):
@@ -345,66 +410,56 @@ class TestViterbi:
                                for n in lengths)
             sents = sentences(tokenize(text))
             assert [len(sent) for sent in sents] == lengths
-            model = TaggerModel()
+            feature_weights, transition_weights = {}, {}
             for sent in sents:
-                for token_feats in featurize_sentence(sent):
+                for token_feats in featurize_sentences([sent])[0]:
                     for f in token_feats:
                         for tag in TAGSET:
-                            model.feature_weights[(f, str(tag))] = rng.gauss(0, 1)
-            for prev in [START] + [str(t) for t in TAGSET]:
-                for tag in TAGSET:
-                    model.transition_weights[(prev, str(tag))] = rng.gauss(0, 1)
+                            feature_weights[(f, str(tag))] = rng.gauss(0, 1)
+            for move in MOVES:
+                w = rng.gauss(0, 1)
+                if move in ALLOWED:
+                    transition_weights[move] = w
+            model = TaggerModel(feature_weights, transition_weights)
             assert _tag_sentences(model, sents) == [
-                reference_decode(model, sent) for sent in sents], f"trial {trial}"
+                reference_decode(feature_weights, transition_weights, token_features(sent))
+                for sent in sents], f"trial {trial}"
 
     def test_output_always_transition_valid(self):
         rng = random.Random(7)
         for _ in range(25):
             n = rng.randint(1, 7)
             toks = tokenize(" ".join(f"t{i}" for i in range(n)))
-            model = random_model(rng, toks)
+            model = TaggerModel(*random_weights(rng, toks))
             prev = O_TAG
             for tag in viterbi_decode(model, toks):
                 assert valid_transition(prev, tag)
                 prev = tag
 
 
-class TestCurrentWeights:
-    """A decode never uses weights other than the model's current ones."""
+class TestTaggerModel:
+    def test_rejects_weights_it_cannot_use(self):
+        with pytest.raises(ValueError, match="unknown tag 'B-XYZ'"):
+            TaggerModel({("w=musa", "B-XYZ"): 1.0})
+        with pytest.raises(ValueError, match="unknown tag '<end>'"):
+            TaggerModel(transition_weights={("<end>", "O"): 1.0})
+        with pytest.raises(ValueError, match="forbidden move <start> -> I-PER"):
+            TaggerModel(transition_weights={(START, "I-PER"): 1.0})
+        with pytest.raises(ValueError, match="forbidden move B-ORG -> I-PER"):
+            TaggerModel(transition_weights={("B-ORG", "I-PER"): 1.0})
 
-    def test_hand_built_model_follows_changed_weights(self):
-        toks = tokenize("Jack Nwaogbo said")
-        model = TaggerModel()
-        assert viterbi_decode(model, toks) == [O_TAG] * 3
-        model.feature_weights[("w=jack", "B-PER")] = 2.0
-        model.transition_weights[("B-PER", "I-PER")] = 3.0
-        assert [str(t) for t in viterbi_decode(model, toks)] == ["B-PER", "I-PER", "O"]
-        assert [e.surface for e in predict_entities(
-            model, Document("d", "Jack Nwaogbo said"))] == ["Jack Nwaogbo"]
-        del model.transition_weights[("B-PER", "I-PER")]
-        assert [str(t) for t in viterbi_decode(model, toks)] == ["B-PER", "O", "O"]
-
-    def test_trained_and_loaded_models_follow_replaced_tables(self, tmp_path):
-        text = "Colonel Musa arrived"
-        pair = TestTraining().sentence_pair(
-            text, ("Colonel", EntityType.RANK), ("Musa", EntityType.PERSON))
-        trained = train_tagger([pair] * 3, epochs=3, seed=2)
-        save_tagger(trained, tmp_path / "t.model")
-        for model in (trained, load_tagger(tmp_path / "t.model")):
-            assert viterbi_decode(model, pair[0]) == pair[1]
-            # the tables the decoder read cannot change under it ...
-            with pytest.raises(TypeError):
-                model.feature_weights[("w=arrived", "B-ORG")] = 100.0
-            with pytest.raises(TypeError):
-                model.transition_weights[(START, "B-PER")] = 100.0
-            # ... and replacing them takes effect at the next decode
-            model.feature_weights = {("w=arrived", "B-ORG"): 100.0}
-            model.transition_weights = {}
-            assert [str(t) for t in viterbi_decode(model, pair[0])] == ["O", "O", "B-ORG"]
-            model.feature_weights[("w=musa", "B-PER")] = 100.0
-            assert [(e.surface, e.etype) for e in predict_entities(
-                model, Document("d", text))] == [("Musa", EntityType.PERSON),
-                                                 ("arrived", EntityType.ORGANIZATION)]
+    def test_weights_round_trip_through_the_constructor(self):
+        rng = random.Random(8)
+        weights = random_weights(rng, tokenize("Colonel Musa arrived"))
+        model = TaggerModel(*weights)
+        assert (model.feature_weights, model.transition_weights) == weights
+        assert model.param_count() == len(weights[0]) + len(weights[1])
+        # a weight of 0 is no weight
+        zero = TaggerModel({("w=musa", "O"): 0.0, ("w=musa", "B-PER"): 1.0},
+                           {(START, "O"): -0.0})
+        assert zero.feature_weights == {("w=musa", "B-PER"): 1.0}
+        assert zero.transition_weights == {}
+        assert zero.param_count() == 1
 
 
 class TestTraining:
@@ -467,10 +522,46 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             train_tagger([], epochs=1, seed=0)
 
+    def test_forbidden_gold_move_rejected(self):
+        toks = tokenize("Colonel Musa arrived")
+        with pytest.raises(ValueError, match="forbidden move O -> I-PER"):
+            train_tagger([(toks, [O_TAG, IobTag("I", "PER"), O_TAG])], epochs=1)
+
     def test_training_corpus_matches_reference_loop(self):
         docs = [doc for doc, _ in load_corpus(CORPUS_DIR)]
         assert training_corpus(docs) == fixture_training_corpus()
         assert training_corpus([]) == []
+
+
+@st.composite
+def training_corpora(draw):
+    """One to five sentences of the feature test's words, with random
+    gold tags that make only allowed moves."""
+    corpus = []
+    for _ in range(draw(st.integers(1, 5))):
+        tokens = tokenize(" ".join(draw(st.lists(st.sampled_from(_WORDS),
+                                                 min_size=1, max_size=8))))
+        tags, prev = [], O_TAG
+        for t in draw(st.lists(st.integers(0, len(TAGSET) - 1),
+                               min_size=len(tokens), max_size=len(tokens))):
+            tag = TAGSET[t]
+            if not valid_transition(prev, tag):
+                tag = IobTag("B", tag.label)
+            tags.append(tag)
+            prev = tag
+        corpus.append((tokens, tags))
+    return corpus
+
+
+@given(training_corpora(),
+       st.builds(Gazetteers, st.frozensets(_PHRASES, max_size=4),
+                 st.frozensets(_PHRASES, max_size=4)),
+       st.integers(1, 4), st.integers())
+@settings(max_examples=150, deadline=None)
+def test_trainer_matches_reference_trainer(corpus, gazetteers, epochs, seed):
+    model = train_tagger(corpus, epochs=epochs, seed=seed, gazetteers=gazetteers)
+    expected = reference_train(corpus, epochs, seed, gazetteers)
+    assert saved_bytes(model) == saved_bytes(expected)
 
 
 class TestPredictEntities:
@@ -490,7 +581,6 @@ class TestPredictEntities:
                          ranks=frozenset({"major general", "colonel"}))
         vocab = ["Nigerian", "Army", "Major", "General", "Colonel", "Musa",
                  "said", "the"]
-        names = [START] + [str(t) for t in TAGSET]
         for trial in range(60):
             lengths = [rng.choice([1, 40, rng.randint(1, 40)])
                        for _ in range(rng.randint(2, 8))]
@@ -499,19 +589,19 @@ class TestPredictEntities:
                                for n in lengths)
             sents = sentences(tokenize(text))
             assert [len(sent) for sent in sents] == lengths
-            model = TaggerModel(gazetteers=gaz)
+            feature_weights, transition_weights = {}, {}
             for sent in sents:
                 for i in range(len(sent)):
                     for f in featurize_token(sent, i, gaz):
                         for tag in TAGSET:
                             if rng.random() < 0.5:
-                                model.feature_weights[(f, str(tag))] = float(
-                                    rng.randint(-2, 2))
-            for prev in names:
-                for tag in TAGSET:
-                    if rng.random() < 0.5:
-                        model.transition_weights[(prev, str(tag))] = float(
-                            rng.randint(-2, 2))
+                                feature_weights[(f, str(tag))] = float(rng.randint(-2, 2))
+            for move in MOVES:
+                if rng.random() < 0.5:
+                    w = float(rng.randint(-2, 2))
+                    if move in ALLOWED:
+                        transition_weights[move] = w
+            model = TaggerModel(feature_weights, transition_weights, gaz)
             expected = []
             for sent in sents:
                 expected.extend(iob_to_spans(sent, viterbi_decode(model, sent),
@@ -591,6 +681,10 @@ class TestPersistence:
         ("unitgraph-tagger 1\nF\tw=musa\t1.0\n", "F record needs 3 fields", 2),
         ("unitgraph-tagger 1\nmeta\tseed\t13\nW\tw=musa\n",
          "unknown record 'W'", 3),
+        ("unitgraph-tagger 1\nF\tw=musa\tB-PER\t1.0\nF\tw=musa\tB-XYZ\t1.0\n",
+         "unknown tag 'B-XYZ'", 3),
+        ("unitgraph-tagger 1\nT\t<start>\tO\t1.0\nT\tO\tI-PER\t1.0\n",
+         "forbidden move O -> I-PER", 3),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, message, line):
         (tmp_path / "x.model").write_text(body, encoding="utf-8")
@@ -609,3 +703,27 @@ class TestPersistence:
             "unitgraph-tagger 1\nmeta\tseed\tthirteen\n", encoding="utf-8")
         with pytest.raises(ValueError, match="seed is not an integer"):
             load_tagger(tmp_path / "x.model")
+
+
+_RECORD_FIELDS = st.sampled_from([
+    "F", "T", "meta", "gaz-org", "gaz-rank", "seed", "epochs", "config_hash",
+    "w=musa", START, "O", "B-PER", "I-PER", "I-ORG", "B-XYZ", "1.0", "-2.5", "0",
+    "-0.0", "1e308", "nan", "inf", "abc", "", " "]) | st.text(max_size=4)
+
+
+@given(st.lists(st.lists(_RECORD_FIELDS, max_size=5).map("\t".join), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_load_tagger_returns_a_model_or_a_model_file_error(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.model"
+        path.write_text("\n".join([MODEL_MAGIC, *records]) + "\n", encoding="utf-8")
+        try:
+            model = load_tagger(path)
+        except ModelFileError:
+            return
+    # what loads saves, and what it saves loads again to the same model
+    saved = saved_bytes(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.model"
+        path.write_bytes(saved)
+        assert saved_bytes(load_tagger(path)) == saved
