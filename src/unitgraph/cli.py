@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import logging
@@ -22,6 +21,16 @@ import tempfile
 from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+# hashlib loads OpenSSL's libcrypto (about 3.5 MB of peak RSS) for one 12-digit
+# digest; CPython's own random.py takes the built-in module first in the same way
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 from . import evaluation, relnet
 from .corpus import Document, RelationEdge, iter_corpus, load_corpus, serialize_brat
@@ -127,7 +136,7 @@ class RunConfig:
             k: v for k, v in asdict(self).items() if k not in self._UNHASHED
         }
         canon = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+        return sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
 def _split_corpus(entries, fraction: float, seed: int):

@@ -8,7 +8,7 @@ import tempfile
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -807,3 +807,95 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: unitgraph")
+
+
+# what an inference command must not load: OpenSSL's libcrypto comes in with
+# _hashlib, and numpy.random brings it in through secrets and hmac
+_HEAVY_MODULES = ("_hashlib", "hmac", "secrets", "numpy.random")
+
+_INFERENCE_SCRIPT = """
+import sys
+from unitgraph.cli import main
+corpus, models, out, doc = sys.argv[1:]
+for argv in (
+    ["extract", "--corpus", corpus, "--out", out + "/gold",
+     "--strategy", "nearest-person"],
+    ["extract", "--corpus", corpus, "--out", out + "/model", "--ner-mode", "model",
+     "--tagger-model", models + "/tagger.model", "--strategy", "nn-constrained",
+     "--relnet-model", models],
+    ["evaluate", "--corpus", corpus, "--out", out + "/evaluate", "--strategy", "all",
+     "--relnet-model", models],
+    ["inspect", "--corpus", corpus, "--doc", doc, "--paths"],
+):
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+loaded = [name for name in %r if name in sys.modules]
+if loaded:
+    sys.exit(f"loaded: {loaded}")
+""" % (_HEAVY_MODULES,)
+
+# the CLI's config hashes with the built-in hash modules blocked, so that
+# the hashlib branch of its import runs on any Python
+_FALLBACK_SCRIPT = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import unitgraph.cli
+assert unitgraph.cli.sha256 is hashlib.sha256, unitgraph.cli.sha256
+for config in json.loads(sys.stdin.read()):
+    print(unitgraph.cli.RunConfig(**config).hash())
+"""
+
+
+def _config_hash(config: dict) -> str:
+    payload = {k: v for k, v in config.items() if k != "output_dir"}
+    canon = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+_FIELD_VALUES = {
+    "str": st.text(),
+    "str | None": st.none() | st.text(),
+    "int": st.integers(),
+    "float": st.floats() | st.integers(),
+    "bool": st.booleans(),
+}
+_CONFIGS = st.builds(RunConfig, **{f.name: _FIELD_VALUES[f.type]
+                                   for f in fields(RunConfig)})
+
+
+class TestFootprint:
+    """What a command costs before it reads the corpus: the modules it loads
+    and the config hash it writes."""
+
+    def _python(self, script, *args, **kwargs):
+        src = Path(unitgraph.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120, **kwargs)
+
+    def test_inference_commands_do_not_load_openssl(self, models_dir, tmp_path):
+        proc = self._python(_INFERENCE_SCRIPT, CORPUS_DIR, models_dir,
+                            tmp_path, DOC_VANGUARD)
+        assert proc.returncode == 0, proc.stderr
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CONFIGS)
+    @example(RunConfig(corpus_dir="/données/корпус/事件", output_dir="ünïcode",
+                       tagger_model=None, relnet_model="modèles/",
+                       learning_rate=1e-300, split=0.1 + 0.2))
+    def test_hash_is_sha256_of_the_sorted_config(self, cfg):
+        assert cfg.hash() == _config_hash(asdict(cfg))
+
+    def test_hashlib_fallback_gives_the_same_hash(self):
+        configs = [
+            {},
+            {"corpus_dir": "/données/корпус/事件", "relnet_model": None,
+             "learning_rate": 0.1 + 0.2, "split": 1, "seed": 2 ** 70},
+            {"output_dir": "elsewhere", "strategy": "all", "path_direction": False,
+             "org_gazetteer": "gaz/org.txt", "learning_rate": float("inf")},
+        ]
+        proc = self._python(_FALLBACK_SCRIPT, input=json.dumps(configs))
+        assert proc.returncode == 0, proc.stderr
+        expected = [_config_hash(asdict(RunConfig(**c))) for c in configs]
+        assert proc.stdout.split() == expected
