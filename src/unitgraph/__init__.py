@@ -16,11 +16,13 @@ from .deptree import DepTree, PathPattern, shortest_path, span_path
 from .errors import BratError, ConlluError, CorpusError, DataError, MissingParseError
 from .relations import (
     Attachment,
+    DocumentRun,
     SentenceContext,
     Strategy,
     build_contexts,
     extract_document,
     nearest_person,
+    run_document,
     sdp_attach,
     type_map,
 )
@@ -36,6 +38,7 @@ __all__ = [
     "DataError",
     "DepTree",
     "Document",
+    "DocumentRun",
     "EntitySpan",
     "EntityType",
     "IobTag",
@@ -54,6 +57,7 @@ __all__ = [
     "nearest_person",
     "parse_brat",
     "parse_conllu",
+    "run_document",
     "sdp_attach",
     "serialize_brat",
     "shortest_path",

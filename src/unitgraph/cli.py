@@ -35,7 +35,7 @@ except ImportError:
 from . import evaluation, relnet
 from .corpus import Document, RelationEdge, iter_corpus, load_corpus, serialize_brat
 from .errors import DataError
-from .relations import Strategy, build_contexts, extract_document, gold_pairs
+from .relations import Strategy, build_contexts, gold_pairs, run_document
 from .tagger import (
     Gazetteers,
     load_tagger,
@@ -222,27 +222,29 @@ def _graph_writer(path: Path, graph: dict):
     gives the whole graph: strings are escaped to ASCII by the encoder
     ``json`` uses and ints are written in decimal as ``str`` gives them.
     ``graph`` holds the scalar members; the block gets a function that
-    takes one document's edge and node dicts.  Edges sort before nodes, so
-    each edge record goes into the file at once and each node record into
-    an unnamed spool file beside it, copied in after the last edge when the
-    block ends without an error."""
+    takes a document's id, its ``(relation id, Attachment)`` pairs and its
+    entities.  Edges sort before nodes, so each edge record goes into the
+    file at once and each node record into an unnamed spool file beside it,
+    copied in after the last edge when the block ends without an error."""
     enc = encode_basestring_ascii
     with path.open("w", encoding="utf-8") as f, \
             tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent) as spool:
         n_edges = n_nodes = 0
 
-        def add(edges, nodes) -> None:
+        def add(doc_id, attached, entities) -> None:
             nonlocal n_edges, n_nodes
-            for e in edges:
+            for _, att in attached:
+                person, target = att.person, att.target
                 f.write(",\n" if n_edges else "\n")
-                f.write(_EDGE % (enc(e["doc_id"]), enc(e["from"]), *e["person_span"],
-                                 enc(e["rtype"]), enc(e["strategy"]),
-                                 *e["target_span"], enc(e["to"])))
+                f.write(_EDGE % (enc(doc_id), enc(f"{doc_id}:{person.id}"),
+                                 person.start, person.end, enc(att.rtype.value),
+                                 enc(att.strategy.value), target.start, target.end,
+                                 enc(f"{doc_id}:{target.id}")))
                 n_edges += 1
-            for n in nodes:
+            for ent in entities:
                 spool.write(",\n" if n_nodes else "\n")
-                spool.write(_NODE % (enc(n["doc_id"]), enc(n["id"]), *n["offsets"],
-                                     enc(n["surface"]), enc(n["type"])))
+                spool.write(_NODE % (enc(doc_id), enc(f"{doc_id}:{ent.id}"), ent.start,
+                                     ent.end, enc(ent.surface), enc(ent.etype.value)))
                 n_nodes += 1
 
         f.write('{\n  "config_hash": %s,\n  "edges": [' % enc(graph["config_hash"]))
@@ -295,14 +297,6 @@ def _check_out(output_dir: str) -> None:
         raise DataError(f"--out {output_dir}: {found} exists and is not a directory")
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    """The output directory, made as a command is about to write its first
-    file there, so a command that fails before that leaves no directory."""
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
     net = relnet.NETWORKS.get(strategy)
     if net is None:
@@ -336,7 +330,7 @@ def cmd_extract(cfg: RunConfig) -> int:
         raise UsageError("extract writes one strategy's graph; --strategy all "
                          "applies to evaluate")
     strategy = Strategy(cfg.strategy)
-    model, vocab = _load_relnet_for(cfg, strategy)
+    networks = {strategy: _load_relnet_for(cfg, strategy)}
     tagger = None
     if cfg.ner_mode == "model":
         if cfg.tagger_model is None:
@@ -350,49 +344,22 @@ def cmd_extract(cfg: RunConfig) -> int:
     with _spooled(out_dir) as spool:
         with _graph_writer(spool / "graph.json", graph) as add_to_graph:
             for doc, trees in iter_corpus(cfg.corpus_dir):
-                # the tagger's sentences, reused for an unparsed document's contexts
-                sents = None if tagger is None else []
-                view = doc if tagger is None else Document(
-                    doc.doc_id, doc.text, predict_entities(tagger, doc, sents), [])
-                atts = extract_document(
-                    view, build_contexts(view, trees, sents), strategy, model, vocab,
-                    fallback=cfg.fallback == "nearest",
-                )
-                rels, edges = [], []
-                for i, att in enumerate(atts, start=1):
-                    if att.person is None:
-                        n_abstained += 1
-                        continue
-                    n_attached += 1
-                    rels.append(
-                        RelationEdge(f"R{i}", att.rtype, att.person.id, att.target.id)
-                    )
-                    edges.append(
-                        {
-                            "rtype": att.rtype.value,
-                            "from": f"{doc.doc_id}:{att.person.id}",
-                            "to": f"{doc.doc_id}:{att.target.id}",
-                            "strategy": att.strategy.value,
-                            "doc_id": doc.doc_id,
-                            "person_span": [att.person.start, att.person.end],
-                            "target_span": [att.target.start, att.target.end],
-                        }
-                    )
-                add_to_graph(edges, [
-                    {
-                        "id": f"{doc.doc_id}:{ent.id}",
-                        "type": ent.etype.value,
-                        "surface": ent.surface,
-                        "doc_id": doc.doc_id,
-                        "offsets": [ent.start, ent.end],
-                    }
-                    for ent in view.entities
-                ])
-                pred_doc = Document(doc.doc_id, doc.text, list(view.entities), rels)
+                run = run_document(doc, trees, [strategy], networks, tagger,
+                                   fallback=cfg.fallback == "nearest")
+                atts = run.attachments[strategy]
+                # an abstention keeps its place in the R<i> numbering
+                attached = [(f"R{i}", att) for i, att in enumerate(atts, start=1)
+                            if att.person is not None]
+                n_attached += len(attached)
+                n_abstained += len(atts) - len(attached)
+                add_to_graph(doc.doc_id, attached, run.view.entities)
+                rels = [RelationEdge(rid, att.rtype, att.person.id, att.target.id)
+                        for rid, att in attached]
+                pred_doc = Document(doc.doc_id, doc.text, list(run.view.entities), rels)
                 (spool / f"{doc.doc_id}.ann").write_text(serialize_brat(pred_doc),
                                                           encoding="utf-8")
                 n_docs += 1
-                n_nodes += len(view.entities)
+                n_nodes += len(run.view.entities)
         _write_json(spool / "run.json", {
             "command": "extract",
             "config": asdict(cfg),
@@ -407,6 +374,9 @@ def cmd_extract(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
+    """Fit the target models and write them into ``--out`` through a spool
+    (``_spooled``), so a model that fails to fit leaves no file behind and
+    no line naming one."""
     entries = load_corpus(cfg.corpus_dir)
     train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
     if not train_entries:
@@ -416,33 +386,36 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
         f"(fraction {cfg.split}, seed {cfg.seed})"
     )
 
-    if "tagger" in targets:
-        model = _fit_tagger(cfg, [doc for doc, _ in train_entries], cfg.tagger_epochs)
-        model.meta["config_hash"] = cfg.hash()
-        path = _out_dir(cfg) / "tagger.model"
-        save_tagger(model, path)
-        print(f"tagger: {model.param_count()} weights -> {path}")
+    out_dir, written = Path(cfg.output_dir), []
+    with _spooled(out_dir) as spool:
+        if "tagger" in targets:
+            model = _fit_tagger(cfg, [doc for doc, _ in train_entries],
+                                cfg.tagger_epochs)
+            model.meta["config_hash"] = cfg.hash()
+            save_tagger(model, spool / "tagger.model")
+            written.append(f"tagger: {model.param_count()} weights -> "
+                           f"{out_dir / 'tagger.model'}")
 
-    networks = [net for t in targets for net in relnet.NETWORKS.values()
-                if net.target == t]
-    if networks:
-        vocab, fitted = _fit_relnets(cfg, train_entries,
-                                     [net.mode for net in networks],
-                                     cfg.min_count, cfg.epochs)
-        if not all(examples for _, examples in fitted):
-            raise DataError("no same-sentence gold relations to train on")
-        for net, (model, examples) in zip(networks, fitted):
-            model.hyper.update({
-                "min_count": cfg.min_count,
-                "config_hash": cfg.hash(),
-            })
-            path = _out_dir(cfg) / net.filename
-            relnet.save_relnet(path, model, vocab)
-            print(
-                f"relnet {net.mode}: {model.param_count()} parameters "
-                f"(vocab {vocab.size}, {examples} examples, "
-                f"final loss {model.loss_curve[-1]:.4f}) -> {path}"
-            )
+        networks = [net for t in targets for net in relnet.NETWORKS.values()
+                    if net.target == t]
+        if networks:
+            vocab, fitted = _fit_relnets(cfg, train_entries,
+                                         [net.mode for net in networks],
+                                         cfg.min_count, cfg.epochs)
+            if not all(examples for _, examples in fitted):
+                raise DataError("no same-sentence gold relations to train on")
+            for net, (model, examples) in zip(networks, fitted):
+                model.hyper.update({
+                    "min_count": cfg.min_count,
+                    "config_hash": cfg.hash(),
+                })
+                relnet.save_relnet(spool / net.filename, model, vocab)
+                written.append(
+                    f"relnet {net.mode}: {model.param_count()} parameters "
+                    f"(vocab {vocab.size}, {examples} examples, "
+                    f"final loss {model.loss_curve[-1]:.4f}) -> {out_dir / net.filename}"
+                )
+    print("\n".join(written))
     return 0
 
 
@@ -495,27 +468,26 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         print(f"NER on held-out split ({len(test_entries)} docs, "
               f"{cfg.split:.0%} train, seed {cfg.seed}):")
         print(evaluation.format_prf_table(rows, decimals=2))
-        _write_json(_out_dir(cfg) / "ner_metrics.json", {
-            "config_hash": cfg.hash(), "seed": cfg.seed,
-            "rows": [asdict(r) for r in rows],
-        })
+        with _spooled(Path(cfg.output_dir)) as spool:
+            _write_json(spool / "ner_metrics.json", {
+                "config_hash": cfg.hash(), "seed": cfg.seed,
+                "rows": [asdict(r) for r in rows],
+            })
         return 0
 
     strategies = list(Strategy) if cfg.strategy == "all" else [Strategy(cfg.strategy)]
-    models = {s: _load_relnet_for(cfg, s) for s in strategies}
+    networks = {s: _load_relnet_for(cfg, s) for s in strategies}
     counts = {s: (0, 0, 0) for s in strategies}
     cross = 0
     annotated = False
     for doc, trees in iter_corpus(cfg.corpus_dir):
         annotated = annotated or bool(doc.entities or doc.relations)
-        contexts = build_contexts(doc, trees)
-        for s in strategies:
-            atts = extract_document(
-                doc, contexts, s, *models[s], fallback=cfg.fallback == "nearest"
-            )
+        run = run_document(doc, trees, strategies, networks,
+                           fallback=cfg.fallback == "nearest")
+        for s, atts in run.attachments.items():
             doc_counts = evaluation.relation_counts(doc.relations, atts, doc.entities)
             counts[s] = tuple(a + b for a, b in zip(counts[s], doc_counts))
-        cross += gold_pairs(doc, contexts)[1]
+        cross += gold_pairs(doc, run.contexts)[1]
     _require_gold(annotated)
     rows = [
         evaluation.PrfRow.from_counts(evaluation.STRATEGY_ROW_NAMES[s], *counts[s])
@@ -524,12 +496,13 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
     print(evaluation.format_prf_table(rows, decimals=3, label="Method"))
     print(f"gold relations joining different sentences: {cross} "
           "(unreachable for all strategies; scored as misses)")
-    _write_json(_out_dir(cfg) / "metrics.json", {
-        "config_hash": cfg.hash(),
-        "seed": cfg.seed,
-        "cross_sentence_gold": cross,
-        "rows": [asdict(r) for r in rows],
-    })
+    with _spooled(Path(cfg.output_dir)) as spool:
+        _write_json(spool / "metrics.json", {
+            "config_hash": cfg.hash(),
+            "seed": cfg.seed,
+            "cross_sentence_gold": cross,
+            "rows": [asdict(r) for r in rows],
+        })
     return 0
 
 
@@ -682,6 +655,10 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_inspect(cfg, args.doc_id, args.paths)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:  # relnet.train: the loss overflowed
+        print(f"error: learning_rate ({_FLAGS['learning_rate']}) is too large: {exc}",
+              file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -96,12 +96,6 @@ class Document:
     relations: list[RelationEdge] = field(default_factory=list)
     schema_flags: list[str] = field(default_factory=list, compare=False)
 
-    def entity_by_id(self, eid: str) -> EntitySpan | None:
-        for e in self.entities:
-            if e.id == eid:
-                return e
-        return None
-
 
 def _parse_textbound(line: str, lineno: int, text: str) -> EntitySpan:
     fields = line.split("\t")

@@ -39,13 +39,6 @@ class PathPattern:
             f"{s.label}{'↑' if s.direction == 'up' else '↓'}" for s in self.steps
         ) or "<same token>"
 
-    def reversed(self) -> "PathPattern":
-        flipped = tuple(
-            Step(s.label, "down" if s.direction == "up" else "up")
-            for s in reversed(self.steps)
-        )
-        return PathPattern(flipped)
-
 
 @dataclass
 class DepTree:

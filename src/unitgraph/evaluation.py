@@ -8,16 +8,12 @@ here so reports can print measured numbers next to them.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import Document, EntitySpan, EntityType, RelationEdge
-from .deptree import DepTree, align_to_text
-from .relations import (Attachment, Strategy, build_contexts, extract_document,
-                        gold_person_target)
+from .deptree import DepTree
+from .relations import Attachment, Strategy, gold_person_target, run_document
 from .tokens import sentences, tokenize
 
 ENTITY_ROW_ORDER = (
@@ -106,14 +102,10 @@ def entity_counts(
     return out
 
 
-def score_entities(gold: list[EntitySpan], pred: list[EntitySpan]) -> list[PrfRow]:
-    """Per-class rows plus a micro-averaged "All Classes" row."""
-    return rows_from_entity_counts(entity_counts(gold, pred))
-
-
 def rows_from_entity_counts(
     counts: dict[EntityType, tuple[int, int, int]]
 ) -> list[PrfRow]:
+    """Per-class rows plus a micro-averaged "All Classes" row."""
     rows = [
         PrfRow.from_counts(name, *counts.get(etype, (0, 0, 0)))
         for etype, name in ENTITY_ROW_ORDER
@@ -164,13 +156,6 @@ def relation_counts(
         sum(pred_triples.values()) - tp,
         sum(gold_triples.values()) - tp,
     )
-
-
-def score_relations(
-    gold: list[RelationEdge], pred: list[Attachment], entities: list[EntitySpan]
-) -> PrfRow:
-    tp, fp, fn = relation_counts(gold, pred, entities)
-    return PrfRow.from_counts("Relations", tp, fp, fn)
 
 
 def verify_reference_metrics(tolerance: float = 0.005) -> list[str]:
@@ -240,17 +225,6 @@ def _format_table(headers: list[str], body: list[list[str]]) -> str:
     )
 
 
-def discard_outliers(values: list[float], spread: float = 3.0) -> list[float]:
-    """Drop values beyond ``spread`` interquartile ranges from the quartiles."""
-    if len(values) < 3:
-        return list(values)
-    q1, q3 = np.percentile(values, [25, 75])
-    iqr = q3 - q1
-    lo, hi = q1 - spread * iqr, q3 + spread * iqr
-    kept = [v for v in values if lo <= v <= hi]
-    return kept or list(values)
-
-
 def bench_pipeline(
     entries: list[tuple[Document, list[DepTree]]],
     repetitions: int = 3,
@@ -258,18 +232,26 @@ def bench_pipeline(
     relnet_model=None,
     relnet_vocab=None,
 ) -> list[TimingRow]:
-    """Per-line wall times for the four pipeline components.
+    """Per-line wall times for the four pipeline components, each the median
+    of its repetitions.
 
-    Each repetition times every component over the whole corpus; means are
-    taken after the outlier rule.  Setup (model training elsewhere) is
-    never timed.  Every row counts lines as tokenizer sentences.  "Tree
-    alignment" times only aligning given parses to the text; no parser
-    runs, so it has no pilot reference cell.
+    A repetition runs each document through ``run_document`` with the
+    tagger, for "NER" and, from its contexts, "Tree alignment": aligning
+    each tree from the last one's end and assigning entities (no parser
+    runs, so it has no pilot reference cell).  Each attachment row then
+    runs the document on gold entities and times its own contexts plus its
+    strategy; without a network, "Neural Network" times the contexts
+    alone.  Setup (model training elsewhere) is never timed.  Every row
+    counts lines as tokenizer sentences.
     """
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
-    from .tagger import predict_entities
-
+    networks = {Strategy.NN_CONSTRAINED: (relnet_model, relnet_vocab)}
+    has_network = relnet_model is not None and relnet_vocab is not None
+    attach = {  # each attachment row's strategies
+        "Shortest Dep. Path": [Strategy.SDP_CONSTRAINED],
+        "Neural Network": [Strategy.NN_CONSTRAINED] if has_network else [],
+    }
     n_lines = max(
         1, sum(len(sentences(tokenize(doc.text))) for doc, _ in entries)
     )
@@ -279,35 +261,16 @@ def bench_pipeline(
         "Shortest Dep. Path": None,
         "Neural Network": relnet_model.param_count() if relnet_model is not None else None,
     }
-    samples: dict[str, list[float]] = {name: [] for name in params}
+    totals = []  # one per repetition: each row's seconds over the corpus
     for _ in range(repetitions):
-        t0 = time.perf_counter()
-        for doc, _ in entries:
-            predict_entities(tagger_model, doc)
-        samples["NER"].append((time.perf_counter() - t0) / n_lines)
-
-        t0 = time.perf_counter()
+        total = dict.fromkeys(params, 0.0)
         for doc, trees in entries:
-            for tree in trees:
-                align_to_text(tree, doc.text)
-        samples["Tree alignment"].append((time.perf_counter() - t0) / n_lines)
-
-        t0 = time.perf_counter()
-        for doc, trees in entries:
-            extract_document(doc, build_contexts(doc, trees), Strategy.SDP_CONSTRAINED)
-        samples["Shortest Dep. Path"].append((time.perf_counter() - t0) / n_lines)
-
-        t0 = time.perf_counter()
-        if relnet_model is not None and relnet_vocab is not None:
-            for doc, trees in entries:
-                extract_document(
-                    doc, build_contexts(doc, trees), Strategy.NN_CONSTRAINED,
-                    relnet_model, relnet_vocab,
-                )
-        samples["Neural Network"].append((time.perf_counter() - t0) / n_lines)
-
-    rows = []
-    for component, n_params in params.items():
-        kept = discard_outliers(samples[component])
-        rows.append(TimingRow(component, sum(kept) / len(kept), n_params))
-    return rows
+            seconds = run_document(doc, trees, tagger=tagger_model).seconds
+            total["NER"] += seconds["ner"]
+            total["Tree alignment"] += seconds["contexts"]
+            for row, strategies in attach.items():
+                seconds = run_document(doc, trees, strategies, networks).seconds
+                total[row] += seconds["contexts"] + sum(seconds[s.value] for s in strategies)
+        totals.append(total)
+    return [TimingRow(name, sorted(t[name] for t in totals)[repetitions // 2] / n_lines,
+                      n_params) for name, n_params in params.items()]

@@ -223,12 +223,6 @@ def _forward_scaled(model: RelNetModel, Xs: np.ndarray, T: np.ndarray,
     return _softmax(Z + model.b3), A1, A2, hidden
 
 
-def _forward_batch(model: RelNetModel, X: np.ndarray, T: np.ndarray):
-    Xs = _scaled(model, X)
-    P, A1, A2, hidden = _forward_scaled(model, Xs, T)
-    return P, (Xs, A1, A2, hidden)
-
-
 def predict_proba(model: RelNetModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Probability rows for stacked features; row i equals ``forward`` on
     target i alone, bit for bit."""
@@ -332,20 +326,21 @@ def train(
         setattr(model, name, view)
     starts = range(0, len(X), batch_size)
     model.loss_curve = []
-    for _ in range(epochs):
-        order = rng.permutation(len(X))
-        Xe, Te, Ye, Me = Xs[order], T[order], Y[order], mass[order]
-        epoch_loss = 0.0
-        for lo in starts:
-            hi = lo + batch_size
-            loss = _step(model, Xe[lo:hi], Te[lo:hi], Ye[lo:hi], Me[lo:hi], grads)
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    "training loss is not finite; lower the learning rate"
-                )
-            flat -= learning_rate * grad
-            epoch_loss += loss
-        model.loss_curve.append(epoch_loss / len(starts))
+    with np.errstate(over="ignore", invalid="ignore"):  # shows as a loss not finite
+        for _ in range(epochs):
+            order = rng.permutation(len(X))
+            Xe, Te, Ye, Me = Xs[order], T[order], Y[order], mass[order]
+            epoch_loss = 0.0
+            for lo in starts:
+                hi = lo + batch_size
+                loss = _step(model, Xe[lo:hi], Te[lo:hi], Ye[lo:hi], Me[lo:hi], grads)
+                if not math.isfinite(loss):
+                    raise FloatingPointError(
+                        "training loss is not finite; lower the learning rate"
+                    )
+                flat -= learning_rate * grad
+                epoch_loss += loss
+            model.loss_curve.append(epoch_loss / len(starts))
     model.hyper.update(
         {"epochs": epochs, "learning_rate": learning_rate, "seed": seed,
          "batch_size": batch_size}

@@ -22,9 +22,9 @@ import unitgraph.tagger
 import unitgraph.tokens
 from unitgraph.cli import RunConfig, UsageError, _graph_writer, main
 from unitgraph.corpus import load_corpus, parse_brat
-from unitgraph.corpus import EntityType
+from unitgraph.corpus import EntitySpan, EntityType, RelationType
 from unitgraph.evaluation import relation_counts
-from unitgraph.relations import Strategy, build_contexts, extract_document
+from unitgraph.relations import Attachment, Strategy, build_contexts, extract_document
 
 from conftest import (
     CORPUS_DIR,
@@ -216,33 +216,49 @@ class TestExtract:
 # and paragraph separators, a lone surrogate, and any other code point
 _JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u2029\ud800é€😀')
                      | st.characters(), max_size=8)
-_SPAN = st.lists(st.integers(), min_size=2, max_size=2)
+_ENTITIES = st.builds(EntitySpan, id=_JSON_TEXT, etype=st.sampled_from(EntityType),
+                      start=st.integers(), end=st.integers(), surface=_JSON_TEXT)
+_ATTACHMENTS = st.builds(Attachment, target=_ENTITIES, person=_ENTITIES,
+                         rtype=st.sampled_from(RelationType),
+                         strategy=st.sampled_from(Strategy))
 _GRAPHS = st.fixed_dictionaries({
     "config_hash": _JSON_TEXT,
     "seed": st.integers(min_value=0),
     "strategy": _JSON_TEXT,
     "ner_mode": _JSON_TEXT,
-    "nodes": st.lists(st.fixed_dictionaries({
-        "id": _JSON_TEXT, "type": _JSON_TEXT, "surface": _JSON_TEXT,
-        "doc_id": _JSON_TEXT, "offsets": _SPAN}), max_size=3),
-    "edges": st.lists(st.fixed_dictionaries({
-        "rtype": _JSON_TEXT, "from": _JSON_TEXT, "to": _JSON_TEXT,
-        "strategy": _JSON_TEXT, "doc_id": _JSON_TEXT, "person_span": _SPAN,
-        "target_span": _SPAN}), max_size=3),
 })
+# each document's id, (relation id, Attachment) pairs and entities
+_DOCUMENTS = st.lists(st.tuples(
+    _JSON_TEXT, st.lists(st.tuples(_JSON_TEXT, _ATTACHMENTS), max_size=3),
+    st.lists(_ENTITIES, max_size=3)), max_size=3)
 
 
-@given(_GRAPHS)
-@example({"config_hash": "", "seed": 0, "strategy": "", "ner_mode": "",
-          "nodes": [], "edges": []})
+@given(_GRAPHS, _DOCUMENTS)
+@example({"config_hash": "", "seed": 0, "strategy": "", "ner_mode": ""}, [])
+@example({"config_hash": "", "seed": 0, "strategy": "", "ner_mode": ""},
+         [("d", [], []), ("e", [], [])])
 @settings(max_examples=100, deadline=None)
-def test_graph_writer_matches_json_dump(graph):
+def test_graph_writer_matches_json_dump(graph, documents):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.json"
         with _graph_writer(path, graph) as add_to_graph:
-            add_to_graph(graph["edges"], graph["nodes"])
+            for doc_id, attached, entities in documents:
+                add_to_graph(doc_id, attached, entities)
         written = path.read_bytes()
-    expected = json.dumps(graph, indent=2, sort_keys=True) + "\n"
+    edges = [
+        {"rtype": att.rtype.value, "from": f"{doc_id}:{att.person.id}",
+         "to": f"{doc_id}:{att.target.id}", "strategy": att.strategy.value,
+         "doc_id": doc_id, "person_span": [att.person.start, att.person.end],
+         "target_span": [att.target.start, att.target.end]}
+        for doc_id, attached, _ in documents for _, att in attached
+    ]
+    nodes = [
+        {"id": f"{doc_id}:{ent.id}", "type": ent.etype.value, "surface": ent.surface,
+         "doc_id": doc_id, "offsets": [ent.start, ent.end]}
+        for doc_id, _, entities in documents for ent in entities
+    ]
+    expected = json.dumps({**graph, "edges": edges, "nodes": nodes},
+                          indent=2, sort_keys=True) + "\n"
     assert written == expected.encode("utf-8")
 
 
@@ -297,6 +313,22 @@ class TestTrain:
         captured = capsys.readouterr()
         assert "--targets must name" in captured.err and "split" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_overflowing_learning_rate_is_an_error(self, command, tmp_path):
+        # passes the config check, then the network's loss overflows
+        src = Path(unitgraph.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "x"
+        proc = subprocess.run(
+            [sys.executable, "-m", "unitgraph.cli", command, "--corpus", CORPUS_DIR,
+             "--out", out, "--learning-rate", "1e300"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "error: learning_rate (--learning-rate)" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists() and "->" not in proc.stdout  # no model line either
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,11 @@ from unitgraph.evaluation import (
     REFERENCE_NER_ROWS,
     REFERENCE_RE_ROWS,
     bench_pipeline,
-    discard_outliers,
     entity_counts,
     format_prf_table,
     format_timing_table,
     relation_counts,
     rows_from_entity_counts,
-    score_entities,
-    score_relations,
     verify_reference_metrics,
 )
 from unitgraph.relations import (
@@ -74,12 +71,12 @@ class TestScoreEntities:
             span("T3", EntityType.ORGANIZATION, 20),
             span("T4", EntityType.TITLE_ROLE, 30),
         ]
-        for row in score_entities(gold, list(gold)):
+        for row in rows_from_entity_counts(entity_counts(gold, list(gold))):
             assert row.precision == row.recall == row.f1 == 1.0
 
     def test_empty_predictions(self):
         gold = [span("T1", EntityType.PERSON, 0)]
-        rows = {r.name: r for r in score_entities(gold, [])}
+        rows = {r.name: r for r in rows_from_entity_counts(entity_counts(gold, []))}
         assert rows["Person"].fn == 1
         assert rows["Person"].precision == 0.0
         assert rows["All Classes"].recall == 0.0
@@ -87,14 +84,14 @@ class TestScoreEntities:
     def test_boundary_mismatch_is_fp_and_fn(self):
         gold = [span("T1", EntityType.PERSON, 0, width=5)]
         pred = [span("T9", EntityType.PERSON, 0, width=6)]
-        rows = {r.name: r for r in score_entities(gold, pred)}
+        rows = {r.name: r for r in rows_from_entity_counts(entity_counts(gold, pred))}
         assert rows["Person"].tp == 0
         assert rows["Person"].fp == 1 and rows["Person"].fn == 1
 
     def test_class_confusion_not_matched(self):
         gold = [span("T1", EntityType.RANK, 0)]
         pred = [span("T9", EntityType.TITLE_ROLE, 0)]
-        rows = {r.name: r for r in score_entities(gold, pred)}
+        rows = {r.name: r for r in rows_from_entity_counts(entity_counts(gold, pred))}
         assert rows["Rank"].fn == 1
         assert rows["Title/Role"].fp == 1
         assert rows["All Classes"].tp == 0
@@ -141,11 +138,11 @@ class TestScoreRelations:
         pred = [self.attach(self.rank, self.person),
                 self.attach(self.org, self.person)]
         assert relation_counts(self.gold, pred, self.entities) == (2, 0, 0)
-        row = score_relations(self.gold, pred, self.entities)
+        row = PrfRow.from_counts("Relations", *relation_counts(self.gold, pred, self.entities))
         assert row.precision == row.recall == 1.0
 
     def test_empty_predictions_score_zero(self):
-        row = score_relations(self.gold, [], self.entities)
+        row = PrfRow.from_counts("Relations", *relation_counts(self.gold, [], self.entities))
         assert (row.precision, row.recall, row.f1) == (0.0, 0.0, 0.0)
         assert row.fn == 2
 
@@ -216,19 +213,6 @@ class TestFormatting:
         table = format_timing_table(rows)
         assert "0.0039" in table  # reference column
         assert "294" in table
-
-
-class TestOutliers:
-    def test_keeps_tight_samples(self):
-        assert discard_outliers([1.0, 1.1, 0.9]) == [1.0, 1.1, 0.9]
-
-    def test_drops_extreme_value(self):
-        values = [1.0, 1.03, 0.97, 1.01, 50.0]
-        kept = discard_outliers(values)
-        assert 50.0 not in kept and len(kept) == 4
-
-    def test_short_lists_untouched(self):
-        assert discard_outliers([5.0, 9.0]) == [5.0, 9.0]
 
 
 class TestBench:

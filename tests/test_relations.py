@@ -1,7 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
+import unitgraph.relations
+import unitgraph.tagger
+import unitgraph.tokens
+from unitgraph import relnet
 from unitgraph.corpus import (Document, EntitySpan, EntityType, RelationEdge,
                               RelationType, parse_brat, parse_conllu)
 from unitgraph.deptree import DepTree, span_path
@@ -15,9 +20,11 @@ from unitgraph.relations import (
     gold_pairs,
     gold_person_target,
     nearest_person,
+    run_document,
     sdp_attach,
     type_map,
 )
+from unitgraph.tagger import predict_entities, train_tagger, training_corpus
 from unitgraph.tokens import sentences, tokenize
 
 from conftest import (
@@ -167,7 +174,7 @@ class TestSdpAttach:
         chief = next(t for t in ctx.targets if t.surface == "Chief of Logistics")
         att = sdp_attach(ctx, chief, constrained=False)
         assert att.person.surface == "M. T. Ibrahim"
-        gold = doc.entity_by_id("T3")
+        gold = next(e for e in doc.entities if e.id == "T3")
         assert gold.surface == "Emmanuel Atewe" and att.person != gold
 
     def test_constrained_choice_is_a_flank(self, corpus_entries):
@@ -333,6 +340,61 @@ class TestExtractDocument:
         doc, trees = corpus_by_id[DOC_VANGUARD]
         with pytest.raises(ValueError, match="model"):
             extract_document(doc, build_contexts(doc, trees), Strategy.NN_FREE)
+
+
+@pytest.fixture(scope="module")
+def networks(corpus_entries):
+    """Both relation networks, briefly fitted on the fixtures."""
+    vocab, pairs = relnet.training_set(corpus_entries, 1, True)
+    return {
+        strategy: (relnet.train(relnet.init_model(net.mode, vocab.size),
+                                relnet.build_dataset(pairs, vocab, net.mode),
+                                epochs=10), vocab)
+        for strategy, net in relnet.NETWORKS.items()
+    }
+
+
+class TestRunDocument:
+    @pytest.mark.parametrize("fallback", [True, False])
+    def test_strategies_match_extract_document(self, corpus_entries, networks,
+                                               fallback):
+        # every strategy shares one set of contexts, and gets what it gets
+        # from contexts of its own; unparsed documents too
+        for doc, trees in corpus_entries:
+            for given in (trees, []):
+                run = run_document(doc, given, list(Strategy), networks,
+                                   fallback=fallback)
+                assert run.view is doc
+                assert run.contexts == build_contexts(doc, given)
+                for strategy in Strategy:
+                    model, vocab = networks.get(strategy, (None, None))
+                    assert run.attachments[strategy] == extract_document(
+                        doc, build_contexts(doc, given), strategy, model, vocab,
+                        fallback=fallback)
+                assert set(run.seconds) == {"ner", "contexts",
+                                            *(s.value for s in Strategy)}
+
+    def test_tagger_view_tokenizes_once(self, corpus_entries, monkeypatch):
+        tagger = train_tagger(training_corpus([doc for doc, _ in corpus_entries]),
+                              epochs=1)
+        texts = Counter()
+        tokenize = unitgraph.tokens.tokenize
+
+        def counted(text):
+            texts[text] += 1
+            return tokenize(text)
+
+        for module in (unitgraph.tagger, unitgraph.relations):
+            monkeypatch.setattr(module, "tokenize", counted)
+        for doc, trees in corpus_entries:
+            for given in (trees, []):
+                texts.clear()
+                run = run_document(doc, given, [Strategy.NEAREST_PERSON],
+                                   tagger=tagger)
+                assert texts == {doc.text: 1}
+                assert run.view.entities == predict_entities(tagger, doc)
+                assert run.view.relations == []
+                assert run.contexts == build_contexts(run.view, given)
 
 
 class TestGoldPairs:

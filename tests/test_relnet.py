@@ -23,7 +23,8 @@ from unitgraph.relnet import (
     NETWORKS,
     RelCandidateFeatures,
     RelNetModel,
-    _forward_batch,
+    _forward_scaled,
+    _scaled,
     build_dataset,
     build_vocab,
     collect_patterns,
@@ -277,7 +278,7 @@ class TestTraining:
         X, T, Y = self.separable_dataset(rng)
         model = init_model("select_k", vocab_size=1, k=3, hidden=8, seed=7)
         train(model, (X, T, Y), epochs=200, learning_rate=0.5, seed=7)
-        P, _ = _forward_batch(model, X, T)
+        P = _forward_scaled(model, _scaled(model, X), T)[0]
         accuracy = (P.argmax(axis=1) == Y.argmax(axis=1)).mean()
         assert accuracy >= 0.95
         assert model.loss_curve[-1] <= model.loss_curve[0]
@@ -439,8 +440,8 @@ class TestWeightSharing:
         b = np.zeros((7, 5))
         a[0] = v
         b[4] = v
-        _, (_, A1a, _, _) = _forward_batch(model, a[None], np.zeros((1, 3)))
-        _, (_, A1b, _, _) = _forward_batch(model, b[None], np.zeros((1, 3)))
+        _, A1a, _, _ = _forward_scaled(model, _scaled(model, a[None]), np.zeros((1, 3)))
+        _, A1b, _, _ = _forward_scaled(model, _scaled(model, b[None]), np.zeros((1, 3)))
         assert np.array_equal(A1a[0, 0], A1b[0, 4])
 
     def test_swapping_identical_slots_preserves_output(self):
@@ -594,7 +595,8 @@ class TestBatchedPrediction:
                                 np.stack([f.type_onehot for f in feats]))
         for row, f in zip(batched, feats):
             # forward as it was: the training pass on a batch of one
-            before = _forward_batch(model, f.slots[None], f.type_onehot[None])[0][0]
+            before = _forward_scaled(model, _scaled(model, f.slots[None]),
+                                     f.type_onehot[None])[0][0]
             assert np.array_equal(bits(row), bits(forward(model, f)))
             assert np.array_equal(bits(row), bits(before))
             seen["truncated"] += f.truncated
