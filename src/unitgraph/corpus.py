@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .deptree import DepTree
-from .errors import BratError, ConlluError, CorpusError
+from .errors import BratError, ConlluError, CorpusError, read_utf8
 
 log = logging.getLogger(__name__)
 
@@ -302,9 +302,7 @@ def parse_conllu(conllu_text: str) -> list[DepTree]:
 def _read(path: Path, what: str) -> str:
     """The UTF-8 text of one corpus file; a CorpusError names the file."""
     try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        return read_utf8(path, CorpusError)
     except OSError as exc:
         raise CorpusError(f"cannot read {what} for {path.stem}: {exc}") from exc
 

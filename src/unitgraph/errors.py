@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the model-file reader
-that raises one of them."""
+"""Exception types shared across the package, and the file readers that
+raise them."""
 
+import math
 from pathlib import Path
 
 
@@ -56,3 +57,25 @@ def read_model_lines(path, magic: str, kind: str) -> list[str]:
     if not lines or lines[0] != magic:
         raise ModelFileError(path, f"not a {kind} file", 1)
     return lines
+
+
+def read_utf8(path, error: type[DataError] = DataError) -> str:
+    """The text of a UTF-8 file; other bytes raise ``error`` naming the
+    file and the first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_weight(text: str) -> float:
+    """A number in a model file.  One that is not finite raises
+    ``ValueError``: a nan or an infinity would change every prediction
+    without an error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"weight is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"weight is not finite: {text!r}")
+    return value

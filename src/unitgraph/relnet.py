@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Document, EntitySpan, EntityType
 from .deptree import DepTree, PathPattern
-from .errors import MissingParseError, ModelFileError, read_model_lines
+from .errors import MissingParseError, ModelFileError, read_model_lines, read_weight
 from .relations import (
     Attachment,
     SentenceContext,
@@ -497,15 +497,15 @@ def _parse_scalar(value: str):
 
 # the header records save_relnet writes, each with its type, and its arrays
 _HEADER = {"mode": str, "k": int, "hidden": int, "vocab_size": int,
-           "length_scale": float, "unknown": int, "min_count": int}
+           "length_scale": read_weight, "unknown": int, "min_count": int}
 _ARRAY_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     """Read a file written by ``save_relnet``.
 
-    A malformed or truncated file raises ``ModelFileError`` naming the
-    file and line.
+    A malformed or truncated file, or a weight or ``length_scale`` that is
+    not finite, raises ``ModelFileError`` naming the file and line.
     """
     lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
     header: dict = {}
@@ -529,7 +529,7 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
                 for number in range(i + 2, i + 2 + rows):
                     if number > len(lines):
                         raise ValueError(f"file ends inside array {name}")
-                    mat.append([float(v) for v in lines[number - 1].split()])
+                    mat.append([read_weight(v) for v in lines[number - 1].split()])
                     if len(mat[-1]) != cols:
                         raise ValueError(f"array {name} row has {len(mat[-1])} "
                                          f"values, expected {cols}")

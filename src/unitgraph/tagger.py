@@ -9,8 +9,9 @@ tag sequence.
 from __future__ import annotations
 
 import logging
-import math
 import random
+import string
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Document, EntitySpan, EntityType
-from .errors import ModelFileError, read_model_lines
+from .errors import ModelFileError, read_model_lines, read_utf8, read_weight
 from .tokens import (
     IobTag,
     O_TAG,
@@ -55,7 +56,7 @@ class Gazetteers:
         def read(path):
             if path is None:
                 return frozenset()
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
+            lines = read_utf8(path).splitlines()
             return frozenset(line.strip().lower() for line in lines if line.strip())
 
         return cls(read(org_path), read(rank_path))
@@ -77,66 +78,87 @@ def rank_lexicon(docs: list[Document]) -> frozenset[str]:
                      if ent.etype is EntityType.RANK)
 
 
+_SHAPE = str.maketrans(string.ascii_uppercase + string.ascii_lowercase + string.digits,
+                       "X" * 26 + "x" * 26 + "d" * 10)
+
+
 def _shape(word: str) -> str:
+    """The word with each upper-case letter as X, each lower-case letter as
+    x and each digit as d.  An ASCII word takes one ``translate``; any
+    other word goes character by character, since ``str.isupper`` and its
+    kin also hold for letters and digits outside ASCII."""
+    if word.isascii():
+        return word.translate(_SHAPE)
     return "".join("X" if ch.isupper() else "x" if ch.islower() else "d" if ch.isdigit()
                    else ch for ch in word)
 
 
+def _token_slots(sents: list[list[Token]], gazetteers: Gazetteers, get, none) -> np.ndarray:
+    """One row of feature slots per token of the sentences, in order.
+
+    The only definition of the features.  A token's slots hold its word's
+    ``w=``, ``shape=``, ``pre3=`` and ``suf3=`` features and ``cap`` if
+    the word starts upper-case, the ``prev=`` feature of the token before
+    it (``prev=<s>`` first), the ``next=`` feature of the token after it
+    (``next=</s>`` last) and, if the gazetteers hold a phrase, ``org-lex``
+    and ``rank-lex`` where a phrase of that gazetteer covers the token.  A
+    feature ``f`` is stored as ``get(f, none)``, got once per distinct
+    word; a slot with no feature holds ``none``.
+    """
+    lexicon = [none, none] if gazetteers.first_words else []
+    texts = [tok.text for tokens in sents for tok in tokens]
+    number: dict[str, int] = {}  # each distinct word's place in table
+    numbers = [number.setdefault(text, len(number)) for text in texts]
+    lows: list[str] = []
+    table: list = []  # the slots of each distinct word, one word after another
+    for word in number:
+        low = word.lower()
+        lows.append(low)
+        table += (get(f"w={low}", none), get(f"shape={_shape(word)}", none),
+                  get(f"pre3={low[:3]}", none), get(f"suf3={low[-3:]}", none),
+                  get("cap", none) if word[:1].isupper() else none,
+                  get(f"prev={low}", none), get(f"next={low}", none), *lexicon)
+    # strings go in an object array: a fixed-width one would cut prev=<s> short
+    dtype = object if none is None else np.intp
+    slots = np.array(table, dtype).reshape(len(number), 7 + len(lexicon))[numbers]
+    slots[1:, 5] = slots[:-1, 5]  # each word's prev= feature moves to the token after it
+    slots[:-1, 6] = slots[1:, 6]  # and its next= feature to the token before it
+    lengths = np.array([len(tokens) for tokens in sents], dtype=np.intp)
+    ends = np.cumsum(lengths)[lengths > 0]
+    slots[ends - lengths[lengths > 0], 5] = get("prev=<s>", none)
+    slots[ends - 1, 6] = get("next=</s>", none)
+    if lexicon:
+        org, rank = _lexicon_hits([lows[k] for k in numbers], ends.tolist(), gazetteers)
+        slots[list(org), 7] = get("org-lex", none)
+        slots[list(rank), 8] = get("rank-lex", none)
+    return slots
+
+
 def featurize_sentences(sents: list[list[Token]], gazetteers: Gazetteers | None = None
                         ) -> list[list[list[str]]]:
-    """Deterministic discrete features for every token of every sentence.
-
-    A word's own features (``w=``, ``shape=``, ``pre3=``, ``suf3=``,
-    ``cap``) and its ``prev=``/``next=`` features as a neighbour are built
-    once per distinct token text in the call.  A gazetteer window of at
-    most ``max_words`` tokens is joined only when its first word starts a
-    phrase; a window found in a lexicon marks every token it covers.
-    """
-    # token text -> (lower-cased, own features, its prev= and next= features)
-    words: dict[str, tuple[str, list[str], str, str]] = {}
-    out = []
-    for tokens in sents:
-        entries = []
-        for tok in tokens:
-            entry = words.get(tok.text)
-            if entry is None:
-                word = tok.text
-                low = word.lower()
-                own = [f"w={low}", f"shape={_shape(word)}", f"pre3={low[:3]}",
-                       f"suf3={low[-3:]}"]
-                if word[:1].isupper():
-                    own.append("cap")
-                entry = words[word] = (low, own, f"prev={low}", f"next={low}")
-            entries.append(entry)
-        prevs = ["prev=<s>", *(e[2] for e in entries)]
-        nexts = [*(e[3] for e in entries[1:]), "next=</s>"]
-        feats = [[*e[1], prev, nxt] for e, prev, nxt in zip(entries, prevs, nexts)]
-        if gazetteers is not None and gazetteers.first_words:
-            org, rank = _lexicon_hits([e[0] for e in entries], gazetteers)
-            for i in org:
-                feats[i].append("org-lex")
-            for i in rank:
-                feats[i].append("rank-lex")
-        out.append(feats)
-    return out
+    """Deterministic discrete features for every token of every sentence:
+    the features in its ``_token_slots``, in order."""
+    slots = iter(_token_slots(sents, gazetteers or Gazetteers(), lambda f, _: f, None).tolist())
+    return [[[f for f in next(slots) if f is not None] for _ in tokens] for tokens in sents]
 
 
-def _lexicon_hits(lower: list[str], gazetteers: Gazetteers) -> tuple[set[int], set[int]]:
+def _lexicon_hits(lower: list[str], ends: list[int], gazetteers: Gazetteers
+                  ) -> tuple[set[int], set[int]]:
     """The positions of the lower-cased words covered by an organization
-    phrase and by a rank phrase."""
-    org: set[int] = set()
-    rank: set[int] = set()
-    n, firsts, max_words = len(lower), gazetteers.first_words, gazetteers.max_words
+    phrase and by a rank phrase.  ``ends`` holds where each sentence ends,
+    in order; no phrase runs past the end of its sentence."""
+    hits: tuple[set[int], set[int]] = (set(), set())
+    lexicons = gazetteers.organizations, gazetteers.ranks
     for lo, first in enumerate(lower):
-        if first not in firsts:
+        if first not in gazetteers.first_words:
             continue
-        for width in range(1, min(max_words, n - lo) + 1):
-            phrase = " ".join(lower[lo:lo + width])
-            if phrase in gazetteers.organizations:
-                org.update(range(lo, lo + width))
-            if phrase in gazetteers.ranks:
-                rank.update(range(lo, lo + width))
-    return org, rank
+        end = ends[bisect_right(ends, lo)]
+        for hi in range(lo + 1, min(lo + gazetteers.max_words, end) + 1):
+            phrase = " ".join(lower[lo:hi])
+            for covered, lexicon in zip(hits, lexicons):
+                if phrase in lexicon:
+                    covered.update(range(lo, hi))
+    return hits
 
 
 def featurize_token(tokens: list[Token], i: int, gazetteers: Gazetteers | None = None) -> list[str]:
@@ -215,15 +237,6 @@ class TaggerModel:
     def param_count(self) -> int:
         return int(np.count_nonzero(self.weights) + np.count_nonzero(self.transitions))
 
-    def ids(self, token_feats: list[list[str]]) -> np.ndarray:
-        """Each token's feature rows, padded with the last row."""
-        unknown = len(self.row)
-        lengths = np.array([len(feats) for feats in token_feats], dtype=int)
-        ids = np.full((len(lengths), lengths.max(initial=0)), unknown)
-        ids[np.arange(ids.shape[1]) < lengths[:, None]] = [
-            self.row.get(f, unknown) for feats in token_feats for f in feats]
-        return ids
-
     def emissions(self, ids: np.ndarray) -> np.ndarray:
         """Per token and tag, the feature weights added from 0.0 in order."""
         total = np.zeros((len(ids), len(TAGSET)))
@@ -242,7 +255,7 @@ def _stored(matrix: np.ndarray, names: list[str]) -> dict[tuple[str, str], float
 
 def _decode(model: TaggerModel, ids: np.ndarray, lengths: list[int]) -> list[list[int]]:
     """Viterbi over a batch of sentences, given the feature rows of their
-    tokens in order (``TaggerModel.ids``) and each sentence's length; each
+    tokens in order (``_sentence_ids``) and each sentence's length; each
     sentence's tags come back as ``TAGSET`` indices.
 
     The sentences are padded to the longest one and advanced together:
@@ -268,12 +281,16 @@ def _decode(model: TaggerModel, ids: np.ndarray, lengths: list[int]) -> list[lis
     back = np.empty((width - 1, n, m), dtype=np.intp)
     score[0] = emit[:, 0] + start
     rows = np.arange(n * m) * m  # where each (k, t) row of a flattened cand starts
-    for i in range(1, width):
-        # cand[k, t, p]: sentence k's score of reaching tag t from tag p; the
-        # maximum is read at the argmax, which is cheaper than a second reduction
-        cand = score[i - 1][:, None, :] + into
-        best = cand.argmax(axis=2, out=back[i - 1])
-        np.add(cand.ravel()[rows + best.ravel()].reshape(n, m), emit[:, i], out=score[i])
+    # cand[k, t, p]: sentence k's score of reaching tag t from tag p; the
+    # maximum is read at the argmax, which is cheaper than a second reduction.
+    # Each step writes into buffers made once and views of score and back
+    cand, at = np.empty((n, m, m)), np.empty(n * m, dtype=np.intp)
+    for prev, best, now, emitted in zip(score[:-1, :, None, :], back, score[1:],
+                                        emit.transpose(1, 0, 2)[1:]):
+        np.add(prev, into, out=cand)
+        cand.argmax(axis=2, out=best)
+        np.add(rows, best.ravel(), out=at)
+        np.add(cand.take(at).reshape(n, m), emitted, out=now)
     last = score[lengths - 1, np.arange(n)].argmax(axis=1)
     back_rows = back.tolist()
     out = []
@@ -285,10 +302,24 @@ def _decode(model: TaggerModel, ids: np.ndarray, lengths: list[int]) -> list[lis
     return out
 
 
+def _sentence_ids(model: TaggerModel, sents: list[list[Token]]) -> np.ndarray:
+    """The feature rows of every token of the sentences, in order: its
+    ``_token_slots`` with each feature resolved to its row, and the zero
+    row for a feature the model lacks or a slot with no feature.
+
+    Features are resolved once per distinct word, not per token.  A token
+    gets the rows of its ``featurize_sentences`` features in their order,
+    with zero rows between them where a slot is empty.  Adding the zero
+    row leaves a running emission total as it is (the total starts at
+    +0.0, and a sum that starts there is never -0.0), so the emissions are
+    those of its features' rows, bit for bit.
+    """
+    return _token_slots(sents, model.gazetteers, model.row.get, len(model.row))
+
+
 def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[IobTag]]:
-    """Featurize the sentences and decode them in one batch."""
-    feats = [f for sent in featurize_sentences(sents, model.gazetteers) for f in sent]
-    paths = _decode(model, model.ids(feats), [len(sent) for sent in sents])
+    """Resolve the sentences' features to rows and decode them in one batch."""
+    paths = _decode(model, _sentence_ids(model, sents), [len(sent) for sent in sents])
     return [[TAGSET[t] for t in path] for path in paths]
 
 
@@ -324,17 +355,17 @@ def train_tagger(
 ) -> TaggerModel:
     """Averaged-perceptron training against Viterbi predictions.
 
-    Every training sentence is featurized once, before the first epoch,
-    and the model starts with a row for each training feature, so each
-    update adds +-1.0 to its arrays in place.  Averaging is lazy: each
-    cell also accumulates ``delta * now`` over its updates, so after
-    ``now`` steps the sum of the cell's weight over the steps is ``weight
-    * now - accumulated``.  All of these are integers below 2**53 and so
-    exact, and the averaged weight is that sum divided by ``now``.  The
-    averaged model keeps only its non-zero cells, as a loaded one does.
-    Deterministic for a fixed seed: the sentence order is reshuffled per
-    epoch from a seeded RNG.  A gold move the decoder can never take
-    raises ``ValueError``.
+    The model starts with a row for each training feature, and each
+    sentence's rows are resolved once, before the first epoch, so each
+    update adds +-1.0 to its arrays in place (the order of the additions
+    does not matter).  Averaging is lazy: each cell also accumulates
+    ``delta * now`` over its updates, so after ``now`` steps the sum of
+    the cell's weight over the steps is ``weight * now - accumulated``.
+    All of these are integers below 2**53 and so exact, and the averaged
+    weight is that sum divided by ``now``.  The averaged model keeps only
+    its non-zero cells, as a loaded one does.  Deterministic for a fixed
+    seed: the sentence order is reshuffled per epoch from a seeded RNG.
+    A gold move the decoder can never take raises ``ValueError``.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -347,10 +378,10 @@ def train_tagger(
             _move(prev, name)
         gold.append([_COLUMN[name] for name in names])
     gazetteers = gazetteers or Gazetteers()
-    feats = featurize_sentences([tokens for tokens, _ in corpus], gazetteers)
-    model = TaggerModel(gazetteers=gazetteers,
-                        features=(f for sent in feats for token in sent for f in token))
-    ids = [model.ids(sent_feats) for sent_feats in feats]
+    sents = [tokens for tokens, _ in corpus]
+    slots = _token_slots(sents, gazetteers, lambda f, _: f, None)  # the feature strings
+    model = TaggerModel(gazetteers=gazetteers, features=(f for f in slots.flat if f is not None))
+    ids = [_sentence_ids(model, [tokens]) for tokens in sents]
     # per cell, the sum of delta * now over the cell's updates
     weights_at, transitions_at = np.zeros_like(model.weights), np.zeros_like(model.transitions)
     now = 0
@@ -393,20 +424,21 @@ def predict_entities(model: TaggerModel | None, doc: Document,
 
     ``model=None`` is gold mode and returns ``doc.entities`` unchanged.
     Otherwise the sentences of the document are decoded together in one
-    batch; each sentence's tags are
-    those ``viterbi_decode`` gives it.  ``sents_out``, if given, receives
-    those sentences (``sentences(tokenize(doc.text))``), so a caller can
-    build the document's contexts without tokenizing it again.
+    batch; each sentence's tags are those ``viterbi_decode`` gives it.
+    ``sents_out``, if given, receives those sentences
+    (``sentences(tokenize(doc.text))``), so a caller can build the
+    document's contexts without tokenizing it again.
     """
     if model is None:
         return list(doc.entities)
-    sents = sentences(tokenize(doc.text))
+    tokens = tokenize(doc.text)
+    sents = sentences(tokens)
     if sents_out is not None:
         sents_out.extend(sents)
-    out: list[EntitySpan] = []
-    for sent, tags in zip(sents, _tag_sentences(model, sents)):
-        out.extend(iob_to_spans(sent, tags, text=doc.text, first_id=len(out) + 1))
-    return out
+    # no span crosses a sentence, so one pass over the document's tags
+    # gives the spans, and ids, of one pass per sentence
+    tags = [tag for sent_tags in _tag_sentences(model, sents) for tag in sent_tags]
+    return iob_to_spans(tokens, tags, text=doc.text)
 
 
 def save_tagger(model: TaggerModel, path) -> None:
@@ -418,16 +450,6 @@ def save_tagger(model: TaggerModel, path) -> None:
     for kind, table in (("F", model.feature_weights), ("T", model.transition_weights)):
         lines += [f"{kind}\t{a}\t{b}\t{w!r}" for (a, b), w in sorted(table.items())]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def _weight(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"weight is not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"weight is not finite: {text!r}")
-    return value
 
 
 def load_tagger(path) -> TaggerModel:
@@ -466,7 +488,7 @@ def load_tagger(path) -> TaggerModel:
                 else:
                     _move(first, tag)
                 table = feature_weights if kind == "F" else transition_weights
-                table[(first, tag)] = _weight(weight)
+                table[(first, tag)] = read_weight(weight)
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except ValueError as exc:

@@ -189,51 +189,37 @@ def iob_to_spans(
     """
     if len(tokens) != len(tags):
         raise DataError(f"{len(tokens)} tokens vs {len(tags)} tags")
-    spans: list[EntitySpan] = []
-    run: list[int] = []
-    run_label: str | None = None
+    runs: list[tuple[int, int, str]] = []  # each span's first and last token, label
+    first = -1  # the first token of the open run, or -1
+    label = sent = None  # the open run's label and sentence index
+    for i, tag in enumerate(tags):
+        if tag.prefix == "O":
+            if first >= 0:
+                runs.append((first, i - 1, label))
+                first = -1
+            continue
+        # a run never crosses a sentence, so its sentence is the last token's
+        if (first >= 0 and tag.prefix == "I" and tag.label == label
+                and tokens[i].sent_index == sent):
+            continue
+        if first >= 0:
+            runs.append((first, i - 1, label))
+        first, label, sent = i, tag.label, tokens[i].sent_index
+    if first >= 0:
+        runs.append((first, len(tags) - 1, label))
 
-    def close() -> None:
-        nonlocal run, run_label
-        if not run:
-            return
-        start = tokens[run[0]].start
-        end = tokens[run[-1]].end
+    spans: list[EntitySpan] = []
+    for first, last, label in runs:
+        start, end = tokens[first].start, tokens[last].end
         if text is not None:
             surface = text[start:end]
         else:
-            parts = [tokens[run[0]].text]
-            for prev, cur in zip(run, run[1:]):
-                gap = tokens[cur].start - tokens[prev].end
-                parts.append(" " * gap + tokens[cur].text)
+            parts = [tokens[first].text]
+            for prev, cur in zip(tokens[first:last], tokens[first + 1:last + 1]):
+                parts.append(" " * (cur.start - prev.end) + cur.text)
             surface = "".join(parts)
-        spans.append(
-            EntitySpan(
-                f"T{first_id + len(spans)}",
-                LABEL_TO_ETYPE[run_label],
-                start,
-                end,
-                surface,
-            )
-        )
-        run, run_label = [], None
-
-    for i, (tok, tag) in enumerate(zip(tokens, tags)):
-        new_sentence = i > 0 and tokens[i - 1].sent_index != tok.sent_index
-        if tag.prefix == "O":
-            close()
-            continue
-        continues = (
-            tag.prefix == "I"
-            and run
-            and run_label == tag.label
-            and not new_sentence
-        )
-        if not continues:
-            close()
-            run_label = tag.label
-        run.append(i)
-    close()
+        spans.append(EntitySpan(f"T{first_id + len(spans)}", LABEL_TO_ETYPE[label],
+                                start, end, surface))
     return spans
 
 

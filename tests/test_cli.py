@@ -34,6 +34,7 @@ from conftest import (
     DUPLICATE_PERSON_ANN,
     DUPLICATE_PERSON_CONLLU,
     DUPLICATE_PERSON_TXT,
+    GAZETTEERS,
 )
 
 
@@ -57,6 +58,26 @@ MODEL_NER_DIGESTS = {
         "2bff96ae9f4d92ac40600c937096ca461e25d10ec49cf0436b030f4eda2b5bca",
     "graph.json":
         "6f43c1b9c55dacc3a5b0e81623e19af262b8401d0c4b12ee6b9d73fd731cc03d",
+}
+
+# sha256 of the tagger model and each output of the same ``extract`` with a
+# tagger trained with both fixture gazetteers, so its lexicon rows fire;
+# recorded while the tagger looked up each token's feature strings.
+GAZETTEER_NER_DIGESTS = {
+    "tagger.model":
+        "90cb9090ec701f708ac20387c3dd8888f2bf5046bbcf7ccedace47533853fa1b",
+    "3f8a12bc-90de-4f61-8a2b-5c7e94d0a113.ann":
+        "72aa65018c2c9d4dc23c95800de22deb785dd327054f7985bf69faedbdea3360",
+    "7b4c55e0-1a2f-4d3c-9e8b-0f6a7c2d4e85.ann":
+        "3515933b3708492bc48a51eafa8a8317486fca8cbc3c50849dcc464a0f4d079d",
+    "a95d77f2-63b8-4c04-b1de-2f90c3a6b7c1.ann":
+        "11aa5bd17e02edd6d0746da96dd4264569daf12db4428c2b41fe6e9d9e2860d8",
+    "c2e94b08-5f17-4a6d-8c3b-91d0e4f2a5b6.ann":
+        "22d8523bae361a54fe8a03eb6c1edc69a3eab113b03e962da60d40b7eb806d32",
+    "e610f3a9-8d2c-4b75-a0e1-7c4f92b8d3e2.ann":
+        "2bff96ae9f4d92ac40600c937096ca461e25d10ec49cf0436b030f4eda2b5bca",
+    "graph.json":
+        "67220c7d384a45adecf979620a519a3e9777895c784f84f595b19fbbb10074fa",
 }
 
 # ``inspect --doc DOC_VANGUARD --paths`` as printed before target-to-Person
@@ -165,20 +186,35 @@ class TestExtract:
             ("dup:T1", "dup:T3", "sdp-free"),
         ]
 
-    def test_model_ner_outputs_unchanged(self, tmp_path, monkeypatch):
+    @staticmethod
+    def model_ner_digests(tmp_path, monkeypatch, *train_flags):
+        """sha256 of each output but run.json of a model-NER ``extract`` with
+        the models ``train`` fits with ``train_flags``."""
         # relative paths keep graph.json's config hash the same in any checkout
         shutil.copytree(CORPUS_DIR, tmp_path / "corpus")
+        shutil.copytree(GAZETTEERS, tmp_path / "gazetteers")
         monkeypatch.chdir(tmp_path)
-        assert run("train", "--corpus", "corpus", "--out", "models") == 0
+        assert run("train", "--corpus", "corpus", "--out", "models", *train_flags) == 0
         assert run("extract", "--corpus", "corpus", "--out", "out",
                    "--ner-mode", "model", "--tagger-model", "models/tagger.model",
                    "--strategy", "nn-constrained", "--relnet-model", "models") == 0
-        digests = {
+        return {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted((tmp_path / "out").iterdir())
             if path.name != "run.json"
         }
-        assert digests == MODEL_NER_DIGESTS
+
+    def test_model_ner_outputs_unchanged(self, tmp_path, monkeypatch):
+        assert self.model_ner_digests(tmp_path, monkeypatch) == MODEL_NER_DIGESTS
+
+    def test_model_ner_outputs_with_gazetteers_unchanged(self, tmp_path, monkeypatch):
+        digests = self.model_ner_digests(
+            tmp_path, monkeypatch, "--org-gazetteer", "gazetteers/organizations.txt",
+            "--rank-gazetteer", "gazetteers/ranks.txt")
+        model = tmp_path / "models" / "tagger.model"
+        assert "org-lex" in model.read_text(encoding="utf-8")
+        digests["tagger.model"] = hashlib.sha256(model.read_bytes()).hexdigest()
+        assert digests == GAZETTEER_NER_DIGESTS
 
     def test_extract_then_rescore_matches_direct_evaluation(self, tmp_path):
         out = tmp_path / "out"
@@ -329,6 +365,18 @@ class TestTrain:
         assert "error: learning_rate (--learning-rate)" in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not out.exists() and "->" not in proc.stdout  # no model line either
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--targets", "tagger"], ["evaluate", "--ner-eval"], ["bench"]])
+    @pytest.mark.parametrize("flag", ["--org-gazetteer", "--rank-gazetteer"])
+    def test_gazetteer_that_is_not_utf8_is_a_data_error(self, command, flag, tmp_path,
+                                                         capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "x"
+        assert run(*command, "--corpus", CORPUS_DIR, "--out", out, flag, bad) == 2
+        assert f"{bad}: not UTF-8 text (byte 0)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

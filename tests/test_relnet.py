@@ -686,8 +686,13 @@ class TestPersistence:
         ("\nk 3\n", "\nk three\n", "invalid literal for int()", "k three"),
         ("\nmin_count 2\n", "\n", "no 'min_count' record", None),
         ("\narray W1 2 8\n", "\narray W1 2 8\nabc ",
-         "could not convert string to float: 'abc'", "abc"),
+         "weight is not a number: 'abc'", "abc"),
         ("\narray b1 1 8\n", "\narray b1 -1 8\n", "negative size", "array b1"),
+        ("\narray W3 32 3\n", "\narray W3 32 3\nnan ", "weight is not finite: 'nan'", "nan "),
+        ("\narray W1 2 8\n", "\narray W1 2 8\n-1e999 ", "weight is not finite: '-1e999'",
+         "-1e999"),
+        ("\nlength_scale 0.1\n", "\nlength_scale inf\n", "weight is not finite: 'inf'",
+         "length_scale inf"),
         ("\nk 3\n", "\nk 4\n", "array W3 is (32, 3), expected (40, 4)", "array W3"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, old, new, message,

@@ -17,6 +17,8 @@ from unitgraph.tagger import (
     Gazetteers,
     START,
     TaggerModel,
+    _decode,
+    _sentence_ids,
     _shape,
     _tag_sentences,
     featurize_sentences,
@@ -177,6 +179,16 @@ def reference_train(corpus, epochs, seed, gazetteers=None):
                        {"seed": seed, "epochs": epochs, "sentences": len(corpus)})
 
 
+def string_ids(model, token_feats):
+    """Each token's feature rows, looked up string by string and padded at
+    the end with the zero row: the rows the tagger decoded before it
+    resolved features per word."""
+    zero = len(model.row)
+    width = max((len(feats) for feats in token_feats), default=0)
+    return np.array([[model.row.get(f, zero) for f in feats] + [zero] * (width - len(feats))
+                     for feats in token_feats], dtype=np.intp).reshape(len(token_feats), width)
+
+
 def saved_bytes(model):
     """The bytes ``save_tagger`` writes for the model."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -300,6 +312,71 @@ def test_sentence_features_match_per_token_reference(words, gazetteers):
             for i in range(len(tokens))] == expected
 
 
+def reference_shape(word):
+    """The per-character shape rule, kept as the reference for ``_shape``."""
+    return "".join("X" if ch.isupper() else "x" if ch.islower() else "d" if ch.isdigit()
+                   else ch for ch in word)
+
+
+# letters, digits and marks outside ASCII that str.isupper/islower/isdigit
+# classify, some of which change length when lower-cased (İ) or are
+# title-case (ǅ)
+_NON_ASCII = ["İ", "ß", "²", "Ọ", "’", "É", "é", "ǅ", "Ⅻ", "٣", "ﬁ", "Σ", "ς", "µ", "—", "\u00a0"]
+
+
+def test_shape_matches_per_character_rule():
+    for ch in [chr(c) for c in range(128)] + _NON_ASCII:
+        assert _shape(ch) == reference_shape(ch), repr(ch)
+    for word in ["O'Neil", "3rd", "Brig.", "İstanbul", "Straße", "x²", "Ọba", "AbC-12_z"]:
+        assert _shape(word) == reference_shape(word), word
+
+
+_TAGGED_WORDS = _WORDS + ["İstanbul", "Straße", "x²", "Ọba", "’", "İ", "ß", "²", "Ọ"]
+_TAGGED_PHRASES = st.lists(st.sampled_from(_TAGGED_WORDS), min_size=1, max_size=3).map(
+    lambda words: " ".join(words).lower())
+# signed zeros, and magnitudes far apart, so that the order of the
+# additions shows in the bits of the emissions
+_WEIGHTS = st.sampled_from([-0.0, 0.0]) | st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)
+
+
+@st.composite
+def tagging_cases(draw):
+    """A document of random words in one or more sentences, and a model
+    with random gazetteers and random weights on some of its features."""
+    words = st.lists(st.sampled_from(_TAGGED_WORDS), min_size=1, max_size=12)
+    text = ".\n\n".join(" ".join(ws) for ws in draw(st.lists(words, min_size=1, max_size=4)))
+    gazetteers = draw(st.builds(Gazetteers, st.frozensets(_TAGGED_PHRASES, max_size=5),
+                                st.frozensets(_TAGGED_PHRASES, max_size=5)))
+    sents = sentences(tokenize(text))
+    features = sorted({f for sent in featurize_sentences(sents, gazetteers)
+                       for token in sent for f in token})
+    names = [str(tag) for tag in TAGSET]
+    feature_weights = draw(st.dictionaries(
+        st.tuples(st.sampled_from(features), st.sampled_from(names)), _WEIGHTS, max_size=80))
+    transition_weights = draw(st.dictionaries(st.sampled_from(sorted(ALLOWED)), _WEIGHTS))
+    return text, TaggerModel(feature_weights, transition_weights, gazetteers)
+
+
+@given(tagging_cases())
+@settings(max_examples=300, deadline=None)
+def test_rows_per_word_tag_as_the_feature_strings_do(case):
+    # the feature-string path: each token's features looked up one by one
+    text, model = case
+    sents = sentences(tokenize(text))
+    strings = [f for sent in featurize_sentences(sents, model.gazetteers) for f in sent]
+    assert strings == [reference_features(sent, i, model.gazetteers)
+                       for sent in sents for i in range(len(sent))]
+    expected = model.emissions(string_ids(model, strings))
+    got = model.emissions(_sentence_ids(model, sents))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    spans = []
+    paths = _decode(model, string_ids(model, strings), [len(sent) for sent in sents])
+    for sent, path in zip(sents, paths):
+        spans.extend(iob_to_spans(sent, [TAGSET[t] for t in path], text=text,
+                                  first_id=len(spans) + 1))
+    assert predict_entities(model, Document("d", text)) == spans
+
+
 class TestEmissions:
     def test_match_a_left_to_right_float_loop(self):
         # magnitudes from 1e-8 to 1e8 make the order of the additions show
@@ -329,7 +406,7 @@ class TestEmissions:
                     row.append(acc)
                 expected.append(row)
             model = TaggerModel(weights)
-            got = model.emissions(model.ids(token_feats))
+            got = model.emissions(string_ids(model, token_feats))
             assert np.array_equal(got.view(np.int64),
                                   np.array(expected).view(np.int64)), f"trial {trial}"
 

@@ -11,6 +11,7 @@ from unitgraph.errors import DataError
 from unitgraph.tokens import (
     ABBREVIATIONS,
     _TOKEN_RE,
+    LABEL_TO_ETYPE,
     IobTag,
     O_TAG,
     TAGSET,
@@ -303,3 +304,56 @@ def test_decode_then_encode_is_transition_valid(tag_names):
     for tag in repaired:
         assert valid_transition(prev, tag)
         prev = tag
+
+
+def reference_iob_to_spans(tokens, tags, text=None, first_id=1):
+    """The token-by-token span decoder, kept as the reference for the
+    decoder: a run continues on an ``I-X`` of its label in the sentence
+    of the token before it, and ends at anything else."""
+    spans, run, run_label = [], [], None
+
+    def close():
+        if not run:
+            return
+        start, end = tokens[run[0]].start, tokens[run[-1]].end
+        if text is not None:
+            surface = text[start:end]
+        else:
+            surface = tokens[run[0]].text + "".join(
+                " " * (tokens[cur].start - tokens[prev].end) + tokens[cur].text
+                for prev, cur in zip(run, run[1:]))
+        spans.append(EntitySpan(f"T{first_id + len(spans)}", LABEL_TO_ETYPE[run_label],
+                                start, end, surface))
+
+    for i, (tok, tag) in enumerate(zip(tokens, tags)):
+        new_sentence = i > 0 and tokens[i - 1].sent_index != tok.sent_index
+        if tag.prefix == "O":
+            close()
+            run, run_label = [], None
+            continue
+        if not (tag.prefix == "I" and run and run_label == tag.label and not new_sentence):
+            close()
+            run, run_label = [], tag.label
+        run.append(i)
+    close()
+    return spans
+
+
+@given(st.lists(st.tuples(st.sampled_from(TAGSET), st.booleans(), st.integers(1, 3)),
+                max_size=30),
+       st.booleans(), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_iob_to_spans_matches_token_by_token_reference(cells, with_text, first_id):
+    # each cell is a token's tag, whether a new sentence starts at it and
+    # the gap before it, so runs meet sentence breaks and uneven spacing
+    tokens, text, sent = [], "", 0
+    for i, (_, new_sentence, gap) in enumerate(cells):
+        sent += bool(i and new_sentence)
+        text += " " * gap
+        word = f"w{i}"
+        tokens.append(Token(word, len(text), len(text) + len(word), sent, i))
+        text += word
+    tags = [tag for tag, _, _ in cells]
+    given_text = text if with_text else None
+    assert (iob_to_spans(tokens, tags, given_text, first_id)
+            == reference_iob_to_spans(tokens, tags, given_text, first_id))
