@@ -288,13 +288,16 @@ def _require_gold(found: bool) -> None:
         raise DataError("corpus has no gold annotations to evaluate against")
 
 
-def _check_out(output_dir: str) -> None:
-    """Reject an ``--out`` that names a file, or lies under one, before any
-    model or corpus is read."""
+def _check_out(output_dir: str, corpus_dir: str = "") -> None:
+    """Reject an ``--out`` that names a file, or lies under one, or that is
+    ``corpus_dir`` if one is given, before any model or corpus is read."""
     path = Path(output_dir)
     found = next((p for p in (path, *path.parents) if p.exists()), None)
     if found is not None and not found.is_dir():
         raise DataError(f"--out {output_dir}: {found} exists and is not a directory")
+    if corpus_dir and path.resolve() == Path(corpus_dir).resolve():
+        raise DataError(f"--out {output_dir} is the corpus directory {corpus_dir}; "
+                        "its gold .ann files would be overwritten")
 
 
 def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
@@ -424,10 +427,10 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
 
     Strategy scoring runs on gold entities.  Documents are the outer loop,
     streamed one at a time: each document's sentence contexts are built
-    once, and every requested strategy and the cross-sentence count read
-    those same contexts, so each target-to-Person path is computed once per
-    document.  The tagger's split needs the whole corpus, so --ner-eval
-    loads it at once.
+    once, and every requested strategy reads those same contexts, so each
+    target-to-Person path is computed once per document; its gold edges are
+    paired once, and every score and the cross-sentence count read them.
+    The tagger's split needs the whole corpus, so --ner-eval loads it at once.
     """
     if metric_check:
         problems = evaluation.verify_reference_metrics()
@@ -484,10 +487,11 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         annotated = annotated or bool(doc.entities or doc.relations)
         run = run_document(doc, trees, strategies, networks,
                            fallback=cfg.fallback == "nearest")
+        gold = gold_pairs(doc, run.contexts)
         for s, atts in run.attachments.items():
-            doc_counts = evaluation.relation_counts(doc.relations, atts, doc.entities)
+            doc_counts = evaluation.relation_counts(gold, atts)
             counts[s] = tuple(a + b for a, b in zip(counts[s], doc_counts))
-        cross += gold_pairs(doc, run.contexts)[1]
+        cross += sum(e.person is not None and e.context is None for e in gold)
     _require_gold(annotated)
     rows = [
         evaluation.PrfRow.from_counts(evaluation.STRATEGY_ROW_NAMES[s], *counts[s])
@@ -637,7 +641,8 @@ def main(argv: list[str] | None = None) -> int:
         if needs_corpus and not cfg.corpus_dir:
             raise UsageError("--corpus is required")
         if needs_corpus and args.command in ("extract", "train", "evaluate"):
-            _check_out(cfg.output_dir)
+            # only extract writes .ann files, over the corpus's own
+            _check_out(cfg.output_dir, cfg.corpus_dir if args.command == "extract" else "")
         if args.command == "extract":
             return cmd_extract(cfg)
         if args.command == "train":

@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Document, EntitySpan, EntityType, RelationEdge
+from .corpus import Document, EntitySpan, EntityType
 from .deptree import DepTree
-from .relations import Attachment, Strategy, gold_person_target, run_document
+from .relations import Attachment, GoldEdge, Strategy, run_document
 from .tokens import sentences, tokenize
 
 ENTITY_ROW_ORDER = (
@@ -120,42 +120,17 @@ def _edge_key(person: EntitySpan, target: EntitySpan, rtype) -> tuple:
     return (person.start, person.end, target.start, target.end, rtype)
 
 
-def _gold_relation_triples(
-    gold: list[RelationEdge], entities: list[EntitySpan]
-) -> Counter:
-    """Gold edges as (person span, target span, type) triples.
-
-    Edges that do not pair exactly one Person with one non-Person can
-    never be matched by a prediction; they stay in the gold multiset (as
-    unmatchable sentinels) and so count as false negatives.
-    """
-    by_id = {e.id: e for e in entities}
-    triples: Counter = Counter()
-    for rel in gold:
-        pair = gold_person_target(rel, by_id)
-        if pair is None:
-            triples[("unpaired", rel.id)] += 1
-            continue
-        triples[_edge_key(*pair, rel.rtype)] += 1
-    return triples
-
-
-def relation_counts(
-    gold: list[RelationEdge], pred: list[Attachment], entities: list[EntitySpan]
-) -> tuple[int, int, int]:
-    """(tp, fp, fn); abstentions contribute only to fn."""
-    gold_triples = _gold_relation_triples(gold, entities)
-    pred_triples: Counter = Counter()
-    for att in pred:
-        if att.person is None:
-            continue
-        pred_triples[_edge_key(att.person, att.target, att.rtype)] += 1
-    tp = sum((gold_triples & pred_triples).values())
-    return (
-        tp,
-        sum(pred_triples.values()) - tp,
-        sum(gold_triples.values()) - tp,
-    )
+def relation_counts(gold: list[GoldEdge], pred: list[Attachment]) -> tuple[int, int, int]:
+    """(tp, fp, fn) of one document's predictions against its gold edges
+    (``gold_pairs``).  A gold edge is keyed by its own type, so a
+    schema-flagged one never matches; an edge with no Person/target pair
+    counts only in fn, and so does an abstention."""
+    gold_keys = Counter(_edge_key(e.person, e.target, e.relation.rtype)
+                        for e in gold if e.person is not None)
+    pred_keys = Counter(_edge_key(a.person, a.target, a.rtype)
+                        for a in pred if a.person is not None)
+    tp = sum((gold_keys & pred_keys).values())
+    return tp, sum(pred_keys.values()) - tp, len(gold) - tp
 
 
 def verify_reference_metrics(tolerance: float = 0.005) -> list[str]:

@@ -11,6 +11,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import (Document, EntitySpan, EntityType, RelationEdge, RelationType,
                      SCHEMA_RELATION)
@@ -319,46 +320,37 @@ def run_document(doc: Document, trees: list[DepTree], strategies=(), networks=No
     return DocumentRun(view, contexts, attachments, seconds)
 
 
-def gold_person_target(
-    rel: RelationEdge, by_id: dict[str, EntitySpan]
-) -> tuple[EntitySpan, EntitySpan] | None:
-    """The (Person, target) a gold edge joins, given entities by ID.
+class GoldEdge(NamedTuple):
+    """A gold relation and what it joins.
 
-    None when an argument is missing or the edge does not pair exactly one
-    Person with one non-Person; no strategy can predict such an edge.
+    ``person`` and ``target`` are None when the edge does not join exactly
+    one Person with one non-Person: no strategy can predict it.
+    ``context`` is the sentence holding both, None when they live in
+    different sentences or outside every sentence: unreachable for every
+    strategy here, and unlearnable.
     """
-    a, b = by_id.get(rel.arg1), by_id.get(rel.arg2)
-    if a is None or b is None:
-        return None
-    if (a.etype is EntityType.PERSON) == (b.etype is EntityType.PERSON):
-        return None  # no Person, or two
-    return (a, b) if a.etype is EntityType.PERSON else (b, a)
+
+    relation: RelationEdge
+    person: EntitySpan | None
+    target: EntitySpan | None
+    context: SentenceContext | None
 
 
-def gold_pairs(
-    doc: Document, contexts: list[SentenceContext]
-) -> tuple[list[tuple[SentenceContext, EntitySpan, EntitySpan]], int]:
-    """(context, target, gold Person) triples for same-sentence gold edges.
-
-    Returns the triples plus the count of gold edges whose Person and
-    target live in different sentences (unlearnable and unreachable for
-    every strategy here; they score as misses).
-    """
+def gold_pairs(doc: Document, contexts: list[SentenceContext]) -> list[GoldEdge]:
+    """One ``GoldEdge`` per gold relation of ``doc``, in file order;
+    ``contexts`` are ``build_contexts`` on the document's gold entities."""
     by_id = {e.id: e for e in doc.entities}
-    home: dict[str, int] = {}
-    for i, ctx in enumerate(contexts):
-        for ent in ctx.persons + ctx.targets:
-            home[ent.id] = i
-    pairs = []
-    cross = 0
+    home = {ent.id: ctx for ctx in contexts for ent in ctx.persons + ctx.targets}
+    edges = []
     for rel in doc.relations:
-        pair = gold_person_target(rel, by_id)
-        if pair is None:
-            continue  # schema-flagged edge; not a person/target pair
-        person, target = pair
-        i = home.get(target.id)
-        if i is None or home.get(person.id) != i:
-            cross += 1
+        a, b = by_id.get(rel.arg1), by_id.get(rel.arg2)
+        # an argument missing, or no Person, or two
+        if a is None or b is None or ((a.etype is EntityType.PERSON)
+                                      == (b.etype is EntityType.PERSON)):
+            edges.append(GoldEdge(rel, None, None, None))
             continue
-        pairs.append((contexts[i], target, person))
-    return pairs, cross
+        person, target = (a, b) if a.etype is EntityType.PERSON else (b, a)
+        ctx = home.get(target.id)
+        edges.append(GoldEdge(rel, person, target,
+                              ctx if home.get(person.id) is ctx else None))
+    return edges

@@ -412,9 +412,9 @@ def training_set(
     both read from one set of contexts per document."""
     contexts_by_doc = [build_contexts(doc, trees) for doc, trees in entries]
     vocab = build_vocab(collect_patterns(contexts_by_doc), min_count, directed)
-    pairs = []
-    for (doc, _), contexts in zip(entries, contexts_by_doc):
-        pairs.extend(gold_pairs(doc, contexts)[0])
+    pairs = [(edge.context, edge.target, edge.person)
+             for (doc, _), contexts in zip(entries, contexts_by_doc)
+             for edge in gold_pairs(doc, contexts) if edge.context is not None]
     return vocab, pairs
 
 
@@ -562,6 +562,10 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
                              f"at line {len(lines)}")
     if header["mode"] not in {net.mode for net in NETWORKS.values()}:
         raise ModelFileError(path, f"unknown mode {header['mode']!r}", where["mode"])
+    for key in ("k", "hidden"):
+        if header[key] < 1:
+            raise ModelFileError(path, f"{key} must be at least 1, got {header[key]}",
+                                 where[key])
     if not all(0 <= idx <= len(index) for idx in [*index.values(), header["unknown"]]):
         raise ModelFileError(path, f"a pattern index is outside 0..{len(index)}")
     vocab_size = header["vocab_size"]

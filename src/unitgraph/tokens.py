@@ -178,14 +178,14 @@ def spans_to_iob(tokens: list[Token], entities: list[EntitySpan]) -> list[IobTag
 def iob_to_spans(
     tokens: list[Token],
     tags: list[IobTag],
-    text: str | None = None,
+    text: str,
     first_id: int = 1,
 ) -> list[EntitySpan]:
-    """Decode a tag sequence back into entity spans.
+    """Decode a tag sequence back into entity spans, their surfaces sliced
+    from ``text``, the text the tokens came from.
 
     Stray ``I-X`` (sentence-initial, after O, or after a different label)
-    opens a new span, the usual CoNLL repair.  Surfaces are sliced from
-    ``text`` when given, otherwise rebuilt from token texts and gaps.
+    opens a new span, the usual CoNLL repair.
     """
     if len(tokens) != len(tags):
         raise DataError(f"{len(tokens)} tokens vs {len(tags)} tags")
@@ -211,15 +211,8 @@ def iob_to_spans(
     spans: list[EntitySpan] = []
     for first, last, label in runs:
         start, end = tokens[first].start, tokens[last].end
-        if text is not None:
-            surface = text[start:end]
-        else:
-            parts = [tokens[first].text]
-            for prev, cur in zip(tokens[first:last], tokens[first + 1:last + 1]):
-                parts.append(" " * (cur.start - prev.end) + cur.text)
-            surface = "".join(parts)
         spans.append(EntitySpan(f"T{first_id + len(spans)}", LABEL_TO_ETYPE[label],
-                                start, end, surface))
+                                start, end, text[start:end]))
     return spans
 
 

@@ -2,8 +2,12 @@ import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from unitgraph.corpus import load_corpus
+from unitgraph.corpus import (Document, EntitySpan, EntityType, RelationEdge,
+                              RelationType, load_corpus)
+from unitgraph.relations import build_contexts
+from unitgraph.tokens import Token
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_DIR = FIXTURES / "corpus"
@@ -77,3 +81,35 @@ def corpus_entries():
 @pytest.fixture(scope="session")
 def corpus_by_id(corpus_entries):
     return {doc.doc_id: (doc, trees) for doc, trees in corpus_entries}
+
+
+# Sentence i of a drawn document covers [20 i, 20 i + 15); the gaps between
+# and after the sentences lie outside every sentence.
+_SENTENCE_STEP, _SENTENCE_WIDTH = 20, 15
+
+
+@st.composite
+def gold_documents(draw):
+    """A document and its contexts (``build_contexts`` on fixed sentences)
+    with gold edges of every kind: Person/Person and non-Person/non-Person
+    edges, edges across sentences, entities outside every sentence,
+    schema-flagged types, duplicate spans and a missing argument.  Starts
+    come from a few offsets, so spans often repeat."""
+    n_sents = draw(st.integers(1, 3))
+    sents = [[Token("w", i * _SENTENCE_STEP, i * _SENTENCE_STEP + _SENTENCE_WIDTH, i, 0)]
+             for i in range(n_sents)]
+    starts = st.sampled_from(range(0, n_sents * _SENTENCE_STEP + 4, 3))
+    # Person twice, so more edges join exactly one Person
+    etypes = st.sampled_from([EntityType.PERSON, *EntityType])
+    cells = draw(st.lists(st.tuples(etypes, starts,
+                                    st.integers(1, 4)), max_size=8))
+    entities = [EntitySpan(f"T{i}", etype, start, start + width, "x" * width)
+                for i, (etype, start, width) in enumerate(cells, start=1)]
+    # argument index len(entities) + 1 names no entity
+    args = st.integers(1, len(entities) + 1)
+    relations = [RelationEdge(f"R{i}", rtype, f"T{a}", f"T{b}")
+                 for i, (rtype, a, b) in enumerate(draw(st.lists(
+                     st.tuples(st.sampled_from(RelationType), args, args),
+                     max_size=8)), start=1)]
+    doc = Document("drawn", "x" * (n_sents * _SENTENCE_STEP), entities, relations)
+    return doc, build_contexts(doc, [], sents)

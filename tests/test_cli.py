@@ -24,7 +24,8 @@ from unitgraph.cli import RunConfig, UsageError, _graph_writer, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntitySpan, EntityType, RelationType
 from unitgraph.evaluation import relation_counts
-from unitgraph.relations import Attachment, Strategy, build_contexts, extract_document
+from unitgraph.relations import (Attachment, Strategy, build_contexts, extract_document,
+                                 gold_pairs)
 
 from conftest import (
     CORPUS_DIR,
@@ -221,9 +222,9 @@ class TestExtract:
         run("extract", "--corpus", CORPUS_DIR, "--out", out,
             "--strategy", "sdp-constrained")
         for doc, trees in load_corpus(CORPUS_DIR):
-            atts = extract_document(doc, build_contexts(doc, trees),
-                                    Strategy.SDP_CONSTRAINED)
-            direct = relation_counts(doc.relations, atts, doc.entities)
+            contexts = build_contexts(doc, trees)
+            atts = extract_document(doc, contexts, Strategy.SDP_CONSTRAINED)
+            direct = relation_counts(gold_pairs(doc, contexts), atts)
             pred_doc = parse_brat(
                 (out / f"{doc.doc_id}.ann").read_text(encoding="utf-8"),
                 doc.text, doc.doc_id,
@@ -702,6 +703,23 @@ class TestStreaming:
         assert run("extract", "--corpus", path, "--out", out) == 2
         assert f"{path}: not a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "through .."])
+    def test_out_that_is_the_corpus_exits_2_before_any_work(self, spelling, tmp_path,
+                                                           capsys):
+        # extract would replace the gold .ann files with its predictions; the
+        # tagger model does not exist, so reading it first would report that
+        corpus = tmp_path / "c2"
+        shutil.copytree(CORPUS_DIR, corpus)
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        out = corpus if spelling == "same" else tmp_path / "absent" / ".." / "c2"
+        assert run("extract", "--corpus", corpus, "--out", out,
+                   "--ner-mode", "model", "--tagger-model", tmp_path / "none.model") == 2
+        captured = capsys.readouterr()
+        assert f"data error: --out {out} is the corpus directory {corpus}" in captured.err
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c2"]
 
     def test_inspect_reads_until_the_document_is_found(self, monkeypatch, capsys):
         refs, _ = _track_documents(monkeypatch)

@@ -1,7 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitgraph.corpus import Document, EntitySpan, EntityType, RelationEdge, RelationType
 from unitgraph.evaluation import (
@@ -21,13 +24,44 @@ from unitgraph.relations import (
     Strategy,
     build_contexts,
     extract_document,
+    gold_pairs,
 )
 
-from conftest import DOC_CEREMONY, DOC_VANGUARD
+from conftest import DOC_CEREMONY, DOC_VANGUARD, gold_documents
 
 
 def span(eid, etype, start, width=5):
     return EntitySpan(eid, etype, start, start + width, "x" * width)
+
+
+def gold_of(relations, entities):
+    """``gold_pairs`` of a document with these entities and relations; no
+    sentence is given, so every pair lacks a context, which scoring never
+    reads."""
+    return gold_pairs(Document("d", "", entities, relations), [])
+
+
+def reference_relation_counts(gold, pred, entities):
+    """The triple counter that paired each gold edge itself, kept as the
+    reference for ``relation_counts``: an edge that does not join exactly
+    one Person with one non-Person stays in the gold multiset as an
+    unmatchable sentinel, and an abstention adds nothing to the predictions."""
+    by_id = {e.id: e for e in entities}
+    gold_triples = Counter()
+    for rel in gold:
+        a, b = by_id.get(rel.arg1), by_id.get(rel.arg2)
+        if a is None or b is None or (
+                (a.etype is EntityType.PERSON) == (b.etype is EntityType.PERSON)):
+            gold_triples[("unpaired", rel.id)] += 1
+            continue
+        person, target = (a, b) if a.etype is EntityType.PERSON else (b, a)
+        gold_triples[(person.start, person.end, target.start, target.end,
+                      rel.rtype)] += 1
+    pred_triples = Counter(
+        (att.person.start, att.person.end, att.target.start, att.target.end, att.rtype)
+        for att in pred if att.person is not None)
+    tp = sum((gold_triples & pred_triples).values())
+    return (tp, sum(pred_triples.values()) - tp, sum(gold_triples.values()) - tp)
 
 
 class TestPrfRow:
@@ -124,10 +158,11 @@ class TestScoreRelations:
         self.rank = span("T2", EntityType.RANK, 10)
         self.org = span("T3", EntityType.ORGANIZATION, 20)
         self.entities = [self.person, self.rank, self.org]
-        self.gold = [
+        self.relations = [
             RelationEdge("R1", RelationType.HAS_RANK, "T1", "T2"),
             RelationEdge("R2", RelationType.IS_POSTED, "T1", "T3"),
         ]
+        self.gold = gold_of(self.relations, self.entities)
 
     def attach(self, target, person, strategy=Strategy.NEAREST_PERSON):
         from unitgraph.relations import type_map
@@ -137,64 +172,81 @@ class TestScoreRelations:
     def test_exact_match_counts(self):
         pred = [self.attach(self.rank, self.person),
                 self.attach(self.org, self.person)]
-        assert relation_counts(self.gold, pred, self.entities) == (2, 0, 0)
-        row = PrfRow.from_counts("Relations", *relation_counts(self.gold, pred, self.entities))
+        assert relation_counts(self.gold, pred) == (2, 0, 0)
+        row = PrfRow.from_counts("Relations", *relation_counts(self.gold, pred))
         assert row.precision == row.recall == 1.0
 
     def test_empty_predictions_score_zero(self):
-        row = PrfRow.from_counts("Relations", *relation_counts(self.gold, [], self.entities))
+        row = PrfRow.from_counts("Relations", *relation_counts(self.gold, []))
         assert (row.precision, row.recall, row.f1) == (0.0, 0.0, 0.0)
         assert row.fn == 2
 
     def test_abstention_counts_only_fn(self):
         pred = [self.attach(self.rank, None, Strategy.NN_FREE),
                 self.attach(self.org, self.person)]
-        tp, fp, fn = relation_counts(self.gold, pred, self.entities)
+        tp, fp, fn = relation_counts(self.gold, pred)
         assert (tp, fp, fn) == (1, 0, 1)
 
     def test_wrong_person_is_fp_plus_fn(self):
         other = span("T4", EntityType.PERSON, 40)
         pred = [self.attach(self.rank, other)]
-        tp, fp, fn = relation_counts(
-            self.gold, pred, self.entities + [other]
-        )
+        tp, fp, fn = relation_counts(gold_of(self.relations, self.entities + [other]), pred)
         assert (tp, fp, fn) == (0, 1, 2)
 
     def test_gold_invariants_on_fixture_runs(self, corpus_entries):
         for doc, trees in corpus_entries:
             for strat in (Strategy.NEAREST_PERSON, Strategy.SDP_FREE,
                           Strategy.SDP_CONSTRAINED):
-                atts = extract_document(doc, build_contexts(doc, trees), strat)
-                tp, fp, fn = relation_counts(doc.relations, atts, doc.entities)
+                contexts = build_contexts(doc, trees)
+                atts = extract_document(doc, contexts, strat)
+                tp, fp, fn = relation_counts(gold_pairs(doc, contexts), atts)
                 named = [a for a in atts if a.person is not None]
                 assert tp + fn == len(doc.relations)
                 assert tp + fp == len(named)
 
     def test_cross_sentence_gold_scores_fn(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_CEREMONY]
-        atts = extract_document(doc, build_contexts(doc, trees),
-                                Strategy.SDP_CONSTRAINED)
-        tp, fp, fn = relation_counts(doc.relations, atts, doc.entities)
+        contexts = build_contexts(doc, trees)
+        atts = extract_document(doc, contexts, Strategy.SDP_CONSTRAINED)
+        tp, fp, fn = relation_counts(gold_pairs(doc, contexts), atts)
         assert (tp, fn) == (0, 1)
 
     def test_untypable_gold_edge_stays_fn(self):
         # a relation between two non-Person spans can never be matched
         a, b = span("T5", EntityType.TITLE_ROLE, 50), span("T6", EntityType.TITLE_ROLE, 60)
         gold = [RelationEdge("R9", RelationType.HAS_RANK, "T5", "T6")]
-        tp, fp, fn = relation_counts(gold, [], [a, b])
+        tp, fp, fn = relation_counts(gold_of(gold, [a, b]), [])
         assert (tp, fp, fn) == (0, 0, 1)
 
     def test_permutation_invariance(self, corpus_by_id):
         rng = random.Random(5)
         doc, trees = corpus_by_id[DOC_VANGUARD]
-        atts = extract_document(doc, build_contexts(doc, trees),
-                                Strategy.NEAREST_PERSON)
-        base = relation_counts(doc.relations, atts, doc.entities)
-        gold = list(doc.relations)
+        contexts = build_contexts(doc, trees)
+        atts = extract_document(doc, contexts, Strategy.NEAREST_PERSON)
+        gold = gold_pairs(doc, contexts)
+        base = relation_counts(gold, atts)
         for _ in range(4):
             rng.shuffle(gold)
             rng.shuffle(atts)
-            assert relation_counts(gold, atts, doc.entities) == base
+            assert relation_counts(gold, atts) == base
+
+
+@given(gold_documents(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_relation_counts_match_reference(drawn, data):
+    # predictions from the document's own entities, each in either role,
+    # of any type, some abstaining and some repeated
+    doc, contexts = drawn
+    entities = st.sampled_from(doc.entities) if doc.entities else st.nothing()
+    pred = data.draw(st.lists(st.builds(
+        Attachment, target=entities, person=st.none() | entities,
+        rtype=st.sampled_from(RelationType), strategy=st.sampled_from(Strategy))))
+    # and a correct prediction for some of the gold edges
+    pred += [Attachment(e.target, e.person, e.relation.rtype, Strategy.NN_FREE)
+             for e in gold_pairs(doc, contexts)
+             if e.person is not None and data.draw(st.booleans())]
+    assert (relation_counts(gold_pairs(doc, contexts), pred)
+            == reference_relation_counts(doc.relations, pred, doc.entities))
 
 
 class TestFormatting:

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 import unitgraph.relations
 import unitgraph.tagger
@@ -18,7 +19,6 @@ from unitgraph.relations import (
     extract_document,
     flanking_persons,
     gold_pairs,
-    gold_person_target,
     nearest_person,
     run_document,
     sdp_attach,
@@ -34,6 +34,7 @@ from conftest import (
     DUPLICATE_PERSON_ANN,
     DUPLICATE_PERSON_CONLLU,
     DUPLICATE_PERSON_TXT,
+    gold_documents,
 )
 
 
@@ -400,34 +401,70 @@ class TestRunDocument:
 class TestGoldPairs:
     def test_cross_sentence_relation_counted(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_CEREMONY]
-        pairs, cross = gold_pairs(doc, build_contexts(doc, trees))
-        assert pairs == []
-        assert cross == 1
+        [edge] = gold_pairs(doc, build_contexts(doc, trees))
+        assert edge.relation == doc.relations[0]
+        assert edge.person is not None and edge.context is None
 
     def test_same_sentence_pairs(self, corpus_by_id):
         doc, trees = corpus_by_id[DOC_VANGUARD]
-        pairs, cross = gold_pairs(doc, build_contexts(doc, trees))
-        assert cross == 0
-        assert {(t.surface, p.surface) for _, t, p in pairs} == {
+        contexts = build_contexts(doc, trees)
+        edges = gold_pairs(doc, contexts)
+        assert [e.relation for e in edges] == doc.relations
+        assert all(e.context in contexts for e in edges)
+        assert {(e.target.surface, e.person.surface) for e in edges} == {
             ("General Officer Commanding", "Jack Nwaogbo"),
             ("3 Armoured Division", "Jack Nwaogbo"),
             ("Major General", "Jack Nwaogbo"),
         }
 
-
-class TestGoldPersonTarget:
     P = EntitySpan("T1", EntityType.PERSON, 0, 4, "John")
     Q = EntitySpan("T2", EntityType.PERSON, 10, 14, "Mary")
     R = EntitySpan("T3", EntityType.RANK, 5, 9, "Col.")
-    BY_ID = {e.id: e for e in (P, Q, R)}
 
-    def edge(self, arg1, arg2):
-        return RelationEdge("R1", RelationType.HAS_RANK, arg1, arg2)
+    def pairs(self, arg1, arg2):
+        doc = Document("d", "John Col. Mary", [self.P, self.Q, self.R],
+                       [RelationEdge("R1", RelationType.HAS_RANK, arg1, arg2)])
+        [edge] = gold_pairs(doc, build_contexts(doc, []))
+        return edge
 
     def test_either_argument_order(self):
-        assert gold_person_target(self.edge("T1", "T3"), self.BY_ID) == (self.P, self.R)
-        assert gold_person_target(self.edge("T3", "T2"), self.BY_ID) == (self.Q, self.R)
+        assert self.pairs("T1", "T3")[1:3] == (self.P, self.R)
+        assert self.pairs("T3", "T2")[1:3] == (self.Q, self.R)
 
     def test_unpairable_edges(self):
         for arg1, arg2 in (("T1", "T9"), ("T9", "T3"), ("T1", "T2"), ("T3", "T3")):
-            assert gold_person_target(self.edge(arg1, arg2), self.BY_ID) is None
+            assert self.pairs(arg1, arg2)[1:] == (None, None, None)
+
+
+def _home(contexts, ent):
+    """The first context whose extent the entity overlaps, as
+    ``build_contexts`` assigns it, or None."""
+    return next((c for c in contexts if ent.start < c.extent[1]
+                 and ent.end > c.extent[0]), None)
+
+
+@given(gold_documents())
+@settings(max_examples=200, deadline=None)
+def test_gold_pairs_partition_the_relations(drawn):
+    # one record per relation, in order; each unpairable, same-sentence or
+    # cross-sentence, as the entities' types and sentences say it must be
+    doc, contexts = drawn
+    edges = gold_pairs(doc, contexts)
+    assert [e.relation for e in edges] == doc.relations
+    by_id = {e.id: e for e in doc.entities}
+    for edge in edges:
+        rel = edge.relation
+        args = [by_id.get(rel.arg1), by_id.get(rel.arg2)]
+        persons = [a for a in args if a is not None and a.etype is EntityType.PERSON]
+        if None in args or len(persons) != 1:
+            assert edge[1:] == (None, None, None)
+            continue
+        assert edge.person is persons[0]
+        assert {edge.person.id, edge.target.id} == {rel.arg1, rel.arg2}
+        assert edge.target.etype is not EntityType.PERSON
+        home = _home(contexts, edge.target)
+        if home is not None and _home(contexts, edge.person) is home:
+            assert edge.context is home
+            assert edge.person in home.persons and edge.target in home.targets
+        else:
+            assert edge.context is None

@@ -694,6 +694,8 @@ class TestPersistence:
         ("\nlength_scale 0.1\n", "\nlength_scale inf\n", "weight is not finite: 'inf'",
          "length_scale inf"),
         ("\nk 3\n", "\nk 4\n", "array W3 is (32, 3), expected (40, 4)", "array W3"),
+        ("\nk 3\n", "\nk 0\n", "k must be at least 1, got 0", "k 0"),
+        ("\nhidden 8\n", "\nhidden 0\n", "hidden must be at least 1, got 0", "hidden 0"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, old, new, message,
                                                 marker):
@@ -746,10 +748,9 @@ class TestTrainingSet:
                                for doc, trees in corpus_entries]
             ref_vocab = build_vocab(collect_patterns(contexts_by_doc),
                                     min_count=min_count, directed=directed)
-            ref_pairs = []
-            for (doc, _), contexts in zip(corpus_entries, contexts_by_doc):
-                doc_pairs, _ = gold_pairs(doc, contexts)
-                ref_pairs.extend(doc_pairs)
+            ref_pairs = [(e.context, e.target, e.person)
+                         for (doc, _), contexts in zip(corpus_entries, contexts_by_doc)
+                         for e in gold_pairs(doc, contexts) if e.context is not None]
             assert vocab == ref_vocab
             assert pairs == ref_pairs and pairs
             for mode in ("select_k", "constrained3"):

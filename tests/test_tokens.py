@@ -217,7 +217,7 @@ class TestIobToSpans:
 
     def test_all_o(self):
         toks = tokenize("Nothing here.")
-        assert iob_to_spans(toks, [O_TAG] * len(toks)) == []
+        assert iob_to_spans(toks, [O_TAG] * len(toks), text="Nothing here.") == []
 
     def test_stray_inside_tag_repaired_to_begin(self):
         toks = tokenize("meeting Nigerian Army")
@@ -230,12 +230,12 @@ class TestIobToSpans:
     def test_length_mismatch(self):
         toks = tokenize("a b")
         with pytest.raises(DataError, match="tokens vs"):
-            iob_to_spans(toks, [O_TAG])
+            iob_to_spans(toks, [O_TAG], text="a b")
 
     def test_label_change_without_b_starts_new_span(self):
         toks = tokenize("General Nwaogbo")
         tags = [IobTag("I", "RNK"), IobTag("I", "PER")]
-        spans = iob_to_spans(toks, tags)
+        spans = iob_to_spans(toks, tags, text="General Nwaogbo")
         assert [e.etype for e in spans] == [EntityType.RANK, EntityType.PERSON]
 
 
@@ -306,7 +306,7 @@ def test_decode_then_encode_is_transition_valid(tag_names):
         prev = tag
 
 
-def reference_iob_to_spans(tokens, tags, text=None, first_id=1):
+def reference_iob_to_spans(tokens, tags, text, first_id=1):
     """The token-by-token span decoder, kept as the reference for the
     decoder: a run continues on an ``I-X`` of its label in the sentence
     of the token before it, and ends at anything else."""
@@ -316,14 +316,8 @@ def reference_iob_to_spans(tokens, tags, text=None, first_id=1):
         if not run:
             return
         start, end = tokens[run[0]].start, tokens[run[-1]].end
-        if text is not None:
-            surface = text[start:end]
-        else:
-            surface = tokens[run[0]].text + "".join(
-                " " * (tokens[cur].start - tokens[prev].end) + tokens[cur].text
-                for prev, cur in zip(run, run[1:]))
         spans.append(EntitySpan(f"T{first_id + len(spans)}", LABEL_TO_ETYPE[run_label],
-                                start, end, surface))
+                                start, end, text[start:end]))
 
     for i, (tok, tag) in enumerate(zip(tokens, tags)):
         new_sentence = i > 0 and tokens[i - 1].sent_index != tok.sent_index
@@ -341,9 +335,9 @@ def reference_iob_to_spans(tokens, tags, text=None, first_id=1):
 
 @given(st.lists(st.tuples(st.sampled_from(TAGSET), st.booleans(), st.integers(1, 3)),
                 max_size=30),
-       st.booleans(), st.integers(1, 9))
+       st.integers(1, 9))
 @settings(max_examples=300, deadline=None)
-def test_iob_to_spans_matches_token_by_token_reference(cells, with_text, first_id):
+def test_iob_to_spans_matches_token_by_token_reference(cells, first_id):
     # each cell is a token's tag, whether a new sentence starts at it and
     # the gap before it, so runs meet sentence breaks and uneven spacing
     tokens, text, sent = [], "", 0
@@ -354,6 +348,5 @@ def test_iob_to_spans_matches_token_by_token_reference(cells, with_text, first_i
         tokens.append(Token(word, len(text), len(text) + len(word), sent, i))
         text += word
     tags = [tag for tag, _, _ in cells]
-    given_text = text if with_text else None
-    assert (iob_to_spans(tokens, tags, given_text, first_id)
-            == reference_iob_to_spans(tokens, tags, given_text, first_id))
+    assert (iob_to_spans(tokens, tags, text, first_id)
+            == reference_iob_to_spans(tokens, tags, text, first_id))
