@@ -26,7 +26,7 @@ from .relations import (
     sdp_attach,
     type_map,
 )
-from .tokens import IobTag, Token, iob_to_spans, spans_to_iob, tokenize, valid_transition
+from .tokens import Token, iob_to_spans, spans_to_iob, tokenize, valid_transition
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "DocumentRun",
     "EntitySpan",
     "EntityType",
-    "IobTag",
     "MissingParseError",
     "PathPattern",
     "RelationEdge",

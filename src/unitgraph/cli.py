@@ -494,7 +494,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         cross += sum(e.person is not None and e.context is None for e in gold)
     _require_gold(annotated)
     rows = [
-        evaluation.PrfRow.from_counts(evaluation.STRATEGY_ROW_NAMES[s], *counts[s])
+        evaluation.PrfRow.from_counts(evaluation.STRATEGY_ROW_LABELS[s], *counts[s])
         for s in strategies
     ]
     print(evaluation.format_prf_table(rows, decimals=3, label="Method"))

@@ -9,8 +9,9 @@ class DataError(Exception):
     """Malformed or inconsistent corpus data."""
 
 
-class BratError(DataError):
-    """Bad standoff annotation line; carries the 1-based line number."""
+class _LineError(DataError):
+    """Bad input at a 1-based line, kept as ``line`` and named first in
+    the message when known."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -19,14 +20,12 @@ class BratError(DataError):
         super().__init__(message)
 
 
-class ConlluError(DataError):
+class BratError(_LineError):
+    """Bad standoff annotation line."""
+
+
+class ConlluError(_LineError):
     """Bad CoNLL-U input."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class CorpusError(DataError):
@@ -60,10 +59,11 @@ def read_model_lines(path, magic: str, kind: str) -> list[str]:
 
 
 def read_utf8(path, error: type[DataError] = DataError) -> str:
-    """The text of a UTF-8 file; other bytes raise ``error`` naming the
-    file and the first byte that is not UTF-8."""
+    """The text of a UTF-8 file as stored, ``\r`` included, since standoff
+    offsets count it; other bytes raise ``error`` naming the file and the
+    first byte that is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
 

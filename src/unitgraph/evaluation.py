@@ -47,7 +47,7 @@ REFERENCE_TIMINGS = (
     ("Neural Network", 0.051, 294),
 )
 
-STRATEGY_ROW_NAMES = {
+STRATEGY_ROW_LABELS = {
     Strategy.NEAREST_PERSON: "Nearest Person (Baseline)",
     Strategy.SDP_FREE: "Shortest Dep. Path (No constraint)",
     Strategy.SDP_CONSTRAINED: "Shortest Dep. Path (With constraint)",

@@ -498,33 +498,41 @@ def _parse_scalar(value: str):
 # the header records save_relnet writes, each with its type, and its arrays
 _HEADER = {"mode": str, "k": int, "hidden": int, "vocab_size": int,
            "length_scale": read_weight, "unknown": int, "min_count": int}
-_ARRAY_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
+_ARRAYS = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     """Read a file written by ``save_relnet``.
 
-    A malformed or truncated file, or a weight or ``length_scale`` that is
-    not finite, raises ``ModelFileError`` naming the file and line.
+    A malformed or truncated file, a repeated record, pattern indices
+    that are not ``0..len(index)`` each used once, or a weight or
+    ``length_scale`` that is not finite, raises ``ModelFileError`` naming
+    the file and line.
     """
     lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
     header: dict = {}
     hyper: dict = {}
     index: dict[str, int] = {}
     arrays: dict[str, np.ndarray] = {}
-    where: dict[str, int] = {}  # the line of each header and array record
+    where: dict[str, int] = {}  # the line of each record, by its key
+
+    def once(record: str, number: int) -> None:
+        if record in where:
+            raise ValueError(f"repeated record {record!r}, first on line {where[record]}")
+        where[record] = number
+
     i = 1
     try:
         while i < len(lines):
             number, line = i + 1, lines[i]
             if line.startswith("array "):
                 fields = line.split()
-                if len(fields) != 4 or fields[1] not in _ARRAY_NAMES:
+                if len(fields) != 4 or fields[1] not in _ARRAYS:
                     raise ValueError(f"bad array record {line!r}")
                 name, rows, cols = fields[1], int(fields[2]), int(fields[3])
                 if rows < 0 or cols < 0:
                     raise ValueError(f"array {name} has a negative size")
-                where[name] = number
+                once(f"array {name}", number)
                 mat = []
                 for number in range(i + 2, i + 2 + rows):
                     if number > len(lines):
@@ -540,23 +548,25 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
                 fields = line.split("\t")
                 if len(fields) != 3:
                     raise ValueError(f"pattern record needs 3 fields, has {len(fields)}")
+                once(f"pattern {fields[1]}", number)
                 index[fields[1]] = int(fields[2])
             elif line.startswith("hyper "):
                 fields = line.split(" ", 2)
                 if len(fields) != 3:
                     raise ValueError("hyper record needs a key and a value")
+                once(f"hyper {fields[1]}", number)
                 hyper[fields[1]] = _parse_scalar(fields[2])
             else:
                 key, _, value = line.partition(" ")
                 if key not in _HEADER:
                     raise ValueError(f"unknown record {key!r}")
+                once(key, number)
                 header[key] = _HEADER[key](value)
-                where[key] = number
             i += 1
     except ValueError as exc:
         raise ModelFileError(path, str(exc), number) from None
     missing = [key for key in _HEADER if key not in header]
-    missing += [name for name in _ARRAY_NAMES if name not in arrays]
+    missing += [name for name in _ARRAYS if name not in arrays]
     if missing:
         raise ModelFileError(path, f"no {missing[0]!r} record; the file ends "
                              f"at line {len(lines)}")
@@ -566,12 +576,20 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
         if header[key] < 1:
             raise ModelFileError(path, f"{key} must be at least 1, got {header[key]}",
                                  where[key])
-    if not all(0 <= idx <= len(index) for idx in [*index.values(), header["unknown"]]):
-        raise ModelFileError(path, f"a pattern index is outside 0..{len(index)}")
     vocab_size = header["vocab_size"]
     if vocab_size != len(index) + 1:
         raise ModelFileError(path, f"vocab_size {vocab_size} does not match its "
                              f"{len(index)} patterns plus unknown", where["vocab_size"])
+    # each of 0..len(index) is the index of one pattern or of unknown
+    used: set[int] = set()
+    for number, idx in sorted([(where["unknown"], header["unknown"]),
+                               *((where[f"pattern {p}"], i) for p, i in index.items())]):
+        if not 0 <= idx <= len(index):
+            raise ModelFileError(path, f"pattern index {idx} is outside 0..{len(index)}",
+                                 number)
+        if idx in used:
+            raise ModelFileError(path, f"pattern index {idx} is used twice", number)
+        used.add(idx)
     hidden, width = header["hidden"], output_width(header["mode"], header["k"])
     shapes = {"W1": (vocab_size + 1, hidden), "b1": (1, hidden), "W2": (3, hidden),
               "b2": (1, hidden), "W3": ((header["k"] + 1) * hidden, width),
@@ -579,7 +597,7 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise ModelFileError(path, f"array {name} is {arrays[name].shape}, "
-                                 f"expected {shape}", where[name])
+                                 f"expected {shape}", where[f"array {name}"])
     # files without a ``hyper directed`` line have always been read as directed
     vocab = PatternVocab(index, header["min_count"], header["unknown"],
                          directed=bool(hyper.get("directed", 1)))

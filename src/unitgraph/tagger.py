@@ -22,17 +22,7 @@ import numpy as np
 
 from .corpus import Document, EntitySpan, EntityType
 from .errors import ModelFileError, read_model_lines, read_utf8, read_weight
-from .tokens import (
-    IobTag,
-    O_TAG,
-    TAGSET,
-    Token,
-    iob_to_spans,
-    sentences,
-    spans_to_iob,
-    tokenize,
-    valid_transition,
-)
+from .tokens import TAGSET, Token, iob_to_spans, sentences, spans_to_iob, tokenize, valid_transition
 
 log = logging.getLogger(__name__)
 
@@ -166,15 +156,14 @@ def featurize_token(tokens: list[Token], i: int, gazetteers: Gazetteers | None =
     return featurize_sentences([tokens], gazetteers)[0][i]
 
 
-_NAMES = tuple(str(tag) for tag in TAGSET)
-_COLUMN = {name: t for t, name in enumerate(_NAMES)}
+_COLUMN = {tag: t for t, tag in enumerate(TAGSET)}
 # the rows of TaggerModel.transitions: the previous tag, then START
 _ROW = {**_COLUMN, START: len(TAGSET)}
 # -inf where valid_transition forbids the move from the row's tag (START
 # acts as O) to the column's tag, else 0.0; the decoder adds it to the
 # transition weights, so a forbidden move is never taken
 _BARRED = np.array([[0.0 if valid_transition(prev, tag) else NEG_INF for tag in TAGSET]
-                    for prev in (*TAGSET, O_TAG)])
+                    for prev in (*TAGSET, "O")])
 
 
 def _column(tag: str) -> int:
@@ -249,7 +238,7 @@ def _stored(matrix: np.ndarray, names: list[str]) -> dict[tuple[str, str], float
     """The non-zero cells of a weight matrix by the name of their row and
     their tag, as Python floats."""
     rows, tags = np.nonzero(matrix)
-    return {(names[r], _NAMES[t]): w for r, t, w in
+    return {(names[r], TAGSET[t]): w for r, t, w in
             zip(rows.tolist(), tags.tolist(), matrix[rows, tags].tolist())}
 
 
@@ -317,13 +306,13 @@ def _sentence_ids(model: TaggerModel, sents: list[list[Token]]) -> np.ndarray:
     return _token_slots(sents, model.gazetteers, model.row.get, len(model.row))
 
 
-def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[IobTag]]:
+def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[str]]:
     """Resolve the sentences' features to rows and decode them in one batch."""
     paths = _decode(model, _sentence_ids(model, sents), [len(sent) for sent in sents])
     return [[TAGSET[t] for t in path] for path in paths]
 
 
-def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[IobTag]:
+def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[str]:
     """Argmax tag sequence under emission + transition scores.
 
     The tokens are decoded as a batch of one sentence (see ``_decode``).
@@ -333,7 +322,7 @@ def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[IobTag]:
     return _tag_sentences(model, [tokens])[0]
 
 
-def training_corpus(docs: list[Document]) -> list[tuple[list[Token], list[IobTag]]]:
+def training_corpus(docs: list[Document]) -> list[tuple[list[Token], list[str]]]:
     """Every rule-based sentence of the documents with its gold IOB tags.
 
     A sentence's tags come from the entities overlapping its tokens.
@@ -348,7 +337,7 @@ def training_corpus(docs: list[Document]) -> list[tuple[list[Token], list[IobTag
 
 
 def train_tagger(
-    corpus: list[tuple[list[Token], list[IobTag]]],
+    corpus: list[tuple[list[Token], list[str]]],
     epochs: int = 5,
     seed: int = 13,
     gazetteers: Gazetteers | None = None,
@@ -373,10 +362,9 @@ def train_tagger(
         raise ValueError("epochs must be >= 1")
     gold = []
     for _, tags in corpus:
-        names = [str(tag) for tag in tags]
-        for prev, name in zip([START, *names], names):
-            _move(prev, name)
-        gold.append([_COLUMN[name] for name in names])
+        for prev, tag in zip([START, *tags], tags):
+            _move(prev, tag)
+        gold.append([_COLUMN[tag] for tag in tags])
     gazetteers = gazetteers or Gazetteers()
     sents = [tokens for tokens, _ in corpus]
     slots = _token_slots(sents, gazetteers, lambda f, _: f, None)  # the feature strings
@@ -455,8 +443,9 @@ def save_tagger(model: TaggerModel, path) -> None:
 def load_tagger(path) -> TaggerModel:
     """Read a file written by ``save_tagger``.
 
-    A malformed file, or a weight on a tag outside ``TAGSET`` or on a
-    forbidden move, raises ``ModelFileError`` naming the file and line.
+    A malformed file, a weight on a tag outside ``TAGSET`` or on a
+    forbidden move, or a repeated ``F``, ``T`` or ``meta`` key raises
+    ``ModelFileError`` naming the file and line.
     """
     lines = read_model_lines(path, MODEL_MAGIC, "tagger model")
     feature_weights: dict[tuple[str, str], float] = {}
@@ -468,6 +457,8 @@ def load_tagger(path) -> TaggerModel:
         try:
             if kind == "meta":
                 key, _, value = rest.partition("\t")
+                if key in meta:
+                    raise ValueError(f"repeated meta key {key!r}")
                 meta[key] = value
                 if key in _INT_META:
                     try:
@@ -488,6 +479,8 @@ def load_tagger(path) -> TaggerModel:
                 else:
                     _move(first, tag)
                 table = feature_weights if kind == "F" else transition_weights
+                if (first, tag) in table:
+                    raise ValueError(f"repeated {kind} record for {first} {tag}")
                 table[(first, tag)] = read_weight(weight)
             else:
                 raise ValueError(f"unknown record {kind!r}")

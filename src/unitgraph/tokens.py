@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corpus import EntitySpan, EntityType
@@ -33,7 +32,7 @@ _TOKEN_RE = re.compile(
 )
 
 _GUARD_RE = re.compile(r"([A-Za-z]+\.)$")
-_PARAGRAPH_RE = re.compile(r"\n[ \t]*\n")
+_PARAGRAPH_RE = re.compile(r"\n[ \t\r]*\n")  # a blank line, CRLF or LF
 # a run of sentence-ending punctuation and the whitespace after it
 _END_RE = re.compile(r"([.!?]+)\s*")
 
@@ -48,38 +47,17 @@ class Token(NamedTuple):
     tok_index: int
 
 
-_LABELS = ("PER", "ORG", "RNK", "TTL")
-
-
-@dataclass(frozen=True)
-class IobTag:
-    prefix: str  # "B", "I" or "O"
-    label: str | None = None  # one of PER/ORG/RNK/TTL, None for O
-
-    def __str__(self) -> str:
-        return self.prefix if self.prefix == "O" else f"{self.prefix}-{self.label}"
-
-    @classmethod
-    def parse(cls, s: str) -> "IobTag":
-        if s == "O":
-            return O_TAG
-        prefix, _, label = s.partition("-")
-        if prefix not in ("B", "I") or label not in _LABELS:
-            raise ValueError(f"bad IOB tag {s!r}")
-        return cls(prefix, label)
-
-
-O_TAG = IobTag("O")
-TAGSET: tuple[IobTag, ...] = (O_TAG,) + tuple(
-    IobTag(p, lab) for lab in _LABELS for p in ("B", "I")
-)
-
 ETYPE_TO_LABEL = {
     EntityType.PERSON: "PER",
     EntityType.ORGANIZATION: "ORG",
     EntityType.RANK: "RNK",
     EntityType.TITLE_ROLE: "TTL",
 }
+# a tag is its name: O, then B-X and I-X for each label X.  The order is
+# part of every output, since the decoder breaks ties on the lowest index
+TAGSET: tuple[str, ...] = ("O",) + tuple(
+    f"{p}-{label}" for label in ETYPE_TO_LABEL.values() for p in ("B", "I")
+)
 LABEL_TO_ETYPE = {v: k for k, v in ETYPE_TO_LABEL.items()}
 
 
@@ -137,14 +115,14 @@ def sentences(tokens: list[Token]) -> list[list[Token]]:
     return out
 
 
-def spans_to_iob(tokens: list[Token], entities: list[EntitySpan]) -> list[IobTag]:
+def spans_to_iob(tokens: list[Token], entities: list[EntitySpan]) -> list[str]:
     """Tag each token with B-X/I-X/O against a set of entity spans.
 
     Entity boundaries that cut a token are expanded outward to token
     boundaries with a warning; overlapping entities (after alignment) and
     entities covering no token are errors.
     """
-    tags: list[IobTag] = [O_TAG] * len(tokens)
+    tags = ["O"] * len(tokens)
     claimed: dict[int, str] = {}
     for ent in sorted(entities, key=lambda e: (e.start, e.end)):
         idxs = [
@@ -169,15 +147,15 @@ def spans_to_iob(tokens: list[Token], entities: list[EntitySpan]) -> list[IobTag
                 ent.id, ent.start, ent.end, first.start, last.end,
             )
         label = ETYPE_TO_LABEL[ent.etype]
-        tags[idxs[0]] = IobTag("B", label)
+        tags[idxs[0]] = f"B-{label}"
         for i in idxs[1:]:
-            tags[i] = IobTag("I", label)
+            tags[i] = f"I-{label}"
     return tags
 
 
 def iob_to_spans(
     tokens: list[Token],
-    tags: list[IobTag],
+    tags: list[str],
     text: str,
     first_id: int = 1,
 ) -> list[EntitySpan]:
@@ -189,44 +167,41 @@ def iob_to_spans(
     """
     if len(tokens) != len(tags):
         raise DataError(f"{len(tokens)} tokens vs {len(tags)} tags")
-    runs: list[tuple[int, int, str]] = []  # each span's first and last token, label
+    runs: list[tuple[int, int, str]] = []  # each span's first and last token, I- tag
     first = -1  # the first token of the open run, or -1
-    label = sent = None  # the open run's label and sentence index
+    inside = sent = None  # the tag that continues the open run, and its sentence index
     for i, tag in enumerate(tags):
-        if tag.prefix == "O":
+        if tag == "O":
             if first >= 0:
-                runs.append((first, i - 1, label))
+                runs.append((first, i - 1, inside))
                 first = -1
             continue
         # a run never crosses a sentence, so its sentence is the last token's
-        if (first >= 0 and tag.prefix == "I" and tag.label == label
-                and tokens[i].sent_index == sent):
+        if first >= 0 and tag == inside and tokens[i].sent_index == sent:
             continue
         if first >= 0:
-            runs.append((first, i - 1, label))
-        first, label, sent = i, tag.label, tokens[i].sent_index
+            runs.append((first, i - 1, inside))
+        first, inside, sent = i, f"I-{tag[2:]}", tokens[i].sent_index
     if first >= 0:
-        runs.append((first, len(tags) - 1, label))
+        runs.append((first, len(tags) - 1, inside))
 
     spans: list[EntitySpan] = []
-    for first, last, label in runs:
+    for first, last, inside in runs:
         start, end = tokens[first].start, tokens[last].end
-        spans.append(EntitySpan(f"T{first_id + len(spans)}", LABEL_TO_ETYPE[label],
+        spans.append(EntitySpan(f"T{first_id + len(spans)}", LABEL_TO_ETYPE[inside[2:]],
                                 start, end, text[start:end]))
     return spans
 
 
-def valid_transition(prev: IobTag, nxt: IobTag) -> bool:
-    """May ``nxt`` follow ``prev``?  Sentence-initial positions pass O.
+def valid_transition(prev: str, nxt: str) -> bool:
+    """May tag ``nxt`` follow tag ``prev``?  Sentence-initial positions pass O.
 
     An I-X tag is only reachable from B-X or I-X of the same label.
     """
-    if nxt.prefix != "I":
-        return True
-    return prev.prefix in ("B", "I") and prev.label == nxt.label
+    return not nxt.startswith("I-") or prev[2:] == nxt[2:]
 
 
-def format_iob_block(tokens: list[Token], tags: list[IobTag], width: int = 58) -> str:
+def format_iob_block(tokens: list[Token], tags: list[str], width: int = 58) -> str:
     """Two-row token/tag rendering, wrapped into blocks."""
     lines = []
     i = 0
@@ -235,11 +210,11 @@ def format_iob_block(tokens: list[Token], tags: list[IobTag], width: int = 58) -
         row_tags: list[str] = []
         used = 0
         while i < len(tokens):
-            cell = max(len(tokens[i].text), len(str(tags[i])))
+            cell = max(len(tokens[i].text), len(tags[i]))
             if row_toks and used + cell + 1 > width:
                 break
             row_toks.append(tokens[i].text.ljust(cell))
-            row_tags.append(str(tags[i]).ljust(cell))
+            row_tags.append(tags[i].ljust(cell))
             used += cell + 1
             i += 1
         lines.append(" ".join(row_toks).rstrip())

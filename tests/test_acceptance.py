@@ -26,7 +26,6 @@ from unitgraph.relnet import (
 )
 from unitgraph.tagger import START, TaggerModel, featurize_token, viterbi_decode
 from unitgraph.tokens import (
-    O_TAG,
     TAGSET,
     iob_to_spans,
     spans_to_iob,
@@ -118,7 +117,7 @@ def test_criterion_3_iob_fidelity():
 
         start = EXAMPLE_SENTENCE.index(surface)
         gold.append(EntitySpan(f"T{i}", etype, start, start + len(surface), surface))
-    tags = [str(t) for t in spans_to_iob(toks, gold)]
+    tags = spans_to_iob(toks, gold)
     expected = (
         ["B-TTL", "I-TTL", "I-TTL"]
         + ["B-ORG"] + ["I-ORG"] * 6
@@ -166,7 +165,7 @@ def _oracle_decode(feature_weights, transition_weights, tokens):
         [
             [
                 sum(
-                    feature_weights.get((f, str(tag)), 0.0)
+                    feature_weights.get((f, tag), 0.0)
                     for f in featurize_token(tokens, i, None)
                 )
                 for tag in TAGSET
@@ -178,10 +177,10 @@ def _oracle_decode(feature_weights, transition_weights, tokens):
     def move(prev, prev_tag, tag):
         if not valid_transition(prev_tag, tag):
             return float("-inf")
-        return transition_weights.get((prev, str(tag)), 0.0)
+        return transition_weights.get((prev, tag), 0.0)
 
-    start = np.array([move(START, O_TAG, tag) for tag in TAGSET])
-    trans = np.array([[move(str(p), p, tag) for tag in TAGSET] for p in TAGSET])
+    start = np.array([move(START, "O", tag) for tag in TAGSET])
+    trans = np.array([[move(p, p, tag) for tag in TAGSET] for p in TAGSET])
     seqs = np.indices((m,) * n).reshape(n, -1).T
     scores = emit[np.arange(n), seqs].sum(axis=1) + start[seqs[:, 0]]
     if n > 1:
@@ -191,7 +190,7 @@ def _oracle_decode(feature_weights, transition_weights, tokens):
 
 def test_criterion_5_decoder_oracle():
     rng = random.Random(424242)
-    index_of = {str(tag): i for i, tag in enumerate(TAGSET)}
+    index_of = {tag: i for i, tag in enumerate(TAGSET)}
     for trial in range(200):
         n = trial % 6 + 1
         tokens = tokenize(" ".join(f"word{i}" for i in range(n)))
@@ -199,16 +198,16 @@ def test_criterion_5_decoder_oracle():
         for i in range(n):
             for f in featurize_token(tokens, i, None):
                 for tag in TAGSET:
-                    feature_weights[(f, str(tag))] = rng.gauss(0, 1)
+                    feature_weights[(f, tag)] = rng.gauss(0, 1)
         # a forbidden move holds no weight, but still draws one, so the
         # allowed moves get the same weights
-        for prev, prev_tag in [(START, O_TAG)] + [(str(t), t) for t in TAGSET]:
+        for prev, prev_tag in [(START, "O")] + [(t, t) for t in TAGSET]:
             for tag in TAGSET:
                 w = rng.gauss(0, 1)
                 if valid_transition(prev_tag, tag):
-                    transition_weights[(prev, str(tag))] = w
+                    transition_weights[(prev, tag)] = w
         model = TaggerModel(feature_weights, transition_weights)
-        decoded = [index_of[str(t)] for t in viterbi_decode(model, tokens)]
+        decoded = [index_of[t] for t in viterbi_decode(model, tokens)]
         assert decoded == _oracle_decode(feature_weights, transition_weights, tokens), \
             f"trial {trial}"
     report(5, "Viterbi equals exhaustive 9^n argmax on 200 random models")

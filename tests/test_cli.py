@@ -108,6 +108,21 @@ INSPECT_VANGUARD_PATHS = (
     "(length 4)\n"
 )
 
+# sha256 of ``inspect --doc STEM --paths`` for every fixture document,
+# recorded while a tag was an object with a prefix and a label.
+INSPECT_PATHS_DIGESTS = {
+    "3f8a12bc-90de-4f61-8a2b-5c7e94d0a113":
+        "bf31b2b8b450f09ae24956449e64c6966adf79d80c95397329284283564d5d59",
+    "7b4c55e0-1a2f-4d3c-9e8b-0f6a7c2d4e85":
+        "c25876cfa8d500b9e7933d8c3a1a3ffe65a99f6f0c4d06006efb24b85202aeff",
+    "a95d77f2-63b8-4c04-b1de-2f90c3a6b7c1":
+        "12ee689008a13d94108630d25174b65be834613bd04b21d65651bff6af7a1d75",
+    "c2e94b08-5f17-4a6d-8c3b-91d0e4f2a5b6":
+        "fbb9675a381a49b8b665e162c632177311ae6394392bbf00e9712cf9254c3386",
+    "e610f3a9-8d2c-4b75-a0e1-7c4f92b8d3e2":
+        "297ea0d6725335114abda7bc2fc8eaeda01b08f7a7551d14d6de4370e4938b9a",
+}
+
 
 class TestExtract:
     def test_nearest_person_gold_ner(self, tmp_path, capsys):
@@ -764,6 +779,14 @@ class TestInspect:
         assert run("inspect", "--corpus", CORPUS_DIR, "--doc", DOC_VANGUARD,
                    "--paths") == 0
         assert capsys.readouterr().out == INSPECT_VANGUARD_PATHS
+
+    def test_paths_output_is_unchanged_for_every_document(self, capsys):
+        stems = sorted(path.stem for path in CORPUS_DIR.glob("*.txt"))
+        assert stems == sorted(INSPECT_PATHS_DIGESTS)
+        for stem in stems:
+            assert run("inspect", "--corpus", CORPUS_DIR, "--doc", stem, "--paths") == 0
+            out = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(out).hexdigest() == INSPECT_PATHS_DIGESTS[stem], stem
 
     def test_unknown_doc(self, capsys):
         assert run("inspect", "--corpus", CORPUS_DIR, "--doc", "nope") == 2

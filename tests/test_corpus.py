@@ -1,4 +1,5 @@
 import logging
+import re
 import shutil
 
 import pytest
@@ -16,6 +17,9 @@ from unitgraph.corpus import (
     serialize_brat,
 )
 from unitgraph.errors import BratError, ConlluError, CorpusError
+from unitgraph.evaluation import relation_counts
+from unitgraph.relations import Strategy, build_contexts, extract_document, gold_pairs
+from unitgraph.tokens import tokenize
 
 from conftest import CORPUS_DIR, DOC_ADEOSUN, DOC_VANGUARD, EXAMPLE_ANN, EXAMPLE_TEXT
 
@@ -311,3 +315,50 @@ class TestIterCorpus:
 
     def test_empty_directory_yields_nothing(self, tmp_path):
         assert list(iter_corpus(tmp_path)) == []
+
+
+def crlf_copy(src, dst):
+    """Copy a corpus with CRLF line ends; each BRAT offset counts the
+    ``\\r``s before it, since standoff offsets index the text as stored.
+    Returns each document's map from LF offsets to CRLF offsets."""
+    shifts = {}
+    for txt in sorted(src.glob("*.txt")):
+        text = txt.read_text(encoding="utf-8")
+        shifts[txt.stem] = shift = lambda o, text=text: o + text.count("\n", 0, o)
+        (dst / txt.name).write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        ann = re.sub(r"^(T\S*\t\S+ )(\d+) (\d+)\t",
+                     lambda m: f"{m[1]}{shift(int(m[2]))} {shift(int(m[3]))}\t",
+                     txt.with_suffix(".ann").read_text(encoding="utf-8"), flags=re.M)
+        (dst / f"{txt.stem}.ann").write_bytes(ann.replace("\n", "\r\n").encode("utf-8"))
+        conllu = txt.with_suffix(".conllu").read_text(encoding="utf-8")
+        (dst / f"{txt.stem}.conllu").write_bytes(conllu.replace("\n", "\r\n").encode("utf-8"))
+    return shifts
+
+
+class TestCrlf:
+    def test_crlf_corpus_reads_as_its_lf_original(self, tmp_path):
+        shifts = crlf_copy(CORPUS_DIR, tmp_path)
+        pairs = list(zip(load_corpus(CORPUS_DIR), load_corpus(tmp_path), strict=True))
+        assert len(pairs) == 5
+        for (doc, trees), (crlf, crlf_trees) in pairs:
+            shift = shifts[doc.doc_id]
+            assert "\r\n" in crlf.text and crlf.text.replace("\r\n", "\n") == doc.text
+            assert crlf.entities == [
+                EntitySpan(e.id, e.etype, shift(e.start), shift(e.end), e.surface)
+                for e in doc.entities]
+            assert crlf.relations == doc.relations and crlf_trees == trees
+            assert tokenize(crlf.text) == [
+                t._replace(start=shift(t.start), end=shift(t.end))
+                for t in tokenize(doc.text)]
+            contexts, crlf_contexts = build_contexts(doc, trees), build_contexts(crlf, trees)
+            counts = [relation_counts(gold_pairs(d, c), extract_document(
+                d, c, Strategy.SDP_CONSTRAINED)) for d, c in ((doc, contexts),
+                                                               (crlf, crlf_contexts))]
+            assert counts[0] == counts[1]
+
+    def test_non_utf8_byte_is_counted_as_stored(self, tmp_path):
+        for path in CORPUS_DIR.glob(DOC_VANGUARD + ".*"):
+            shutil.copy(path, tmp_path)
+        (tmp_path / f"{DOC_VANGUARD}.txt").write_bytes(b"a\r\nb\xff\n")
+        with pytest.raises(CorpusError, match=r"not UTF-8 text \(byte 4\)"):
+            load_corpus(tmp_path)

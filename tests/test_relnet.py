@@ -696,6 +696,16 @@ class TestPersistence:
         ("\nk 3\n", "\nk 4\n", "array W3 is (32, 3), expected (40, 4)", "array W3"),
         ("\nk 3\n", "\nk 0\n", "k must be at least 1, got 0", "k 0"),
         ("\nhidden 8\n", "\nhidden 0\n", "hidden must be at least 1, got 0", "hidden 0"),
+        # a repeated record is rejected on the line of the repeat
+        ("\nmin_count 2\n", "\nmin_count 2\nk 5\n",
+         "repeated record 'k', first on line 3", "k 5"),
+        ("\nunknown 0\n", "\nhyper directed 0\nunknown 0\n",
+         "repeated record 'hyper directed', first on line 7", "hyper directed 0"),
+        ("\nunknown 0\n", "\npattern\tnsubj↑\t0\npattern\tnsubj↑\t1\nunknown 0\n",
+         "repeated record 'pattern nsubj↑', first on line 9", "pattern\tnsubj↑\t1"),
+        ("\narray b1 1 8\n", "\narray b1 0 8\narray b1 1 8\n",
+         "repeated record 'array b1'", "array b1 1 8"),
+        ("\nunknown 0\n", "\nunknown 1\n", "pattern index 1 is outside 0..0", "unknown 1"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, old, new, message,
                                                 marker):
@@ -717,6 +727,23 @@ class TestPersistence:
             load_relnet(tmp_path / "m.relnet")
         assert str(err.value).startswith(str(tmp_path / "m.relnet"))
         assert err.value.line == text[:text.index("vocab_size")].count("\n") + 1
+
+    def test_a_shared_pattern_slot_is_rejected(self, tmp_path):
+        # two patterns and unknown in a network sized for them: any edit
+        # that makes two of them share a slot leaves another slot unused
+        model = init_model("select_k", vocab_size=3, k=3, seed=9)
+        vocab = build_vocab([pattern("compound"), pattern("nsubj")] * 2)
+        assert sorted(vocab.index.values()) == [0, 1] and vocab.unknown_index == 2
+        save_relnet(tmp_path / "m.relnet", model, vocab)
+        text = (tmp_path / "m.relnet").read_text(encoding="utf-8")
+        for old, new in (("\t1\n", "\t0\n"), ("\nunknown 2\n", "\nunknown 0\n")):
+            assert text.count(old) == 1
+            edited = text.replace(old, new)
+            (tmp_path / "x.relnet").write_text(edited, encoding="utf-8")
+            with pytest.raises(ModelFileError, match="pattern index 0 is used twice") as err:
+                load_relnet(tmp_path / "x.relnet")
+            # the error names the line of the second use
+            assert err.value.line == edited[:edited.index(new)].count("\n") + 2
 
     def test_every_truncation_is_a_model_file_error(self, tmp_path):
         lines = self.saved_text(tmp_path).splitlines(True)

@@ -32,8 +32,6 @@ from unitgraph.tagger import (
     viterbi_decode,
 )
 from unitgraph.tokens import (
-    IobTag,
-    O_TAG,
     TAGSET,
     iob_to_spans,
     sentences,
@@ -46,10 +44,9 @@ from conftest import CORPUS_DIR, GAZETTEERS
 
 # every (previous tag, tag) name pair, with START first, and those that
 # valid_transition allows (it treats START as O)
-MOVES = [(prev, str(tag)) for prev in [START] + [str(t) for t in TAGSET] for tag in TAGSET]
+MOVES = [(prev, tag) for prev in (START, *TAGSET) for tag in TAGSET]
 ALLOWED = frozenset(
-    (prev, tag) for prev, tag in MOVES
-    if valid_transition(O_TAG if prev == START else IobTag.parse(prev), IobTag.parse(tag)))
+    (prev, tag) for prev, tag in MOVES if valid_transition("O" if prev == START else prev, tag))
 
 
 def token_features(tokens, gazetteers=None):
@@ -65,9 +62,9 @@ def sequence_score(feature_weights, transition_weights, feats, tags):
     prev = START
     for token_feats, tag in zip(feats, tags):
         for f in token_feats:
-            total += feature_weights.get((f, str(tag)), 0.0)
+            total += feature_weights.get((f, tag), 0.0)
         total += reference_transition(transition_weights, prev, tag)
-        prev = str(tag)
+        prev = tag
     return total
 
 
@@ -82,9 +79,9 @@ def exhaustive_best(feature_weights, transition_weights, feats):
 
 def reference_transition(transition_weights, prev, nxt_tag):
     """The transition score as the per-token decoder computed it."""
-    if (prev, str(nxt_tag)) not in ALLOWED:
+    if (prev, nxt_tag) not in ALLOWED:
         return float("-inf")
-    return transition_weights.get((prev, str(nxt_tag)), 0.0)
+    return transition_weights.get((prev, nxt_tag), 0.0)
 
 
 def reference_decode(feature_weights, transition_weights, feats):
@@ -98,7 +95,7 @@ def reference_decode(feature_weights, transition_weights, feats):
     n, m = len(feats), len(tags)
     emit = [
         [
-            sum(feature_weights.get((f, str(tag)), 0.0) for f in feats[i])
+            sum(feature_weights.get((f, tag), 0.0) for f in feats[i])
             for tag in tags
         ]
         for i in range(n)
@@ -114,7 +111,7 @@ def reference_decode(feature_weights, transition_weights, feats):
                 if score[i - 1][p] == NEG_INF:
                     continue
                 s = score[i - 1][p] + reference_transition(
-                    transition_weights, str(tags[p]), tags[t])
+                    transition_weights, tags[p], tags[t])
                 if s > best_score:
                     best_prev, best_score = p, s
             score[i][t] = best_score + emit[i][t] if best_score != NEG_INF else NEG_INF
@@ -150,11 +147,10 @@ def reference_train(corpus, epochs, seed, gazetteers=None):
     def apply(sent_feats, tags, delta):
         prev = START
         for token_feats, tag in zip(sent_feats, tags):
-            name = str(tag)
             for f in token_feats:
-                bump("F", (f, name), delta)
-            bump("T", (prev, name), delta)
-            prev = name
+                bump("F", (f, tag), delta)
+            bump("T", (prev, tag), delta)
+            prev = tag
 
     rng = random.Random(seed)
     order = list(range(len(corpus)))
@@ -249,7 +245,7 @@ def random_weights(rng, tokens):
     for i in range(len(tokens)):
         for f in featurize_token(tokens, i, None):
             for tag in TAGSET:
-                feature_weights[(f, str(tag))] = rng.gauss(0, 1)
+                feature_weights[(f, tag)] = rng.gauss(0, 1)
     transition_weights = {move: rng.gauss(0, 1) for move in MOVES if move in ALLOWED}
     return feature_weights, transition_weights
 
@@ -350,9 +346,8 @@ def tagging_cases(draw):
     sents = sentences(tokenize(text))
     features = sorted({f for sent in featurize_sentences(sents, gazetteers)
                        for token in sent for f in token})
-    names = [str(tag) for tag in TAGSET]
     feature_weights = draw(st.dictionaries(
-        st.tuples(st.sampled_from(features), st.sampled_from(names)), _WEIGHTS, max_size=80))
+        st.tuples(st.sampled_from(features), st.sampled_from(TAGSET)), _WEIGHTS, max_size=80))
     transition_weights = draw(st.dictionaries(st.sampled_from(sorted(ALLOWED)), _WEIGHTS))
     return text, TaggerModel(feature_weights, transition_weights, gazetteers)
 
@@ -382,12 +377,11 @@ class TestEmissions:
         # magnitudes from 1e-8 to 1e8 make the order of the additions show
         # in the low bits; signed zeros and unknown features are mixed in
         rng = random.Random(3318)
-        names = [str(tag) for tag in TAGSET]
         for trial in range(200):
             vocab = [f"f{i}" for i in range(rng.randint(1, 30))]
             weights = {}
             for f in vocab:
-                for name in names:
+                for name in TAGSET:
                     if rng.random() < 0.7:
                         weights[(f, name)] = rng.choice([
                             rng.gauss(0, 1) * 10.0 ** rng.randint(-8, 8), -0.0, 0.0])
@@ -399,7 +393,7 @@ class TestEmissions:
             expected = []
             for feats in token_feats:
                 row = []
-                for name in names:
+                for name in TAGSET:
                     acc = 0.0
                     for f in feats:
                         acc += weights.get((f, name), 0.0)
@@ -415,7 +409,7 @@ class TestViterbi:
     def test_zero_model_decodes_all_o(self):
         model = TaggerModel()
         toks = tokenize("General Nwaogbo spoke")
-        assert viterbi_decode(model, toks) == [O_TAG] * 3
+        assert viterbi_decode(model, toks) == ["O"] * 3
 
     def test_empty_input(self):
         assert viterbi_decode(TaggerModel(), []) == []
@@ -430,7 +424,7 @@ class TestViterbi:
         }
         model = TaggerModel(weights)
         decoded = viterbi_decode(model, toks)
-        assert [str(t) for t in decoded] == ["B-PER", "I-PER", "O"]
+        assert decoded == ["B-PER", "I-PER", "O"]
         feats = token_features(toks)
         oracle, oracle_score = exhaustive_best(weights, {}, feats)
         assert decoded == oracle
@@ -462,7 +456,7 @@ class TestViterbi:
                 for f in featurize_token(toks, i, gaz):
                     for tag in TAGSET:
                         if rng.random() < 0.5:
-                            feature_weights[(f, str(tag))] = float(rng.randint(-2, 2))
+                            feature_weights[(f, tag)] = float(rng.randint(-2, 2))
             # a forbidden move holds no weight (test_rejects_weights_it_cannot_use);
             # it still draws one, so the allowed moves get the same weights
             for move in MOVES:
@@ -492,7 +486,7 @@ class TestViterbi:
                 for token_feats in featurize_sentences([sent])[0]:
                     for f in token_feats:
                         for tag in TAGSET:
-                            feature_weights[(f, str(tag))] = rng.gauss(0, 1)
+                            feature_weights[(f, tag)] = rng.gauss(0, 1)
             for move in MOVES:
                 w = rng.gauss(0, 1)
                 if move in ALLOWED:
@@ -508,7 +502,7 @@ class TestViterbi:
             n = rng.randint(1, 7)
             toks = tokenize(" ".join(f"t{i}" for i in range(n)))
             model = TaggerModel(*random_weights(rng, toks))
-            prev = O_TAG
+            prev = "O"
             for tag in viterbi_decode(model, toks):
                 assert valid_transition(prev, tag)
                 prev = tag
@@ -602,7 +596,7 @@ class TestTraining:
     def test_forbidden_gold_move_rejected(self):
         toks = tokenize("Colonel Musa arrived")
         with pytest.raises(ValueError, match="forbidden move O -> I-PER"):
-            train_tagger([(toks, [O_TAG, IobTag("I", "PER"), O_TAG])], epochs=1)
+            train_tagger([(toks, ["O", "I-PER", "O"])], epochs=1)
 
     def test_training_corpus_matches_reference_loop(self):
         docs = [doc for doc, _ in load_corpus(CORPUS_DIR)]
@@ -618,12 +612,12 @@ def training_corpora(draw):
     for _ in range(draw(st.integers(1, 5))):
         tokens = tokenize(" ".join(draw(st.lists(st.sampled_from(_WORDS),
                                                  min_size=1, max_size=8))))
-        tags, prev = [], O_TAG
+        tags, prev = [], "O"
         for t in draw(st.lists(st.integers(0, len(TAGSET) - 1),
                                min_size=len(tokens), max_size=len(tokens))):
             tag = TAGSET[t]
             if not valid_transition(prev, tag):
-                tag = IobTag("B", tag.label)
+                tag = f"B-{tag[2:]}"
             tags.append(tag)
             prev = tag
         corpus.append((tokens, tags))
@@ -672,7 +666,7 @@ class TestPredictEntities:
                     for f in featurize_token(sent, i, gaz):
                         for tag in TAGSET:
                             if rng.random() < 0.5:
-                                feature_weights[(f, str(tag))] = float(rng.randint(-2, 2))
+                                feature_weights[(f, tag)] = float(rng.randint(-2, 2))
             for move in MOVES:
                 if rng.random() < 0.5:
                     w = float(rng.randint(-2, 2))
@@ -762,6 +756,13 @@ class TestPersistence:
          "unknown tag 'B-XYZ'", 3),
         ("unitgraph-tagger 1\nT\t<start>\tO\t1.0\nT\tO\tI-PER\t1.0\n",
          "forbidden move O -> I-PER", 3),
+        # a repeated key is rejected on the line of the repeat
+        ("unitgraph-tagger 1\nF\tcap\tB-ORG\t1.0\nF\tcap\tB-ORG\t99.0\n",
+         "repeated F record for cap B-ORG", 3),
+        ("unitgraph-tagger 1\nT\tO\tO\t1.0\nT\t<start>\tO\t1.0\nT\tO\tO\t2.0\n",
+         "repeated T record for O O", 4),
+        ("unitgraph-tagger 1\nmeta\tseed\t13\nmeta\tepochs\t2\nmeta\tseed\t14\n",
+         "repeated meta key 'seed'", 4),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, message, line):
         (tmp_path / "x.model").write_text(body, encoding="utf-8")

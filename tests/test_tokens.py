@@ -12,8 +12,6 @@ from unitgraph.tokens import (
     ABBREVIATIONS,
     _TOKEN_RE,
     LABEL_TO_ETYPE,
-    IobTag,
-    O_TAG,
     TAGSET,
     Token,
     _guarded,
@@ -25,10 +23,6 @@ from unitgraph.tokens import (
 )
 
 from conftest import EXAMPLE_SENTENCE
-
-
-def tag_strings(tags):
-    return [str(t) for t in tags]
 
 
 def spans_of(text, *surface_type_pairs):
@@ -166,7 +160,7 @@ class TestSpansToIob:
 
     def test_example_sentence_tags(self):
         toks = tokenize(EXAMPLE_SENTENCE)
-        tags = tag_strings(spans_to_iob(toks, self.gold_entities()))
+        tags = spans_to_iob(toks, self.gold_entities())
         assert tags == [
             "B-TTL", "I-TTL", "I-TTL",
             "B-ORG", "I-ORG", "I-ORG", "I-ORG", "I-ORG", "I-ORG", "I-ORG",
@@ -179,7 +173,7 @@ class TestSpansToIob:
 
     def test_no_entities_all_o(self):
         toks = tokenize(EXAMPLE_SENTENCE)
-        assert spans_to_iob(toks, []) == [O_TAG] * len(toks)
+        assert spans_to_iob(toks, []) == ["O"] * len(toks)
 
     def test_mid_token_boundary_expands_with_warning(self, caplog):
         caplog.set_level(logging.WARNING)
@@ -217,11 +211,11 @@ class TestIobToSpans:
 
     def test_all_o(self):
         toks = tokenize("Nothing here.")
-        assert iob_to_spans(toks, [O_TAG] * len(toks), text="Nothing here.") == []
+        assert iob_to_spans(toks, ["O"] * len(toks), text="Nothing here.") == []
 
     def test_stray_inside_tag_repaired_to_begin(self):
         toks = tokenize("meeting Nigerian Army")
-        tags = [O_TAG, IobTag("I", "ORG"), IobTag("I", "ORG")]
+        tags = ["O", "I-ORG", "I-ORG"]
         spans = iob_to_spans(toks, tags, text="meeting Nigerian Army")
         assert len(spans) == 1
         assert spans[0].etype is EntityType.ORGANIZATION
@@ -230,29 +224,42 @@ class TestIobToSpans:
     def test_length_mismatch(self):
         toks = tokenize("a b")
         with pytest.raises(DataError, match="tokens vs"):
-            iob_to_spans(toks, [O_TAG], text="a b")
+            iob_to_spans(toks, ["O"], text="a b")
 
     def test_label_change_without_b_starts_new_span(self):
         toks = tokenize("General Nwaogbo")
-        tags = [IobTag("I", "RNK"), IobTag("I", "PER")]
+        tags = ["I-RNK", "I-PER"]
         spans = iob_to_spans(toks, tags, text="General Nwaogbo")
         assert [e.etype for e in spans] == [EntityType.RANK, EntityType.PERSON]
 
 
 class TestValidTransition:
     def test_inside_cannot_follow_other_label(self):
-        assert not valid_transition(IobTag("I", "PER"), IobTag("I", "ORG"))
+        assert not valid_transition("I-PER", "I-ORG")
 
     def test_inside_follows_begin(self):
-        assert valid_transition(IobTag("B", "ORG"), IobTag("I", "ORG"))
+        assert valid_transition("B-ORG", "I-ORG")
 
     def test_inside_cannot_open(self):
-        assert not valid_transition(O_TAG, IobTag("I", "RNK"))
+        assert not valid_transition("O", "I-RNK")
 
     def test_begin_and_o_always_allowed(self):
         for prev in TAGSET:
-            assert valid_transition(prev, O_TAG)
-            assert valid_transition(prev, IobTag("B", "PER"))
+            assert valid_transition(prev, "O")
+            assert valid_transition(prev, "B-PER")
+
+    def test_every_pair_of_tags(self):
+        # I-X follows B-X or I-X only; anything else may follow anything
+        for prev in TAGSET:
+            for nxt in TAGSET:
+                allowed = nxt[0] != "I" or prev in ("B" + nxt[1:], nxt)
+                assert valid_transition(prev, nxt) == allowed, (prev, nxt)
+
+    def test_tagset_order(self):
+        # the decoder breaks ties on the lowest index, so models and
+        # outputs depend on this order
+        assert TAGSET == ("O", "B-PER", "I-PER", "B-ORG", "I-ORG",
+                          "B-RNK", "I-RNK", "B-TTL", "I-TTL")
 
 
 def random_layout(rng, n_tokens):
@@ -292,15 +299,14 @@ def test_round_trip_property(seed, n_tokens):
     ]
 
 
-@given(st.lists(st.sampled_from([str(t) for t in TAGSET]), min_size=1, max_size=12))
+@given(st.lists(st.sampled_from(TAGSET), min_size=1, max_size=12))
 @settings(max_examples=150, deadline=None)
-def test_decode_then_encode_is_transition_valid(tag_names):
-    text = " ".join(f"w{i}" for i in range(len(tag_names)))
+def test_decode_then_encode_is_transition_valid(tags):
+    text = " ".join(f"w{i}" for i in range(len(tags)))
     toks = tokenize(text)
-    tags = [IobTag.parse(s) for s in tag_names]
     spans = iob_to_spans(toks, tags, text=text)
     repaired = spans_to_iob(toks, spans)
-    prev = O_TAG
+    prev = "O"
     for tag in repaired:
         assert valid_transition(prev, tag)
         prev = tag
@@ -321,13 +327,14 @@ def reference_iob_to_spans(tokens, tags, text, first_id=1):
 
     for i, (tok, tag) in enumerate(zip(tokens, tags)):
         new_sentence = i > 0 and tokens[i - 1].sent_index != tok.sent_index
-        if tag.prefix == "O":
+        if tag == "O":
             close()
             run, run_label = [], None
             continue
-        if not (tag.prefix == "I" and run and run_label == tag.label and not new_sentence):
+        prefix, _, label = tag.partition("-")
+        if not (prefix == "I" and run and run_label == label and not new_sentence):
             close()
-            run, run_label = [], tag.label
+            run, run_label = [], label
         run.append(i)
     close()
     return spans
