@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import logging
@@ -346,7 +347,8 @@ def cmd_extract(cfg: RunConfig) -> int:
              "strategy": strategy.value, "ner_mode": cfg.ner_mode}
     with _spooled(out_dir) as spool:
         with _graph_writer(spool / "graph.json", graph) as add_to_graph:
-            for doc, trees in iter_corpus(cfg.corpus_dir):
+            # the tagger's entities replace the gold ones: leave .ann unread
+            for doc, trees in iter_corpus(cfg.corpus_dir, gold=tagger is None):
                 run = run_document(doc, trees, [strategy], networks, tagger,
                                    fallback=cfg.fallback == "nearest")
                 atts = run.attachments[strategy]
@@ -474,7 +476,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         with _spooled(Path(cfg.output_dir)) as spool:
             _write_json(spool / "ner_metrics.json", {
                 "config_hash": cfg.hash(), "seed": cfg.seed,
-                "rows": [asdict(r) for r in rows],
+                "rows": [r._asdict() for r in rows],
             })
         return 0
 
@@ -505,7 +507,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             "config_hash": cfg.hash(),
             "seed": cfg.seed,
             "cross_sentence_gold": cross,
-            "rows": [asdict(r) for r in rows],
+            "rows": [r._asdict() for r in rows],
         })
     return 0
 
@@ -672,6 +674,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+# what the imports made lives until exit: keep it out of every collection,
+# the pass at exit included (the library itself leaves the collector alone)
+gc.freeze()
 
 
 if __name__ == "__main__":

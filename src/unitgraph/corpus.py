@@ -13,6 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .deptree import DepTree
 from .errors import BratError, ConlluError, CorpusError, read_utf8
@@ -61,8 +62,7 @@ SCHEMA_RELATION = {
 }
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     """A typed character span (text-bound annotation)."""
 
     id: str
@@ -72,8 +72,7 @@ class EntitySpan:
     surface: str
 
 
-@dataclass(frozen=True)
-class RelationEdge:
+class RelationEdge(NamedTuple):
     """A directed typed edge between two entity IDs."""
 
     id: str
@@ -168,7 +167,9 @@ def parse_brat(ann_text: str, text: str, doc_id: str = "") -> Document:
     relations: list[RelationEdge] = []
     relation_lines: list[int] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(ann_text.splitlines(), start=1):
+    # a standoff line ends at "\n" alone: splitlines() would also break at
+    # U+2028, "\x0c" and the like, which a surface may hold
+    for lineno, raw in enumerate(ann_text.split("\n"), start=1):
         line = raw.rstrip()
         if not line:
             continue
@@ -287,7 +288,7 @@ def parse_conllu(conllu_text: str) -> list[DepTree]:
         trees.append(tree)
         block.clear()
 
-    for lineno, raw in enumerate(conllu_text.splitlines(), start=1):
+    for lineno, raw in enumerate(conllu_text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
             flush()
@@ -307,16 +308,18 @@ def _read(path: Path, what: str) -> str:
         raise CorpusError(f"cannot read {what} for {path.stem}: {exc}") from exc
 
 
-def iter_corpus(corpus_dir: str | Path) -> Iterator[tuple[Document, list[DepTree]]]:
+def iter_corpus(corpus_dir: str | Path,
+                gold: bool = True) -> Iterator[tuple[Document, list[DepTree]]]:
     """Yield every stem with a ``.txt`` file, sorted by stem, one at a time.
 
     Each document is read and checked only when the previous one has been
     taken, so a caller that keeps no document past its loop step holds at
     most two: the one it has and the one being read.  Missing ``.ann``
-    yields an empty annotation set; missing ``.conllu`` yields an empty
-    parse list with a warning (dependency-based extractors are unavailable
-    for that document).  A missing corpus directory is a CorpusError; an
-    empty one yields nothing.
+    yields an empty annotation set, and so does ``gold=False``, which opens
+    no ``.ann`` file at all (for a caller that brings its own entities);
+    missing ``.conllu`` yields an empty parse list with a warning
+    (dependency-based extractors are unavailable for that document).  A
+    missing corpus directory is a CorpusError; an empty one yields nothing.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -332,7 +335,7 @@ def iter_corpus(corpus_dir: str | Path) -> Iterator[tuple[Document, list[DepTree
         stem = txt_path.stem
         text = _read(txt_path, "text")
         ann_path = txt_path.with_suffix(".ann")
-        ann_text = _read(ann_path, "annotations") if ann_path.exists() else ""
+        ann_text = _read(ann_path, "annotations") if gold and ann_path.exists() else ""
         try:
             doc = parse_brat(ann_text, text, doc_id=stem)
         except BratError as exc:

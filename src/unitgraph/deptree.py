@@ -16,8 +16,7 @@ class Step(NamedTuple):
     direction: str  # "up" = dependent->head, "down" = head->dependent
 
 
-@dataclass(frozen=True)
-class PathPattern:
+class PathPattern(NamedTuple):
     """The labeled, directed walk between two tokens of one tree."""
 
     steps: tuple[Step, ...]

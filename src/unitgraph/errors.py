@@ -48,12 +48,15 @@ class ModelFileError(DataError, ValueError):
 
 
 def read_model_lines(path, magic: str, kind: str) -> list[str]:
-    """The lines of a model file whose first line is ``magic``."""
+    """The lines of a model file whose first line is ``magic``.  A line ends
+    at ``\n`` (or ``\r\n``) alone: a record may hold U+2028 and the other
+    breaks ``str.splitlines()`` knows, as a corpus surface or label can."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise ModelFileError(path, "not UTF-8 text") from None
-    if not lines or lines[0] != magic:
+    lines = [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")]
+    if lines[0] != magic:
         raise ModelFileError(path, f"not a {kind} file", 1)
     return lines
 

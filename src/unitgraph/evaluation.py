@@ -9,7 +9,7 @@ here so reports can print measured numbers next to them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Document, EntitySpan, EntityType
 from .deptree import DepTree
@@ -56,8 +56,7 @@ STRATEGY_ROW_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class PrfRow:
+class PrfRow(NamedTuple):
     name: str
     tp: int
     fp: int
@@ -78,8 +77,7 @@ class PrfRow:
         return cls(name, tp, fp, fn, precision, recall, f1)
 
 
-@dataclass(frozen=True)
-class TimingRow:
+class TimingRow(NamedTuple):
     component: str
     seconds_per_line: float
     model_parameters: int | None

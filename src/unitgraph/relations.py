@@ -72,8 +72,7 @@ class SentenceContext:
         return self._paths[key]
 
 
-@dataclass(frozen=True)
-class Attachment:
+class Attachment(NamedTuple):
     """A predicted edge from a non-Person entity to a Person.
 
     ``person`` is None when the strategy abstained (relation-network
@@ -283,8 +282,7 @@ def extract_document(
     return out
 
 
-@dataclass
-class DocumentRun:
+class DocumentRun(NamedTuple):
     """A document through the pipeline: itself with the entities attached
     (gold, or the tagger's), its contexts, each strategy's attachments, and
     the wall time of each stage ("ner", "contexts", each strategy's value)."""

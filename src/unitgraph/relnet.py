@@ -58,8 +58,7 @@ def output_width(mode: str, k: int) -> int:
     return k if mode == "select_k" else 3
 
 
-@dataclass(frozen=True)
-class PatternVocab:
+class PatternVocab(NamedTuple):
     """Dense index over path-pattern keys; rare patterns share ``unknown``.
 
     Keys keep each step's up/down direction when ``directed``; fixed at
@@ -98,8 +97,7 @@ def build_vocab(
     )
 
 
-@dataclass
-class RelCandidateFeatures:
+class RelCandidateFeatures(NamedTuple):
     """Network input for one (target entity, sentence) pair.
 
     ``slots[i]`` is the i-th Person's one-hot pattern block with the raw

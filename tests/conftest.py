@@ -66,6 +66,9 @@ DOC_LOGISTICS = "a95d77f2-63b8-4c04-b1de-2f90c3a6b7c1"
 DOC_GOVERNOR = "c2e94b08-5f17-4a6d-8c3b-91d0e4f2a5b6"
 DOC_CEREMONY = "e610f3a9-8d2c-4b75-a0e1-7c4f92b8d3e2"
 
+# every character but "\n" and "\r" at which str.splitlines() breaks a line
+SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 
 @pytest.fixture(autouse=True)
 def _quiet_warnings(caplog):

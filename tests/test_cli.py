@@ -36,6 +36,7 @@ from conftest import (
     DUPLICATE_PERSON_CONLLU,
     DUPLICATE_PERSON_TXT,
     GAZETTEERS,
+    SEPARATORS,
 )
 
 
@@ -327,6 +328,35 @@ class TestTrain:
             assert (a / name).exists()
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_models_keep_a_line_break_the_corpus_holds(self, sep, tmp_path):
+        # the rank lexicon takes the Rank surface, and a path pattern the
+        # deprel, with sep inside: each model file must load as written
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "d.txt").write_bytes(
+            f"Major{sep}General Ali Musa led the 3 Division.\n".encode())
+        (corpus / "d.ann").write_bytes((
+            f"T1\tRank 0 13\tMajor{sep}General\nT2\tPerson 14 22\tAli Musa\n"
+            "T3\tOrganization 31 41\t3 Division\n"
+            "R1\thas_rank Arg1:T2 Arg2:T1\nR2\tis_posted Arg1:T2 Arg2:T3\n").encode())
+        rows = [("Major", 2, "amod"), ("General", 4, "compound"), ("Ali", 4, "flat"),
+                ("Musa", 5, f"nsubj{sep}x"), ("led", 0, "root"), ("the", 8, "det"),
+                ("3", 8, "nummod"), ("Division", 5, "obj"), (".", 5, "punct")]
+        (corpus / "d.conllu").write_bytes("".join(
+            f"{i}\t{form}\t_\t_\t_\t_\t{head}\t{rel}\t_\t_\n"
+            for i, (form, head, rel) in enumerate(rows, start=1)).encode())
+        models = tmp_path / "models"
+        assert run("train", "--corpus", corpus, "--out", models, "--split", "1.0",
+                   "--min-count", "1", "--epochs", "5", "--tagger-epochs", "1") == 0
+        assert f"gaz-rank\tmajor{sep}general\n" in (
+            models / "tagger.model").read_bytes().decode()
+        assert f"nsubj{sep}x" in (models / "relnet_select.model").read_bytes().decode()
+        for strategy in ("nn-free", "nn-constrained"):
+            assert run("extract", "--corpus", corpus, "--out", tmp_path / strategy,
+                       "--ner-mode", "model", "--tagger-model", models / "tagger.model",
+                       "--strategy", strategy, "--relnet-model", models) == 0
+
     def test_empty_corpus_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -614,6 +644,33 @@ class TestStreaming:
         assert run(*self._argv(command, models_dir, CORPUS_DIR, tmp_path / "o")) == 0
         assert len(refs) == 5
         assert peak[0] <= 2
+
+    def test_model_ner_extract_reads_no_annotations(self, models_dir, tmp_path,
+                                                     monkeypatch, capsys):
+        # every .ann of one copy is garbage, yet model NER gives the clean
+        # copy's bytes: run from two directories with one relative --corpus,
+        # so the config hashes (and run.json) match too
+        outputs = {}
+        for name in ("clean", "broken"):
+            corpus = tmp_path / name / "corpus"
+            shutil.copytree(CORPUS_DIR, corpus)
+            if name == "broken":
+                for ann in corpus.glob("*.ann"):
+                    ann.write_text("T1\tnot an annotation\n", encoding="utf-8")
+            monkeypatch.chdir(tmp_path / name)
+            assert run(*self._argv("extract", models_dir, "corpus", "out")) == 0
+            outputs[name] = {path.name: path.read_bytes()
+                             for path in sorted(Path("out").iterdir())}
+        assert len(outputs["clean"]) == 7 and outputs["broken"] == outputs["clean"]
+        capsys.readouterr()
+        # gold entities still come from the .ann files, checked
+        first = sorted(CORPUS_DIR.glob("*.ann"))[0].name
+        for command in (("extract", "nn-constrained"), ("evaluate", "all")):
+            assert run(command[0], "--strategy", command[1], "--relnet-model",
+                       models_dir, "--corpus", "corpus", "--out", "gold") == 2
+            assert (f"data error: {first}: line 1: text-bound needs 3"
+                    in capsys.readouterr().err), command
+            assert not Path("gold").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_bad_last_document_leaves_no_output_directory(self, command, models_dir,
@@ -955,6 +1012,18 @@ if loaded:
     sys.exit(f"loaded: {loaded}")
 """ % (_HEAVY_MODULES,)
 
+# the library leaves the collector alone; the CLI module freezes what its
+# imports made (numpy's objects among them), and a command still runs after
+_FREEZE_SCRIPT = """
+import gc, sys
+import unitgraph
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+import unitgraph.cli
+assert gc.get_freeze_count() > 10_000, gc.get_freeze_count()
+corpus, out = sys.argv[1:]
+sys.exit(unitgraph.cli.main(["extract", "--corpus", corpus, "--out", out]))
+"""
+
 # the CLI's config hashes with the built-in hash modules blocked, so that
 # the hashlib branch of its import runs on any Python
 _FALLBACK_SCRIPT = """
@@ -1007,6 +1076,10 @@ class TestFootprint:
                        learning_rate=1e-300, split=0.1 + 0.2))
     def test_hash_is_sha256_of_the_sorted_config(self, cfg):
         assert cfg.hash() == _config_hash(asdict(cfg))
+
+    def test_only_the_cli_module_freezes_the_collector(self, tmp_path):
+        proc = self._python(_FREEZE_SCRIPT, CORPUS_DIR, tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
 
     def test_hashlib_fallback_gives_the_same_hash(self):
         configs = [

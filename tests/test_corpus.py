@@ -3,6 +3,8 @@ import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitgraph.corpus import (
     Document,
@@ -21,7 +23,8 @@ from unitgraph.evaluation import relation_counts
 from unitgraph.relations import Strategy, build_contexts, extract_document, gold_pairs
 from unitgraph.tokens import tokenize
 
-from conftest import CORPUS_DIR, DOC_ADEOSUN, DOC_VANGUARD, EXAMPLE_ANN, EXAMPLE_TEXT
+from conftest import (CORPUS_DIR, DOC_ADEOSUN, DOC_VANGUARD, EXAMPLE_ANN, EXAMPLE_TEXT,
+                      SEPARATORS)
 
 
 class TestParseBrat:
@@ -362,3 +365,121 @@ class TestCrlf:
         (tmp_path / f"{DOC_VANGUARD}.txt").write_bytes(b"a\r\nb\xff\n")
         with pytest.raises(CorpusError, match=r"not UTF-8 text \(byte 4\)"):
             load_corpus(tmp_path)
+
+
+class TestLineEnds:
+    """A standoff or CoNLL-U line ends at "\n" (or "\r\n") alone."""
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_surface_holding_a_separator_loads(self, sep, tmp_path):
+        text = f"Ali{sep}Musa led the unit.\n"
+        ann = f"T1\tPerson 0 8\tAli{sep}Musa\nT2\tOrganization 17 21\tunit\n"
+        assert parse_brat(ann, text).entities == [
+            EntitySpan("T1", EntityType.PERSON, 0, 8, f"Ali{sep}Musa"),
+            EntitySpan("T2", EntityType.ORGANIZATION, 17, 21, "unit"),
+        ]
+        (tmp_path / "d.txt").write_text(text, encoding="utf-8", newline="")
+        (tmp_path / "d.ann").write_text(ann, encoding="utf-8", newline="")
+        [(doc, _)] = load_corpus(tmp_path)
+        assert doc.entities[0].surface == f"Ali{sep}Musa"
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_form_holding_a_separator_loads(self, sep):
+        trees = parse_conllu(f"1\tAli{sep}Musa\t_\t_\t_\t_\t2\tnsubj\t_\t_\r\n"
+                             "2\tled\t_\t_\t_\t_\t0\troot\t_\t_\r\n\r\n")
+        assert [tree.forms for tree in trees] == [[f"Ali{sep}Musa", "led"]]
+
+    def test_error_line_numbers_count_newlines_only(self):
+        with pytest.raises(BratError, match="^line 2: "):
+            parse_brat("T1\tPerson 0 1\tA\u2028\x0c\r\nT2\tbroken\r\n", "A\u2028\x0c")
+        with pytest.raises(ConlluError, match="^line 2: "):
+            parse_conllu("# a\u2029b\x85c\r\n1\tonly\n")
+
+
+# what the readers are fuzzed with: the characters their formats give a
+# meaning to, the names they know, and every line break splitlines() knows
+_PIECES = st.sampled_from([
+    "\t", " ", "\r\n", "\n", "#", "-", ".", ":", "_", "0", "1", "2", "3", "9",
+    "a", "T", "R", "T1", "T2", "R1", "Person", "Organization", "Rank", "Title",
+    "is_posted", "has_rank", "Arg1:", "Arg2:", *SEPARATORS,
+])
+_FUZZ = st.lists(_PIECES, max_size=40).map("".join)
+
+
+@st.composite
+def _standoff(draw):
+    """A text and standoff lines for it: mostly text-bound lines whose
+    offsets and surface come from the text and relation lines over their
+    ids, with some noise lines among them."""
+    text = draw(_FUZZ)
+    lines, ids = [], []
+    for i in range(1, draw(st.integers(0, 6)) + 1):
+        kind = draw(st.sampled_from(["T", "T", "R", "R", "noise"]))
+        if kind == "T" and text:
+            start = draw(st.integers(0, len(text) - 1))
+            end = draw(st.integers(start + 1, len(text)))
+            etype = draw(st.sampled_from(["Person", "Organization", "Rank", "Role"]))
+            lines.append(f"T{i}\t{etype} {start} {end}\t{text[start:end]}")
+            ids.append(f"T{i}")
+        elif kind == "R" and ids:
+            rtype = draw(st.sampled_from(["is_posted", "has_rank", "has_title"]))
+            a, b = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+            lines.append(f"R{i}\t{rtype} Arg1:{a} Arg2:{b}")
+        else:
+            lines.append(draw(_FUZZ))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines), text
+
+
+_FORM = st.lists(_PIECES.filter(lambda p: p not in ("\t", "\n", "\r\n")),
+                 min_size=1, max_size=4).map("".join)
+
+
+@st.composite
+def _conllu(draw):
+    """CoNLL-U sentences: token lines numbered from 1 with heads that
+    mostly make a tree, multiword and empty-node lines, comments, and
+    some noise lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 4))
+        root = draw(st.integers(1, n))
+        for i in range(1, n + 1):
+            if draw(st.integers(0, 9)) == 0:
+                lines.append(draw(st.sampled_from(
+                    ["# sent_id = 1", f"{i}-{i + 1}\tdel" + "\t_" * 8,
+                     f"{i}.1\tghost" + "\t_" * 8, draw(_FUZZ)])))
+            head = 0 if i == root else draw(st.sampled_from(
+                [root] * 6 + [*range(-1, n + 2), "x"]))
+            lines.append("\t".join([str(i), draw(_FORM), "_", "_", "_", "_",
+                                     str(head), draw(_FORM), "_", "_"]))
+        lines.append(draw(st.sampled_from(["", " ", "\x0c"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+class TestReaderFuzz:
+    """The readers return what they read or raise their DataError: never a
+    bare IndexError, KeyError or ValueError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_standoff() | st.tuples(_FUZZ, _FUZZ))
+    def test_parse_brat_returns_checked_entities_or_raises_brat_error(self, pair):
+        ann, text = pair
+        try:
+            doc = parse_brat(ann, text)
+        except BratError:
+            return
+        ids = {e.id for e in doc.entities}
+        for ent in doc.entities:
+            assert text[ent.start:ent.end] == ent.surface
+        for rel in doc.relations:
+            assert {rel.arg1, rel.arg2} <= ids and rel.arg1 != rel.arg2
+
+    @settings(max_examples=400, deadline=None)
+    @given(_conllu() | _FUZZ)
+    def test_parse_conllu_returns_trees_or_raises_conllu_error(self, conllu):
+        try:
+            trees = parse_conllu(conllu)
+        except ConlluError:
+            return
+        for i, tree in enumerate(trees):
+            assert tree.sent_index == i and tree.is_tree()
