@@ -227,6 +227,9 @@ def parse_conllu(conllu_text: str) -> list[DepTree]:
 
     Only the ID, FORM, HEAD and DEPREL columns are used.  Comment lines,
     multiword-token ranges (``1-2``) and empty nodes (``1.1``) are skipped.
+    A sentence's heads must form a tree (one root, every head a token of
+    the sentence, no cycle); a ``ConlluError`` names the line of the token
+    at fault.
     """
     trees: list[DepTree] = []
     block: list[tuple[int, str]] = []
@@ -237,6 +240,7 @@ def parse_conllu(conllu_text: str) -> list[DepTree]:
         forms: list[str] = []
         heads: list[int] = []
         labels: list[str] = []
+        lines: list[int] = []
         for lineno, line in block:
             fields = line.split("\t")
             if len(fields) != 10:
@@ -257,36 +261,34 @@ def parse_conllu(conllu_text: str) -> list[DepTree]:
             except ValueError:
                 raise ConlluError(f"non-integer head {fields[6]!r}", lineno) from None
             forms.append(fields[1])
-            heads.append(head)
+            heads.append(head - 1)
             labels.append(fields[7])
+            lines.append(lineno)
+        first_line = block[0][0]
+        block.clear()
         if not forms:
-            block.clear()
             return
         n = len(forms)
-        roots = [i for i, h in enumerate(heads) if h == 0]
-        if len(roots) != 1:
-            raise ConlluError(
-                f"sentence must have exactly one root, found {len(roots)}",
-                block[0][0],
-            )
-        edges = []
-        for dep, (head, label) in enumerate(zip(heads, labels)):
-            if head == 0:
-                continue
-            if not 1 <= head <= n:
-                raise ConlluError(f"head {head} out of range 1..{n}", block[0][0])
-            edges.append((head - 1, dep, label))
-        tree = DepTree(
-            sent_index=len(trees),
-            forms=forms,
-            edges=edges,
-            root=roots[0],
-        )
-        # reachability from the root catches cycles among non-root tokens
-        if not tree.is_tree():
-            raise ConlluError("cyclic heads: not a tree", block[0][0])
-        trees.append(tree)
-        block.clear()
+        roots = heads.count(-1)
+        if roots != 1:
+            at = lines[heads.index(-1, heads.index(-1) + 1)] if roots else first_line
+            raise ConlluError(f"sentence must have exactly one root, found {roots}", at)
+        # One pass: walk up from each token until a token that an earlier
+        # walk reached (so it reaches the root).  Meeting a token of this
+        # same walk again closes a cycle.
+        walk = [-1] * n
+        walk[heads.index(-1)] = n  # every walk that reaches the root ends there
+        for i in range(n):
+            tok = i
+            while walk[tok] < 0:
+                walk[tok] = i
+                head = heads[tok]
+                if not 0 <= head < n:
+                    raise ConlluError(f"head {head + 1} out of range 1..{n}", lines[tok])
+                tok = head
+            if walk[tok] == i:
+                raise ConlluError("cyclic heads: not a tree", lines[tok])
+        trees.append(DepTree(forms, heads, labels))
 
     for lineno, raw in enumerate(conllu_text.split("\n"), start=1):
         line = raw.rstrip("\r")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 
@@ -39,60 +37,23 @@ class PathPattern(NamedTuple):
         ) or "<same token>"
 
 
-@dataclass
-class DepTree:
-    """A dependency tree over the tokens of one sentence.
+class DepTree(NamedTuple):
+    """A dependency tree over the tokens of one sentence, as CoNLL-U gives it.
 
-    Token indices are 0-based positions within the sentence.  ``edges``
-    holds (head, dependent, label) triples; the root has no incoming edge.
+    Token indices are 0-based positions within the sentence.  ``heads[i]``
+    is token ``i``'s head, or -1 for the root, and ``labels[i]`` labels
+    that arc.  ``parse_conllu`` checks that the heads form a tree.
     """
 
-    sent_index: int
     forms: list[str]
-    edges: list[tuple[int, int, str]]
-    root: int
-    nodes: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.nodes:
-            self.nodes = list(range(len(self.forms)))
-        # parent map: dependent -> (head, label)
-        self.parent: dict[int, tuple[int, str]] = {
-            dep: (head, label) for head, dep, label in self.edges
-        }
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    @cached_property
-    def depth(self) -> dict[int, int]:
-        """Edges from each token of the tree up to the root, computed once."""
-        return {tok: len(_ancestry(self, tok)) - 1 for tok in (self.root, *self.parent)}
-
-    def is_tree(self) -> bool:
-        n = len(self.nodes)
-        if len(self.edges) != n - 1 or self.root not in self.nodes:
-            return False
-        children: dict[int, list[int]] = {i: [] for i in self.nodes}
-        for head, dep, _ in self.edges:
-            if head not in children or dep not in children:
-                return False
-            children[head].append(dep)
-        seen = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                return False
-            seen.add(node)
-            stack.extend(children[node])
-        return len(seen) == n
+    heads: list[int]
+    labels: list[str]
 
 
-def _ancestry(tree: DepTree, tok: int) -> list[int]:
+def _ancestry(heads: list[int], tok: int) -> list[int]:
     chain = [tok]
-    while chain[-1] in tree.parent:
-        chain.append(tree.parent[chain[-1]][0])
+    while heads[chain[-1]] >= 0:
+        chain.append(heads[chain[-1]])
     return chain
 
 
@@ -102,32 +63,30 @@ def shortest_path(tree: DepTree, from_tok: int, to_tok: int) -> PathPattern:
     Up steps traverse dependent->head, down steps head->dependent; a token
     paired with itself yields the empty pattern.
     """
+    heads, labels = tree.heads, tree.labels
     for tok in (from_tok, to_tok):
-        if tok not in tree.parent and tok != tree.root:
+        if not 0 <= tok < len(heads):
             raise PathError(f"token {tok} is not in the tree")
     if from_tok == to_tok:
         return PathPattern(())
-    up_a = _ancestry(tree, from_tok)
+    up_a = _ancestry(heads, from_tok)
     depth_a = {node: i for i, node in enumerate(up_a)}
-    up_b = _ancestry(tree, to_tok)
+    up_b = _ancestry(heads, to_tok)
     lca = next(node for node in up_b if node in depth_a)
-    steps = [
-        Step(tree.parent[node][1], "up") for node in up_a[: depth_a[lca]]
-    ]
+    steps = [Step(labels[node], "up") for node in up_a[: depth_a[lca]]]
     down_chain = up_b[: up_b.index(lca)]
-    steps.extend(Step(tree.parent[node][1], "down") for node in reversed(down_chain))
+    steps.extend(Step(labels[node], "down") for node in reversed(down_chain))
     return PathPattern(tuple(steps))
 
 
-def _distance(tree: DepTree, x: int, y: int) -> int:
-    """Edges between two tokens: their depths less twice their common ancestor's."""
-    depth, parent = tree.depth, tree.parent
-    total = depth[x] + depth[y]
-    while x != y:
-        if depth[x] < depth[y]:
-            x, y = y, x
-        x = parent[x][0]
-    return total - 2 * depth[x]
+def _distance(heads: list[int], up: dict[int, int], tok: int) -> int:
+    """Edges between ``tok`` and the token whose ancestors ``up`` maps to
+    their distances from it: climb from ``tok`` to the first of them."""
+    steps = 0
+    while tok not in up:
+        tok = heads[tok]
+        steps += 1
+    return steps + up[tok]
 
 
 def span_path(tree: DepTree, a: set[int], b: set[int]) -> PathPattern:
@@ -140,10 +99,12 @@ def span_path(tree: DepTree, a: set[int], b: set[int]) -> PathPattern:
         raise PathError("entity has no token in this sentence's tree")
     if len(a) == 1 and len(b) == 1:
         return shortest_path(tree, *a, *b)
-    unknown = (a | b) - tree.depth.keys()
+    heads = tree.heads
+    unknown = [tok for tok in a | b if not 0 <= tok < len(heads)]
     if unknown:
         raise PathError(f"token {min(unknown)} is not in the tree")
-    _, ta, tb = min((_distance(tree, ta, tb), ta, tb) for ta in a for tb in b)
+    ups = [(ta, {node: i for i, node in enumerate(_ancestry(heads, ta))}) for ta in a]
+    _, ta, tb = min((_distance(heads, up, tb), ta, tb) for ta, up in ups for tb in b)
     return shortest_path(tree, ta, tb)
 
 

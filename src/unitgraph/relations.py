@@ -166,13 +166,16 @@ def sdp_attach(ctx: SentenceContext, target: EntitySpan, constrained: bool) -> A
     return Attachment(target, best, type_map(target.etype), strategy)
 
 
-def _context_from_tree(doc: Document, tree: DepTree, cursor: int) -> tuple[SentenceContext, int]:
+def _context_from_tree(doc: Document, tree: DepTree, position: int,
+                       cursor: int) -> tuple[SentenceContext, int]:
     spans = align_to_text(tree, doc.text, cursor)
     aligned = [s for s in spans if s is not None]
     if aligned:
         extent = (min(s for s, _ in aligned), max(e for _, e in aligned))
         cursor = extent[1]
     else:
+        log.warning("%s: parse tree %d aligns to no text",
+                    doc.doc_id or "<doc>", position)
         extent = (cursor, cursor)
     ctx = SentenceContext(
         tree=tree,
@@ -191,13 +194,14 @@ def build_contexts(doc: Document, trees: list[DepTree],
     Sentence extents come from the aligned dependency trees when parses
     exist, otherwise from the rule-based sentences: ``sents`` if the
     caller has them (they must be ``sentences(tokenize(doc.text))``),
-    else the text is tokenized here.
+    else the text is tokenized here.  A tree that aligns to no text logs
+    a warning with its 1-based position.
     """
     contexts: list[SentenceContext] = []
     if trees:
         cursor = 0
-        for tree in trees:
-            ctx, cursor = _context_from_tree(doc, tree, cursor)
+        for position, tree in enumerate(trees, start=1):
+            ctx, cursor = _context_from_tree(doc, tree, position, cursor)
             contexts.append(ctx)
     else:
         if sents is None:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from unitgraph.corpus import (Document, EntitySpan, EntityType, RelationEdge,
                               RelationType, load_corpus)
+from unitgraph.deptree import DepTree
 from unitgraph.relations import build_contexts
 from unitgraph.tokens import Token
 
@@ -68,6 +69,40 @@ DOC_CEREMONY = "e610f3a9-8d2c-4b75-a0e1-7c4f92b8d3e2"
 
 # every character but "\n" and "\r" at which str.splitlines() breaks a line
 SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def is_tree(tree):
+    """Independent oracle: one root, every head a token of the sentence, and
+    every token reached exactly once from the root over a children map
+    built from the heads."""
+    n = len(tree.heads)
+    if len(tree.forms) != n or len(tree.labels) != n or tree.heads.count(-1) != 1:
+        return False
+    children = {i: [] for i in range(n)}
+    for dep, head in enumerate(tree.heads):
+        if head != -1:
+            if head not in children:
+                return False
+            children[head].append(dep)
+    seen = set()
+    stack = [tree.heads.index(-1)]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            return False
+        seen.add(node)
+        stack.extend(children[node])
+    return len(seen) == n
+
+
+def tree_from_heads(forms, heads, labels=None):
+    """The one way tests build a ``DepTree``: ``heads[i]`` is token i's
+    0-based head, or -1 for the root, and every arc is labelled "dep"
+    unless ``labels`` says otherwise.  The heads must form a tree."""
+    tree = DepTree(list(forms), list(heads),
+                   ["dep"] * len(heads) if labels is None else list(labels))
+    assert is_tree(tree), tree
+    return tree
 
 
 @pytest.fixture(autouse=True)

@@ -41,7 +41,7 @@ from conftest import (
     EXAMPLE_SENTENCE,
     EXAMPLE_TEXT,
 )
-from test_deptree import bfs_distance, random_tree
+from test_deptree import bfs_distance, random_tree, tokens
 from test_relnet import max_gradient_error, randomized_model_and_batch, rigged_model
 from test_tokens import random_layout
 
@@ -144,7 +144,7 @@ def test_criterion_4_path_oracle():
     for _ in range(500):
         tree = random_tree(rng, rng.randint(2, 15))
         entities = [
-            set(rng.sample(tree.nodes, rng.randint(1, min(3, len(tree.nodes)))))
+            set(rng.sample(tokens(tree), rng.randint(1, min(3, len(tree.heads)))))
             for _ in range(3)
         ]
         for a in entities:

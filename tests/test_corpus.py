@@ -24,7 +24,7 @@ from unitgraph.relations import Strategy, build_contexts, extract_document, gold
 from unitgraph.tokens import tokenize
 
 from conftest import (CORPUS_DIR, DOC_ADEOSUN, DOC_VANGUARD, EXAMPLE_ANN, EXAMPLE_TEXT,
-                      SEPARATORS)
+                      SEPARATORS, is_tree, tree_from_heads)
 
 
 class TestParseBrat:
@@ -139,11 +139,9 @@ class TestParseConllu:
             "1\tGeneral\t_\t_\t_\t_\t2\tflat\t_\t_\n"
             "2\tAdeosun\t_\t_\t_\t_\t0\troot\t_\t_\n"
         )
-        trees = parse_conllu(block)
-        assert len(trees) == 1
-        tree = trees[0]
-        assert tree.root == 1
-        assert tree.edges == [(1, 0, "flat")]
+        assert parse_conllu(block) == [
+            tree_from_heads(["General", "Adeosun"], [1, -1], ["flat", "root"])
+        ]
 
     def test_empty_input(self):
         assert parse_conllu("") == []
@@ -154,14 +152,15 @@ class TestParseConllu:
         for i, head in enumerate((2, 0, 2, 5, 2), start=1):
             lines.append(f"{i}\tw{i}\t_\t_\t_\t_\t{head}\tdep\t_\t_")
         tree = parse_conllu("\n".join(lines) + "\n")[0]
+        assert tree == tree_from_heads([f"w{i}" for i in range(1, 6)], [1, -1, 1, 4, 1])
         expected_edges = {(1, 0), (1, 2), (4, 3), (1, 4)}
-        assert {(h, d) for h, d, _ in tree.edges} == expected_edges
-        assert tree.root == 1
-        depth = {tree.root: 0}
-        frontier = [tree.root]
+        edges = {(h, d) for d, h in enumerate(tree.heads) if h != -1}
+        assert edges == expected_edges
+        depth = {1: 0}
+        frontier = [1]
         while frontier:
             node = frontier.pop()
-            for h, d, _ in tree.edges:
+            for h, d in edges:
                 if h == node:
                     depth[d] = depth[node] + 1
                     frontier.append(d)
@@ -183,35 +182,37 @@ class TestParseConllu:
             parse_conllu("1\tw\t_\t_\t_\t_\tx\tdep\t_\t_\n")
 
     def test_head_out_of_range(self):
-        with pytest.raises(ConlluError, match="out of range"):
+        with pytest.raises(ConlluError, match="^line 2: head 9 out of range 1..2$"):
             parse_conllu(
-                "1\ta\t_\t_\t_\t_\t9\tdep\t_\t_\n"
-                "2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                "2\tb\t_\t_\t_\t_\t9\tdep\t_\t_\n"
             )
 
     def test_cycle_is_not_a_tree(self):
         block = (
-            "1\ta\t_\t_\t_\t_\t2\tdep\t_\t_\n"
-            "2\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
-            "3\tc\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            "# sent_id = 1\n"
+            "1\tc\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            "2\ta\t_\t_\t_\t_\t3\tdep\t_\t_\n"
+            "3\tb\t_\t_\t_\t_\t2\tdep\t_\t_\n"
         )
-        with pytest.raises(ConlluError, match="not a tree"):
+        with pytest.raises(ConlluError, match="^line 3: cyclic heads: not a tree$"):
             parse_conllu(block)
 
     def test_multiple_roots_rejected(self):
         block = (
             "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
-            "2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            "2\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+            "3\tc\t_\t_\t_\t_\t0\troot\t_\t_\n"
         )
-        with pytest.raises(ConlluError, match="exactly one root"):
+        with pytest.raises(ConlluError,
+                           match="^line 3: sentence must have exactly one root, found 2$"):
             parse_conllu(block)
 
     def test_fixture_trees_are_trees(self, corpus_entries):
         seen = 0
         for _, trees in corpus_entries:
             for tree in trees:
-                assert tree.is_tree()
-                assert len(tree.edges) == len(tree.nodes) - 1
+                assert is_tree(tree)
                 seen += 1
         assert seen >= 8
 
@@ -481,5 +482,5 @@ class TestReaderFuzz:
             trees = parse_conllu(conllu)
         except ConlluError:
             return
-        for i, tree in enumerate(trees):
-            assert tree.sent_index == i and tree.is_tree()
+        for tree in trees:
+            assert is_tree(tree)

@@ -1,3 +1,4 @@
+import logging
 import random
 from collections import Counter
 
@@ -10,7 +11,7 @@ import unitgraph.tokens
 from unitgraph import relnet
 from unitgraph.corpus import (Document, EntitySpan, EntityType, RelationEdge,
                               RelationType, parse_brat, parse_conllu)
-from unitgraph.deptree import DepTree, span_path
+from unitgraph.deptree import span_path
 from unitgraph.relations import (
     Attachment,
     SentenceContext,
@@ -35,6 +36,7 @@ from conftest import (
     DUPLICATE_PERSON_CONLLU,
     DUPLICATE_PERSON_TXT,
     gold_documents,
+    tree_from_heads,
 )
 
 
@@ -157,6 +159,30 @@ class TestContextPath:
                 for p in ctx.persons:
                     ctx.path(t, p)
         assert fresh == used
+
+
+class TestBuildContexts:
+    # tree 1's straight "'s" matches the one in sentence 2, so tree 1
+    # swallows the text and tree 2 finds none of its forms after it
+    DRIFT_TEXT = "Colonel Ali\u2019s unit left. Major Bo's unit met there."
+    DRIFT_TREES = [
+        tree_from_heads(["Colonel", "Ali", "'s", "unit", "left", "."],
+                        [1, 3, 1, 4, -1, 4]),
+        tree_from_heads(["Major", "Bo", "'s", "unit", "met", "there", "."],
+                        [1, 3, 1, 4, -1, 4, 4]),
+    ]
+
+    def test_tree_aligned_to_no_text_warns(self, corpus_entries, caplog):
+        caplog.set_level(logging.WARNING)
+        for doc, trees in corpus_entries:
+            build_contexts(doc, trees)
+        assert not [r for r in caplog.records if "aligns to no text" in r.getMessage()]
+        doc = Document("drift", self.DRIFT_TEXT)
+        contexts = build_contexts(doc, self.DRIFT_TREES)
+        assert [ctx.extent for ctx in contexts] == [(0, 51), (51, 51)]
+        assert [r.getMessage() for r in caplog.records] == [
+            "drift: parse tree 2 aligns to no text"
+        ]
 
 
 class TestSdpAttach:

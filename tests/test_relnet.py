@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unitgraph.corpus import Document, EntitySpan, EntityType
-from unitgraph.deptree import DepTree, PathPattern, Step, align_to_text
+from unitgraph.deptree import PathPattern, Step, align_to_text
 from unitgraph.errors import DataError, ModelFileError
 from unitgraph.relations import (
     NN_STRATEGIES,
@@ -41,7 +41,7 @@ from unitgraph.relnet import (
     training_set,
 )
 
-from conftest import DOC_GOVERNOR, DOC_LOGISTICS
+from conftest import DOC_GOVERNOR, DOC_LOGISTICS, tree_from_heads
 
 
 def pattern(*labels):
@@ -51,8 +51,8 @@ def pattern(*labels):
 def chain_context(n_persons, etype=EntityType.ORGANIZATION):
     """Synthetic sentence: one target token heading a chain of person names."""
     forms = ["unit"] + [f"name{i}" for i in range(n_persons)]
-    edges = [(i, i + 1, "conj") for i in range(len(forms) - 1)]
-    tree = DepTree(0, forms, edges, root=0)
+    tree = tree_from_heads(forms, [-1, *range(len(forms) - 1)],
+                           ["root"] + ["conj"] * (len(forms) - 1))
     text = " ".join(forms)
     spans = align_to_text(tree, text)
     persons = [
@@ -535,10 +535,12 @@ def random_contexts(rng):
         crowded = n == 30 and rng.random() < 0.6
         order = list(range(n))
         rng.shuffle(order)  # the root and the heads fall anywhere in the sentence
-        edges = [(order[rng.randrange(i)], order[i], rng.choice(("nsubj", "obj", "nmod")))
-                 for i in range(1, n)]
+        heads, labels = [-1] * n, ["root"] * n
+        for i in range(1, n):
+            heads[order[i]] = order[rng.randrange(i)]
+            labels[order[i]] = rng.choice(("nsubj", "obj", "nmod"))
         forms = [f"w{i}" for i in range(n)]
-        tree = DepTree(0, forms, edges, root=order[0])
+        tree = tree_from_heads(forms, heads, labels)
         text = " ".join(forms)
         spans = align_to_text(tree, text)
         persons, targets = [], []
