@@ -401,8 +401,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
             written.append(f"tagger: {model.param_count()} weights -> "
                            f"{out_dir / 'tagger.model'}")
 
-        networks = [net for t in targets for net in relnet.NETWORKS.values()
-                    if net.target == t]
+        networks = [net for net in relnet.NETWORKS.values() if net.target in targets]
         if networks:
             vocab, fitted = _fit_relnets(cfg, train_entries,
                                          [net.mode for net in networks],
@@ -572,60 +571,108 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# the flags every command takes: --config, and one per RunConfig key, whose
-# text RunConfig.load reads and checks
-_COMMON = argparse.ArgumentParser(add_help=False)
-_COMMON.add_argument("--config", help="JSON config file; flags override it")
-_COMMON.add_argument("--corpus", dest="corpus_dir", help="corpus directory")
-_COMMON.add_argument("--out", dest="output_dir", help="output directory")
-_COMMON.add_argument("--seed")
-_COMMON.add_argument("--strategy", help="|".join(_CHOICES["strategy"]))
-_COMMON.add_argument("--ner-mode", dest="ner_mode",
-                     help="|".join(_CHOICES["ner_mode"]))
-_COMMON.add_argument("--tagger-model", dest="tagger_model")
-_COMMON.add_argument("--relnet-model", dest="relnet_model",
-                     help="model file, or a directory holding relnet_*.model")
-_COMMON.add_argument("--split", help="training fraction (default 0.8)")
-_COMMON.add_argument("--hidden-size", dest="hidden_size")
-_COMMON.add_argument("--min-count", dest="min_count")
-_COMMON.add_argument("--learning-rate", dest="learning_rate")
-_COMMON.add_argument("--epochs")
-_COMMON.add_argument("--tagger-epochs", dest="tagger_epochs")
-_COMMON.add_argument("--fallback",
-                     help="what to do when a sentence has no usable parse: "
-                     + "|".join(_CHOICES["fallback"]))
-_COMMON.add_argument("--no-path-direction", dest="path_direction",
-                     action="store_false", default=None,
-                     help="drop up/down direction from path patterns")
-_COMMON.add_argument("--org-gazetteer", dest="org_gazetteer")
-_COMMON.add_argument("--rank-gazetteer", dest="rank_gazetteer")
+# each config key's flag and help text, in the order --help lists them;
+# RunConfig.load reads and checks the text a flag is given
+_OPTIONS = {
+    "corpus_dir": ("--corpus", "corpus directory"),
+    "output_dir": ("--out", "output directory"),
+    "seed": ("--seed", None),
+    "strategy": ("--strategy", "|".join(_CHOICES["strategy"])),
+    "ner_mode": ("--ner-mode", "|".join(_CHOICES["ner_mode"])),
+    "tagger_model": ("--tagger-model", None),
+    "relnet_model": ("--relnet-model", "model file, or a directory holding relnet_*.model"),
+    "split": ("--split", "training fraction (default 0.8)"),
+    "hidden_size": ("--hidden-size", None),
+    "min_count": ("--min-count", None),
+    "learning_rate": ("--learning-rate", None),
+    "epochs": ("--epochs", None),
+    "tagger_epochs": ("--tagger-epochs", None),
+    "fallback": ("--fallback", "what to do when a sentence has no usable parse: "
+                 + "|".join(_CHOICES["fallback"])),
+    "path_direction": ("--no-path-direction", "drop up/down direction from path patterns"),
+    "org_gazetteer": ("--org-gazetteer", None),
+    "rank_gazetteer": ("--rank-gazetteer", None),
+}
 
 # the flag that sets each config key, for messages
-_FLAGS = {action.dest: action.option_strings[0] for action in _COMMON._actions}
+_FLAGS = {key: flag for key, (flag, _) in _OPTIONS.items()}
+
+# A test of the resolved config and the parsed flags that only some runs of
+# a command pass, and the words for those runs
+_MODEL_NER = (lambda cfg, args: cfg.ner_mode == "model", "with --ner-mode model")
+_NETWORK = (lambda cfg, args: cfg.strategy in (*(s.value for s in relnet.NETWORKS), "all"),
+            "with an nn-* strategy or all")
+_PARSED = (lambda cfg, args: cfg.strategy != Strategy.NEAREST_PERSON.value,
+           "with a strategy other than nearest-person")
+_NO_CHECK = (lambda cfg, args: not args.metric_check, "without --metric-check")
+_SCORING = (lambda cfg, args: not args.ner_eval, "without --ner-eval")
+_NER_EVAL = (lambda cfg, args: args.ner_eval, "with --ner-eval")
+_TAGGER = (lambda cfg, args: "tagger" in args.targets, "when --targets names tagger")
+_RELNET = (lambda cfg, args: any(t != "tagger" for t in args.targets),
+           "when --targets names a relnet-* model")
+_FITS_TAGGER = (lambda cfg, args: not cfg.tagger_model, "without --tagger-model")
+_FITS_RELNET = (lambda cfg, args: not cfg.relnet_model, "without --relnet-model")
+_FITS_A_MODEL = (lambda cfg, args: not (cfg.tagger_model and cfg.relnet_model),
+                 "when it fits a model, without --tagger-model or --relnet-model")
+
+# The config keys each command reads, each with the tests a run must pass
+# to read it.  A command takes a flag for each of its keys and no other, and
+# a flag whose key the run does not read is rejected; a config file may
+# still hold any key, since one file can serve several commands.
+_READS = {
+    "extract": {"corpus_dir": (), "output_dir": (), "seed": (), "strategy": (),
+                "ner_mode": (), "tagger_model": (_MODEL_NER,),
+                "relnet_model": (_NETWORK,), "fallback": (_PARSED,)},
+    "train": {"corpus_dir": (), "output_dir": (), "seed": (), "split": (),
+              **dict.fromkeys(("hidden_size", "min_count", "learning_rate", "epochs",
+                               "path_direction"), (_RELNET,)),
+              **dict.fromkeys(("tagger_epochs", "org_gazetteer", "rank_gazetteer"),
+                              (_TAGGER,))},
+    "evaluate": {**dict.fromkeys(("corpus_dir", "output_dir", "seed"), (_NO_CHECK,)),
+                 "strategy": (_NO_CHECK, _SCORING),
+                 "relnet_model": (_NO_CHECK, _SCORING, _NETWORK),
+                 "fallback": (_NO_CHECK, _SCORING, _PARSED),
+                 **dict.fromkeys(("split", "tagger_epochs", "org_gazetteer",
+                                  "rank_gazetteer"), (_NO_CHECK, _NER_EVAL))},
+    "bench": {"corpus_dir": (), "seed": (_FITS_A_MODEL,), "tagger_model": (),
+              "relnet_model": (),
+              **dict.fromkeys(("hidden_size", "learning_rate", "path_direction"),
+                              (_FITS_RELNET,)),
+              **dict.fromkeys(("org_gazetteer", "rank_gazetteer"), (_FITS_TAGGER,))},
+    "inspect": {"corpus_dir": ()},
+}
+
+
+def _add_command(sub, command: str, text: str) -> _Parser:
+    """A subparser for ``command``: --config, and a flag for each config key
+    the command reads."""
+    p = sub.add_parser(command, help=text)
+    p.add_argument("--config", help="JSON config file; flags override it")
+    for key, (flag, flag_text) in _OPTIONS.items():
+        if key in _READS[command]:
+            switch = ({"action": "store_false", "default": None}
+                      if key == "path_direction" else {})
+            p.add_argument(flag, dest=key, help=flag_text, **switch)
+    return p
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="unitgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("extract", parents=[_COMMON],
-                   help="write predicted .ann files and graph.json")
-    p_train = sub.add_parser("train", parents=[_COMMON],
-                             help="train tagger and/or relation-network models")
+    _add_command(sub, "extract", "write predicted .ann files and graph.json")
+    p_train = _add_command(sub, "train", "train tagger and/or relation-network models")
     p_train.add_argument(
         "--targets", default=",".join(_TRAIN_TARGETS),
         help="comma list of " + "|".join(_TRAIN_TARGETS),
     )
-    p_eval = sub.add_parser("evaluate", parents=[_COMMON],
-                            help="score strategies or the tagger against gold")
+    p_eval = _add_command(sub, "evaluate", "score strategies or the tagger against gold")
     p_eval.add_argument("--metric-check", action="store_true",
                         help="recompute reference P/R/F1 cells from their counts")
     p_eval.add_argument("--ner-eval", action="store_true",
                         help="train on a split and score entity predictions")
-    p_bench = sub.add_parser("bench", parents=[_COMMON],
-                             help="measure per-line component timings")
+    p_bench = _add_command(sub, "bench", "measure per-line component timings")
     p_bench.add_argument("--repetitions", type=int, default=3)
-    p_inspect = sub.add_parser("inspect", parents=[_COMMON],
-                               help="print token/tag rows for a document")
+    p_inspect = _add_command(sub, "inspect", "print token/tag rows for a document")
     p_inspect.add_argument("--doc", dest="doc_id")
     p_inspect.add_argument("--paths", action="store_true",
                            help="also print dependency paths to each Person")
@@ -639,20 +686,28 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = RunConfig.load(args.config, overrides)
-        needs_corpus = not (args.command == "evaluate" and args.metric_check)
-        if needs_corpus and not cfg.corpus_dir:
-            raise UsageError("--corpus is required")
-        if needs_corpus and args.command in ("extract", "train", "evaluate"):
-            # only extract writes .ann files, over the corpus's own
-            _check_out(cfg.output_dir, cfg.corpus_dir if args.command == "extract" else "")
-        if args.command == "extract":
-            return cmd_extract(cfg)
         if args.command == "train":
             targets = [t.strip() for t in args.targets.split(",") if t.strip()]
             if not targets or not set(targets) <= set(_TRAIN_TARGETS):
                 raise UsageError(f"--targets must name one or more of "
                                  f"{', '.join(_TRAIN_TARGETS)}, got {args.targets!r}")
-            return cmd_train(cfg, targets)
+            args.targets = targets
+        read = set()  # the keys this run reads
+        for key, tests in _READS[args.command].items():
+            unmet = [runs for test, runs in tests if not test(cfg, args)]
+            if not unmet:
+                read.add(key)
+            elif getattr(args, key) is not None:
+                raise UsageError(f"{args.command} reads {_FLAGS[key]} only {unmet[0]}")
+        if "corpus_dir" in read and not cfg.corpus_dir:
+            raise UsageError("--corpus is required")
+        if "output_dir" in read:
+            # only extract writes .ann files, over the corpus's own
+            _check_out(cfg.output_dir, cfg.corpus_dir if args.command == "extract" else "")
+        if args.command == "extract":
+            return cmd_extract(cfg)
+        if args.command == "train":
+            return cmd_train(cfg, args.targets)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, args.metric_check, args.ner_eval)
         if args.command == "bench":

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ from unitgraph.cli import RunConfig, UsageError, _graph_writer, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntitySpan, EntityType, RelationType
 from unitgraph.evaluation import relation_counts
+from unitgraph.relnet import load_relnet, save_relnet
 from unitgraph.relations import (Attachment, Strategy, build_contexts, extract_document,
                                  gold_pairs)
 
@@ -383,6 +385,23 @@ class TestTrain:
             }
             assert known - {vocab.unknown_index}
 
+    def test_a_repeated_target_is_fitted_once(self, tmp_path, capsys):
+        # each network is fitted once, in table order, however --targets
+        # repeats or orders them, and writes the bytes a single run writes
+        runs = {"once": "relnet-select,relnet-constrained",
+                "twice": "relnet-select,relnet-select,relnet-constrained",
+                "reversed": "relnet-constrained,relnet-select"}
+        for name, targets in runs.items():
+            assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path / name,
+                       "--targets", targets, "--epochs", "5") == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            assert [line.rsplit("/", 1)[1] for line in lines] == [
+                "relnet_select.model", "relnet_constrained.model"], name
+        for name in ("relnet_select.model", "relnet_constrained.model"):
+            for other in ("twice", "reversed"):
+                assert ((tmp_path / other / name).read_bytes()
+                        == (tmp_path / "once" / name).read_bytes()), (other, name)
+
     def test_unknown_target_rejected(self, tmp_path):
         assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path,
                    "--targets", "frobnicator") == 1
@@ -402,9 +421,11 @@ class TestTrain:
         src = Path(unitgraph.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         out = tmp_path / "x"
+        # bench writes nothing, so it takes no --out
+        out_flag = ["--out", out] if command == "train" else []
         proc = subprocess.run(
             [sys.executable, "-m", "unitgraph.cli", command, "--corpus", CORPUS_DIR,
-             "--out", out, "--learning-rate", "1e300"],
+             *out_flag, "--learning-rate", "1e300"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 1
@@ -420,7 +441,8 @@ class TestTrain:
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe")
         out = tmp_path / "x"
-        assert run(*command, "--corpus", CORPUS_DIR, "--out", out, flag, bad) == 2
+        out_flag = ["--out", out] if command[0] != "bench" else []
+        assert run(*command, "--corpus", CORPUS_DIR, *out_flag, flag, bad) == 2
         assert f"{bad}: not UTF-8 text (byte 0)" in capsys.readouterr().err
         assert not out.exists()
 
@@ -467,8 +489,11 @@ class TestEvaluate:
         # one set of contexts serves every strategy; none may leak state
         def metrics(strategy):
             out = tmp_path / strategy
+            # only the network strategies read a model
+            models = (["--relnet-model", models_dir]
+                      if strategy in ("nn-free", "nn-constrained", "all") else [])
             assert run("evaluate", "--corpus", CORPUS_DIR, "--out", out,
-                       "--strategy", strategy, "--relnet-model", models_dir) == 0
+                       "--strategy", strategy, *models) == 0
             return json.loads((out / "metrics.json").read_text(encoding="utf-8"))
 
         single = [metrics(s.value) for s in Strategy]
@@ -523,10 +548,11 @@ class TestEvaluate:
         assert "data error: no training sentences" in capsys.readouterr().err
 
     def test_model_ner_mode_rejected_without_ner_eval(self, tmp_path, capsys):
-        # strategy scoring runs on gold entities and would ignore the mode
+        # strategy scoring runs on gold entities and would ignore the mode, so
+        # evaluate takes no --ner-mode flag
         assert run("evaluate", "--corpus", CORPUS_DIR, "--out", tmp_path / "a",
                    "--ner-mode", "model") == 1
-        assert "--ner-eval" in capsys.readouterr().err
+        assert "unrecognized arguments: --ner-mode model" in capsys.readouterr().err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"corpus_dir": str(CORPUS_DIR),
                                    "ner_mode": "model"}), encoding="utf-8")
@@ -559,6 +585,168 @@ class TestEvaluate:
             assert "data error" in capsys.readouterr().err
             assert not out.exists(), args
 
+
+# A run of each kind the CLI makes: its argv, and each config key the run
+# reads with a flag that sets it to another value than the run's own (None:
+# read, but varied in another run).  Paths in braces are made by
+# ``read_keys_paths``.
+_READ_RUNS = {
+    "extract gold": (
+        ["extract", "--corpus", "{corpus}", "--out", "out", "--strategy",
+         "nn-constrained", "--relnet-model", "{relnets}"],
+        {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
+         "seed": ["--seed", "7"], "strategy": ["--strategy", "nn-free"],
+         "ner_mode": ["--ner-mode", "model", "--tagger-model", "{tagger}"],
+         "relnet_model": ["--relnet-model", "{relnets2}"],
+         "fallback": ["--fallback", "skip"]}),
+    "extract nearest-person": (
+        ["extract", "--corpus", "{corpus}", "--out", "out", "--strategy", "nearest-person"],
+        dict.fromkeys(("corpus_dir", "output_dir", "seed", "strategy", "ner_mode"))),
+    "extract model": (
+        ["extract", "--corpus", "{corpus}", "--out", "out", "--ner-mode", "model",
+         "--tagger-model", "{tagger}", "--strategy", "nn-constrained",
+         "--relnet-model", "{relnets}"],
+        {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
+         "seed": ["--seed", "7"], "strategy": ["--strategy", "nn-free"],
+         "ner_mode": None, "tagger_model": ["--tagger-model", "{tagger2}"],
+         "relnet_model": ["--relnet-model", "{relnets2}"],
+         "fallback": ["--fallback", "skip"]}),
+    "train": (
+        ["train", "--corpus", "{corpus}", "--out", "models", "--epochs", "2",
+         "--tagger-epochs", "1"],
+        {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
+         "seed": ["--seed", "7"], "split": ["--split", "1.0"],
+         "hidden_size": ["--hidden-size", "3"], "min_count": ["--min-count", "1"],
+         "learning_rate": ["--learning-rate", "0.5"], "epochs": ["--epochs", "3"],
+         "tagger_epochs": ["--tagger-epochs", "2"],
+         "path_direction": ["--no-path-direction"],
+         "org_gazetteer": ["--org-gazetteer", "{gazetteers}/organizations.txt"],
+         "rank_gazetteer": ["--rank-gazetteer", "{gazetteers}/ranks.txt"]}),
+    "train tagger": (
+        ["train", "--corpus", "{corpus}", "--out", "models", "--targets", "tagger"],
+        dict.fromkeys(("corpus_dir", "output_dir", "seed", "split", "tagger_epochs",
+                       "org_gazetteer", "rank_gazetteer"))),
+    "train relnets": (
+        ["train", "--corpus", "{corpus}", "--out", "models", "--targets",
+         "relnet-select,relnet-constrained"],
+        dict.fromkeys(("corpus_dir", "output_dir", "seed", "split", "hidden_size",
+                       "min_count", "learning_rate", "epochs", "path_direction"))),
+    "evaluate strategies": (
+        ["evaluate", "--corpus", "{corpus}", "--out", "out", "--strategy",
+         "nn-constrained", "--relnet-model", "{relnets}"],
+        {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
+         "seed": ["--seed", "7"], "strategy": ["--strategy", "nn-free"],
+         "relnet_model": ["--relnet-model", "{relnets2}"],
+         "fallback": ["--fallback", "skip"]}),
+    "evaluate nearest-person": (
+        ["evaluate", "--corpus", "{corpus}", "--out", "out"],
+        dict.fromkeys(("corpus_dir", "output_dir", "seed", "strategy"))),
+    "evaluate --ner-eval": (
+        ["evaluate", "--corpus", "{corpus}", "--out", "out", "--ner-eval",
+         "--split", "0.6"],
+        {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
+         "seed": ["--seed", "7"], "split": ["--split", "0.8"],
+         "tagger_epochs": ["--tagger-epochs", "2"],
+         "org_gazetteer": ["--org-gazetteer", "{gazetteers}/organizations.txt"],
+         "rank_gazetteer": ["--rank-gazetteer", "{unknown_ranks}"]}),
+    "evaluate --metric-check": (["evaluate", "--metric-check"], {}),
+    "bench with models": (
+        ["bench", "--corpus", "{corpus}", "--tagger-model", "{tagger}",
+         "--relnet-model", "{relnets}"],
+        dict.fromkeys(("corpus_dir", "tagger_model", "relnet_model"))),
+    "inspect": (
+        ["inspect", "--corpus", "{corpus}", "--paths"],
+        {"corpus_dir": ["--corpus", "{fewer}"]}),
+}
+
+# each config key's flag with a value that passes its check
+_KEY_FLAGS = {
+    "corpus_dir": ["--corpus", "{corpus}"], "output_dir": ["--out", "rejected"],
+    "seed": ["--seed", "7"], "strategy": ["--strategy", "nn-free"],
+    "ner_mode": ["--ner-mode", "model"], "tagger_model": ["--tagger-model", "{tagger}"],
+    "relnet_model": ["--relnet-model", "{relnets}"], "split": ["--split", "0.5"],
+    "hidden_size": ["--hidden-size", "3"], "min_count": ["--min-count", "1"],
+    "learning_rate": ["--learning-rate", "0.1"], "epochs": ["--epochs", "3"],
+    "tagger_epochs": ["--tagger-epochs", "2"], "fallback": ["--fallback", "skip"],
+    "path_direction": ["--no-path-direction"],
+    "org_gazetteer": ["--org-gazetteer", "{gazetteers}/organizations.txt"],
+    "rank_gazetteer": ["--rank-gazetteer", "{gazetteers}/ranks.txt"],
+}
+
+
+@pytest.fixture(scope="module")
+def read_keys_paths(tmp_path_factory):
+    """The fixtures with one .conllu removed, so --fallback matters; the same
+    without their first document; two taggers trained on the first; and
+    relation networks trained on it, with a copy whose output layer is
+    negated (networks trained on so few examples all attach alike).  A rank
+    gazetteer that names no rank in the corpus stands in for the ranks a
+    tagger learns from its training documents."""
+    root = tmp_path_factory.mktemp("read_keys")
+    corpus, fewer = root / "corpus", root / "fewer"
+    shutil.copytree(CORPUS_DIR, corpus)
+    (corpus / f"{DOC_ADEOSUN}.conllu").unlink()
+    shutil.copytree(corpus, fewer)
+    for path in fewer.glob(DOC_VANGUARD + ".*"):
+        path.unlink()
+    paths = {"corpus": corpus, "fewer": fewer, "gazetteers": GAZETTEERS,
+             "unknown_ranks": root / "ranks.txt"}
+    paths["unknown_ranks"].write_text("Commodore\n", encoding="utf-8")
+    for name, flags in (("tagger", ["--targets", "tagger", "--tagger-epochs", "1"]),
+                        ("tagger2", ["--targets", "tagger", "--split", "1.0"]),
+                        ("relnets", ["--targets", "relnet-select,relnet-constrained",
+                                     "--epochs", "3"])):
+        assert run("train", "--corpus", corpus, "--out", root / name, *flags) == 0
+        paths[name] = root / name
+    paths["tagger"] = paths["tagger"] / "tagger.model"
+    paths["tagger2"] = paths["tagger2"] / "tagger.model"
+    paths["relnets2"] = root / "relnets2"
+    paths["relnets2"].mkdir()
+    for path in paths["relnets"].glob("*.model"):
+        model, vocab = load_relnet(path)
+        model.W3, model.b3 = -model.W3, -model.b3
+        save_relnet(paths["relnets2"] / path.name, model, vocab)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("kind", _READ_RUNS)
+def test_each_flag_changes_the_output_or_is_rejected(kind, read_keys_paths, tmp_path,
+                                                      monkeypatch, capsys):
+    argv, reads = _READ_RUNS[kind]
+    runs = itertools.count()
+
+    def run_in_new_directory(*args):
+        """The exit code of the run, in a new working directory, and that
+        directory."""
+        work = tmp_path / str(next(runs))
+        work.mkdir()
+        monkeypatch.chdir(work)
+        return run(*(a.format(**read_keys_paths) for a in args)), work
+
+    def outputs(*args):
+        """What the run prints and writes, but run.json and every line that
+        holds the config hash."""
+        code, work = run_in_new_directory(*args)
+        assert code == 0, args
+        files = {
+            str(path.relative_to(work)): b"".join(
+                line for line in path.read_bytes().splitlines(True)
+                if b"config_hash" not in line)
+            for path in sorted(work.rglob("*"))
+            if path.is_file() and path.name != "run.json"
+        }
+        return capsys.readouterr().out, files
+
+    varied = {key: flags for key, flags in reads.items() if flags is not None}
+    if varied:
+        base = outputs(*argv)
+    for key, flags in varied.items():
+        assert outputs(*argv, *flags) != base, key
+    for key in sorted(set(_KEY_FLAGS) - set(reads)):
+        code, work = run_in_new_directory(*argv, *_KEY_FLAGS[key])
+        assert code == 1, key
+        assert _KEY_FLAGS[key][0] in capsys.readouterr().err, key
+        assert not any(work.iterdir()), key
 
 class TestCorruptModels:
     def test_extract_with_bad_tagger_weight_exits_2(self, tmp_path, capsys):
@@ -745,7 +933,8 @@ class TestStreaming:
     @pytest.mark.parametrize("command", ["extract", "evaluate", "train", "inspect"])
     def test_missing_corpus_directory_exits_2(self, command, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run(command, "--corpus", tmp_path / "absent", "--out", out) == 2
+        out_flag = ["--out", out] if command != "inspect" else []
+        assert run(command, "--corpus", tmp_path / "absent", *out_flag) == 2
         assert "no such directory" in capsys.readouterr().err
         assert not out.exists()
 
@@ -808,8 +997,7 @@ class TestStreaming:
 
 class TestBench:
     def test_four_component_rows(self, tmp_path, capsys):
-        assert run("bench", "--corpus", CORPUS_DIR, "--out", tmp_path,
-                   "--repetitions", "3") == 0
+        assert run("bench", "--corpus", CORPUS_DIR, "--repetitions", "3") == 0
         stdout = capsys.readouterr().out
         for component in ("NER", "Tree alignment", "Shortest Dep. Path",
                           "Neural Network"):
@@ -817,8 +1005,7 @@ class TestBench:
         assert "reference 294" in stdout
 
     def test_too_few_repetitions_is_usage_error(self, tmp_path):
-        assert run("bench", "--corpus", CORPUS_DIR, "--out", tmp_path,
-                   "--repetitions", "2") == 1
+        assert run("bench", "--corpus", CORPUS_DIR, "--repetitions", "2") == 1
 
 
 class TestInspect:

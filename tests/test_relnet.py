@@ -1,10 +1,19 @@
+import contextlib
+import functools
+import io
 import itertools
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unitgraph.cli import main
 
 from unitgraph.corpus import Document, EntitySpan, EntityType
 from unitgraph.deptree import PathPattern, Step, align_to_text
@@ -41,7 +50,7 @@ from unitgraph.relnet import (
     training_set,
 )
 
-from conftest import DOC_GOVERNOR, DOC_LOGISTICS, tree_from_heads
+from conftest import CORPUS_DIR, DOC_GOVERNOR, DOC_LOGISTICS, tree_from_heads
 
 
 def pattern(*labels):
@@ -766,6 +775,97 @@ class TestPersistence:
             save_relnet(path, model, vocab)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@functools.cache
+def _small_model_text() -> str:
+    """A model file as save_relnet writes it: two patterns and unknown, two
+    hidden units, three candidate slots."""
+    model = init_model("select_k", vocab_size=3, k=3, hidden=2, seed=9)
+    vocab = build_vocab([pattern("compound"), pattern("nsubj")] * 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_relnet(Path(tmp) / "m.relnet", model, vocab)
+        return (Path(tmp) / "m.relnet").read_text(encoding="utf-8")
+
+
+# what the file's lines and fields are mutated with: the format's record
+# names and values, numbers that are out of range or not finite, and noise
+_MODEL_TOKENS = st.sampled_from([
+    "unitgraph-relnet 1", "mode", "select_k", "constrained3", "k", "hidden",
+    "vocab_size", "length_scale", "hyper", "directed", "seed", "pattern", "unknown",
+    "min_count", "array", "W1", "b1", "W2", "b2", "W3", "b3", "compound↑", "nsubj↑",
+    "0", "1", "2", "3", "4", "8", "-1", "0.5", "-0.0", "1e308", "1e999", "nan", "inf",
+    "abc", "", " ", "\t",
+]) | st.text(max_size=3)
+
+# each edit: what it does, the line and the field it does it at (taken
+# modulo their count), and the text it puts there
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["delete", "insert", "duplicate", "overwrite", "delete field",
+                     "insert field", "duplicate field", "overwrite field"]),
+    st.integers(0, 999), st.integers(0, 999), _MODEL_TOKENS), min_size=1, max_size=4)
+
+
+def _mutated(text: str, edits) -> str:
+    lines = text.splitlines()
+    for op, at, field_at, token in edits:
+        if op == "insert":
+            lines.insert(at % (len(lines) + 1), token)
+            continue
+        if not lines:
+            continue
+        i = at % len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "overwrite":
+            lines[i] = token
+        else:
+            sep = "\t" if "\t" in lines[i] else " "
+            fields = lines[i].split(sep)
+            j = field_at % len(fields)
+            if op == "delete field":
+                del fields[j]
+            elif op == "insert field":
+                fields.insert(j, token)
+            elif op == "duplicate field":
+                fields.insert(j, fields[j])
+            else:
+                fields[j] = token
+            lines[i] = sep.join(fields)
+    return "".join(line + "\n" for line in lines)
+
+
+class TestModelFileFuzz:
+    """load_relnet returns what it read or raises its ModelFileError: never a
+    bare IndexError, KeyError or ValueError."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_EDITS)
+    def test_mutated_file_loads_or_is_a_model_file_error(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.relnet"
+            path.write_text(_mutated(_small_model_text(), edits), encoding="utf-8")
+            try:
+                model, vocab = load_relnet(path)
+            except ModelFileError:
+                # extract reports it as one data error line, and writes nothing
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(["extract", "--corpus", str(CORPUS_DIR), "--out",
+                                 str(Path(tmp) / "out"), "--strategy", "nn-free",
+                                 "--relnet-model", str(path)])
+                assert code == 2
+                assert err.getvalue().startswith("data error: ")
+                assert err.getvalue().count("\n") == 1
+                assert not (Path(tmp) / "out").exists()
+                return
+            # what loads saves, and what it saves loads again to the same file
+            save_relnet(Path(tmp) / "again.relnet", model, vocab)
+            saved = (Path(tmp) / "again.relnet").read_bytes()
+            save_relnet(Path(tmp) / "third.relnet", *load_relnet(Path(tmp) / "again.relnet"))
+            assert (Path(tmp) / "third.relnet").read_bytes() == saved
 
 
 class TestTrainingSet:
