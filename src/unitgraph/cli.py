@@ -99,7 +99,8 @@ class RunConfig:
     @classmethod
     def load(cls, config_path: str | None, overrides: dict) -> "RunConfig":
         """The config file's values with the flags' on top, every value checked:
-        a UsageError names the key, its flag and what the value must be."""
+        a UsageError names the key and what the value must be, and the flag
+        too when ``overrides`` (the command's flags, by key) holds it."""
         kinds = {f.name: f.type for f in fields(cls)}
         values: dict = {}
         if config_path:
@@ -126,7 +127,8 @@ class RunConfig:
             value = getattr(cfg, key)
             test, wanted = _RULES.get(key, (lambda v: True, f"of type {kind}"))
             if type(value) not in _TYPES[kind] or not test(value):
-                raise UsageError(f"{key} ({_FLAGS[key]}) must be {wanted}, got {value!r}")
+                name = f"{key} ({_FLAGS[key]})" if key in overrides else f"config key {key}"
+                raise UsageError(f"{name} must be {wanted}, got {value!r}")
         return cfg
 
     # where outputs go never changes what gets computed
@@ -164,20 +166,19 @@ def _fit_tagger(cfg: RunConfig, train_docs: list[Document], epochs: int):
 
 def _fit_relnets(cfg: RunConfig, entries, modes: list[str], min_count: int,
                  epochs: int):
-    """One network per mode over one shared pattern vocabulary, fitted on the
-    same-sentence gold relations of ``entries``; one with no examples stays as
-    initialised.  Returns the vocabulary and a (model, examples) pair per mode."""
+    """One network per mode over one shared pattern vocabulary, fitted
+    together on the same-sentence gold relations of ``entries``; with no
+    examples they stay as initialised.  Returns the vocabulary, the models
+    and the number of examples."""
     vocab, pairs = relnet.training_set(entries, min_count, cfg.path_direction)
-    fitted = []
-    for mode in modes:
-        dataset = relnet.build_dataset(pairs, vocab, mode)
-        model = relnet.init_model(mode, vocab.size, hidden=cfg.hidden_size,
-                                  seed=cfg.seed)
-        if len(dataset[0]):
-            relnet.train(model, dataset, epochs=epochs,
-                         learning_rate=cfg.learning_rate, seed=cfg.seed)
-        fitted.append((model, len(dataset[0])))
-    return vocab, fitted
+    datasets = [relnet.build_dataset(pairs, vocab, mode) for mode in modes]
+    models = [relnet.init_model(mode, vocab.size, hidden=cfg.hidden_size, seed=cfg.seed)
+              for mode in modes]
+    examples = len(datasets[0][0])
+    if examples:
+        relnet.train(models, datasets, epochs=epochs, learning_rate=cfg.learning_rate,
+                     seed=cfg.seed)
+    return vocab, models, examples
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -403,12 +404,12 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
 
         networks = [net for net in relnet.NETWORKS.values() if net.target in targets]
         if networks:
-            vocab, fitted = _fit_relnets(cfg, train_entries,
-                                         [net.mode for net in networks],
-                                         cfg.min_count, cfg.epochs)
-            if not all(examples for _, examples in fitted):
+            vocab, models, examples = _fit_relnets(cfg, train_entries,
+                                                   [net.mode for net in networks],
+                                                   cfg.min_count, cfg.epochs)
+            if not examples:
                 raise DataError("no same-sentence gold relations to train on")
-            for net, (model, examples) in zip(networks, fitted):
+            for net, model in zip(networks, models):
                 model.hyper.update({
                     "min_count": cfg.min_count,
                     "config_hash": cfg.hash(),
@@ -450,8 +451,8 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         return 0
     if cfg.ner_mode == "model" and not ner_eval:
         raise UsageError(
-            "evaluate scores strategies on gold entities; --ner-mode model "
-            "applies only with --ner-eval"
+            "evaluate scores strategies on gold entities; config key ner_mode "
+            "'model' applies only with --ner-eval"
         )
 
     if ner_eval:
@@ -524,8 +525,7 @@ def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
         model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED)
     else:
         mode = relnet.NETWORKS[Strategy.NN_CONSTRAINED].mode
-        vocab, [(model, _)] = _fit_relnets(cfg, entries, [mode], min_count=1,
-                                           epochs=30)
+        vocab, [model], _ = _fit_relnets(cfg, entries, [mode], min_count=1, epochs=30)
 
     rows = evaluation.bench_pipeline(
         entries, repetitions=repetitions, tagger_model=tagger,
@@ -656,7 +656,8 @@ def _add_command(sub, command: str, text: str) -> _Parser:
     return p
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser, and each command's subparser by name."""
     parser = _Parser(prog="unitgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     _add_command(sub, "extract", "write predicted .ann files and graph.json")
@@ -676,16 +677,19 @@ def _build_parser() -> _Parser:
     p_inspect.add_argument("--doc", dest="doc_id")
     p_inspect.add_argument("--paths", action="store_true",
                            help="also print dependency paths to each Person")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-        cfg = RunConfig.load(args.config, overrides)
+        args, unknown = parser.parse_known_args(argv)
+        command = commands[args.command]  # reports with the command's usage
+        if unknown:
+            command.error(f"unrecognized arguments: {' '.join(unknown)}")
+        cfg = RunConfig.load(args.config,
+                             {key: getattr(args, key) for key in _READS[args.command]})
         if args.command == "train":
             targets = [t.strip() for t in args.targets.split(",") if t.strip()]
             if not targets or not set(targets) <= set(_TRAIN_TARGETS):
@@ -698,7 +702,7 @@ def main(argv: list[str] | None = None) -> int:
             if not unmet:
                 read.add(key)
             elif getattr(args, key) is not None:
-                raise UsageError(f"{args.command} reads {_FLAGS[key]} only {unmet[0]}")
+                command.error(f"{args.command} reads {_FLAGS[key]} only {unmet[0]}")
         if "corpus_dir" in read and not cfg.corpus_dir:
             raise UsageError("--corpus is required")
         if "output_dir" in read:

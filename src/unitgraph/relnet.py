@@ -237,32 +237,66 @@ def forward(model: RelNetModel, feats: RelCandidateFeatures) -> np.ndarray:
     return predict_proba(model, feats.slots[None, ...], feats.type_onehot[None, ...])[0]
 
 
-def _step(model: RelNetModel, Xs: np.ndarray, T: np.ndarray, Y: np.ndarray,
-          mass: np.ndarray, grads: dict[str, np.ndarray]) -> float:
-    """Forward and backward pass on one batch: returns the mean
-    cross-entropy and writes each parameter's gradient into ``grads``.
+def _layout(models: list[RelNetModel]) -> list[np.ndarray]:
+    """The parameters of networks stepped together, in their flat order:
+    W1, b1, W2, b2 and b3 stacked over the networks, b3 padded to the widest
+    by -inf (so padded logits are -inf), then each network's own W3."""
+    b3 = np.full((len(models), max(m.out_dim for m in models)), -np.inf)
+    for row, model in zip(b3, models):
+        row[:model.out_dim] = model.b3
+    return [*(np.stack([getattr(m, name) for m in models])
+              for name in ("W1", "b1", "W2", "b2")), b3, *(m.W3 for m in models)]
 
-    ``Xs`` has its length column scaled already, and ``mass`` is
-    ``Y.sum(axis=1, keepdims=True)``: 1 for real targets, 0 for all-zero
-    rows, which therefore add neither loss nor gradient.
+
+def _pieces(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive pieces of a flat buffer shaped like ``arrays``."""
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [buffer[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
+def _joint_step(params: list[np.ndarray], grads: list[np.ndarray], Xs: np.ndarray,
+                T: np.ndarray, Y: np.ndarray, mass: np.ndarray) -> list[float]:
+    """Forward and backward pass of networks that share their input, on one
+    batch: returns each network's mean cross-entropy and writes each
+    gradient into ``grads``, laid out as ``params`` is (``_layout``).
+
+    ``Xs`` has its length column scaled already.  ``Y`` is (networks, batch,
+    widest output) with zero padding, and ``mass`` its row sums: 1 for real
+    targets, 0 for all-zero rows, which therefore add neither loss nor
+    gradient.
     """
-    b = Xs.shape[0]
-    P, A1, A2, hidden = _forward_scaled(model, Xs, T)
-    loss = float(-(Y * np.log(np.maximum(P, 1e-12))).sum() / b)
+    W1, b1, W2, b2, b3, *W3s = params
+    gW1, gb1, gW2, gb2, gb3, *gW3s = grads
+    b = len(Xs)
+    A1 = Xs @ W1[:, None] + b1[:, None, None]  # (networks, b, k, hidden)
+    A2 = T @ W2 + b2[:, None]  # (networks, b, hidden)
+    hidden = np.concatenate([np.maximum(A1, 0.0).reshape(len(W1), b, -1),
+                             np.maximum(A2, 0.0)], axis=2)
+    Z = np.zeros(Y.shape)  # the padding stays 0 until b3 makes it -inf
+    for z, h, W3 in zip(Z, hidden, W3s):
+        np.matmul(h, W3, out=z[:, :W3.shape[1]])
+    Z += b3[:, None]
+    P = _softmax(Z)
+    logP = np.log(np.maximum(P, 1e-12))
+    # each loss sums its network's own (b, width) products, in their order
+    losses = [float(-(y[:, :W3.shape[1]] * lp[:, :W3.shape[1]]).sum() / b)
+              for y, lp, W3 in zip(Y, logP, W3s)]
     dZ = (P * mass - Y) / b
-    np.matmul(hidden.T, dZ, out=grads["W3"])
-    dZ.sum(axis=0, out=grads["b3"])
-    dhidden = dZ @ model.W3.T
-    kh = model.k * model.hidden
-    dH1 = dhidden[:, :kh].reshape(b, model.k, model.hidden)
-    dH2 = dhidden[:, kh:]
-    dA1 = dH1 * (A1 > 0)
-    dA2 = dH2 * (A2 > 0)
-    np.einsum("bkv,bkh->vh", Xs, dA1, out=grads["W1"])
-    dA1.sum(axis=(0, 1), out=grads["b1"])
-    np.matmul(T.T, dA2, out=grads["W2"])
-    dA2.sum(axis=0, out=grads["b2"])
-    return loss
+    dZ.sum(axis=1, out=gb3)
+    dhidden = np.empty(hidden.shape)
+    for h, dz, W3, gW3, dh in zip(hidden, dZ, W3s, gW3s, dhidden):
+        dz = dz[:, :W3.shape[1]]
+        np.matmul(h.T, dz, out=gW3)
+        np.matmul(dz, W3.T, out=dh)
+    kh = hidden.shape[2] - A2.shape[2]
+    dA1 = dhidden[..., :kh].reshape(A1.shape) * (A1 > 0)
+    dA2 = dhidden[..., kh:] * (A2 > 0)
+    for g, d in zip(gW1, dA1):
+        np.einsum("bkv,bkh->vh", Xs, d, out=g)
+    dA1.sum(axis=(1, 2), out=gb1)
+    np.matmul(T.T, dA2, out=gW2)
+    dA2.sum(axis=1, out=gb2)
+    return losses
 
 
 def loss_and_gradients(
@@ -271,79 +305,95 @@ def loss_and_gradients(
     """Mean cross-entropy and analytic gradients for every parameter group.
 
     All-zero target rows (the >K-Persons rule) contribute neither loss nor
-    gradient.  Runs the step ``train`` runs.
+    gradient.  Runs the step ``train`` runs, with this network alone.
     """
-    grads = {name: np.empty(arr.shape) for name, arr in model.params().items()}
-    mass = Y.sum(axis=1, keepdims=True)
-    return _step(model, _scaled(model, X), T, Y, mass, grads), grads
-
-
-def _views(buffer: np.ndarray, model: RelNetModel) -> dict[str, np.ndarray]:
-    """Consecutive pieces of a flat buffer shaped like the model's parameters."""
-    views, start = {}, 0
-    for name, arr in model.params().items():
-        views[name] = buffer[start:start + arr.size].reshape(arr.shape)
-        start += arr.size
-    return views
+    params = _layout([model])
+    grads = [np.empty(a.shape) for a in params]
+    (loss,) = _joint_step(params, grads, _scaled(model, X), T, Y[None],
+                          Y.sum(axis=1, keepdims=True)[None])
+    return loss, dict(zip(("W1", "b1", "W2", "b2", "b3"), (g[0] for g in grads)),
+                      W3=grads[5])
 
 
 def train(
-    model: RelNetModel,
-    dataset: tuple[np.ndarray, np.ndarray, np.ndarray],
+    models: list[RelNetModel],
+    datasets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     epochs: int = 300,
     learning_rate: float = 0.05,
     seed: int = 13,
     batch_size: int = 8,
-) -> RelNetModel:
-    """Seeded mini-batch gradient descent; the loss curve lands on the model.
+) -> list[RelNetModel]:
+    """Seeded mini-batch gradient descent of networks that share their
+    inputs ``X`` and ``T``, ``k``, ``hidden``, ``vocab_size`` and
+    ``length_scale``; each network's loss curve lands on it.
 
-    Once per dataset: the length column of ``X`` is scaled and the target
-    mass ``Y.sum(axis=1)`` is summed.  Once per epoch: the arrays are
-    gathered in a fresh permutation, and each batch is a slice of them.
-    Each step runs the forward and backward pass of ``loss_and_gradients``
-    and one update of all parameters at once: they live in one flat
-    buffer (``model.W1``...``b3`` become views into it) and the gradients
-    in another.  The arithmetic is that of updating each parameter after
-    ``loss_and_gradients`` on ``X[idx], T[idx], Y[idx]``, bit for bit.
+    The networks take one step per batch together.  Each elementwise
+    operation and reduction runs once, on arrays stacked over the networks:
+    the first and type layers, the softmax (outputs padded to the widest
+    network by -inf logits and zero targets), ``dZ``, the ReLU masks, the
+    bias and W2 gradients, and the update of one flat buffer holding every
+    parameter (``model.W1``...``b3`` become views into it, without the
+    padding).  ``hidden @ W3``, ``hidden.T @ dZ``, ``dZ @ W3.T``, the W1
+    gradient ``einsum`` and the loss sum run per network, in the 2-D shapes
+    a network alone has: a padded W3 or a batched product sums in another
+    order.  So each network gets the bits it gets trained alone, which are
+    those of updating each parameter after ``loss_and_gradients`` on
+    ``X[idx], T[idx], Y[idx]``.
     """
-    X, T, Y = dataset
+    if not models or len(models) != len(datasets):
+        raise ValueError("train needs one dataset per network")
+    if len({(m.k, m.hidden, m.vocab_size, m.length_scale) for m in models}) > 1:
+        raise ValueError("networks trained together need the same k, hidden, "
+                         "vocab_size and length_scale")
+    X, T, _ = datasets[0]
+    for model, (Xn, Tn, Y) in zip(models, datasets):
+        if not (np.array_equal(Xn, X) and np.array_equal(Tn, T)):
+            raise ValueError("networks trained together need the same inputs")
+        if not len(X) == len(T) == len(Y) or Y.shape[1:] != (model.out_dim,):
+            raise ValueError("dataset arrays disagree on length, or the targets "
+                             "on the network's width")
     if len(X) == 0:
         raise ValueError("empty training set")
-    if not (len(X) == len(T) == len(Y)):
-        raise ValueError("dataset arrays disagree on length")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(seed)
-    Xs, mass = _scaled(model, X), Y.sum(axis=1, keepdims=True)
-    flat = np.concatenate([arr.ravel() for arr in model.params().values()])
+    arrays = _layout(models)
+    flat = np.concatenate([a.ravel() for a in arrays])
     grad = np.empty_like(flat)
-    grads = _views(grad, model)
-    for name, view in _views(flat, model).items():
-        setattr(model, name, view)
+    params, grads = _pieces(flat, arrays), _pieces(grad, arrays)
+    Ys = np.zeros((len(models), len(X), arrays[4].shape[1]))
+    for i, (model, (_, _, Y)) in enumerate(zip(models, datasets)):
+        Ys[i, :, :model.out_dim] = Y
+        model.W1, model.b1, model.W2, model.b2 = (p[i] for p in params[:4])
+        model.b3, model.W3 = params[4][i, :model.out_dim], params[5 + i]
+        model.loss_curve = []
+    Xs, mass = _scaled(models[0], X), Ys.sum(axis=2, keepdims=True)
     starts = range(0, len(X), batch_size)
-    model.loss_curve = []
     with np.errstate(over="ignore", invalid="ignore"):  # shows as a loss not finite
         for _ in range(epochs):
             order = rng.permutation(len(X))
-            Xe, Te, Ye, Me = Xs[order], T[order], Y[order], mass[order]
-            epoch_loss = 0.0
+            Xe, Te, Ye, Me = Xs[order], T[order], Ys[:, order], mass[:, order]
+            epoch_loss = [0.0] * len(models)
             for lo in starts:
                 hi = lo + batch_size
-                loss = _step(model, Xe[lo:hi], Te[lo:hi], Ye[lo:hi], Me[lo:hi], grads)
-                if not math.isfinite(loss):
+                losses = _joint_step(params, grads, Xe[lo:hi], Te[lo:hi],
+                                     Ye[:, lo:hi], Me[:, lo:hi])
+                if not all(map(math.isfinite, losses)):
                     raise FloatingPointError(
                         "training loss is not finite; lower the learning rate"
                     )
                 flat -= learning_rate * grad
-                epoch_loss += loss
-            model.loss_curve.append(epoch_loss / len(starts))
-    model.hyper.update(
-        {"epochs": epochs, "learning_rate": learning_rate, "seed": seed,
-         "batch_size": batch_size}
-    )
-    return model
+                epoch_loss = [total + loss for total, loss in zip(epoch_loss, losses)]
+            for model, total in zip(models, epoch_loss):
+                model.loss_curve.append(total / len(starts))
+    for model in models:
+        model.hyper.update(
+            {"epochs": epochs, "learning_rate": learning_rate, "seed": seed,
+             "batch_size": batch_size}
+        )
+    return models
 
 
 def build_dataset(

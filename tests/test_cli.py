@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import unitgraph
 import unitgraph.corpus
 import unitgraph.relations
+import unitgraph.relnet
 import unitgraph.tagger
 import unitgraph.tokens
 from unitgraph.cli import RunConfig, UsageError, _graph_writer, main
@@ -82,6 +83,27 @@ GAZETTEER_NER_DIGESTS = {
         "2bff96ae9f4d92ac40600c937096ca461e25d10ec49cf0436b030f4eda2b5bca",
     "graph.json":
         "67220c7d384a45adecf979620a519a3e9777895c784f84f595b19fbbb10074fa",
+}
+
+# sha256 of the relation-network model files ``train`` writes on a copy of
+# the fixtures at ``corpus`` (config_hash holds the corpus path), with the
+# default flags and with RELNET_FLAGS, recorded while the two networks
+# were trained one after the other.
+RELNET_FLAGS = ("--hidden-size", "4", "--min-count", "1", "--no-path-direction",
+                "--learning-rate", "0.5", "--epochs", "40")
+RELNET_DIGESTS = {
+    (): {
+        "relnet_constrained.model":
+            "224415f9ef8165a786e1ce8303806daf0e1474464b53295ef1e9c8c59e0dd48f",
+        "relnet_select.model":
+            "d3303214466e55ea1dd56207cd627e2fb4253d8269a82bac1f56e2ab2a3f171f",
+    },
+    RELNET_FLAGS: {
+        "relnet_constrained.model":
+            "8bca6847fae6d96f7a4e01e592319b6e6754e250cc117d81eade129a23334269",
+        "relnet_select.model":
+            "d909ba77cdbb9b4bef43c3175aad4985163d4edab8a64068b2a92a780e72707b",
+    },
 }
 
 # ``inspect --doc DOC_VANGUARD --paths`` as printed before target-to-Person
@@ -402,6 +424,38 @@ class TestTrain:
                 assert ((tmp_path / other / name).read_bytes()
                         == (tmp_path / "once" / name).read_bytes()), (other, name)
 
+    @pytest.mark.parametrize("flags", list(RELNET_DIGESTS))
+    def test_relnet_model_files_unchanged(self, flags, tmp_path, monkeypatch):
+        shutil.copytree(CORPUS_DIR, tmp_path / "corpus")
+        monkeypatch.chdir(tmp_path)
+        assert run("train", "--corpus", "corpus", "--out", "models", "--targets",
+                   "relnet-select,relnet-constrained", *flags) == 0
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((tmp_path / "models").iterdir())
+        } == RELNET_DIGESTS[flags]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_network_overflowing_leaves_nothing(self, tmp_path, monkeypatch,
+                                                    capsys):
+        # the networks train together: select_k's loss overflows at its
+        # first step, constrained3's does not
+        init_model = unitgraph.relnet.init_model
+
+        def overflowing_select(mode, *args, **kwargs):
+            model = init_model(mode, *args, **kwargs)
+            if mode == "select_k":
+                model.W3 *= 1e308
+            return model
+
+        monkeypatch.setattr(unitgraph.relnet, "init_model", overflowing_select)
+        out = tmp_path / "out"
+        assert run("train", "--corpus", CORPUS_DIR, "--out", out, "--targets",
+                   "relnet-select,relnet-constrained") == 1
+        captured = capsys.readouterr()
+        assert "error: learning_rate (--learning-rate) is too large" in captured.err
+        assert not out.exists() and "->" not in captured.out
+
     def test_unknown_target_rejected(self, tmp_path):
         assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path,
                    "--targets", "frobnicator") == 1
@@ -559,6 +613,19 @@ class TestEvaluate:
         assert run("evaluate", "--config", cfg, "--out", tmp_path / "b") == 1
         assert "--ner-eval" in capsys.readouterr().err
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_config_key_evaluate_has_no_flag_for_is_named_as_a_key(self, tmp_path,
+                                                                    capsys):
+        cfg = tmp_path / "cfg.json"
+        for ner_mode, message in (("bogus", "error: config key ner_mode must be one of "),
+                                  ("model", "config key ner_mode 'model' applies only "
+                                            "with --ner-eval")):
+            cfg.write_text(json.dumps({"corpus_dir": str(CORPUS_DIR),
+                                       "ner_mode": ner_mode}), encoding="utf-8")
+            assert run("evaluate", "--config", cfg, "--out", tmp_path / "o") == 1
+            err = capsys.readouterr().err
+            assert message in err and "--ner-mode" not in err, ner_mode
+        assert not (tmp_path / "o").exists()
 
     def test_corpus_without_gold_fails(self, tmp_path):
         bare = tmp_path / "bare"
@@ -1037,6 +1104,21 @@ class TestInspect:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("flags, message", [
+        (["--strategy", "sdp-constrained", "--epochs", "7"],
+         "error: unrecognized arguments: --epochs 7"),
+        (["--strategy", "nearest-person", "--relnet-model", "models"],
+         "error: extract reads --relnet-model only with an nn-* strategy or all"),
+    ])
+    def test_a_flag_the_run_does_not_read_shows_the_command_usage(
+            self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert run("extract", "--corpus", CORPUS_DIR, "--out", out, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unitgraph extract [-h] [--config CONFIG]")
+        assert err.rstrip().endswith(message)
+        assert not out.exists()
+
     def test_unknown_strategy(self, tmp_path):
         assert run("extract", "--corpus", CORPUS_DIR, "--out", tmp_path,
                    "--strategy", "psychic") == 1

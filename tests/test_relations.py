@@ -374,9 +374,9 @@ def networks(corpus_entries):
     """Both relation networks, briefly fitted on the fixtures."""
     vocab, pairs = relnet.training_set(corpus_entries, 1, True)
     return {
-        strategy: (relnet.train(relnet.init_model(net.mode, vocab.size),
-                                relnet.build_dataset(pairs, vocab, net.mode),
-                                epochs=10), vocab)
+        strategy: (relnet.train([relnet.init_model(net.mode, vocab.size)],
+                                [relnet.build_dataset(pairs, vocab, net.mode)],
+                                epochs=10)[0], vocab)
         for strategy, net in relnet.NETWORKS.items()
     }
 

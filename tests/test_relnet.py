@@ -286,7 +286,7 @@ class TestTraining:
         rng = np.random.default_rng(77)
         X, T, Y = self.separable_dataset(rng)
         model = init_model("select_k", vocab_size=1, k=3, hidden=8, seed=7)
-        train(model, (X, T, Y), epochs=200, learning_rate=0.5, seed=7)
+        train([model], [(X, T, Y)], epochs=200, learning_rate=0.5, seed=7)
         P = _forward_scaled(model, _scaled(model, X), T)[0]
         accuracy = (P.argmax(axis=1) == Y.argmax(axis=1)).mean()
         assert accuracy >= 0.95
@@ -298,7 +298,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = init_model("select_k", vocab_size=1, k=3, seed=3)
-            train(model, dataset, epochs=25, learning_rate=0.1, seed=3)
+            train([model], [dataset], epochs=25, learning_rate=0.1, seed=3)
             runs.append(list(model.loss_curve))
         assert runs[0] == runs[1]
 
@@ -308,7 +308,7 @@ class TestTraining:
         dataset = self.separable_dataset(rng, n=24)
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
         with pytest.raises(FloatingPointError, match="learning rate"):
-            train(model, dataset, epochs=10, learning_rate=1e150, seed=2)
+            train([model], [dataset], epochs=10, learning_rate=1e150, seed=2)
 
     @pytest.mark.parametrize("epochs, batch_size, message", [
         (0, 8, "epochs"), (-3, 8, "epochs"), (5, 0, "batch_size"),
@@ -320,13 +320,13 @@ class TestTraining:
         dataset = self.separable_dataset(rng, n=24)
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
         with pytest.raises(ValueError, match=message):
-            train(model, dataset, epochs=epochs, batch_size=batch_size)
+            train([model], [dataset], epochs=epochs, batch_size=batch_size)
 
     def test_empty_dataset_rejected(self):
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
         empty = (np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
-            train(model, empty, epochs=1, learning_rate=0.1, seed=0)
+            train([model], [empty], epochs=1, learning_rate=0.1, seed=0)
 
 
 def reference_loss_and_gradients(model, X, T, Y):
@@ -403,8 +403,8 @@ class TestTrainingMatchesPerBatchLoop:
 
     @staticmethod
     def assert_same_bits(dataset, init, epochs, learning_rate, seed, batch_size):
-        got = train(init_model(**init), dataset, epochs=epochs,
-                    learning_rate=learning_rate, seed=seed, batch_size=batch_size)
+        [got] = train([init_model(**init)], [dataset], epochs=epochs,
+                      learning_rate=learning_rate, seed=seed, batch_size=batch_size)
         want = reference_train(init_model(**init), dataset, epochs,
                                learning_rate, seed, batch_size)
         for name, arr in want.params().items():
@@ -439,6 +439,85 @@ class TestTrainingMatchesPerBatchLoop:
             self.assert_same_bits(dataset, init, int(rng.integers(1, 25)),
                                   float(rng.choice([0.05, 0.5, 2.0])),
                                   int(rng.integers(0, 2**31)), batch_size)
+
+    @staticmethod
+    def assert_joint_bits(datasets, inits, epochs, learning_rate, seed, batch_size):
+        """Networks trained together each end with the per-batch loop's bits
+        for that network alone."""
+        got = train([init_model(**init) for init in inits], datasets, epochs=epochs,
+                    learning_rate=learning_rate, seed=seed, batch_size=batch_size)
+        for model, dataset, init in zip(got, datasets, inits):
+            want = reference_train(init_model(**init), dataset, epochs,
+                                   learning_rate, seed, batch_size)
+            for name, arr in want.params().items():
+                assert np.array_equal(model.params()[name].view(np.int64),
+                                      arr.view(np.int64)), (init["mode"], name)
+            assert np.array_equal(np.array(model.loss_curve).view(np.int64),
+                                  np.array(want.loss_curve).view(np.int64)), init["mode"]
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_fixture_datasets_together(self, corpus_entries, directed):
+        vocab, pairs = training_set(corpus_entries, 1, directed)
+        modes = ("select_k", "constrained3")
+        datasets = [build_dataset(pairs, vocab, mode) for mode in modes]
+        inits = [dict(mode=mode, vocab_size=vocab.size, seed=13) for mode in modes]
+        for batch_size in (8, 5, 4, 1):
+            self.assert_joint_bits(datasets, inits, 150, 0.05, 13, batch_size)
+
+    def test_random_datasets_together(self):
+        # select_k with constrained3 over one input, in either order: k up
+        # to 7 pads the narrower output to the other's width
+        rng = np.random.default_rng(8)
+        for case in range(40):
+            k = int(rng.integers(1, MAX_PERSONS + 1))
+            vocab_size = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 60))
+            X, T, Y = random_dataset(rng, n, k, vocab_size, k)
+            flank = np.zeros((n, 3))  # a target row wherever select_k has one
+            rows = Y.any(axis=1).nonzero()[0]
+            flank[rows, rng.integers(0, 3, size=len(rows))] = 1.0
+            shared = dict(vocab_size=vocab_size, k=k, hidden=int(rng.integers(1, 12)),
+                          length_scale=float(rng.choice([0.1, 0.37, 1.0])))
+            pairs = [(dict(shared, mode=mode, seed=int(rng.integers(0, 2**31))), data)
+                     for mode, data in (("select_k", (X, T, Y)),
+                                        ("constrained3", (X, T, flank)))]
+            if case % 2:
+                pairs.reverse()
+            inits, datasets = zip(*pairs)
+            self.assert_joint_bits(list(datasets), inits, int(rng.integers(1, 25)),
+                                   float(rng.choice([0.05, 0.5, 2.0])),
+                                   int(rng.integers(0, 2**31)),
+                                   int(rng.choice([1, 3, 8, 13])))
+
+    @pytest.mark.parametrize("change", [
+        "X", "T", "k", "hidden", "vocab_size", "length_scale", "width", "length",
+        "datasets"])
+    def test_networks_that_do_not_fit_together_are_rejected(self, change):
+        rng = np.random.default_rng(3)
+        X, T, Y = random_dataset(rng, 12, 4, 3, 4)
+        shared = dict(vocab_size=3, k=4, hidden=5, length_scale=0.1)
+        other = dict(shared, mode="constrained3")
+        flank = Y[:, :3].copy()
+        if change in ("k", "hidden", "vocab_size", "length_scale"):
+            other[change] = {"k": 3, "hidden": 6, "vocab_size": 2,
+                             "length_scale": 0.2}[change]
+        second = {"X": (X + 1, T, flank), "T": (X, T[::-1], flank),
+                  "width": (X, T, Y), "length": (X, T, flank[:-1])}.get(
+                      change, (X, T, flank))
+        datasets = [(X, T, Y), second][:1 if change == "datasets" else 2]
+        models = [init_model("select_k", **shared), init_model(**other)]
+        with pytest.raises(ValueError):
+            train(models, datasets, epochs=1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_network_overflowing_stops_training(self):
+        rng = np.random.default_rng(5)
+        X, T, Y = random_dataset(rng, 16, 3, 2, 3)
+        calm, wild = (init_model(mode, vocab_size=2, k=3, seed=1)
+                      for mode in ("select_k", "constrained3"))
+        wild.W3 *= 1e308
+        with pytest.raises(FloatingPointError, match="learning rate"):
+            train([calm, wild], [(X, T, Y), (X, T, Y)], epochs=3)
 
 
 class TestWeightSharing:
@@ -622,7 +701,7 @@ class TestBatchedPrediction:
             vocab, pairs = training_set(corpus_entries, 2, directed)
             for mode in ("select_k", "constrained3"):
                 dataset = build_dataset(pairs, vocab, mode)
-                model = train(init_model(mode, vocab.size), dataset, epochs=60)
+                [model] = train([init_model(mode, vocab.size)], [dataset], epochs=60)
                 for doc, trees in corpus_entries:
                     for fallback in (True, False):
                         self.check(model, vocab, build_contexts(doc, trees),
@@ -658,7 +737,7 @@ class TestPersistence:
         )
         dataset = TestTraining().separable_dataset(rng, n=30, vocab_size=vocab.size)
         model = init_model("select_k", vocab_size=vocab.size, k=3, seed=9)
-        train(model, dataset, epochs=10, learning_rate=0.1, seed=9)
+        train([model], [dataset], epochs=10, learning_rate=0.1, seed=9)
         save_relnet(tmp_path / "m.relnet", model, vocab)
         loaded, loaded_vocab = load_relnet(tmp_path / "m.relnet")
         assert loaded_vocab.index == vocab.index
@@ -770,7 +849,7 @@ class TestPersistence:
         paths = []
         for name in ("a", "b"):
             model = init_model("select_k", vocab_size=1, k=3, seed=4)
-            train(model, dataset, epochs=8, learning_rate=0.1, seed=4)
+            train([model], [dataset], epochs=8, learning_rate=0.1, seed=4)
             path = tmp_path / f"{name}.relnet"
             save_relnet(path, model, vocab)
             paths.append(path)
