@@ -171,14 +171,13 @@ def _fit_relnets(cfg: RunConfig, entries, modes: list[str], min_count: int,
     examples they stay as initialised.  Returns the vocabulary, the models
     and the number of examples."""
     vocab, pairs = relnet.training_set(entries, min_count, cfg.path_direction)
-    datasets = [relnet.build_dataset(pairs, vocab, mode) for mode in modes]
+    X, T, Ys = relnet.build_dataset(pairs, vocab, modes)
     models = [relnet.init_model(mode, vocab.size, hidden=cfg.hidden_size, seed=cfg.seed)
               for mode in modes]
-    examples = len(datasets[0][0])
-    if examples:
-        relnet.train(models, datasets, epochs=epochs, learning_rate=cfg.learning_rate,
+    if len(X):
+        relnet.train(models, X, T, Ys, epochs=epochs, learning_rate=cfg.learning_rate,
                      seed=cfg.seed)
-    return vocab, models, examples
+    return vocab, models, len(X)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -693,8 +692,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             targets = [t.strip() for t in args.targets.split(",") if t.strip()]
             if not targets or not set(targets) <= set(_TRAIN_TARGETS):
-                raise UsageError(f"--targets must name one or more of "
-                                 f"{', '.join(_TRAIN_TARGETS)}, got {args.targets!r}")
+                command.error(f"--targets must name one or more of "
+                              f"{', '.join(_TRAIN_TARGETS)}, got {args.targets!r}")
             args.targets = targets
         read = set()  # the keys this run reads
         for key, tests in _READS[args.command].items():
@@ -704,7 +703,7 @@ def main(argv: list[str] | None = None) -> int:
             elif getattr(args, key) is not None:
                 command.error(f"{args.command} reads {_FLAGS[key]} only {unmet[0]}")
         if "corpus_dir" in read and not cfg.corpus_dir:
-            raise UsageError("--corpus is required")
+            command.error("--corpus is required")
         if "output_dir" in read:
             # only extract writes .ann files, over the corpus's own
             _check_out(cfg.output_dir, cfg.corpus_dir if args.command == "extract" else "")
@@ -716,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evaluate(cfg, args.metric_check, args.ner_eval)
         if args.command == "bench":
             if args.repetitions < 3:
-                raise UsageError("--repetitions must be at least 3")
+                command.error("--repetitions must be at least 3")
             return cmd_bench(cfg, args.repetitions)
         return cmd_inspect(cfg, args.doc_id, args.paths)
     except UsageError as exc:

@@ -208,19 +208,6 @@ def _scaled(model: RelNetModel, X: np.ndarray) -> np.ndarray:
     return Xs
 
 
-def _forward_scaled(model: RelNetModel, Xs: np.ndarray, T: np.ndarray,
-                    rows_apart: bool = False):
-    b = Xs.shape[0]
-    A1 = Xs @ model.W1 + model.b1  # (b, k, hidden)
-    H1 = np.maximum(A1, 0.0)
-    A2 = T @ model.W2 + model.b2  # (b, hidden)
-    H2 = np.maximum(A2, 0.0)
-    hidden = np.concatenate([H1.reshape(b, -1), H2], axis=1)
-    # one-row products (BLAS gemv, not gemm) give each row its bits when alone
-    Z = (hidden[:, None, :] @ model.W3)[:, 0] if rows_apart else hidden @ model.W3
-    return _softmax(Z + model.b3), A1, A2, hidden
-
-
 def predict_proba(model: RelNetModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Probability rows for stacked features; row i equals ``forward`` on
     target i alone, bit for bit."""
@@ -229,7 +216,11 @@ def predict_proba(model: RelNetModel, X: np.ndarray, T: np.ndarray) -> np.ndarra
             f"feature shape {X.shape[1:]} does not match model "
             f"({model.k}, {model.vocab_size + 1})"
         )
-    return _forward_scaled(model, _scaled(model, X), T, rows_apart=True)[0]
+    H1 = np.maximum(_scaled(model, X) @ model.W1 + model.b1, 0.0)  # (b, k, hidden)
+    H2 = np.maximum(T @ model.W2 + model.b2, 0.0)  # (b, hidden)
+    hidden = np.concatenate([H1.reshape(len(X), -1), H2], axis=1)
+    # one-row products (BLAS gemv, not gemm) give each row its bits when alone
+    return _softmax((hidden[:, None, :] @ model.W3)[:, 0] + model.b3)
 
 
 def forward(model: RelNetModel, feats: RelCandidateFeatures) -> np.ndarray:
@@ -317,15 +308,18 @@ def loss_and_gradients(
 
 def train(
     models: list[RelNetModel],
-    datasets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    X: np.ndarray,
+    T: np.ndarray,
+    Ys: list[np.ndarray],
     epochs: int = 300,
     learning_rate: float = 0.05,
     seed: int = 13,
     batch_size: int = 8,
 ) -> list[RelNetModel]:
-    """Seeded mini-batch gradient descent of networks that share their
-    inputs ``X`` and ``T``, ``k``, ``hidden``, ``vocab_size`` and
-    ``length_scale``; each network's loss curve lands on it.
+    """Seeded mini-batch gradient descent of networks on the shared inputs
+    ``X`` and ``T``, each with its own targets in ``Ys``; the networks
+    share ``k``, ``hidden``, ``vocab_size`` and ``length_scale``, and each
+    network's loss curve lands on it.
 
     The networks take one step per batch together.  Each elementwise
     operation and reduction runs once, on arrays stacked over the networks:
@@ -340,15 +334,12 @@ def train(
     those of updating each parameter after ``loss_and_gradients`` on
     ``X[idx], T[idx], Y[idx]``.
     """
-    if not models or len(models) != len(datasets):
-        raise ValueError("train needs one dataset per network")
+    if not models or len(models) != len(Ys):
+        raise ValueError("train needs one target array per network")
     if len({(m.k, m.hidden, m.vocab_size, m.length_scale) for m in models}) > 1:
         raise ValueError("networks trained together need the same k, hidden, "
                          "vocab_size and length_scale")
-    X, T, _ = datasets[0]
-    for model, (Xn, Tn, Y) in zip(models, datasets):
-        if not (np.array_equal(Xn, X) and np.array_equal(Tn, T)):
-            raise ValueError("networks trained together need the same inputs")
+    for model, Y in zip(models, Ys):
         if not len(X) == len(T) == len(Y) or Y.shape[1:] != (model.out_dim,):
             raise ValueError("dataset arrays disagree on length, or the targets "
                              "on the network's width")
@@ -363,18 +354,18 @@ def train(
     flat = np.concatenate([a.ravel() for a in arrays])
     grad = np.empty_like(flat)
     params, grads = _pieces(flat, arrays), _pieces(grad, arrays)
-    Ys = np.zeros((len(models), len(X), arrays[4].shape[1]))
-    for i, (model, (_, _, Y)) in enumerate(zip(models, datasets)):
-        Ys[i, :, :model.out_dim] = Y
+    padded = np.zeros((len(models), len(X), arrays[4].shape[1]))
+    for i, (model, Y) in enumerate(zip(models, Ys)):
+        padded[i, :, :model.out_dim] = Y
         model.W1, model.b1, model.W2, model.b2 = (p[i] for p in params[:4])
         model.b3, model.W3 = params[4][i, :model.out_dim], params[5 + i]
         model.loss_curve = []
-    Xs, mass = _scaled(models[0], X), Ys.sum(axis=2, keepdims=True)
+    Xs, mass = _scaled(models[0], X), padded.sum(axis=2, keepdims=True)
     starts = range(0, len(X), batch_size)
     with np.errstate(over="ignore", invalid="ignore"):  # shows as a loss not finite
         for _ in range(epochs):
             order = rng.permutation(len(X))
-            Xe, Te, Ye, Me = Xs[order], T[order], Ys[:, order], mass[:, order]
+            Xe, Te, Ye, Me = Xs[order], T[order], padded[:, order], mass[:, order]
             epoch_loss = [0.0] * len(models)
             for lo in starts:
                 hi = lo + batch_size
@@ -396,44 +387,45 @@ def train(
     return models
 
 
+def _stack(pairs: list[tuple[SentenceContext, EntitySpan]], vocab: PatternVocab,
+           k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The network inputs ``X`` and ``T`` of (context, target) pairs whose
+    sentences have trees, one ``featurize`` call per pair (shaped so for
+    no pairs too)."""
+    feats = [featurize(ctx, target, vocab, k) for ctx, target in pairs]
+    return (np.array([f.slots for f in feats]).reshape(-1, k, vocab.size + 1),
+            np.array([f.type_onehot for f in feats]).reshape(-1, 3))
+
+
 def build_dataset(
     pairs: list[tuple[SentenceContext, EntitySpan, EntitySpan]],
     vocab: PatternVocab,
-    mode: str,
+    modes: list[str],
     k: int = MAX_PERSONS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training arrays from (context, target, gold Person) triples.
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Training arrays from (context, target, gold Person) triples: the
+    inputs ``X`` and ``T``, each pair featurized once, and one target array
+    per mode.  Pairs whose sentence has no tree are left out.
 
     Gold Persons outside the first ``k`` slots give all-zero targets; in
     constrained mode the three classes are left flank / right flank /
     some other Person.
     """
-    xs, ts, ys = [], [], []
-    width = output_width(mode, k)
-    for ctx, target, gold in pairs:
-        try:
-            feats = featurize(ctx, target, vocab, k=k)
-        except MissingParseError:
-            continue
-        y = np.zeros(width)
-        if gold in ctx.persons[:k]:
+    pairs = [pair for pair in pairs if pair[0].tree is not None]
+    X, T = _stack([(ctx, target) for ctx, target, _ in pairs], vocab, k)
+    Ys = []
+    for mode in modes:
+        Y = np.zeros((len(pairs), output_width(mode, k)))
+        for y, (ctx, target, gold) in zip(Y, pairs):
+            if gold not in ctx.persons[:k]:
+                continue
             if mode == "select_k":
                 y[ctx.persons.index(gold)] = 1.0
             else:
                 left, right = flanking_persons(ctx, target)
-                if gold == left:
-                    y[0] = 1.0
-                elif gold == right:
-                    y[1] = 1.0
-                else:
-                    y[2] = 1.0
-        xs.append(feats.slots)
-        ts.append(feats.type_onehot)
-        ys.append(y)
-    if not xs:
-        return (np.zeros((0, k, vocab.size + 1)), np.zeros((0, 3)),
-                np.zeros((0, width)))
-    return np.stack(xs), np.stack(ts), np.stack(ys)
+                y[0 if gold == left else 1 if gold == right else 2] = 1.0
+        Ys.append(Y)
+    return X, T, Ys
 
 
 def collect_patterns(
@@ -477,9 +469,7 @@ def predict_batch(model: RelNetModel, pairs: list[tuple[SentenceContext, EntityS
     """
     if not pairs:
         return []
-    feats = [featurize(ctx, target, vocab, k=model.k) for ctx, target in pairs]
-    probs = predict_proba(model, np.stack([f.slots for f in feats]),
-                          np.stack([f.type_onehot for f in feats]))
+    probs = predict_proba(model, *_stack(pairs, vocab, model.k))
     strategy = next(s for s, net in NETWORKS.items() if net.mode == model.mode)
     out = []
     for (ctx, target), choice in zip(pairs, probs.argmax(axis=1).tolist()):

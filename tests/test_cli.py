@@ -1105,19 +1105,29 @@ class TestInspect:
 
 class TestUsage:
     @pytest.mark.parametrize("flags, message", [
-        (["--strategy", "sdp-constrained", "--epochs", "7"],
+        (["extract", "--corpus", CORPUS_DIR, "--out", "{out}", "--strategy",
+          "sdp-constrained", "--epochs", "7"],
          "error: unrecognized arguments: --epochs 7"),
-        (["--strategy", "nearest-person", "--relnet-model", "models"],
+        (["extract", "--corpus", CORPUS_DIR, "--out", "{out}", "--strategy",
+          "nearest-person", "--relnet-model", "models"],
          "error: extract reads --relnet-model only with an nn-* strategy or all"),
+        # usage errors found once the flags are read
+        (["train", "--corpus", CORPUS_DIR, "--out", "{out}", "--targets", "frob"],
+         "error: --targets must name one or more of tagger, relnet-select, "
+         "relnet-constrained, got 'frob'"),
+        (["extract", "--out", "{out}", "--strategy", "nearest-person"],
+         "error: --corpus is required"),
+        (["bench", "--corpus", CORPUS_DIR, "--repetitions", "2"],
+         "error: --repetitions must be at least 3"),
     ])
     def test_a_flag_the_run_does_not_read_shows_the_command_usage(
-            self, tmp_path, capsys, flags, message):
-        out = tmp_path / "out"
-        assert run("extract", "--corpus", CORPUS_DIR, "--out", out, *flags) == 1
+            self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*(str(f).format(out=tmp_path / "out") for f in flags)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: unitgraph extract [-h] [--config CONFIG]")
+        assert err.startswith(f"usage: unitgraph {flags[0]} [-h] [--config CONFIG]")
         assert err.rstrip().endswith(message)
-        assert not out.exists()
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_strategy(self, tmp_path):
         assert run("extract", "--corpus", CORPUS_DIR, "--out", tmp_path,

@@ -375,7 +375,7 @@ def networks(corpus_entries):
     vocab, pairs = relnet.training_set(corpus_entries, 1, True)
     return {
         strategy: (relnet.train([relnet.init_model(net.mode, vocab.size)],
-                                [relnet.build_dataset(pairs, vocab, net.mode)],
+                                *relnet.build_dataset(pairs, vocab, [net.mode]),
                                 epochs=10)[0], vocab)
         for strategy, net in relnet.NETWORKS.items()
     }

@@ -15,25 +15,25 @@ from hypothesis import strategies as st
 
 from unitgraph.cli import main
 
-from unitgraph.corpus import Document, EntitySpan, EntityType
+from unitgraph.corpus import Document, EntitySpan, EntityType, RelationEdge
 from unitgraph.deptree import PathPattern, Step, align_to_text
-from unitgraph.errors import DataError, ModelFileError
+from unitgraph.errors import DataError, MissingParseError, ModelFileError
 from unitgraph.relations import (
     NN_STRATEGIES,
     SentenceContext,
     Strategy,
     build_contexts,
     extract_document,
+    flanking_persons,
     gold_pairs,
     nearest_person,
+    type_map,
 )
 from unitgraph.relnet import (
     MAX_PERSONS,
     NETWORKS,
     RelCandidateFeatures,
     RelNetModel,
-    _forward_scaled,
-    _scaled,
     build_dataset,
     build_vocab,
     collect_patterns,
@@ -50,7 +50,10 @@ from unitgraph.relnet import (
     training_set,
 )
 
-from conftest import CORPUS_DIR, DOC_GOVERNOR, DOC_LOGISTICS, tree_from_heads
+from unitgraph.tokens import Token
+
+from conftest import (CORPUS_DIR, DOC_GOVERNOR, DOC_LOGISTICS, gold_documents,
+                      tree_from_heads)
 
 
 def pattern(*labels):
@@ -142,7 +145,7 @@ class TestFeaturize:
         ctx, target = chain_context(8)
         vocab = build_vocab([], min_count=1)
         gold = ctx.persons[7]  # the eighth person
-        X, T, Y = build_dataset([(ctx, target, gold)], vocab, "select_k")
+        X, T, [Y] = build_dataset([(ctx, target, gold)], vocab, ["select_k"])
         assert len(Y) == 1
         assert not Y[0].any()
 
@@ -286,29 +289,29 @@ class TestTraining:
         rng = np.random.default_rng(77)
         X, T, Y = self.separable_dataset(rng)
         model = init_model("select_k", vocab_size=1, k=3, hidden=8, seed=7)
-        train([model], [(X, T, Y)], epochs=200, learning_rate=0.5, seed=7)
-        P = _forward_scaled(model, _scaled(model, X), T)[0]
+        train([model], X, T, [Y], epochs=200, learning_rate=0.5, seed=7)
+        P = predict_proba(model, X, T)
         accuracy = (P.argmax(axis=1) == Y.argmax(axis=1)).mean()
         assert accuracy >= 0.95
         assert model.loss_curve[-1] <= model.loss_curve[0]
 
     def test_same_seed_gives_identical_loss_curve(self):
         rng = np.random.default_rng(11)
-        dataset = self.separable_dataset(rng, n=40)
+        X, T, Y = self.separable_dataset(rng, n=40)
         runs = []
         for _ in range(2):
             model = init_model("select_k", vocab_size=1, k=3, seed=3)
-            train([model], [dataset], epochs=25, learning_rate=0.1, seed=3)
+            train([model], X, T, [Y], epochs=25, learning_rate=0.1, seed=3)
             runs.append(list(model.loss_curve))
         assert runs[0] == runs[1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_diagnostic(self):
         rng = np.random.default_rng(2)
-        dataset = self.separable_dataset(rng, n=24)
+        X, T, Y = self.separable_dataset(rng, n=24)
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
         with pytest.raises(FloatingPointError, match="learning rate"):
-            train([model], [dataset], epochs=10, learning_rate=1e150, seed=2)
+            train([model], X, T, [Y], epochs=10, learning_rate=1e150, seed=2)
 
     @pytest.mark.parametrize("epochs, batch_size, message", [
         (0, 8, "epochs"), (-3, 8, "epochs"), (5, 0, "batch_size"),
@@ -317,16 +320,16 @@ class TestTraining:
     def test_rejects_fewer_than_one_epoch_or_example(self, epochs, batch_size,
                                                      message):
         rng = np.random.default_rng(2)
-        dataset = self.separable_dataset(rng, n=24)
+        X, T, Y = self.separable_dataset(rng, n=24)
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
         with pytest.raises(ValueError, match=message):
-            train([model], [dataset], epochs=epochs, batch_size=batch_size)
+            train([model], X, T, [Y], epochs=epochs, batch_size=batch_size)
 
     def test_empty_dataset_rejected(self):
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
-        empty = (np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError, match="empty"):
-            train([model], [empty], epochs=1, learning_rate=0.1, seed=0)
+            train([model], np.zeros((0, 3, 2)), np.zeros((0, 3)), [np.zeros((0, 3))],
+                  epochs=1, learning_rate=0.1, seed=0)
 
 
 def reference_loss_and_gradients(model, X, T, Y):
@@ -356,6 +359,23 @@ def reference_loss_and_gradients(model, X, T, Y):
     grads["W2"] = T.T @ dA2
     grads["b2"] = dA2.sum(axis=0)
     return loss, grads
+
+
+def reference_forward(model, X, T):
+    """The probabilities of a batch as training computes them, one matrix
+    product for the batch, with the first and type layers' pre-activations
+    (``A1``, ``A2``).  On a batch of one this is the forward pass each
+    prediction row must match bit for bit."""
+    b = X.shape[0]
+    Xs = X.copy()
+    Xs[..., -1] *= model.length_scale
+    A1 = Xs @ model.W1 + model.b1
+    A2 = T @ model.W2 + model.b2
+    hidden = np.concatenate([np.maximum(A1, 0.0).reshape(b, -1),
+                             np.maximum(A2, 0.0)], axis=1)
+    Z = hidden @ model.W3 + model.b3
+    e = np.exp(Z - Z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True), A1, A2
 
 
 def reference_train(model, dataset, epochs, learning_rate, seed, batch_size):
@@ -403,7 +423,8 @@ class TestTrainingMatchesPerBatchLoop:
 
     @staticmethod
     def assert_same_bits(dataset, init, epochs, learning_rate, seed, batch_size):
-        [got] = train([init_model(**init)], [dataset], epochs=epochs,
+        X, T, Y = dataset
+        [got] = train([init_model(**init)], X, T, [Y], epochs=epochs,
                       learning_rate=learning_rate, seed=seed, batch_size=batch_size)
         want = reference_train(init_model(**init), dataset, epochs,
                                learning_rate, seed, batch_size)
@@ -417,8 +438,9 @@ class TestTrainingMatchesPerBatchLoop:
     @pytest.mark.parametrize("mode", ["select_k", "constrained3"])
     def test_fixture_datasets(self, corpus_entries, mode, directed):
         vocab, pairs = training_set(corpus_entries, 1, directed)
-        dataset = build_dataset(pairs, vocab, mode)
-        assert len(dataset[0]) > 4
+        X, T, [Y] = build_dataset(pairs, vocab, [mode])
+        dataset = (X, T, Y)
+        assert len(X) > 4
         init = dict(mode=mode, vocab_size=vocab.size, seed=13)
         for batch_size in (8, 4):  # the default, and a short last batch
             self.assert_same_bits(dataset, init, 150, 0.05, 13, batch_size)
@@ -441,13 +463,13 @@ class TestTrainingMatchesPerBatchLoop:
                                   int(rng.integers(0, 2**31)), batch_size)
 
     @staticmethod
-    def assert_joint_bits(datasets, inits, epochs, learning_rate, seed, batch_size):
+    def assert_joint_bits(X, T, Ys, inits, epochs, learning_rate, seed, batch_size):
         """Networks trained together each end with the per-batch loop's bits
         for that network alone."""
-        got = train([init_model(**init) for init in inits], datasets, epochs=epochs,
+        got = train([init_model(**init) for init in inits], X, T, Ys, epochs=epochs,
                     learning_rate=learning_rate, seed=seed, batch_size=batch_size)
-        for model, dataset, init in zip(got, datasets, inits):
-            want = reference_train(init_model(**init), dataset, epochs,
+        for model, Y, init in zip(got, Ys, inits):
+            want = reference_train(init_model(**init), (X, T, Y), epochs,
                                    learning_rate, seed, batch_size)
             for name, arr in want.params().items():
                 assert np.array_equal(model.params()[name].view(np.int64),
@@ -459,10 +481,10 @@ class TestTrainingMatchesPerBatchLoop:
     def test_fixture_datasets_together(self, corpus_entries, directed):
         vocab, pairs = training_set(corpus_entries, 1, directed)
         modes = ("select_k", "constrained3")
-        datasets = [build_dataset(pairs, vocab, mode) for mode in modes]
+        X, T, Ys = build_dataset(pairs, vocab, modes)
         inits = [dict(mode=mode, vocab_size=vocab.size, seed=13) for mode in modes]
         for batch_size in (8, 5, 4, 1):
-            self.assert_joint_bits(datasets, inits, 150, 0.05, 13, batch_size)
+            self.assert_joint_bits(X, T, Ys, inits, 150, 0.05, 13, batch_size)
 
     def test_random_datasets_together(self):
         # select_k with constrained3 over one input, in either order: k up
@@ -478,20 +500,18 @@ class TestTrainingMatchesPerBatchLoop:
             flank[rows, rng.integers(0, 3, size=len(rows))] = 1.0
             shared = dict(vocab_size=vocab_size, k=k, hidden=int(rng.integers(1, 12)),
                           length_scale=float(rng.choice([0.1, 0.37, 1.0])))
-            pairs = [(dict(shared, mode=mode, seed=int(rng.integers(0, 2**31))), data)
-                     for mode, data in (("select_k", (X, T, Y)),
-                                        ("constrained3", (X, T, flank)))]
+            pairs = [(dict(shared, mode=mode, seed=int(rng.integers(0, 2**31))), targets)
+                     for mode, targets in (("select_k", Y), ("constrained3", flank))]
             if case % 2:
                 pairs.reverse()
-            inits, datasets = zip(*pairs)
-            self.assert_joint_bits(list(datasets), inits, int(rng.integers(1, 25)),
+            inits, Ys = zip(*pairs)
+            self.assert_joint_bits(X, T, list(Ys), inits, int(rng.integers(1, 25)),
                                    float(rng.choice([0.05, 0.5, 2.0])),
                                    int(rng.integers(0, 2**31)),
                                    int(rng.choice([1, 3, 8, 13])))
 
     @pytest.mark.parametrize("change", [
-        "X", "T", "k", "hidden", "vocab_size", "length_scale", "width", "length",
-        "datasets"])
+        "k", "hidden", "vocab_size", "length_scale", "width", "length", "datasets"])
     def test_networks_that_do_not_fit_together_are_rejected(self, change):
         rng = np.random.default_rng(3)
         X, T, Y = random_dataset(rng, 12, 4, 3, 4)
@@ -501,13 +521,11 @@ class TestTrainingMatchesPerBatchLoop:
         if change in ("k", "hidden", "vocab_size", "length_scale"):
             other[change] = {"k": 3, "hidden": 6, "vocab_size": 2,
                              "length_scale": 0.2}[change]
-        second = {"X": (X + 1, T, flank), "T": (X, T[::-1], flank),
-                  "width": (X, T, Y), "length": (X, T, flank[:-1])}.get(
-                      change, (X, T, flank))
-        datasets = [(X, T, Y), second][:1 if change == "datasets" else 2]
+        second = {"width": Y, "length": flank[:-1]}.get(change, flank)
+        Ys = [Y, second][:1 if change == "datasets" else 2]
         models = [init_model("select_k", **shared), init_model(**other)]
         with pytest.raises(ValueError):
-            train(models, datasets, epochs=1)
+            train(models, X, T, Ys, epochs=1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_network_overflowing_stops_training(self):
@@ -517,7 +535,7 @@ class TestTrainingMatchesPerBatchLoop:
                       for mode in ("select_k", "constrained3"))
         wild.W3 *= 1e308
         with pytest.raises(FloatingPointError, match="learning rate"):
-            train([calm, wild], [(X, T, Y), (X, T, Y)], epochs=3)
+            train([calm, wild], X, T, [Y, Y], epochs=3)
 
 
 class TestWeightSharing:
@@ -528,8 +546,8 @@ class TestWeightSharing:
         b = np.zeros((7, 5))
         a[0] = v
         b[4] = v
-        _, A1a, _, _ = _forward_scaled(model, _scaled(model, a[None]), np.zeros((1, 3)))
-        _, A1b, _, _ = _forward_scaled(model, _scaled(model, b[None]), np.zeros((1, 3)))
+        _, A1a, _ = reference_forward(model, a[None], np.zeros((1, 3)))
+        _, A1b, _ = reference_forward(model, b[None], np.zeros((1, 3)))
         assert np.array_equal(A1a[0, 0], A1b[0, 4])
 
     def test_swapping_identical_slots_preserves_output(self):
@@ -685,8 +703,7 @@ class TestBatchedPrediction:
                                 np.stack([f.type_onehot for f in feats]))
         for row, f in zip(batched, feats):
             # forward as it was: the training pass on a batch of one
-            before = _forward_scaled(model, _scaled(model, f.slots[None]),
-                                     f.type_onehot[None])[0][0]
+            before = reference_forward(model, f.slots[None], f.type_onehot[None])[0][0]
             assert np.array_equal(bits(row), bits(forward(model, f)))
             assert np.array_equal(bits(row), bits(before))
             seen["truncated"] += f.truncated
@@ -700,8 +717,8 @@ class TestBatchedPrediction:
         for directed in (True, False):
             vocab, pairs = training_set(corpus_entries, 2, directed)
             for mode in ("select_k", "constrained3"):
-                dataset = build_dataset(pairs, vocab, mode)
-                [model] = train([init_model(mode, vocab.size)], [dataset], epochs=60)
+                X, T, Ys = build_dataset(pairs, vocab, [mode])
+                [model] = train([init_model(mode, vocab.size)], X, T, Ys, epochs=60)
                 for doc, trees in corpus_entries:
                     for fallback in (True, False):
                         self.check(model, vocab, build_contexts(doc, trees),
@@ -735,9 +752,9 @@ class TestPersistence:
             [pattern("nsubj"), pattern("nsubj"), pattern("obj"), pattern("obj")],
             min_count=2,
         )
-        dataset = TestTraining().separable_dataset(rng, n=30, vocab_size=vocab.size)
+        X, T, Y = TestTraining().separable_dataset(rng, n=30, vocab_size=vocab.size)
         model = init_model("select_k", vocab_size=vocab.size, k=3, seed=9)
-        train([model], [dataset], epochs=10, learning_rate=0.1, seed=9)
+        train([model], X, T, [Y], epochs=10, learning_rate=0.1, seed=9)
         save_relnet(tmp_path / "m.relnet", model, vocab)
         loaded, loaded_vocab = load_relnet(tmp_path / "m.relnet")
         assert loaded_vocab.index == vocab.index
@@ -844,12 +861,12 @@ class TestPersistence:
 
     def test_identical_training_runs_write_identical_files(self, tmp_path):
         rng = np.random.default_rng(8)
-        dataset = TestTraining().separable_dataset(rng, n=30)
+        X, T, Y = TestTraining().separable_dataset(rng, n=30)
         vocab = build_vocab([pattern("nsubj")] * 2, min_count=2)
         paths = []
         for name in ("a", "b"):
             model = init_model("select_k", vocab_size=1, k=3, seed=4)
-            train([model], [dataset], epochs=8, learning_rate=0.1, seed=4)
+            train([model], X, T, [Y], epochs=8, learning_rate=0.1, seed=4)
             path = tmp_path / f"{name}.relnet"
             save_relnet(path, model, vocab)
             paths.append(path)
@@ -947,6 +964,103 @@ class TestModelFileFuzz:
             assert (Path(tmp) / "third.relnet").read_bytes() == saved
 
 
+def reference_build_dataset(pairs, vocab, mode, k=MAX_PERSONS):
+    """Training arrays for one mode, each pair featurized for that mode
+    alone: the builder ``train`` called once per network before one call
+    built the inputs for both."""
+    xs, ts, ys = [], [], []
+    width = output_width(mode, k)
+    for ctx, target, gold in pairs:
+        try:
+            feats = featurize(ctx, target, vocab, k=k)
+        except MissingParseError:
+            continue
+        y = np.zeros(width)
+        if gold in ctx.persons[:k]:
+            if mode == "select_k":
+                y[ctx.persons.index(gold)] = 1.0
+            else:
+                left, right = flanking_persons(ctx, target)
+                if gold == left:
+                    y[0] = 1.0
+                elif gold == right:
+                    y[1] = 1.0
+                else:
+                    y[2] = 1.0
+        xs.append(feats.slots)
+        ts.append(feats.type_onehot)
+        ys.append(y)
+    if not xs:
+        return (np.zeros((0, k, vocab.size + 1)), np.zeros((0, 3)),
+                np.zeros((0, width)))
+    return np.stack(xs), np.stack(ts), np.stack(ys)
+
+
+# a parsed drawn sentence has one tree token per three characters, as
+# entity starts in it fall every three characters
+_TREE_TOKENS = 5
+
+
+@st.composite
+def parsed_gold_documents(draw):
+    """``gold_documents`` with a crowd added to each sentence (up to 10
+    Persons and 3 targets, each target in a gold edge with one of them),
+    so a sentence often holds more than seven Persons, and a random tree
+    over some sentences: the others stay unparsed, and some tree tokens
+    align to no text."""
+    doc, contexts = draw(gold_documents())
+    ids = itertools.count(len(doc.entities) + 1)
+    rids = itertools.count(len(doc.relations) + 1)
+
+    def entity(etype, lo):
+        start, width = lo + 3 * draw(st.integers(0, 4)), draw(st.integers(1, 3))
+        doc.entities.append(EntitySpan(f"T{next(ids)}", etype, start, start + width,
+                                       "x" * width))
+        return doc.entities[-1]
+
+    for lo, _ in (ctx.extent for ctx in contexts):
+        crowd = [entity(EntityType.PERSON, lo) for _ in range(draw(st.integers(0, 10)))]
+        for _ in range(draw(st.integers(0, 3)) if crowd else 0):
+            target = entity(draw(st.sampled_from(TARGET_TYPES)), lo)
+            doc.relations.append(RelationEdge(f"R{next(rids)}", type_map(target.etype),
+                                              draw(st.sampled_from(crowd)).id, target.id))
+    sents = [[Token("w", *ctx.extent, i, 0)] for i, ctx in enumerate(contexts)]
+    contexts = build_contexts(doc, [], sents)
+    for ctx in contexts:
+        if not draw(st.booleans()):
+            continue
+        order = draw(st.permutations(range(_TREE_TOKENS)))
+        heads = [-1] * _TREE_TOKENS
+        for i in range(1, _TREE_TOKENS):
+            heads[order[i]] = order[draw(st.integers(0, i - 1))]
+        labels = draw(st.lists(st.sampled_from(("nsubj", "obj", "nmod")),
+                               min_size=_TREE_TOKENS, max_size=_TREE_TOKENS))
+        ctx.tree = tree_from_heads(["w"] * _TREE_TOKENS, heads, labels)
+        start = ctx.extent[0]
+        ctx.tree_spans = [None if draw(st.integers(0, 9)) == 0
+                          else (start + 3 * i, start + 3 * i + 3)
+                          for i in range(_TREE_TOKENS)]
+    return doc, contexts
+
+
+@given(parsed_gold_documents())
+@settings(max_examples=100, deadline=None)
+def test_one_pass_dataset_matches_the_per_mode_builder(drawn):
+    doc, contexts = drawn
+    modes = ("select_k", "constrained3")
+    pairs = [(e.context, e.target, e.person)
+             for e in gold_pairs(doc, contexts) if e.context is not None]
+    for directed in (True, False):
+        vocab = build_vocab(collect_patterns([contexts]), 1, directed)
+        X, T, Ys = build_dataset(pairs, vocab, modes)
+        assert len(Ys) == len(modes)
+        for mode, Y in zip(modes, Ys):
+            want = reference_build_dataset(pairs, vocab, mode)
+            for got, ref in zip((X, T, Y), want):
+                assert got.shape == ref.shape
+                assert np.array_equal(bits(got), bits(ref)), mode
+
+
 class TestTrainingSet:
     def test_matches_reference_loop(self, corpus_entries):
         for min_count, directed in ((2, True), (1, False)):
@@ -961,10 +1075,11 @@ class TestTrainingSet:
                          for e in gold_pairs(doc, contexts) if e.context is not None]
             assert vocab == ref_vocab
             assert pairs == ref_pairs and pairs
-            for mode in ("select_k", "constrained3"):
-                for got, want in zip(build_dataset(pairs, vocab, mode),
-                                     build_dataset(ref_pairs, ref_vocab, mode)):
-                    assert np.array_equal(got, want)
+            modes = ("select_k", "constrained3")
+            X, T, Ys = build_dataset(pairs, vocab, modes)
+            ref_X, ref_T, ref_Ys = build_dataset(ref_pairs, ref_vocab, modes)
+            for got, want in zip((X, T, *Ys), (ref_X, ref_T, *ref_Ys)):
+                assert np.array_equal(got, want)
 
     def test_empty_corpus(self):
         vocab, pairs = training_set([])
