@@ -305,11 +305,6 @@ def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
     net = relnet.NETWORKS.get(strategy)
     if net is None:
         return None, None
-    if not cfg.relnet_model:
-        raise DataError(
-            f"strategy {strategy.value} needs a trained model file; pass "
-            "--relnet-model (train one with the 'train' command)"
-        )
     path = Path(cfg.relnet_model)
     if path.is_dir():
         path = path / net.filename
@@ -330,16 +325,9 @@ def cmd_extract(cfg: RunConfig) -> int:
     soon as it is attached, into a spool directory that moves into place
     after the last one (``_spooled``): memory stays flat however long the
     corpus is, and a bad document leaves no output directory."""
-    if cfg.strategy == "all":
-        raise UsageError("extract writes one strategy's graph; --strategy all "
-                         "applies to evaluate")
     strategy = Strategy(cfg.strategy)
     networks = {strategy: _load_relnet_for(cfg, strategy)}
-    tagger = None
-    if cfg.ner_mode == "model":
-        if cfg.tagger_model is None:
-            raise DataError("--ner-mode model needs --tagger-model")
-        tagger = load_tagger(cfg.tagger_model)
+    tagger = load_tagger(cfg.tagger_model) if cfg.ner_mode == "model" else None
 
     out_dir = Path(cfg.output_dir)
     n_docs = n_nodes = n_attached = n_abstained = 0
@@ -448,11 +436,6 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             return 2
         print("all reference metric cells reproduce within tolerance")
         return 0
-    if cfg.ner_mode == "model" and not ner_eval:
-        raise UsageError(
-            "evaluate scores strategies on gold entities; config key ner_mode "
-            "'model' applies only with --ner-eval"
-        )
 
     if ner_eval:
         entries = load_corpus(cfg.corpus_dir)
@@ -704,6 +687,18 @@ def main(argv: list[str] | None = None) -> int:
                 command.error(f"{args.command} reads {_FLAGS[key]} only {unmet[0]}")
         if "corpus_dir" in read and not cfg.corpus_dir:
             command.error("--corpus is required")
+        if args.command == "extract" and cfg.strategy == "all":
+            command.error("extract writes one strategy's graph; --strategy all "
+                          "applies to evaluate")
+        if args.command == "evaluate" and "strategy" in read and cfg.ner_mode == "model":
+            command.error("evaluate scores strategies on gold entities; config key "
+                          "ner_mode 'model' applies only with --ner-eval")
+        if args.command != "bench":  # bench fits the models it is not given
+            if "relnet_model" in read and not cfg.relnet_model:
+                command.error(f"strategy {cfg.strategy} needs a trained model file; pass "
+                              "--relnet-model (train one with the 'train' command)")
+            if "tagger_model" in read and not cfg.tagger_model:
+                command.error("--ner-mode model needs --tagger-model")
         if "output_dir" in read:
             # only extract writes .ann files, over the corpus's own
             _check_out(cfg.output_dir, cfg.corpus_dir if args.command == "extract" else "")

@@ -502,7 +502,9 @@ def predict_person(
 
 
 def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:
-    """Versioned text format: header, vocab, then arrays in fixed order."""
+    """The magic line, then a record per line in the order ``load_relnet``
+    reads them: the header, the ``hyper`` and then the ``pattern`` records
+    (each sorted), ``unknown``, ``min_count``, and the arrays W1 b1 W2 b2 W3 b3."""
     lines = [MODEL_MAGIC, f"mode {model.mode}", f"k {model.k}",
              f"hidden {model.hidden}", f"vocab_size {model.vocab_size}",
              f"length_scale {model.length_scale!r}"]
@@ -533,124 +535,91 @@ def _parse_scalar(value: str):
     return value
 
 
-# the header records save_relnet writes, each with its type, and its arrays
-_HEADER = {"mode": str, "k": int, "hidden": int, "vocab_size": int,
-           "length_scale": read_weight, "unknown": int, "min_count": int}
-_ARRAYS = ("W1", "b1", "W2", "b2", "W3", "b3")
-
-
 def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
-    """Read a file written by ``save_relnet``.
-
-    A malformed or truncated file, a repeated record, pattern indices
-    that are not ``0..len(index)`` each used once, or a weight or
-    ``length_scale`` that is not finite, raises ``ModelFileError`` naming
-    the file and line.
-    """
+    """Read a file written by ``save_relnet``, record by record in its order.
+    A record that is malformed, out of place or repeated, an array whose
+    shape is not the header's, a pattern index outside ``0..vocab_size - 1``
+    or used twice, or a weight that is not finite raises ``ModelFileError``
+    naming the file and line; a file that ends early names the file alone."""
     lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
-    header: dict = {}
-    hyper: dict = {}
-    index: dict[str, int] = {}
-    arrays: dict[str, np.ndarray] = {}
-    where: dict[str, int] = {}  # the line of each record, by its key
+    number = 1  # the line last read
+    used: set[int] = set()  # the pattern indices read so far
 
-    def once(record: str, number: int) -> None:
-        if record in where:
-            raise ValueError(f"repeated record {record!r}, first on line {where[record]}")
-        where[record] = number
+    def ahead(key: str, sep: str = " ") -> bool:
+        return number < len(lines) and (lines[number] + sep).startswith(key + sep)
 
-    i = 1
+    def take(key: str, sep: str = " ") -> str:
+        """The value on the next line, which must be the ``key`` record."""
+        nonlocal number
+        if number == len(lines):
+            raise EOFError(f"no {key!r} record; the file ends at line {number}")
+        number += 1
+        if not (lines[number - 1] + sep).startswith(key + sep):
+            raise ValueError(f"expected the {key!r} record here")
+        return lines[number - 1][len(key) + 1:]
+
+    def size(key: str) -> int:
+        value = int(take(key))
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
+        return value
+
+    def slot(text: str) -> int:  # a pattern's index, or unknown's
+        idx = int(text)
+        if not 0 <= idx < vocab_size:
+            raise ValueError(f"pattern index {idx} is outside 0..{vocab_size - 1}")
+        if idx in used:
+            raise ValueError(f"pattern index {idx} is used twice")
+        used.add(idx)
+        return idx
+
     try:
-        while i < len(lines):
-            number, line = i + 1, lines[i]
-            if line.startswith("array "):
-                fields = line.split()
-                if len(fields) != 4 or fields[1] not in _ARRAYS:
-                    raise ValueError(f"bad array record {line!r}")
-                name, rows, cols = fields[1], int(fields[2]), int(fields[3])
-                if rows < 0 or cols < 0:
-                    raise ValueError(f"array {name} has a negative size")
-                once(f"array {name}", number)
-                mat = []
-                for number in range(i + 2, i + 2 + rows):
-                    if number > len(lines):
-                        raise ValueError(f"file ends inside array {name}")
-                    mat.append([read_weight(v) for v in lines[number - 1].split()])
-                    if len(mat[-1]) != cols:
-                        raise ValueError(f"array {name} row has {len(mat[-1])} "
-                                         f"values, expected {cols}")
-                arrays[name] = np.array(mat).reshape(rows, cols)
-                i += rows + 1
-                continue
-            if line.startswith("pattern\t"):
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise ValueError(f"pattern record needs 3 fields, has {len(fields)}")
-                once(f"pattern {fields[1]}", number)
-                index[fields[1]] = int(fields[2])
-            elif line.startswith("hyper "):
-                fields = line.split(" ", 2)
-                if len(fields) != 3:
-                    raise ValueError("hyper record needs a key and a value")
-                once(f"hyper {fields[1]}", number)
-                hyper[fields[1]] = _parse_scalar(fields[2])
-            else:
-                key, _, value = line.partition(" ")
-                if key not in _HEADER:
-                    raise ValueError(f"unknown record {key!r}")
-                once(key, number)
-                header[key] = _HEADER[key](value)
-            i += 1
+        mode = take("mode")
+        if mode not in {net.mode for net in NETWORKS.values()}:
+            raise ValueError(f"unknown mode {mode!r}")
+        k, hidden, vocab_size = size("k"), size("hidden"), size("vocab_size")
+        length_scale = read_weight(take("length_scale"))
+        hyper: dict = {}
+        index: dict[str, int] = {}
+        # the hyper records, then the pattern records: no key twice
+        for kind, sep, table, read in (("hyper", " ", hyper, _parse_scalar),
+                                       ("pattern", "\t", index, slot)):
+            while ahead(kind, sep):
+                key, found, value = take(kind, sep).partition(sep)
+                if not found:
+                    raise ValueError(f"{kind} record needs a key and a value")
+                if key in table:
+                    raise ValueError(f"repeated record '{kind} {key}'")
+                table[key] = read(value)
+        unknown = take("unknown")
+        if vocab_size != len(index) + 1:
+            raise ValueError(f"vocab_size {vocab_size} does not match its "
+                             f"{len(index)} patterns plus unknown")
+        unknown = slot(unknown)
+        min_count = int(take("min_count"))
+        width = output_width(mode, k)
+        shapes = {"W1": (vocab_size + 1, hidden), "b1": (1, hidden), "W2": (3, hidden),
+                  "b2": (1, hidden), "W3": ((k + 1) * hidden, width), "b3": (1, width)}
+        arrays = {}
+        for name, (rows, cols) in shapes.items():
+            if take(f"array {name}") != f"{rows} {cols}":
+                raise ValueError(f"expected 'array {name} {rows} {cols}' here")
+            if number + rows > len(lines):
+                raise EOFError(f"the file ends at line {len(lines)}, inside array {name}")
+            mat = []
+            for number in range(number + 1, number + rows + 1):
+                row = [read_weight(v) for v in lines[number - 1].split()]
+                if len(row) != cols:
+                    raise ValueError(f"array {name} row has {len(row)} values, not {cols}")
+                mat.append(row)
+            arrays[name] = np.array(mat[0] if name[0] == "b" else mat)  # b: a vector
+    except EOFError as exc:
+        raise ModelFileError(path, str(exc)) from None
     except ValueError as exc:
         raise ModelFileError(path, str(exc), number) from None
-    missing = [key for key in _HEADER if key not in header]
-    missing += [name for name in _ARRAYS if name not in arrays]
-    if missing:
-        raise ModelFileError(path, f"no {missing[0]!r} record; the file ends "
-                             f"at line {len(lines)}")
-    if header["mode"] not in {net.mode for net in NETWORKS.values()}:
-        raise ModelFileError(path, f"unknown mode {header['mode']!r}", where["mode"])
-    for key in ("k", "hidden"):
-        if header[key] < 1:
-            raise ModelFileError(path, f"{key} must be at least 1, got {header[key]}",
-                                 where[key])
-    vocab_size = header["vocab_size"]
-    if vocab_size != len(index) + 1:
-        raise ModelFileError(path, f"vocab_size {vocab_size} does not match its "
-                             f"{len(index)} patterns plus unknown", where["vocab_size"])
-    # each of 0..len(index) is the index of one pattern or of unknown
-    used: set[int] = set()
-    for number, idx in sorted([(where["unknown"], header["unknown"]),
-                               *((where[f"pattern {p}"], i) for p, i in index.items())]):
-        if not 0 <= idx <= len(index):
-            raise ModelFileError(path, f"pattern index {idx} is outside 0..{len(index)}",
-                                 number)
-        if idx in used:
-            raise ModelFileError(path, f"pattern index {idx} is used twice", number)
-        used.add(idx)
-    hidden, width = header["hidden"], output_width(header["mode"], header["k"])
-    shapes = {"W1": (vocab_size + 1, hidden), "b1": (1, hidden), "W2": (3, hidden),
-              "b2": (1, hidden), "W3": ((header["k"] + 1) * hidden, width),
-              "b3": (1, width)}
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ModelFileError(path, f"array {name} is {arrays[name].shape}, "
-                                 f"expected {shape}", where[f"array {name}"])
+    if number < len(lines):
+        raise ModelFileError(path, "expected the file to end after array b3", number + 1)
     # files without a ``hyper directed`` line have always been read as directed
-    vocab = PatternVocab(index, header["min_count"], header["unknown"],
-                         directed=bool(hyper.get("directed", 1)))
-    model = RelNetModel(
-        mode=header["mode"],
-        k=header["k"],
-        hidden=hidden,
-        vocab_size=vocab_size,
-        W1=arrays["W1"],
-        b1=arrays["b1"].ravel(),
-        W2=arrays["W2"],
-        b2=arrays["b2"].ravel(),
-        W3=arrays["W3"],
-        b3=arrays["b3"].ravel(),
-        length_scale=header["length_scale"],
-        hyper=hyper,
-    )
-    return model, vocab
+    vocab = PatternVocab(index, min_count, unknown, directed=bool(hyper.get("directed", 1)))
+    return RelNetModel(mode, k, hidden, vocab_size, **arrays, length_scale=length_scale,
+                       hyper=hyper), vocab

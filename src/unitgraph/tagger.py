@@ -406,19 +406,16 @@ def train_tagger(
                        gazetteers, {"seed": seed, "epochs": epochs, "sentences": len(corpus)})
 
 
-def predict_entities(model: TaggerModel | None, doc: Document,
+def predict_entities(model: TaggerModel, doc: Document,
                      sents_out: list | None = None) -> list[EntitySpan]:
-    """Entity spans for a document: gold pass-through or decoded spans.
+    """Entity spans for a document, decoded by ``model``.
 
-    ``model=None`` is gold mode and returns ``doc.entities`` unchanged.
-    Otherwise the sentences of the document are decoded together in one
-    batch; each sentence's tags are those ``viterbi_decode`` gives it.
+    The sentences of the document are decoded together in one batch;
+    each sentence's tags are those ``viterbi_decode`` gives it.
     ``sents_out``, if given, receives those sentences
     (``sentences(tokenize(doc.text))``), so a caller can build the
     document's contexts without tokenizing it again.
     """
-    if model is None:
-        return list(doc.entities)
     tokens = tokenize(doc.text)
     sents = sentences(tokens)
     if sents_out is not None:

@@ -210,7 +210,7 @@ class TestExtract:
     def test_nn_without_model_fails_actionably(self, tmp_path, capsys):
         code = run("extract", "--corpus", CORPUS_DIR, "--out", tmp_path / "o",
                    "--strategy", "nn-free")
-        assert code == 2
+        assert code == 1
         assert "--relnet-model" in capsys.readouterr().err
 
     def test_duplicate_person_annotation(self, tmp_path):
@@ -644,7 +644,8 @@ class TestEvaluate:
         failures = [
             ("train", "--corpus", corpus, *split),
             ("evaluate", "--corpus", corpus, "--ner-eval", *split),
-            ("evaluate", "--corpus", CORPUS_DIR, "--strategy", "nn-free"),
+            ("evaluate", "--corpus", CORPUS_DIR, "--strategy", "nn-free",
+             "--relnet-model", tmp_path / "no.model"),
         ]
         for i, args in enumerate(failures):
             out = tmp_path / f"out{i}"
@@ -858,7 +859,8 @@ class TestCorruptModels:
         code = run("evaluate", "--corpus", CORPUS_DIR, "--out", tmp_path / "e",
                    "--strategy", "nn-free", "--relnet-model", models)
         assert code == 2
-        assert "does not match" in capsys.readouterr().err
+        # the surplus pattern is the first record at fault: it reuses index 0
+        assert "pattern index 0 is used twice" in capsys.readouterr().err
 
 
 def _track_documents(monkeypatch):
@@ -1119,11 +1121,30 @@ class TestUsage:
          "error: --corpus is required"),
         (["bench", "--corpus", CORPUS_DIR, "--repetitions", "2"],
          "error: --repetitions must be at least 3"),
+        # a run that would need a model it is not given, or that asks a
+        # command for what only the other one does
+        (["extract", "--corpus", CORPUS_DIR, "--out", "{out}", "--strategy", "nn-free"],
+         "error: strategy nn-free needs a trained model file; pass --relnet-model "
+         "(train one with the 'train' command)"),
+        (["evaluate", "--corpus", CORPUS_DIR, "--out", "{out}", "--strategy", "all"],
+         "error: strategy all needs a trained model file; pass --relnet-model "
+         "(train one with the 'train' command)"),
+        (["extract", "--corpus", CORPUS_DIR, "--out", "{out}", "--ner-mode", "model"],
+         "error: --ner-mode model needs --tagger-model"),
+        (["extract", "--corpus", CORPUS_DIR, "--out", "{out}", "--strategy", "all"],
+         "error: extract writes one strategy's graph; --strategy all applies to evaluate"),
+        (["evaluate", "--config", "{config}", "--out", "{out}"],
+         "error: evaluate scores strategies on gold entities; config key ner_mode "
+         "'model' applies only with --ner-eval"),
     ])
     def test_a_flag_the_run_does_not_read_shows_the_command_usage(
-            self, tmp_path, monkeypatch, capsys, flags, message):
+            self, tmp_path, tmp_path_factory, monkeypatch, capsys, flags, message):
+        config = tmp_path_factory.mktemp("config") / "model_ner.json"
+        config.write_text(json.dumps({"corpus_dir": str(CORPUS_DIR), "ner_mode": "model"}),
+                          encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        assert run(*(str(f).format(out=tmp_path / "out") for f in flags)) == 1
+        assert run(*(str(f).format(out=tmp_path / "out", config=config)
+                     for f in flags)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage: unitgraph {flags[0]} [-h] [--config CONFIG]")
         assert err.rstrip().endswith(message)

@@ -789,29 +789,35 @@ class TestPersistence:
     @pytest.mark.parametrize("old, new, message, marker", [
         # ``marker`` is on the line the error must name (None: no line)
         ("relnet 1\n", "relnet 2\n", "not a relation-network model file", "relnet 2"),
-        ("\nk 3\n", "\ncolour blue\nk 3\n", "unknown record 'colour'", "colour"),
+        ("\nk 3\n", "\ncolour blue\nk 3\n", "expected the 'k' record here", "colour"),
         ("\nk 3\n", "\nk three\n", "invalid literal for int()", "k three"),
-        ("\nmin_count 2\n", "\n", "no 'min_count' record", None),
+        ("\nmin_count 2\n", "\n", "expected the 'min_count' record here", "array W1"),
         ("\narray W1 2 8\n", "\narray W1 2 8\nabc ",
          "weight is not a number: 'abc'", "abc"),
-        ("\narray b1 1 8\n", "\narray b1 -1 8\n", "negative size", "array b1"),
+        ("\narray b1 1 8\n", "\narray b1 -1 8\n", "expected 'array b1 1 8' here", "array b1"),
         ("\narray W3 32 3\n", "\narray W3 32 3\nnan ", "weight is not finite: 'nan'", "nan "),
         ("\narray W1 2 8\n", "\narray W1 2 8\n-1e999 ", "weight is not finite: '-1e999'",
          "-1e999"),
         ("\nlength_scale 0.1\n", "\nlength_scale inf\n", "weight is not finite: 'inf'",
          "length_scale inf"),
-        ("\nk 3\n", "\nk 4\n", "array W3 is (32, 3), expected (40, 4)", "array W3"),
+        ("\nk 3\n", "\nk 4\n", "expected 'array W3 40 4' here", "array W3"),
         ("\nk 3\n", "\nk 0\n", "k must be at least 1, got 0", "k 0"),
         ("\nhidden 8\n", "\nhidden 0\n", "hidden must be at least 1, got 0", "hidden 0"),
-        # a repeated record is rejected on the line of the repeat
+        # a record out of place or repeated is rejected on its own line
         ("\nmin_count 2\n", "\nmin_count 2\nk 5\n",
-         "repeated record 'k', first on line 3", "k 5"),
+         "expected the 'array W1' record here", "k 5"),
         ("\nunknown 0\n", "\nhyper directed 0\nunknown 0\n",
-         "repeated record 'hyper directed', first on line 7", "hyper directed 0"),
+         "repeated record 'hyper directed'", "hyper directed 0"),
         ("\nunknown 0\n", "\npattern\tnsubj↑\t0\npattern\tnsubj↑\t1\nunknown 0\n",
-         "repeated record 'pattern nsubj↑', first on line 9", "pattern\tnsubj↑\t1"),
+         "repeated record 'pattern nsubj↑'", "pattern\tnsubj↑\t1"),
         ("\narray b1 1 8\n", "\narray b1 0 8\narray b1 1 8\n",
-         "repeated record 'array b1'", "array b1 1 8"),
+         "expected 'array b1 1 8' here", "array b1 0 8"),
+        ("\nk 3\nhidden 8\n", "\nhidden 8\nk 3\n", "expected the 'k' record here",
+         "hidden 8"),
+        ("\n0.0 0.0 0.0\n", "\n0.0 0.0 0.0\nhyper seed 10\n",
+         "expected the file to end after array b3", "hyper seed 10"),
+        ("\narray b3 1 3\n0.0 0.0 0.0\n", "\n", "no 'array b3' record; the file ends at",
+         None),
         ("\nunknown 0\n", "\nunknown 1\n", "pattern index 1 is outside 0..0", "unknown 1"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, old, new, message,
@@ -833,7 +839,8 @@ class TestPersistence:
                 "vocab_size 1 does not match its 1 patterns plus unknown")) as err:
             load_relnet(tmp_path / "m.relnet")
         assert str(err.value).startswith(str(tmp_path / "m.relnet"))
-        assert err.value.line == text[:text.index("vocab_size")].count("\n") + 1
+        # the count is known, and checked, where the patterns end
+        assert err.value.line == text[:text.index("\nunknown ")].count("\n") + 2
 
     def test_a_shared_pattern_slot_is_rejected(self, tmp_path):
         # two patterns and unknown in a network sized for them: any edit

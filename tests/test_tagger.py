@@ -636,11 +636,6 @@ def test_trainer_matches_reference_trainer(corpus, gazetteers, epochs, seed):
 
 
 class TestPredictEntities:
-    def test_gold_mode_is_identity(self):
-        ents = [EntitySpan("T1", EntityType.PERSON, 0, 4, "John")]
-        doc = Document("d", "John spoke.", ents)
-        assert predict_entities(None, doc) == ents
-
     def test_model_mode_empty_text(self):
         assert predict_entities(TaggerModel(), Document("d", "")) == []
 
