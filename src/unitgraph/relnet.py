@@ -11,7 +11,6 @@ abstain: a prediction that names no actual Person yields no relation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -196,9 +195,9 @@ def init_model(
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _scaled(model: RelNetModel, X: np.ndarray) -> np.ndarray:
@@ -246,10 +245,11 @@ def _pieces(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _joint_step(params: list[np.ndarray], grads: list[np.ndarray], Xs: np.ndarray,
-                T: np.ndarray, Y: np.ndarray, mass: np.ndarray) -> list[float]:
+                T: np.ndarray, Y: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """Forward and backward pass of networks that share their input, on one
-    batch: returns each network's mean cross-entropy and writes each
-    gradient into ``grads``, laid out as ``params`` is (``_layout``).
+    batch: returns the stacked probabilities (``_losses`` reads the loss
+    from them) and writes each gradient into ``grads``, laid out as
+    ``params`` is (``_layout``).
 
     ``Xs`` has its length column scaled already.  ``Y`` is (networks, batch,
     widest output) with zero padding, and ``mass`` its row sums: 1 for real
@@ -268,12 +268,8 @@ def _joint_step(params: list[np.ndarray], grads: list[np.ndarray], Xs: np.ndarra
         np.matmul(h, W3, out=z[:, :W3.shape[1]])
     Z += b3[:, None]
     P = _softmax(Z)
-    logP = np.log(np.maximum(P, 1e-12))
-    # each loss sums its network's own (b, width) products, in their order
-    losses = [float(-(y[:, :W3.shape[1]] * lp[:, :W3.shape[1]]).sum() / b)
-              for y, lp, W3 in zip(Y, logP, W3s)]
     dZ = (P * mass - Y) / b
-    dZ.sum(axis=1, out=gb3)
+    np.add.reduce(dZ, axis=1, out=gb3)
     dhidden = np.empty(hidden.shape)
     for h, dz, W3, gW3, dh in zip(hidden, dZ, W3s, gW3s, dhidden):
         dz = dz[:, :W3.shape[1]]
@@ -284,10 +280,29 @@ def _joint_step(params: list[np.ndarray], grads: list[np.ndarray], Xs: np.ndarra
     dA2 = dhidden[..., kh:] * (A2 > 0)
     for g, d in zip(gW1, dA1):
         np.einsum("bkv,bkh->vh", Xs, d, out=g)
-    dA1.sum(axis=(1, 2), out=gb1)
+    np.add.reduce(dA1, axis=(1, 2), out=gb1)
     np.matmul(T.T, dA2, out=gW2)
-    dA2.sum(axis=1, out=gb2)
-    return losses
+    np.add.reduce(dA2, axis=1, out=gb2)
+    return P
+
+
+def _losses(P: np.ndarray, Y: np.ndarray, widths: list[int], b: int) -> np.ndarray:
+    """The (networks, batches) mean cross-entropies of stacked probabilities
+    ``P`` and padded targets ``Y`` over batches of ``b`` rows, each network
+    over its own width.  A batch sums its (b, width) products as a row of
+    the contiguous (batches, b * width) products: the pairwise sum that
+    batch alone gets.  A short last batch is summed on its own, since
+    padding it would regroup the sum."""
+    logP = np.log(np.maximum(P, 1e-12))
+    rows = P.shape[1]
+    sizes = np.minimum(b, rows - np.arange(0, rows, b))  # each batch's rows
+    full = rows // b  # the batches of b rows
+    losses = np.empty((len(P), len(sizes)))
+    for loss, y, lp, width in zip(losses, Y, logP, widths):
+        products = y[:, :width] * lp[:, :width]
+        loss[:full] = np.add.reduce(products[:full * b].reshape(full, b * width), axis=1)
+        loss[full:] = np.add.reduce(products[full * b:], axis=None)  # the short batch, if any
+    return -losses / sizes
 
 
 def loss_and_gradients(
@@ -300,8 +315,9 @@ def loss_and_gradients(
     """
     params = _layout([model])
     grads = [np.empty(a.shape) for a in params]
-    (loss,) = _joint_step(params, grads, _scaled(model, X), T, Y[None],
-                          Y.sum(axis=1, keepdims=True)[None])
+    P = _joint_step(params, grads, _scaled(model, X), T, Y[None],
+                    Y.sum(axis=1, keepdims=True)[None])
+    loss = float(_losses(P, Y[None], [model.out_dim], len(X))[0, 0])
     return loss, dict(zip(("W1", "b1", "W2", "b2", "b3"), (g[0] for g in grads)),
                       W3=grads[5])
 
@@ -327,12 +343,19 @@ def train(
     network by -inf logits and zero targets), ``dZ``, the ReLU masks, the
     bias and W2 gradients, and the update of one flat buffer holding every
     parameter (``model.W1``...``b3`` become views into it, without the
-    padding).  ``hidden @ W3``, ``hidden.T @ dZ``, ``dZ @ W3.T``, the W1
-    gradient ``einsum`` and the loss sum run per network, in the 2-D shapes
-    a network alone has: a padded W3 or a batched product sums in another
-    order.  So each network gets the bits it gets trained alone, which are
-    those of updating each parameter after ``loss_and_gradients`` on
-    ``X[idx], T[idx], Y[idx]``.
+    padding).  ``hidden @ W3``, ``hidden.T @ dZ``, ``dZ @ W3.T`` and the W1
+    gradient ``einsum`` run per network, in the 2-D shapes a network alone
+    has: a padded W3 or a batched product sums in another order.  So each
+    network gets the bits it gets trained alone, which are those of
+    updating each parameter after ``loss_and_gradients`` on ``X[idx],
+    T[idx], Y[idx]``.
+
+    No step needs its loss, so each step keeps only its probabilities, and
+    after the epoch's last update ``_losses`` reads every batch's loss from
+    them in one pass per network, with the sums a step would make.  The
+    epoch's loss adds them in batch order, as the steps did.  A loss that
+    is not finite raises ``FloatingPointError`` at the end of the epoch in
+    which it first appears, before that epoch joins the loss curve.
     """
     if not models or len(models) != len(Ys):
         raise ValueError("train needs one target array per network")
@@ -361,24 +384,25 @@ def train(
         model.b3, model.W3 = params[4][i, :model.out_dim], params[5 + i]
         model.loss_curve = []
     Xs, mass = _scaled(models[0], X), padded.sum(axis=2, keepdims=True)
-    starts = range(0, len(X), batch_size)
+    P = np.empty(padded.shape)  # an epoch's probabilities, batch after batch
+    widths = [model.out_dim for model in models]
     with np.errstate(over="ignore", invalid="ignore"):  # shows as a loss not finite
         for _ in range(epochs):
             order = rng.permutation(len(X))
             Xe, Te, Ye, Me = Xs[order], T[order], padded[:, order], mass[:, order]
-            epoch_loss = [0.0] * len(models)
-            for lo in starts:
+            for lo in range(0, len(X), batch_size):
                 hi = lo + batch_size
-                losses = _joint_step(params, grads, Xe[lo:hi], Te[lo:hi],
-                                     Ye[:, lo:hi], Me[:, lo:hi])
-                if not all(map(math.isfinite, losses)):
-                    raise FloatingPointError(
-                        "training loss is not finite; lower the learning rate"
-                    )
+                P[:, lo:hi] = _joint_step(params, grads, Xe[lo:hi], Te[lo:hi],
+                                          Ye[:, lo:hi], Me[:, lo:hi])
                 flat -= learning_rate * grad
-                epoch_loss = [total + loss for total, loss in zip(epoch_loss, losses)]
-            for model, total in zip(models, epoch_loss):
-                model.loss_curve.append(total / len(starts))
+            losses = _losses(P, Ye, widths, batch_size)
+            if not np.isfinite(losses).all():
+                raise FloatingPointError("training loss is not finite; lower the learning rate")
+            for model, batch_losses in zip(models, losses.tolist()):
+                total = 0.0  # in batch order; sum() compensates floats from Python 3.12
+                for loss in batch_losses:
+                    total += loss
+                model.loss_curve.append(total / len(batch_losses))
     for model in models:
         model.hyper.update(
             {"epochs": epochs, "learning_rate": learning_rate, "seed": seed,
@@ -539,8 +563,10 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     """Read a file written by ``save_relnet``, record by record in its order.
     A record that is malformed, out of place or repeated, an array whose
     shape is not the header's, a pattern index outside ``0..vocab_size - 1``
-    or used twice, or a weight that is not finite raises ``ModelFileError``
-    naming the file and line; a file that ends early names the file alone."""
+    or used twice, a weight that is not finite, a ``length_scale`` that is
+    not greater than 0 or a ``hyper directed`` other than 0 or 1 raises
+    ``ModelFileError`` naming the file and line; a file that ends early
+    names the file alone."""
     lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
     number = 1  # the line last read
     used: set[int] = set()  # the pattern indices read so far
@@ -579,6 +605,8 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
             raise ValueError(f"unknown mode {mode!r}")
         k, hidden, vocab_size = size("k"), size("hidden"), size("vocab_size")
         length_scale = read_weight(take("length_scale"))
+        if length_scale <= 0:
+            raise ValueError(f"length_scale must be greater than 0, got {length_scale!r}")
         hyper: dict = {}
         index: dict[str, int] = {}
         # the hyper records, then the pattern records: no key twice
@@ -590,6 +618,8 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
                     raise ValueError(f"{kind} record needs a key and a value")
                 if key in table:
                     raise ValueError(f"repeated record '{kind} {key}'")
+                if kind == "hyper" and key == "directed" and value not in ("0", "1"):
+                    raise ValueError(f"hyper directed must be 0 or 1, got {value!r}")
                 table[key] = read(value)
         unknown = take("unknown")
         if vocab_size != len(index) + 1:

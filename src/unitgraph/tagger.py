@@ -30,6 +30,9 @@ NEG_INF = float("-inf")
 START = "<start>"  # the previous tag of a first token; valid_transition treats it as O
 
 MODEL_MAGIC = "unitgraph-tagger 1"
+# the most sentences training decodes in one batch; keeps the Viterbi
+# arrays small however long the corpus
+DECODE_AHEAD = 64
 # meta keys train_tagger writes as ints; every other key loads as a string
 _INT_META = ("seed", "epochs", "sentences")
 
@@ -355,6 +358,15 @@ def train_tagger(
     its non-zero cells, as a loaded one does.  Deterministic for a fixed
     seed: the sentence order is reshuffled per epoch from a seeded RNG.
     A gold move the decoder can never take raises ``ValueError``.
+
+    The sentences are decoded ahead: the next ``w`` of the epoch's order
+    in one ``_decode`` call, then taken in order up to the first whose
+    prediction is not its gold tags.  That one is updated, and the rest of
+    the window is decoded again, with the new weights.  ``w`` doubles
+    after a window decoded exactly throughout, up to ``DECODE_AHEAD``, and
+    falls back to 1 after an update.  This is exact: each sentence of a
+    batch gets the tags it gets alone (``_decode``), and the weights change
+    only at an update.
     """
     if not corpus:
         raise ValueError("empty training corpus")
@@ -369,7 +381,8 @@ def train_tagger(
     sents = [tokens for tokens, _ in corpus]
     slots = _token_slots(sents, gazetteers, lambda f, _: f, None)  # the feature strings
     model = TaggerModel(gazetteers=gazetteers, features=(f for f in slots.flat if f is not None))
-    ids = [_sentence_ids(model, [tokens]) for tokens in sents]
+    lengths = [len(tags) for tags in gold]
+    ids = np.split(_sentence_ids(model, sents), np.cumsum(lengths)[:-1])
     # per cell, the sum of delta * now over the cell's updates
     weights_at, transitions_at = np.zeros_like(model.weights), np.zeros_like(model.transitions)
     now = 0
@@ -386,17 +399,24 @@ def train_tagger(
 
     rng = random.Random(seed)
     order = list(range(len(corpus)))
+    width = 1
     for epoch in range(epochs):
         rng.shuffle(order)
-        exact = 0
-        for si in order:
-            pred = _decode(model, ids[si], [len(gold[si])])[0]
-            now += 1
-            if pred == gold[si]:
+        exact = taken = 0
+        while taken < len(order):
+            window = order[taken:taken + width]
+            preds = _decode(model, np.concatenate([ids[si] for si in window]),
+                            [lengths[si] for si in window])
+            width = min(2 * width, DECODE_AHEAD)
+            for si, pred in zip(window, preds):
+                taken += 1
+                now += 1
+                if pred != gold[si]:
+                    apply(si, gold[si], +1.0)
+                    apply(si, pred, -1.0)
+                    width = 1
+                    break
                 exact += 1
-                continue
-            apply(si, gold[si], +1.0)
-            apply(si, pred, -1.0)
         log.info("tagger epoch %d: %d/%d sentences decoded exactly",
                  epoch + 1, exact, len(corpus))
 

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -455,6 +456,34 @@ class TestTrain:
         captured = capsys.readouterr()
         assert "error: learning_rate (--learning-rate) is too large" in captured.err
         assert not out.exists() and "->" not in captured.out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_mid_epoch_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        # three renamed copies of the fixtures give the networks three
+        # batches an epoch; the loss overflows at the second step of epoch 1,
+        # and the epoch's loss pass reports it after the third
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for k in range(3):
+            for path in CORPUS_DIR.iterdir():
+                shutil.copy(path, corpus / f"c{k}_{path.name}")
+        finite = []  # per step, whether its probabilities are finite
+        step = unitgraph.relnet._joint_step
+
+        def recording(*args):
+            P = step(*args)
+            finite.append(bool(np.isfinite(P).all()))
+            return P
+
+        monkeypatch.setattr(unitgraph.relnet, "_joint_step", recording)
+        out = tmp_path / "out"
+        assert run("train", "--corpus", corpus, "--out", out, "--split", "1.0",
+                   "--targets", "relnet-select,relnet-constrained",
+                   "--learning-rate", "1e300") == 1
+        captured = capsys.readouterr()
+        assert "error: learning_rate (--learning-rate) is too large" in captured.err
+        assert not out.exists() and "->" not in captured.out
+        assert finite == [True, False, False]
 
     def test_unknown_target_rejected(self, tmp_path):
         assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitgraph import relnet
 from unitgraph.cli import main
 
 from unitgraph.corpus import Document, EntitySpan, EntityType, RelationEdge
@@ -312,6 +313,27 @@ class TestTraining:
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
         with pytest.raises(FloatingPointError, match="learning rate"):
             train([model], X, T, [Y], epochs=10, learning_rate=1e150, seed=2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_mid_epoch_leaves_that_epoch_off_the_curve(self, monkeypatch):
+        # four batches: the first two steps are finite, the third overflows,
+        # and the epoch still ends before its loss pass reports it
+        rng = np.random.default_rng(2)
+        X, T, Y = self.separable_dataset(rng, n=32)
+        model = init_model("select_k", vocab_size=1, k=3, seed=2)
+        finite = []  # per step, whether its probabilities are finite
+        step = relnet._joint_step
+
+        def recording(*args):
+            P = step(*args)
+            finite.append(bool(np.isfinite(P).all()))
+            return P
+
+        monkeypatch.setattr(relnet, "_joint_step", recording)
+        with pytest.raises(FloatingPointError, match="learning rate"):
+            train([model], X, T, [Y], epochs=10, learning_rate=1e150, seed=2)
+        assert model.loss_curve == []
+        assert finite == [True, True, False, False]
 
     @pytest.mark.parametrize("epochs, batch_size, message", [
         (0, 8, "epochs"), (-3, 8, "epochs"), (5, 0, "batch_size"),
@@ -800,6 +822,14 @@ class TestPersistence:
          "-1e999"),
         ("\nlength_scale 0.1\n", "\nlength_scale inf\n", "weight is not finite: 'inf'",
          "length_scale inf"),
+        ("\nlength_scale 0.1\n", "\nlength_scale -5.0\n",
+         "length_scale must be greater than 0, got -5.0", "length_scale -5.0"),
+        ("\nlength_scale 0.1\n", "\nlength_scale 0.0\n",
+         "length_scale must be greater than 0, got 0.0", "length_scale 0.0"),
+        ("\nhyper directed 1\n", "\nhyper directed 'no'\n",
+         "hyper directed must be 0 or 1, got \"'no'\"", "hyper directed 'no'"),
+        ("\nhyper directed 1\n", "\nhyper directed 1.0\n",
+         "hyper directed must be 0 or 1, got '1.0'", "hyper directed 1.0"),
         ("\nk 3\n", "\nk 4\n", "expected 'array W3 40 4' here", "array W3"),
         ("\nk 3\n", "\nk 0\n", "k must be at least 1, got 0", "k 0"),
         ("\nhidden 8\n", "\nhidden 0\n", "hidden must be at least 1, got 0", "hidden 0"),

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import logging
 import random
 import re
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitgraph import tagger
 from unitgraph.corpus import Document, EntitySpan, EntityType, load_corpus
 from unitgraph.errors import DataError, ModelFileError
 from unitgraph.tagger import (
@@ -633,6 +635,84 @@ def test_trainer_matches_reference_trainer(corpus, gazetteers, epochs, seed):
     model = train_tagger(corpus, epochs=epochs, seed=seed, gazetteers=gazetteers)
     expected = reference_train(corpus, epochs, seed, gazetteers)
     assert saved_bytes(model) == saved_bytes(expected)
+
+
+def random_tag_corpus(rng, size):
+    """``size`` sentences of the feature test's words, with random gold tags
+    that make only allowed moves."""
+    corpus = []
+    for _ in range(size):
+        tokens = tokenize(" ".join(rng.choice(_WORDS) for _ in range(rng.randint(1, 8))))
+        tags, prev = [], "O"
+        for _ in tokens:
+            tag = rng.choice(TAGSET)
+            if not valid_transition(prev, tag):
+                tag = f"B-{tag[2:]}"
+            tags.append(tag)
+            prev = tag
+        corpus.append((tokens, tags))
+    return corpus
+
+
+class TestDecodeAhead:
+    """On corpora long enough for the decoding window to grow to its cap,
+    the trainer writes the reference trainer's bytes and logs its
+    per-epoch exact counts."""
+
+    @staticmethod
+    def reference_exact_counts(monkeypatch, corpus, epochs, seed, gazetteers):
+        """The reference trainer's model and how many sentences it decoded
+        exactly in each epoch, read off its predictions in its own order."""
+        preds, decode = [], reference_decode
+
+        def recording(*args):
+            preds.append(decode(*args))
+            return preds[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setitem(globals(), "reference_decode", recording)
+            model = reference_train(corpus, epochs, seed, gazetteers)
+        rng, order, counts = random.Random(seed), list(range(len(corpus))), []
+        for epoch in range(epochs):
+            rng.shuffle(order)
+            epoch_preds = preds[epoch * len(corpus):(epoch + 1) * len(corpus)]
+            counts.append(sum(pred == corpus[si][1] for si, pred in zip(order, epoch_preds)))
+        return model, counts
+
+    def test_long_corpora_match_the_reference_trainer(self, monkeypatch, caplog):
+        fixture = fixture_training_corpus()
+        rng = random.Random(2606)
+        cases = [(fixture * -(-60 // len(fixture)), epochs, seed, None)
+                 for epochs, seed in ((1, 13), (4, 5))]
+        cases.append((fixture * -(-90 // len(fixture)), 3, 13, Gazetteers.from_files(
+            GAZETTEERS / "organizations.txt", GAZETTEERS / "ranks.txt")))
+        cases += [(random_tag_corpus(rng, size), epochs, rng.randrange(2 ** 32), None)
+                  for size, epochs in ((30, 4), (75, 2), (120, 3))]
+        windows = []  # the sentences of each _decode call, over every case
+        decode = tagger._decode
+
+        def recording(model, ids, lengths):
+            windows.append(len(lengths))
+            return decode(model, ids, lengths)
+
+        monkeypatch.setattr(tagger, "_decode", recording)
+        caplog.set_level(logging.INFO, logger="unitgraph.tagger")
+        dropped = 0  # sentences decoded in a window after an update in it
+        for corpus, epochs, seed, gazetteers in cases:
+            assert len(corpus) >= 30
+            caplog.clear()
+            start = len(windows)
+            model = train_tagger(corpus, epochs=epochs, seed=seed, gazetteers=gazetteers)
+            expected, counts = self.reference_exact_counts(monkeypatch, corpus, epochs,
+                                                           seed, gazetteers)
+            assert saved_bytes(model) == saved_bytes(expected)
+            logged = [re.fullmatch(r"tagger epoch (\d+): (\d+)/(\d+) sentences decoded exactly",
+                                   record.getMessage()).groups() for record in caplog.records]
+            assert logged == [(str(epoch), str(count), str(len(corpus)))
+                              for epoch, count in enumerate(counts, start=1)]
+            dropped += sum(windows[start:]) - epochs * len(corpus)
+        assert max(windows) == tagger.DECODE_AHEAD
+        assert dropped > 0
 
 
 class TestPredictEntities:
