@@ -1,9 +1,9 @@
 """Command-line front end: extract | train | evaluate | bench | inspect.
 
 Exit codes: 0 success, 1 bad invocation or config, 2 data error.  Every
-run writes its seed and a hash of the resolved configuration into its
-output artifacts so identical runs reproduce identical (non-timing)
-outputs.
+run of a command that writes outputs (extract, train, evaluate) writes its
+seed and a hash of the resolved configuration into them, so identical
+runs reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _split_corpus(entries, fraction: float, seed: int):
     return [entries[i] for i in train_idx], [entries[i] for i in test_idx]
 
 
-def _fit_tagger(cfg: RunConfig, train_docs: list[Document], epochs: int):
+def _fit_tagger(cfg: RunConfig, train_docs: list[Document]):
     """The tagger fitted on ``train_docs``, with the configured gazetteers;
     without a rank gazetteer the ranks come from the training documents."""
     gaz = Gazetteers.from_files(cfg.org_gazetteer, cfg.rank_gazetteer)
@@ -161,21 +161,20 @@ def _fit_tagger(cfg: RunConfig, train_docs: list[Document], epochs: int):
     corpus = training_corpus(train_docs)
     if not corpus:
         raise DataError("no training sentences with gold annotations")
-    return train_tagger(corpus, epochs=epochs, seed=cfg.seed, gazetteers=gaz)
+    return train_tagger(corpus, epochs=cfg.tagger_epochs, seed=cfg.seed, gazetteers=gaz)
 
 
-def _fit_relnets(cfg: RunConfig, entries, modes: list[str], min_count: int,
-                 epochs: int):
+def _fit_relnets(cfg: RunConfig, entries, modes: list[str]):
     """One network per mode over one shared pattern vocabulary, fitted
     together on the same-sentence gold relations of ``entries``; with no
     examples they stay as initialised.  Returns the vocabulary, the models
     and the number of examples."""
-    vocab, pairs = relnet.training_set(entries, min_count, cfg.path_direction)
+    vocab, pairs = relnet.training_set(entries, cfg.min_count, cfg.path_direction)
     X, T, Ys = relnet.build_dataset(pairs, vocab, modes)
     models = [relnet.init_model(mode, vocab.size, hidden=cfg.hidden_size, seed=cfg.seed)
               for mode in modes]
     if len(X):
-        relnet.train(models, X, T, Ys, epochs=epochs, learning_rate=cfg.learning_rate,
+        relnet.train(models, X, T, Ys, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
                      seed=cfg.seed)
     return vocab, models, len(X)
 
@@ -382,8 +381,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     out_dir, written = Path(cfg.output_dir), []
     with _spooled(out_dir) as spool:
         if "tagger" in targets:
-            model = _fit_tagger(cfg, [doc for doc, _ in train_entries],
-                                cfg.tagger_epochs)
+            model = _fit_tagger(cfg, [doc for doc, _ in train_entries])
             model.meta["config_hash"] = cfg.hash()
             save_tagger(model, spool / "tagger.model")
             written.append(f"tagger: {model.param_count()} weights -> "
@@ -392,8 +390,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
         networks = [net for net in relnet.NETWORKS.values() if net.target in targets]
         if networks:
             vocab, models, examples = _fit_relnets(cfg, train_entries,
-                                                   [net.mode for net in networks],
-                                                   cfg.min_count, cfg.epochs)
+                                                   [net.mode for net in networks])
             if not examples:
                 raise DataError("no same-sentence gold relations to train on")
             for net, model in zip(networks, models):
@@ -443,8 +440,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
         if not test_entries:
             raise DataError("held-out split is empty; lower --split")
-        model = _fit_tagger(cfg, [doc for doc, _ in train_entries],
-                            cfg.tagger_epochs)
+        model = _fit_tagger(cfg, [doc for doc, _ in train_entries])
         totals: dict = {}
         for doc, _ in test_entries:
             pred = predict_entities(model, doc)
@@ -495,20 +491,13 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
 
 
 def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
+    """Time the four pipeline components on the trained models, which are
+    loaded, like the corpus, before any timing starts."""
+    model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED)
+    tagger = load_tagger(cfg.tagger_model)
     entries = load_corpus(cfg.corpus_dir)
     if not entries:
         raise DataError("empty corpus")
-    # untimed setup: reuse given models or fit small ones on the corpus
-    if cfg.tagger_model:
-        tagger = load_tagger(cfg.tagger_model)
-    else:
-        tagger = _fit_tagger(cfg, [doc for doc, _ in entries], epochs=1)
-    if cfg.relnet_model:
-        model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED)
-    else:
-        mode = relnet.NETWORKS[Strategy.NN_CONSTRAINED].mode
-        vocab, [model], _ = _fit_relnets(cfg, entries, [mode], min_count=1, epochs=30)
-
     rows = evaluation.bench_pipeline(
         entries, repetitions=repetitions, tagger_model=tagger,
         relnet_model=model, relnet_vocab=vocab,
@@ -592,10 +581,6 @@ _NER_EVAL = (lambda cfg, args: args.ner_eval, "with --ner-eval")
 _TAGGER = (lambda cfg, args: "tagger" in args.targets, "when --targets names tagger")
 _RELNET = (lambda cfg, args: any(t != "tagger" for t in args.targets),
            "when --targets names a relnet-* model")
-_FITS_TAGGER = (lambda cfg, args: not cfg.tagger_model, "without --tagger-model")
-_FITS_RELNET = (lambda cfg, args: not cfg.relnet_model, "without --relnet-model")
-_FITS_A_MODEL = (lambda cfg, args: not (cfg.tagger_model and cfg.relnet_model),
-                 "when it fits a model, without --tagger-model or --relnet-model")
 
 # The config keys each command reads, each with the tests a run must pass
 # to read it.  A command takes a flag for each of its keys and no other, and
@@ -616,11 +601,7 @@ _READS = {
                  "fallback": (_NO_CHECK, _SCORING, _PARSED),
                  **dict.fromkeys(("split", "tagger_epochs", "org_gazetteer",
                                   "rank_gazetteer"), (_NO_CHECK, _NER_EVAL))},
-    "bench": {"corpus_dir": (), "seed": (_FITS_A_MODEL,), "tagger_model": (),
-              "relnet_model": (),
-              **dict.fromkeys(("hidden_size", "learning_rate", "path_direction"),
-                              (_FITS_RELNET,)),
-              **dict.fromkeys(("org_gazetteer", "rank_gazetteer"), (_FITS_TAGGER,))},
+    "bench": dict.fromkeys(("corpus_dir", "tagger_model", "relnet_model"), ()),
     "inspect": {"corpus_dir": ()},
 }
 
@@ -693,12 +674,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate" and "strategy" in read and cfg.ner_mode == "model":
             command.error("evaluate scores strategies on gold entities; config key "
                           "ner_mode 'model' applies only with --ner-eval")
-        if args.command != "bench":  # bench fits the models it is not given
-            if "relnet_model" in read and not cfg.relnet_model:
-                command.error(f"strategy {cfg.strategy} needs a trained model file; pass "
-                              "--relnet-model (train one with the 'train' command)")
-            if "tagger_model" in read and not cfg.tagger_model:
-                command.error("--ner-mode model needs --tagger-model")
+        # bench reads no strategy or NER mode: it needs both models on every run
+        if "relnet_model" in read and not cfg.relnet_model:
+            needs = f"strategy {cfg.strategy}" if "strategy" in read else args.command
+            command.error(f"{needs} needs a trained model file; pass --relnet-model "
+                          "(train one with the 'train' command)")
+        if "tagger_model" in read and not cfg.tagger_model:
+            needs = "--ner-mode model" if "ner_mode" in read else args.command
+            command.error(f"{needs} needs --tagger-model")
         if "output_dir" in read:
             # only extract writes .ann files, over the corpus's own
             _check_out(cfg.output_dir, cfg.corpus_dir if args.command == "extract" else "")

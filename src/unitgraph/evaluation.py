@@ -200,10 +200,10 @@ def _format_table(headers: list[str], body: list[list[str]]) -> str:
 
 def bench_pipeline(
     entries: list[tuple[Document, list[DepTree]]],
+    tagger_model,
+    relnet_model,
+    relnet_vocab,
     repetitions: int = 3,
-    tagger_model=None,
-    relnet_model=None,
-    relnet_vocab=None,
 ) -> list[TimingRow]:
     """Per-line wall times for the four pipeline components, each the median
     of its repetitions.
@@ -213,26 +213,24 @@ def bench_pipeline(
     each tree from the last one's end and assigning entities (no parser
     runs, so it has no pilot reference cell).  Each attachment row then
     runs the document on gold entities and times its own contexts plus its
-    strategy; without a network, "Neural Network" times the contexts
-    alone.  Setup (model training elsewhere) is never timed.  Every row
+    strategy.  Loading the models and the corpus is never timed.  Every row
     counts lines as tokenizer sentences.
     """
     if repetitions < 3:
         raise ValueError("need at least 3 repetitions")
     networks = {Strategy.NN_CONSTRAINED: (relnet_model, relnet_vocab)}
-    has_network = relnet_model is not None and relnet_vocab is not None
-    attach = {  # each attachment row's strategies
-        "Shortest Dep. Path": [Strategy.SDP_CONSTRAINED],
-        "Neural Network": [Strategy.NN_CONSTRAINED] if has_network else [],
+    attach = {  # each attachment row's strategy
+        "Shortest Dep. Path": Strategy.SDP_CONSTRAINED,
+        "Neural Network": Strategy.NN_CONSTRAINED,
     }
     n_lines = max(
         1, sum(len(sentences(tokenize(doc.text))) for doc, _ in entries)
     )
     params = {  # row order, and each component's model size
-        "NER": tagger_model.param_count() if tagger_model is not None else None,
+        "NER": tagger_model.param_count(),
         "Tree alignment": None,
         "Shortest Dep. Path": None,
-        "Neural Network": relnet_model.param_count() if relnet_model is not None else None,
+        "Neural Network": relnet_model.param_count(),
     }
     totals = []  # one per repetition: each row's seconds over the corpus
     for _ in range(repetitions):
@@ -241,9 +239,9 @@ def bench_pipeline(
             seconds = run_document(doc, trees, tagger=tagger_model).seconds
             total["NER"] += seconds["ner"]
             total["Tree alignment"] += seconds["contexts"]
-            for row, strategies in attach.items():
-                seconds = run_document(doc, trees, strategies, networks).seconds
-                total[row] += seconds["contexts"] + sum(seconds[s.value] for s in strategies)
+            for row, strategy in attach.items():
+                seconds = run_document(doc, trees, [strategy], networks).seconds
+                total[row] += seconds["contexts"] + seconds[strategy.value]
         totals.append(total)
     return [TimingRow(name, sorted(t[name] for t in totals)[repetitions // 2] / n_lines,
                       n_params) for name, n_params in params.items()]

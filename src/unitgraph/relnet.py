@@ -561,12 +561,13 @@ def _parse_scalar(value: str):
 
 def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     """Read a file written by ``save_relnet``, record by record in its order.
-    A record that is malformed, out of place or repeated, an array whose
-    shape is not the header's, a pattern index outside ``0..vocab_size - 1``
-    or used twice, a weight that is not finite, a ``length_scale`` that is
-    not greater than 0 or a ``hyper directed`` other than 0 or 1 raises
-    ``ModelFileError`` naming the file and line; a file that ends early
-    names the file alone."""
+    A record that is malformed or out of place, a ``hyper`` or ``pattern``
+    key not greater than the one before it (repeated or unsorted), an
+    array whose shape is not the header's, a pattern index outside
+    ``0..vocab_size - 1`` or used twice, a weight that is not finite, a
+    ``length_scale`` that is not greater than 0 or a ``hyper directed``
+    other than 0 or 1 raises ``ModelFileError`` naming the file and line;
+    a file that ends early names the file alone."""
     lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
     number = 1  # the line last read
     used: set[int] = set()  # the pattern indices read so far
@@ -609,15 +610,17 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
             raise ValueError(f"length_scale must be greater than 0, got {length_scale!r}")
         hyper: dict = {}
         index: dict[str, int] = {}
-        # the hyper records, then the pattern records: no key twice
+        # the hyper records, then the pattern records, each kind's keys increasing
         for kind, sep, table, read in (("hyper", " ", hyper, _parse_scalar),
                                        ("pattern", "\t", index, slot)):
+            last = None
             while ahead(kind, sep):
                 key, found, value = take(kind, sep).partition(sep)
                 if not found:
                     raise ValueError(f"{kind} record needs a key and a value")
-                if key in table:
-                    raise ValueError(f"repeated record '{kind} {key}'")
+                if last is not None and key <= last:
+                    raise ValueError(f"record '{kind} {key}' is repeated or out of order")
+                last = key
                 if kind == "hyper" and key == "directed" and value not in ("0", "1"):
                     raise ValueError(f"hyper directed must be 0 or 1, got {value!r}")
                 table[key] = read(value)

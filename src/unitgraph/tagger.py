@@ -35,6 +35,8 @@ MODEL_MAGIC = "unitgraph-tagger 1"
 DECODE_AHEAD = 64
 # meta keys train_tagger writes as ints; every other key loads as a string
 _INT_META = ("seed", "epochs", "sentences")
+# the record kinds of a model file, in the order save_tagger writes them
+_RECORDS = ("meta", "gaz-org", "gaz-rank", "F", "T")
 
 
 @dataclass(frozen=True)
@@ -458,35 +460,32 @@ def save_tagger(model: TaggerModel, path) -> None:
 
 
 def load_tagger(path) -> TaggerModel:
-    """Read a file written by ``save_tagger``.
+    """Read a file written by ``save_tagger``, record by record in its order.
 
-    A malformed file, a weight on a tag outside ``TAGSET`` or on a
-    forbidden move, or a repeated ``F``, ``T`` or ``meta`` key raises
-    ``ModelFileError`` naming the file and line.
+    Each record must sort after the one before it: by its kind's place in
+    ``_RECORDS``, then by its key (a meta key, a phrase, or an ``F`` or
+    ``T`` pair).  A malformed file, a record that is repeated or out of
+    order, or a weight on a tag outside ``TAGSET`` or on a forbidden move
+    raises ``ModelFileError`` naming the file and line.
     """
     lines = read_model_lines(path, MODEL_MAGIC, "tagger model")
-    feature_weights: dict[tuple[str, str], float] = {}
-    transition_weights: dict[tuple[str, str], float] = {}
-    orgs, ranks = set(), set()
+    tables: dict[str, dict] = {"F": {}, "T": {}}
+    phrases: dict[str, list[str]] = {"gaz-org": [], "gaz-rank": []}
     meta: dict = {}
+    last: tuple = ()  # the place of the record before
     for number, line in enumerate(lines[1:], start=2):
         kind, _, rest = line.partition("\t")
         try:
             if kind == "meta":
-                key, _, value = rest.partition("\t")
-                if key in meta:
-                    raise ValueError(f"repeated meta key {key!r}")
-                meta[key] = value
-                if key in _INT_META:
+                name, _, value = rest.partition("\t")
+                meta[name] = value
+                if name in _INT_META:
                     try:
-                        meta[key] = int(value)
+                        meta[name] = int(value)
                     except ValueError:
-                        raise ValueError(f"meta {key} is not an integer: {value!r}") from None
-            elif kind == "gaz-org":
-                orgs.add(rest)
-            elif kind == "gaz-rank":
-                ranks.add(rest)
-            elif kind in ("F", "T"):
+                        raise ValueError(f"meta {name} is not an integer: {value!r}") from None
+                key = [name]
+            elif kind in tables:
                 fields = rest.split("\t")  # features and tags hold no whitespace
                 if len(fields) != 3:
                     raise ValueError(f"{kind} record needs 3 fields, has {len(fields)}")
@@ -495,13 +494,19 @@ def load_tagger(path) -> TaggerModel:
                     _column(tag)
                 else:
                     _move(first, tag)
-                table = feature_weights if kind == "F" else transition_weights
-                if (first, tag) in table:
-                    raise ValueError(f"repeated {kind} record for {first} {tag}")
-                table[(first, tag)] = read_weight(weight)
+                tables[kind][(first, tag)] = read_weight(weight)
+                key = [first, tag]
+            elif kind in phrases:
+                phrases[kind].append(rest)
+                key = [rest]
             else:
                 raise ValueError(f"unknown record {kind!r}")
+            place = (_RECORDS.index(kind), *key)
+            if place <= last:
+                raise ValueError(f"record '{kind} {' '.join(key)}' is repeated "
+                                 "or out of order")
+            last = place
         except ValueError as exc:
             raise ModelFileError(path, str(exc), number) from None
-    gazetteers = Gazetteers(frozenset(orgs), frozenset(ranks))
-    return TaggerModel(feature_weights, transition_weights, gazetteers, meta)
+    gazetteers = Gazetteers(frozenset(phrases["gaz-org"]), frozenset(phrases["gaz-rank"]))
+    return TaggerModel(tables["F"], tables["T"], gazetteers, meta)

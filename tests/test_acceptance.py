@@ -305,9 +305,7 @@ def test_criterion_9_throughput(corpus_entries, capsys):
     model = init_model("constrained3", vocab.size, seed=13)
     rows = {
         r.component: r
-        for r in bench_pipeline(
-            corpus_entries, repetitions=3, relnet_model=model, relnet_vocab=vocab
-        )
+        for r in bench_pipeline(corpus_entries, TaggerModel(), model, vocab, repetitions=3)
     }
     sdp = rows["Shortest Dep. Path"].seconds_per_line
     nn = rows["Neural Network"].seconds_per_line

@@ -498,17 +498,15 @@ class TestTrain:
         assert "--targets must name" in captured.err and "split" not in captured.out
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("command", ["train"])
     def test_overflowing_learning_rate_is_an_error(self, command, tmp_path):
         # passes the config check, then the network's loss overflows
         src = Path(unitgraph.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         out = tmp_path / "x"
-        # bench writes nothing, so it takes no --out
-        out_flag = ["--out", out] if command == "train" else []
         proc = subprocess.run(
             [sys.executable, "-m", "unitgraph.cli", command, "--corpus", CORPUS_DIR,
-             *out_flag, "--learning-rate", "1e300"],
+             "--out", out, "--learning-rate", "1e300"],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 1
@@ -517,15 +515,14 @@ class TestTrain:
         assert not out.exists() and "->" not in proc.stdout  # no model line either
 
     @pytest.mark.parametrize("command", [
-        ["train", "--targets", "tagger"], ["evaluate", "--ner-eval"], ["bench"]])
+        ["train", "--targets", "tagger"], ["evaluate", "--ner-eval"]])
     @pytest.mark.parametrize("flag", ["--org-gazetteer", "--rank-gazetteer"])
     def test_gazetteer_that_is_not_utf8_is_a_data_error(self, command, flag, tmp_path,
                                                          capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe")
         out = tmp_path / "x"
-        out_flag = ["--out", out] if command[0] != "bench" else []
-        assert run(*command, "--corpus", CORPUS_DIR, *out_flag, flag, bad) == 2
+        assert run(*command, "--corpus", CORPUS_DIR, "--out", out, flag, bad) == 2
         assert f"{bad}: not UTF-8 text (byte 0)" in capsys.readouterr().err
         assert not out.exists()
 
@@ -1094,16 +1091,21 @@ class TestStreaming:
 
 
 class TestBench:
-    def test_four_component_rows(self, tmp_path, capsys):
-        assert run("bench", "--corpus", CORPUS_DIR, "--repetitions", "3") == 0
+    def test_four_component_rows(self, models_dir, capsys):
+        assert run("bench", "--corpus", CORPUS_DIR, "--repetitions", "3",
+                   "--tagger-model", models_dir / "tagger.model",
+                   "--relnet-model", models_dir) == 0
         stdout = capsys.readouterr().out
         for component in ("NER", "Tree alignment", "Shortest Dep. Path",
                           "Neural Network"):
             assert component in stdout
         assert "reference 294" in stdout
 
-    def test_too_few_repetitions_is_usage_error(self, tmp_path):
-        assert run("bench", "--corpus", CORPUS_DIR, "--repetitions", "2") == 1
+    def test_too_few_repetitions_is_usage_error(self, models_dir, capsys):
+        assert run("bench", "--corpus", CORPUS_DIR, "--repetitions", "2",
+                   "--tagger-model", models_dir / "tagger.model",
+                   "--relnet-model", models_dir) == 1
+        assert "--repetitions must be at least 3" in capsys.readouterr().err
 
 
 class TestInspect:
@@ -1148,7 +1150,8 @@ class TestUsage:
          "relnet-constrained, got 'frob'"),
         (["extract", "--out", "{out}", "--strategy", "nearest-person"],
          "error: --corpus is required"),
-        (["bench", "--corpus", CORPUS_DIR, "--repetitions", "2"],
+        (["bench", "--corpus", CORPUS_DIR, "--tagger-model", "tagger.model",
+          "--relnet-model", "models", "--repetitions", "2"],
          "error: --repetitions must be at least 3"),
         # a run that would need a model it is not given, or that asks a
         # command for what only the other one does
@@ -1165,6 +1168,11 @@ class TestUsage:
         (["evaluate", "--config", "{config}", "--out", "{out}"],
          "error: evaluate scores strategies on gold entities; config key ner_mode "
          "'model' applies only with --ner-eval"),
+        (["bench", "--corpus", CORPUS_DIR, "--tagger-model", "tagger.model"],
+         "error: bench needs a trained model file; pass --relnet-model "
+         "(train one with the 'train' command)"),
+        (["bench", "--corpus", CORPUS_DIR, "--relnet-model", "models"],
+         "error: bench needs --tagger-model"),
     ])
     def test_a_flag_the_run_does_not_read_shows_the_command_usage(
             self, tmp_path, tmp_path_factory, monkeypatch, capsys, flags, message):

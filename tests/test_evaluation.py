@@ -26,6 +26,8 @@ from unitgraph.relations import (
     extract_document,
     gold_pairs,
 )
+from unitgraph.relnet import build_vocab, collect_patterns, init_model
+from unitgraph.tagger import TaggerModel
 
 from conftest import DOC_CEREMONY, DOC_VANGUARD, gold_documents
 
@@ -268,8 +270,17 @@ class TestFormatting:
 
 
 class TestBench:
-    def test_bench_smoke(self, corpus_entries):
-        rows = bench_pipeline(corpus_entries, repetitions=3)
+    @pytest.fixture(scope="class")
+    def models(self, corpus_entries):
+        """An untrained tagger, and a network over the corpus's patterns."""
+        vocab = build_vocab(
+            collect_patterns([build_contexts(d, t) for d, t in corpus_entries]),
+            min_count=1,
+        )
+        return TaggerModel(), init_model("constrained3", vocab.size, seed=13), vocab
+
+    def test_bench_smoke(self, corpus_entries, models):
+        rows = bench_pipeline(corpus_entries, *models, repetitions=3)
         assert [r.component for r in rows] == [
             "NER", "Tree alignment", "Shortest Dep. Path", "Neural Network",
         ]
@@ -277,14 +288,14 @@ class TestBench:
             assert row.seconds_per_line > 0
             assert math.isfinite(row.seconds_per_line)
 
-    def test_repetitions_floor(self, corpus_entries):
+    def test_repetitions_floor(self, corpus_entries, models):
         with pytest.raises(ValueError, match="3 repetitions"):
-            bench_pipeline(corpus_entries, repetitions=2)
+            bench_pipeline(corpus_entries, *models, repetitions=2)
 
-    def test_repeated_runs_are_roughly_stable(self, corpus_entries):
+    def test_repeated_runs_are_roughly_stable(self, corpus_entries, models):
         # loose sanity bound: wall-time jitter stays within one order
-        a = bench_pipeline(corpus_entries, repetitions=3)
-        b = bench_pipeline(corpus_entries, repetitions=3)
+        a = bench_pipeline(corpus_entries, *models, repetitions=3)
+        b = bench_pipeline(corpus_entries, *models, repetitions=3)
         sdp_a = next(r for r in a if r.component == "Shortest Dep. Path")
         sdp_b = next(r for r in b if r.component == "Shortest Dep. Path")
         ratio = max(sdp_a.seconds_per_line, sdp_b.seconds_per_line) / min(

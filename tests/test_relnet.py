@@ -837,9 +837,9 @@ class TestPersistence:
         ("\nmin_count 2\n", "\nmin_count 2\nk 5\n",
          "expected the 'array W1' record here", "k 5"),
         ("\nunknown 0\n", "\nhyper directed 0\nunknown 0\n",
-         "repeated record 'hyper directed'", "hyper directed 0"),
+         "record 'hyper directed' is repeated or out of order", "hyper directed 0"),
         ("\nunknown 0\n", "\npattern\tnsubj↑\t0\npattern\tnsubj↑\t1\nunknown 0\n",
-         "repeated record 'pattern nsubj↑'", "pattern\tnsubj↑\t1"),
+         "record 'pattern nsubj↑' is repeated or out of order", "pattern\tnsubj↑\t1"),
         ("\narray b1 1 8\n", "\narray b1 0 8\narray b1 1 8\n",
          "expected 'array b1 1 8' here", "array b1 0 8"),
         ("\nk 3\nhidden 8\n", "\nhidden 8\nk 3\n", "expected the 'k' record here",
@@ -849,6 +849,9 @@ class TestPersistence:
         ("\narray b3 1 3\n0.0 0.0 0.0\n", "\n", "no 'array b3' record; the file ends at",
          None),
         ("\nunknown 0\n", "\nunknown 1\n", "pattern index 1 is outside 0..0", "unknown 1"),
+        # hyper keys come sorted, as save_relnet writes them
+        ("\nhyper directed 1\n", "\nhyper directed 1\nhyper config_hash 'x'\n",
+         "record 'hyper config_hash' is repeated or out of order", "hyper config_hash"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, old, new, message,
                                                 marker):

@@ -831,13 +831,18 @@ class TestPersistence:
          "unknown tag 'B-XYZ'", 3),
         ("unitgraph-tagger 1\nT\t<start>\tO\t1.0\nT\tO\tI-PER\t1.0\n",
          "forbidden move O -> I-PER", 3),
-        # a repeated key is rejected on the line of the repeat
+        # a repeated key is rejected on the line of the repeat, and a key
+        # out of save_tagger's order on the first line that breaks it
         ("unitgraph-tagger 1\nF\tcap\tB-ORG\t1.0\nF\tcap\tB-ORG\t99.0\n",
-         "repeated F record for cap B-ORG", 3),
+         "record 'F cap B-ORG' is repeated or out of order", 3),
         ("unitgraph-tagger 1\nT\tO\tO\t1.0\nT\t<start>\tO\t1.0\nT\tO\tO\t2.0\n",
-         "repeated T record for O O", 4),
+         "record 'T <start> O' is repeated or out of order", 3),
         ("unitgraph-tagger 1\nmeta\tseed\t13\nmeta\tepochs\t2\nmeta\tseed\t14\n",
-         "repeated meta key 'seed'", 4),
+         "record 'meta epochs' is repeated or out of order", 3),
+        ("unitgraph-tagger 1\ngaz-org\tnigerian army\ngaz-org\tnigerian army\n",
+         "record 'gaz-org nigerian army' is repeated or out of order", 3),
+        ("unitgraph-tagger 1\nT\t<start>\tO\t1.0\nF\tcap\tB-ORG\t1.0\n",
+         "record 'F cap B-ORG' is repeated or out of order", 3),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, message, line):
         (tmp_path / "x.model").write_text(body, encoding="utf-8")
