@@ -1,9 +1,9 @@
 """Command-line front end: extract | train | evaluate | bench | inspect.
 
-Exit codes: 0 success, 1 bad invocation or config, 2 data error.  Every
-run of a command that writes outputs (extract, train, evaluate) writes its
-seed and a hash of the resolved configuration into them, so identical
-runs reproduce identical outputs.
+Exit codes: 0 success, 1 bad invocation or config, 2 data error.  A run
+that writes outputs (extract, train, evaluate) writes a hash of its config
+into them, where every key the run does not read holds its default, so
+runs that read the same values write the same bytes.
 """
 
 from __future__ import annotations
@@ -254,8 +254,7 @@ def _graph_writer(path: Path, graph: dict):
         spool.seek(0)
         shutil.copyfileobj(spool, f, io.DEFAULT_BUFFER_SIZE)
         f.write("\n  ],\n" if n_nodes else "],\n")
-        f.write('  "seed": %d,\n  "strategy": %s\n}\n'
-                % (graph["seed"], enc(graph["strategy"])))
+        f.write('  "strategy": %s\n}\n' % enc(graph["strategy"]))
 
 
 @contextlib.contextmanager
@@ -300,21 +299,32 @@ def _check_out(output_dir: str, corpus_dir: str = "") -> None:
                         "its gold .ann files would be overwritten")
 
 
-def _load_relnet_for(cfg: RunConfig, strategy: Strategy):
+_TAGGER_FILE = "tagger.model"  # what train names the tagger it writes
+
+
+def _model_path(value: str, filename: str) -> Path:
+    """The model file a --tagger-model or --relnet-model value names: the
+    file itself, or ``filename`` in a directory such as ``train`` writes."""
+    path = Path(value)
+    if path.is_dir():
+        path = path / filename
+    if not path.exists():
+        raise DataError(f"model file not found: {path}")
+    return path
+
+
+def _load_relnet_for(cfg: RunConfig, strategy: Strategy, needs: str = ""):
+    """The network ``strategy`` runs with and its vocabulary, or two Nones
+    for a strategy without one; ``needs`` names what needs it in an error
+    (by default the strategy)."""
     net = relnet.NETWORKS.get(strategy)
     if net is None:
         return None, None
-    path = Path(cfg.relnet_model)
-    if path.is_dir():
-        path = path / net.filename
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
+    path = _model_path(cfg.relnet_model, net.filename)
     model, vocab = relnet.load_relnet(path)
     if model.mode != net.mode:
-        raise DataError(
-            f"{path} is a {model.mode} model but strategy {strategy.value} "
-            f"needs {net.mode}"
-        )
+        raise DataError(f"{path} is a {model.mode} model but "
+                        f"{needs or 'strategy ' + strategy.value} needs {net.mode}")
     return model, vocab
 
 
@@ -326,12 +336,12 @@ def cmd_extract(cfg: RunConfig) -> int:
     corpus is, and a bad document leaves no output directory."""
     strategy = Strategy(cfg.strategy)
     networks = {strategy: _load_relnet_for(cfg, strategy)}
-    tagger = load_tagger(cfg.tagger_model) if cfg.ner_mode == "model" else None
+    tagger = (load_tagger(_model_path(cfg.tagger_model, _TAGGER_FILE))
+              if cfg.ner_mode == "model" else None)
 
     out_dir = Path(cfg.output_dir)
     n_docs = n_nodes = n_attached = n_abstained = 0
-    graph = {"config_hash": cfg.hash(), "seed": cfg.seed,
-             "strategy": strategy.value, "ner_mode": cfg.ner_mode}
+    graph = {"config_hash": cfg.hash(), "strategy": strategy.value, "ner_mode": cfg.ner_mode}
     with _spooled(out_dir) as spool:
         with _graph_writer(spool / "graph.json", graph) as add_to_graph:
             # the tagger's entities replace the gold ones: leave .ann unread
@@ -383,9 +393,9 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
         if "tagger" in targets:
             model = _fit_tagger(cfg, [doc for doc, _ in train_entries])
             model.meta["config_hash"] = cfg.hash()
-            save_tagger(model, spool / "tagger.model")
+            save_tagger(model, spool / _TAGGER_FILE)
             written.append(f"tagger: {model.param_count()} weights -> "
-                           f"{out_dir / 'tagger.model'}")
+                           f"{out_dir / _TAGGER_FILE}")
 
         networks = [net for net in relnet.NETWORKS.values() if net.target in targets]
         if networks:
@@ -493,8 +503,8 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
 def cmd_bench(cfg: RunConfig, repetitions: int) -> int:
     """Time the four pipeline components on the trained models, which are
     loaded, like the corpus, before any timing starts."""
-    model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED)
-    tagger = load_tagger(cfg.tagger_model)
+    model, vocab = _load_relnet_for(cfg, Strategy.NN_CONSTRAINED, "bench")
+    tagger = load_tagger(_model_path(cfg.tagger_model, _TAGGER_FILE))
     entries = load_corpus(cfg.corpus_dir)
     if not entries:
         raise DataError("empty corpus")
@@ -550,7 +560,8 @@ _OPTIONS = {
     "seed": ("--seed", None),
     "strategy": ("--strategy", "|".join(_CHOICES["strategy"])),
     "ner_mode": ("--ner-mode", "|".join(_CHOICES["ner_mode"])),
-    "tagger_model": ("--tagger-model", None),
+    "tagger_model": ("--tagger-model", "model file, or a directory holding "
+                     + _TAGGER_FILE),
     "relnet_model": ("--relnet-model", "model file, or a directory holding relnet_*.model"),
     "split": ("--split", "training fraction (default 0.8)"),
     "hidden_size": ("--hidden-size", None),
@@ -584,10 +595,10 @@ _RELNET = (lambda cfg, args: any(t != "tagger" for t in args.targets),
 
 # The config keys each command reads, each with the tests a run must pass
 # to read it.  A command takes a flag for each of its keys and no other, and
-# a flag whose key the run does not read is rejected; a config file may
-# still hold any key, since one file can serve several commands.
+# a flag whose key the run does not read is rejected.  A config file may
+# hold any key, but one that the run does not read keeps its default.
 _READS = {
-    "extract": {"corpus_dir": (), "output_dir": (), "seed": (), "strategy": (),
+    "extract": {"corpus_dir": (), "output_dir": (), "strategy": (),
                 "ner_mode": (), "tagger_model": (_MODEL_NER,),
                 "relnet_model": (_NETWORK,), "fallback": (_PARSED,)},
     "train": {"corpus_dir": (), "output_dir": (), "seed": (), "split": (),
@@ -674,6 +685,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate" and "strategy" in read and cfg.ner_mode == "model":
             command.error("evaluate scores strategies on gold entities; config key "
                           "ner_mode 'model' applies only with --ner-eval")
+        # from here on, each key that this run does not read holds its default
+        cfg = RunConfig(**{key: getattr(cfg, key) for key in read})
         # bench reads no strategy or NER mode: it needs both models on every run
         if "relnet_model" in read and not cfg.relnet_model:
             needs = f"strategy {cfg.strategy}" if "strategy" in read else args.command

@@ -349,8 +349,8 @@ def train_tagger(
 ) -> TaggerModel:
     """Averaged-perceptron training against Viterbi predictions.
 
-    The model starts with a row for each training feature, and each
-    sentence's rows are resolved once, before the first epoch, so each
+    The model starts with a row for each training feature, assigned as
+    the sentences' slots are built, once, before the first epoch, so each
     update adds +-1.0 to its arrays in place (the order of the additions
     does not matter).  Averaging is lazy: each cell also accumulates
     ``delta * now`` over its updates, so after ``now`` steps the sum of
@@ -381,17 +381,18 @@ def train_tagger(
         gold.append([_COLUMN[tag] for tag in tags])
     gazetteers = gazetteers or Gazetteers()
     sents = [tokens for tokens, _ in corpus]
-    slots = _token_slots(sents, gazetteers, lambda f, _: f, None)  # the feature strings
-    model = TaggerModel(gazetteers=gazetteers, features=(f for f in slots.flat if f is not None))
+    row: dict[str, int] = {}  # each feature gets the next row as it is met; -1 is the zero row
+    slots = _token_slots(sents, gazetteers, lambda f, _: row.setdefault(f, len(row)), -1)
+    model = TaggerModel(gazetteers=gazetteers, features=row)
     lengths = [len(tags) for tags in gold]
-    ids = np.split(_sentence_ids(model, sents), np.cumsum(lengths)[:-1])
+    ids = np.split(slots, np.cumsum(lengths)[:-1])
     # per cell, the sum of delta * now over the cell's updates
     weights_at, transitions_at = np.zeros_like(model.weights), np.zeros_like(model.transitions)
     now = 0
 
     def apply(si: int, tags: list[int], delta: float) -> None:
         columns = np.array(tags)
-        tokens, slots = np.nonzero(ids[si] < len(model.row))  # the cells without padding
+        tokens, slots = np.nonzero(ids[si] >= 0)  # the cells without padding
         cells = ids[si][tokens, slots], columns[tokens]
         np.add.at(model.weights, cells, delta)
         np.add.at(weights_at, cells, delta * now)

@@ -11,6 +11,7 @@ import weakref
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def run(*args):
 
 # sha256 of each output of ``extract --ner-mode model --strategy
 # nn-constrained`` on the fixtures, recorded while the tagger decoded one
-# sentence per call.
+# sentence per call; graph.json re-recorded when it lost its "seed" line.
 MODEL_NER_DIGESTS = {
     "3f8a12bc-90de-4f61-8a2b-5c7e94d0a113.ann":
         "6f65f3f2aaa09fe45f279fbb65501e08a15852d3e12962509e40c58348721832",
@@ -63,12 +64,13 @@ MODEL_NER_DIGESTS = {
     "e610f3a9-8d2c-4b75-a0e1-7c4f92b8d3e2.ann":
         "2bff96ae9f4d92ac40600c937096ca461e25d10ec49cf0436b030f4eda2b5bca",
     "graph.json":
-        "6f43c1b9c55dacc3a5b0e81623e19af262b8401d0c4b12ee6b9d73fd731cc03d",
+        "9e7451058f16b25299c96f475d7b8cef86ff9d6de2ca28255bf57bc6d094fbba",
 }
 
 # sha256 of the tagger model and each output of the same ``extract`` with a
 # tagger trained with both fixture gazetteers, so its lexicon rows fire;
-# recorded while the tagger looked up each token's feature strings.
+# recorded while the tagger looked up each token's feature strings, and
+# graph.json re-recorded when it lost its "seed" line.
 GAZETTEER_NER_DIGESTS = {
     "tagger.model":
         "90cb9090ec701f708ac20387c3dd8888f2bf5046bbcf7ccedace47533853fa1b",
@@ -83,7 +85,7 @@ GAZETTEER_NER_DIGESTS = {
     "e610f3a9-8d2c-4b75-a0e1-7c4f92b8d3e2.ann":
         "2bff96ae9f4d92ac40600c937096ca461e25d10ec49cf0436b030f4eda2b5bca",
     "graph.json":
-        "67220c7d384a45adecf979620a519a3e9777895c784f84f595b19fbbb10074fa",
+        "0cb15c668d3ff7a1b97f0607e7cef89f04764664bdef742c648fa06410bb925f",
 }
 
 # sha256 of the relation-network model files ``train`` writes on a copy of
@@ -170,7 +172,7 @@ class TestExtract:
                     if target == "T1" else f"{DOC_VANGUARD}:{target}") in {
                 (r, f, t) for r, f, t in edges
             }
-        assert graph["seed"] == 13
+        assert "seed" not in graph
         assert graph["config_hash"]
 
     def test_predicted_ann_files_reload(self, tmp_path):
@@ -301,7 +303,6 @@ _ATTACHMENTS = st.builds(Attachment, target=_ENTITIES, person=_ENTITIES,
                          strategy=st.sampled_from(Strategy))
 _GRAPHS = st.fixed_dictionaries({
     "config_hash": _JSON_TEXT,
-    "seed": st.integers(min_value=0),
     "strategy": _JSON_TEXT,
     "ner_mode": _JSON_TEXT,
 })
@@ -312,8 +313,8 @@ _DOCUMENTS = st.lists(st.tuples(
 
 
 @given(_GRAPHS, _DOCUMENTS)
-@example({"config_hash": "", "seed": 0, "strategy": "", "ner_mode": ""}, [])
-@example({"config_hash": "", "seed": 0, "strategy": "", "ner_mode": ""},
+@example({"config_hash": "", "strategy": "", "ner_mode": ""}, [])
+@example({"config_hash": "", "strategy": "", "ner_mode": ""},
          [("d", [], []), ("e", [], [])])
 @settings(max_examples=100, deadline=None)
 def test_graph_writer_matches_json_dump(graph, documents):
@@ -689,19 +690,19 @@ _READ_RUNS = {
         ["extract", "--corpus", "{corpus}", "--out", "out", "--strategy",
          "nn-constrained", "--relnet-model", "{relnets}"],
         {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
-         "seed": ["--seed", "7"], "strategy": ["--strategy", "nn-free"],
+         "strategy": ["--strategy", "nn-free"],
          "ner_mode": ["--ner-mode", "model", "--tagger-model", "{tagger}"],
          "relnet_model": ["--relnet-model", "{relnets2}"],
          "fallback": ["--fallback", "skip"]}),
     "extract nearest-person": (
         ["extract", "--corpus", "{corpus}", "--out", "out", "--strategy", "nearest-person"],
-        dict.fromkeys(("corpus_dir", "output_dir", "seed", "strategy", "ner_mode"))),
+        dict.fromkeys(("corpus_dir", "output_dir", "strategy", "ner_mode"))),
     "extract model": (
         ["extract", "--corpus", "{corpus}", "--out", "out", "--ner-mode", "model",
          "--tagger-model", "{tagger}", "--strategy", "nn-constrained",
          "--relnet-model", "{relnets}"],
         {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
-         "seed": ["--seed", "7"], "strategy": ["--strategy", "nn-free"],
+         "strategy": ["--strategy", "nn-free"],
          "ner_mode": None, "tagger_model": ["--tagger-model", "{tagger2}"],
          "relnet_model": ["--relnet-model", "{relnets2}"],
          "fallback": ["--fallback", "skip"]}),
@@ -841,6 +842,92 @@ def test_each_flag_changes_the_output_or_is_rejected(kind, read_keys_paths, tmp_
         assert code == 1, key
         assert _KEY_FLAGS[key][0] in capsys.readouterr().err, key
         assert not any(work.iterdir()), key
+
+
+# each config key with a value that passes its check and is not its default
+_KEY_VALUES = {
+    "corpus_dir": "{corpus}", "output_dir": "rejected", "seed": 7, "strategy": "nn-free",
+    "ner_mode": "model", "tagger_model": "{tagger}", "relnet_model": "{relnets}",
+    "split": 0.5, "hidden_size": 3, "min_count": 1, "learning_rate": 0.1, "epochs": 3,
+    "tagger_epochs": 2, "fallback": "skip", "path_direction": False,
+    "org_gazetteer": "{gazetteers}/organizations.txt",
+    "rank_gazetteer": "{gazetteers}/ranks.txt",
+}
+
+
+@pytest.fixture
+def stopped_clock(monkeypatch):
+    """Stop the clock ``run_document`` reads, so every time bench prints is zero."""
+    monkeypatch.setattr(unitgraph.relations, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+
+
+@pytest.mark.parametrize("kind", _READ_RUNS)
+def test_each_unread_config_key_changes_no_output(kind, read_keys_paths, stopped_clock,
+                                                  tmp_path, monkeypatch, capsys):
+    """The config-file twin of the test above: a key the run does not read,
+    set in a --config file, changes no byte that the run prints or writes,
+    config hashes and run.json included.  Only evaluate's strategy scoring
+    still rejects ner_mode 'model'."""
+    assert set(_KEY_VALUES) == {f.name for f in fields(RunConfig)}
+    for key, value in _KEY_VALUES.items():
+        assert RunConfig.load(None, {key: value}) != RunConfig(), key
+    argv, reads = _READ_RUNS[kind]
+    argv = [a.format(**read_keys_paths) for a in argv]
+    runs = itertools.count()
+
+    def outputs(config):
+        """The exit code, stdout and every path the run leaves in a new
+        working directory, with each file's bytes; then stderr."""
+        work, path = tmp_path / str(next(runs)), tmp_path / "config.json"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = run(*argv, "--config", path)
+        files = {str(p.relative_to(work)): p.read_bytes() if p.is_file() else None
+                 for p in sorted(work.rglob("*"))}
+        printed = capsys.readouterr()
+        return (code, printed.out, files), printed.err
+
+    base, _ = outputs({})
+    assert base[0] == 0
+    for key in sorted(set(_KEY_VALUES) - set(reads)):
+        value = _KEY_VALUES[key]
+        config = {key: value.format(**read_keys_paths) if isinstance(value, str) else value}
+        result, err = outputs(config)
+        if key == "ner_mode" and argv[0] == "evaluate" and "strategy" in reads:
+            assert result == (1, "", {}), key
+            assert "config key ner_mode 'model' applies only with --ner-eval" in err
+        else:
+            assert result == base, key
+
+
+@pytest.mark.parametrize("command", [
+    ["extract", "--ner-mode", "model", "--strategy", "nn-constrained", "--out", "out"],
+    ["bench"],
+])
+def test_tagger_model_takes_the_directory_train_writes(command, models_dir, stopped_clock,
+                                                       tmp_path, monkeypatch, capsys):
+    # as --relnet-model does: the directory gives the run of its tagger.model,
+    # but for run.json and the config hash, which hold the path given
+    argv = [*command, "--corpus", CORPUS_DIR, "--relnet-model", models_dir]
+    outputs = []
+    for tagger in (models_dir / "tagger.model", models_dir):
+        work = tmp_path / tagger.name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(*argv, "--tagger-model", tagger) == 0
+        outputs.append((capsys.readouterr().out, {
+            str(path.relative_to(work)): [line for line in path.read_bytes().splitlines()
+                                          if b"config_hash" not in line]
+            for path in sorted(work.rglob("*.*")) if path.name != "run.json"}))
+    assert outputs[0] == outputs[1]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(*argv, "--tagger-model", empty) == 2
+    assert (f"data error: model file not found: {empty / 'tagger.model'}"
+            in capsys.readouterr().err)
+    assert not any(empty.iterdir())
+
 
 class TestCorruptModels:
     def test_extract_with_bad_tagger_weight_exits_2(self, tmp_path, capsys):
@@ -1107,6 +1194,14 @@ class TestBench:
                    "--relnet-model", models_dir) == 1
         assert "--repetitions must be at least 3" in capsys.readouterr().err
 
+    def test_wrong_network_names_bench(self, models_dir, capsys):
+        # bench times the constrained network; it takes no --strategy
+        path = models_dir / "relnet_select.model"
+        assert run("bench", "--corpus", CORPUS_DIR, "--tagger-model", models_dir,
+                   "--relnet-model", path) == 2
+        assert (f"data error: {path} is a select_k model but bench needs constrained3"
+                in capsys.readouterr().err)
+
 
 class TestInspect:
     def test_prints_token_tag_rows(self, capsys):
@@ -1207,12 +1302,15 @@ class TestUsage:
 
     def test_config_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"corpus_dir": str(CORPUS_DIR), "seed": 21}),
+        cfg.write_text(json.dumps({"corpus_dir": str(CORPUS_DIR), "strategy": "sdp-free"}),
                        encoding="utf-8")
         out = tmp_path / "out"
         assert run("extract", "--config", cfg, "--out", out) == 0
         graph = json.loads((out / "graph.json").read_text(encoding="utf-8"))
-        assert graph["seed"] == 21
+        assert graph["strategy"] == "sdp-free"
+        assert run("extract", "--config", cfg, "--out", out, "--strategy", "sdp-constrained") == 0
+        graph = json.loads((out / "graph.json").read_text(encoding="utf-8"))
+        assert graph["strategy"] == "sdp-constrained"
 
     @pytest.mark.parametrize("form", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", [
