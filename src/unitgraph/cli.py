@@ -36,7 +36,7 @@ except ImportError:
 from . import evaluation, relnet
 from .corpus import Document, RelationEdge, iter_corpus, load_corpus, serialize_brat
 from .errors import DataError
-from .relations import Strategy, build_contexts, gold_pairs, run_document
+from .relations import NETWORKS, Strategy, build_contexts, gold_pairs, run_document
 from .tagger import (
     Gazetteers,
     load_tagger,
@@ -314,12 +314,9 @@ def _model_path(value: str, filename: str) -> Path:
 
 
 def _load_relnet_for(cfg: RunConfig, strategy: Strategy, needs: str = ""):
-    """The network ``strategy`` runs with and its vocabulary, or two Nones
-    for a strategy without one; ``needs`` names what needs it in an error
-    (by default the strategy)."""
-    net = relnet.NETWORKS.get(strategy)
-    if net is None:
-        return None, None
+    """The network of a network strategy and its vocabulary; ``needs`` names
+    what needs it in an error (by default the strategy)."""
+    net = NETWORKS[strategy]
     path = _model_path(cfg.relnet_model, net.filename)
     model, vocab = relnet.load_relnet(path)
     if model.mode != net.mode:
@@ -335,7 +332,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     after the last one (``_spooled``): memory stays flat however long the
     corpus is, and a bad document leaves no output directory."""
     strategy = Strategy(cfg.strategy)
-    networks = {strategy: _load_relnet_for(cfg, strategy)}
+    networks = {s: _load_relnet_for(cfg, s) for s in [strategy] if s in NETWORKS}
     tagger = (load_tagger(_model_path(cfg.tagger_model, _TAGGER_FILE))
               if cfg.ner_mode == "model" else None)
 
@@ -397,7 +394,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
             written.append(f"tagger: {model.param_count()} weights -> "
                            f"{out_dir / _TAGGER_FILE}")
 
-        networks = [net for net in relnet.NETWORKS.values() if net.target in targets]
+        networks = [net for net in NETWORKS.values() if net.target in targets]
         if networks:
             vocab, models, examples = _fit_relnets(cfg, train_entries,
                                                    [net.mode for net in networks])
@@ -469,7 +466,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         return 0
 
     strategies = list(Strategy) if cfg.strategy == "all" else [Strategy(cfg.strategy)]
-    networks = {s: _load_relnet_for(cfg, s) for s in strategies}
+    networks = {s: _load_relnet_for(cfg, s) for s in strategies if s in NETWORKS}
     counts = {s: (0, 0, 0) for s in strategies}
     cross = 0
     annotated = False
@@ -543,7 +540,7 @@ def cmd_inspect(cfg: RunConfig, doc_id: str | None, show_paths: bool) -> int:
     return 0
 
 
-_TRAIN_TARGETS = ("tagger", *(net.target for net in relnet.NETWORKS.values()))
+_TRAIN_TARGETS = ("tagger", *(net.target for net in NETWORKS.values()))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -582,7 +579,7 @@ _FLAGS = {key: flag for key, (flag, _) in _OPTIONS.items()}
 # A test of the resolved config and the parsed flags that only some runs of
 # a command pass, and the words for those runs
 _MODEL_NER = (lambda cfg, args: cfg.ner_mode == "model", "with --ner-mode model")
-_NETWORK = (lambda cfg, args: cfg.strategy in (*(s.value for s in relnet.NETWORKS), "all"),
+_NETWORK = (lambda cfg, args: cfg.strategy in (*(s.value for s in NETWORKS), "all"),
             "with an nn-* strategy or all")
 _PARSED = (lambda cfg, args: cfg.strategy != Strategy.NEAREST_PERSON.value,
            "with a strategy other than nearest-person")
@@ -682,6 +679,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "extract" and cfg.strategy == "all":
             command.error("extract writes one strategy's graph; --strategy all "
                           "applies to evaluate")
+        if args.command == "evaluate" and args.metric_check and args.ner_eval:
+            command.error("evaluate reads --ner-eval only without --metric-check")
         if args.command == "evaluate" and "strategy" in read and cfg.ner_mode == "model":
             command.error("evaluate scores strategies on gold entities; config key "
                           "ner_mode 'model' applies only with --ner-eval")

@@ -2,7 +2,9 @@
 
 Three strategy families: nearest person by surface order, shortest
 dependency path (free or constrained to the two flanking Persons), and
-the trainable relation network (which alone may abstain).
+the trainable relation network (which alone may abstain).  ``NETWORKS``
+is the table of network strategies, which ask the model they are given
+for their Persons (``choose``): this module loads no network code.
 """
 
 from __future__ import annotations
@@ -31,7 +33,22 @@ class Strategy(Enum):
 
 
 SDP_STRATEGIES = (Strategy.SDP_FREE, Strategy.SDP_CONSTRAINED)
-NN_STRATEGIES = (Strategy.NN_FREE, Strategy.NN_CONSTRAINED)
+
+
+class Network(NamedTuple):
+    """How a network strategy is trained, named and stored."""
+
+    mode: str  # the output layer: K candidate slots or 3 flank classes
+    target: str  # its name in ``train --targets``
+    filename: str  # its file in a model directory written by ``train``
+
+
+# the network strategies: the only map from each to its model
+NETWORKS = {
+    Strategy.NN_FREE: Network("select_k", "relnet-select", "relnet_select.model"),
+    Strategy.NN_CONSTRAINED: Network("constrained3", "relnet-constrained",
+                                     "relnet_constrained.model"),
+}
 
 
 @dataclass
@@ -252,17 +269,20 @@ def extract_document(
     its memoized paths.  Entities in sentences with no Person yield
     nothing.  When a sentence lacks a usable parse, dependency strategies
     either fall back to nearest-person (default) or skip the sentence
-    (``fallback=False``).  Network strategies score all parsed targets at once.
+    (``fallback=False``).  A network strategy asks ``model``, whose mode
+    must be the strategy's, to choose all parsed targets' Persons at once.
     """
-    if strategy in NN_STRATEGIES and (model is None or vocab is None):
-        raise ValueError(f"strategy {strategy.value} requires a relation-network "
-                         "model and pattern vocabulary")
-    if strategy in NN_STRATEGIES:
-        from . import relnet  # local import keeps module dependencies one-way
-
+    if strategy in NETWORKS:
+        if model is None or vocab is None:
+            raise ValueError(f"strategy {strategy.value} requires a relation-network "
+                             "model and pattern vocabulary")
+        mode = NETWORKS[strategy].mode
+        if model.mode != mode:
+            raise ValueError(f"strategy {strategy.value} needs a {mode} network, "
+                             f"not {model.mode}")
         parsed = [(ctx, target) for ctx in contexts
                   if ctx.persons and ctx.tree is not None for target in ctx.targets]
-        scored = iter(relnet.predict_batch(model, parsed, vocab))
+        chosen = iter(model.choose(parsed, vocab))
 
     out: list[Attachment] = []
     for ctx in contexts:
@@ -277,7 +297,8 @@ def extract_document(
                 elif ctx.tree is None:
                     raise MissingParseError("sentence has no dependency tree")
                 else:
-                    att = next(scored)
+                    att = Attachment(target, next(chosen), type_map(target.etype),
+                                     strategy)
             except MissingParseError:
                 if not fallback:
                     continue

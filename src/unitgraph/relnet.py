@@ -21,9 +21,9 @@ from .corpus import Document, EntitySpan, EntityType
 from .deptree import DepTree, PathPattern
 from .errors import MissingParseError, ModelFileError, read_model_lines, read_weight
 from .relations import (
+    NETWORKS,
     Attachment,
     SentenceContext,
-    Strategy,
     _sdp_best,
     build_contexts,
     flanking_persons,
@@ -34,22 +34,6 @@ from .relations import (
 MAX_PERSONS = 7  # candidate slots per sentence
 TYPE_ORDER = (EntityType.ORGANIZATION, EntityType.RANK, EntityType.TITLE_ROLE)
 MODEL_MAGIC = "unitgraph-relnet 1"
-
-
-class Network(NamedTuple):
-    """How a network strategy is trained, named and stored."""
-
-    mode: str  # the output layer: K candidate slots or 3 flank classes
-    target: str  # its name in ``train --targets``
-    filename: str  # its file in a model directory written by ``train``
-
-
-# the only map from the network strategies to their models
-NETWORKS = {
-    Strategy.NN_FREE: Network("select_k", "relnet-select", "relnet_select.model"),
-    Strategy.NN_CONSTRAINED: Network("constrained3", "relnet-constrained",
-                                     "relnet_constrained.model"),
-}
 
 
 def output_width(mode: str, k: int) -> int:
@@ -164,6 +148,31 @@ class RelNetModel:
     def params(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2,
                 "W3": self.W3, "b3": self.b3}
+
+    def choose(self, pairs: list[tuple[SentenceContext, EntitySpan]],
+               vocab: PatternVocab) -> list[EntitySpan | None]:
+        """Each (context, target) pair's Person, or None, from one forward pass.
+
+        select_k: the argmax slot, abstaining when it names no actual Person.
+        constrained3: left flank / right flank / best non-flank by shortest
+        dependency path, abstaining when the chosen class has no Person.
+        Path patterns are keyed the way ``vocab`` was built.
+        """
+        if not pairs:
+            return []
+        probs = predict_proba(self, *_stack(pairs, vocab, self.k))
+        out = []
+        for (ctx, target), choice in zip(pairs, probs.argmax(axis=1).tolist()):
+            if self.mode == "select_k":
+                candidates = ctx.persons[: self.k]
+                out.append(candidates[choice] if choice < len(candidates) else None)
+            elif choice < 2:  # the left or the right flank
+                out.append(flanking_persons(ctx, target)[choice])
+            else:
+                left, right = flanking_persons(ctx, target)
+                others = [p for p in ctx.persons if p is not left and p is not right]
+                out.append(_sdp_best(ctx, target, others))
+        return out
 
 
 def init_model(
@@ -482,47 +491,16 @@ def training_set(
     return vocab, pairs
 
 
-def predict_batch(model: RelNetModel, pairs: list[tuple[SentenceContext, EntitySpan]],
-                  vocab: PatternVocab) -> list[Attachment]:
-    """Each (context, target) pair's Person, or None, from one forward pass.
-
-    select_k: the argmax slot, abstaining when it names no actual Person.
-    constrained3: left flank / right flank / best non-flank by shortest
-    dependency path, abstaining when the chosen class has no Person.
-    Path patterns are keyed the way ``vocab`` was built.
-    """
-    if not pairs:
-        return []
-    probs = predict_proba(model, *_stack(pairs, vocab, model.k))
-    strategy = next(s for s, net in NETWORKS.items() if net.mode == model.mode)
-    out = []
-    for (ctx, target), choice in zip(pairs, probs.argmax(axis=1).tolist()):
-        person: EntitySpan | None = None
-        if model.mode == "select_k":
-            candidates = ctx.persons[: model.k]
-            if choice < len(candidates):
-                person = candidates[choice]
-        else:
-            left, right = flanking_persons(ctx, target)
-            if choice == 0:
-                person = left
-            elif choice == 1:
-                person = right
-            else:
-                others = [p for p in ctx.persons if p is not left and p is not right]
-                person = _sdp_best(ctx, target, others)
-        out.append(Attachment(target, person, type_map(target.etype), strategy))
-    return out
-
-
 def predict_person(
     model: RelNetModel,
     ctx: SentenceContext,
     target: EntitySpan,
     vocab: PatternVocab,
 ) -> Attachment:
-    """``predict_batch`` for one target: its related Person, or abstain."""
-    return predict_batch(model, [(ctx, target)], vocab)[0]
+    """``model.choose`` for one target, attached under the model's strategy."""
+    strategy = next(s for s, net in NETWORKS.items() if net.mode == model.mode)
+    return Attachment(target, model.choose([(ctx, target)], vocab)[0],
+                      type_map(target.etype), strategy)
 
 
 def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:

@@ -1260,6 +1260,8 @@ class TestUsage:
          "error: --ner-mode model needs --tagger-model"),
         (["extract", "--corpus", CORPUS_DIR, "--out", "{out}", "--strategy", "all"],
          "error: extract writes one strategy's graph; --strategy all applies to evaluate"),
+        (["evaluate", "--metric-check", "--ner-eval"],
+         "error: evaluate reads --ner-eval only without --metric-check"),
         (["evaluate", "--config", "{config}", "--out", "{out}"],
          "error: evaluate scores strategies on gold entities; config key ner_mode "
          "'model' applies only with --ner-eval"),

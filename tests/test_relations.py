@@ -1,6 +1,11 @@
 import logging
+import os
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from unitgraph.corpus import (Document, EntitySpan, EntityType, RelationEdge,
                               RelationType, parse_brat, parse_conllu)
 from unitgraph.deptree import span_path
 from unitgraph.relations import (
+    NETWORKS,
     Attachment,
     SentenceContext,
     Strategy,
@@ -29,6 +35,7 @@ from unitgraph.tagger import predict_entities, train_tagger, training_corpus
 from unitgraph.tokens import sentences, tokenize
 
 from conftest import (
+    CORPUS_DIR,
     DOC_CEREMONY,
     DOC_LOGISTICS,
     DOC_VANGUARD,
@@ -367,6 +374,81 @@ class TestExtractDocument:
         doc, trees = corpus_by_id[DOC_VANGUARD]
         with pytest.raises(ValueError, match="model"):
             extract_document(doc, build_contexts(doc, trees), Strategy.NN_FREE)
+
+    def test_nn_strategy_rejects_the_other_network(self, corpus_by_id, networks):
+        # a network answers for its own strategy only, never under another's name
+        doc, trees = corpus_by_id[DOC_VANGUARD]
+        contexts = build_contexts(doc, trees)
+        for strategy, other in ((Strategy.NN_FREE, Strategy.NN_CONSTRAINED),
+                                (Strategy.NN_CONSTRAINED, Strategy.NN_FREE)):
+            with pytest.raises(ValueError, match=f"strategy {strategy.value} needs a "
+                               f"{NETWORKS[strategy].mode} network"):
+                extract_document(doc, contexts, strategy, *networks[other])
+
+
+# every strategy, the network ones given a stub network that chooses each
+# target's last Person, on relations alone: no relnet, no numpy
+_STANDALONE_SCRIPT = """
+import sys
+from unitgraph.corpus import load_corpus
+from unitgraph.relations import NETWORKS, Strategy, build_contexts, extract_document
+
+class Stub:
+    k = 7
+
+    def __init__(self, mode):
+        self.mode, self.chosen = mode, []
+
+    def choose(self, pairs, vocab):
+        persons = [ctx.persons[-1] for ctx, _ in pairs]
+        self.chosen += [(target, p) for (_, target), p in zip(pairs, persons)]
+        return persons
+
+attached = 0
+for doc, trees in load_corpus(sys.argv[1]):
+    contexts = build_contexts(doc, trees)
+    for strategy in Strategy:
+        stub = Stub(NETWORKS[strategy].mode) if strategy in NETWORKS else None
+        atts = extract_document(doc, contexts, strategy, stub, stub and "vocab",
+                                fallback=False)
+        assert all(a.strategy is strategy for a in atts), strategy
+        if stub is not None:
+            assert [(a.target, a.person) for a in atts] == stub.chosen, strategy
+            attached += len(atts)
+assert attached, "no network attachment"
+loaded = [name for name in ("unitgraph.relnet", "numpy") if name in sys.modules]
+if loaded:
+    sys.exit(f"loaded: {loaded}")
+"""
+
+
+def _python(*args, cwd=None):
+    src = Path(unitgraph.relations.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", *map(str, args)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          cwd=cwd, timeout=120)
+
+
+class TestStandsAlone:
+    def test_network_strategies_ask_the_model_without_loading_relnet(self):
+        proc = _python(_STANDALONE_SCRIPT, CORPUS_DIR)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_readme_library_block_runs_as_written(self, corpus_entries):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"\n## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+        proc = _python(block, cwd=root)
+        assert proc.returncode == 0, proc.stderr
+        # what it prints: each of its strategies' attachments, document by document
+        strategies = [Strategy.NEAREST_PERSON, Strategy.SDP_CONSTRAINED]
+        expected = [
+            f"{doc.doc_id} {s.value} {a.target.surface} -> {a.person.surface} "
+            f"{a.rtype.value}"
+            for doc, trees in corpus_entries for s in strategies
+            for a in extract_document(doc, build_contexts(doc, trees), s)
+        ]
+        assert proc.stdout.splitlines() == expected
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from unitgraph.corpus import Document, EntitySpan, EntityType, RelationEdge
 from unitgraph.deptree import PathPattern, Step, align_to_text
 from unitgraph.errors import DataError, MissingParseError, ModelFileError
 from unitgraph.relations import (
-    NN_STRATEGIES,
     SentenceContext,
     Strategy,
     build_contexts,
@@ -702,7 +701,7 @@ class TestBatchedPrediction:
     """A document's targets scored in one pass get what each gets alone."""
 
     def check(self, model, vocab, contexts, fallback, seen):
-        strategy = next(s for s in NN_STRATEGIES if NETWORKS[s].mode == model.mode)
+        strategy = next(s for s in NETWORKS if NETWORKS[s].mode == model.mode)
         got = extract_document(Document("d", ""), contexts, strategy, model, vocab,
                                fallback=fallback)
         expected, pairs = [], []
