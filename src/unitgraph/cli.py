@@ -147,16 +147,14 @@ def _split_corpus(entries, fraction: float, seed: int):
     order = list(range(len(entries)))
     random.Random(seed).shuffle(order)
     cut = max(1, int(round(len(entries) * fraction))) if entries else 0
-    train_idx = sorted(order[:cut])
-    test_idx = sorted(order[cut:])
-    return [entries[i] for i in train_idx], [entries[i] for i in test_idx]
+    return [entries[i] for i in sorted(order[:cut])], [entries[i] for i in sorted(order[cut:])]
 
 
 def _fit_tagger(cfg: RunConfig, train_docs: list[Document]):
     """The tagger fitted on ``train_docs``, with the configured gazetteers;
     without a rank gazetteer the ranks come from the training documents."""
     gaz = Gazetteers.from_files(cfg.org_gazetteer, cfg.rank_gazetteer)
-    if not gaz.ranks and train_docs:
+    if not gaz.ranks:
         gaz = Gazetteers(gaz.organizations, rank_lexicon(train_docs))
     corpus = training_corpus(train_docs)
     if not corpus:
@@ -282,11 +280,6 @@ def _spooled(out_dir: Path):
     spool.rmdir()
 
 
-def _require_gold(found: bool) -> None:
-    if not found:
-        raise DataError("corpus has no gold annotations to evaluate against")
-
-
 def _check_out(output_dir: str, corpus_dir: str = "") -> None:
     """Reject an ``--out`` that names a file, or lies under one, or that is
     ``corpus_dir`` if one is given, before any model or corpus is read."""
@@ -380,16 +373,20 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
     if not train_entries:
         raise DataError("training split is empty")
-    print(
-        f"split: {len(train_entries)} train / {len(test_entries)} held out "
-        f"(fraction {cfg.split}, seed {cfg.seed})"
-    )
+    print(f"split: {len(train_entries)} train / {len(test_entries)} held out "
+          f"(fraction {cfg.split}, seed {cfg.seed})")
 
     out_dir, written = Path(cfg.output_dir), []
     with _spooled(out_dir) as spool:
         if "tagger" in targets:
+            held_out = [doc.doc_id for doc, _ in test_entries]
+            broken = [i for i in held_out if "\n" in i or "\r" in i]  # a record ends there
+            if broken:
+                raise DataError(f"{out_dir / _TAGGER_FILE} cannot record held-out document "
+                                f"{broken[0]!r}: it holds a line break")
             model = _fit_tagger(cfg, [doc for doc, _ in train_entries])
-            model.meta["config_hash"] = cfg.hash()
+            model.meta.update(config_hash=cfg.hash(), split=cfg.split)
+            model.held_out = held_out
             save_tagger(model, spool / _TAGGER_FILE)
             written.append(f"tagger: {model.param_count()} weights -> "
                            f"{out_dir / _TAGGER_FILE}")
@@ -401,10 +398,7 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
             if not examples:
                 raise DataError("no same-sentence gold relations to train on")
             for net, model in zip(networks, models):
-                model.hyper.update({
-                    "min_count": cfg.min_count,
-                    "config_hash": cfg.hash(),
-                })
+                model.hyper.update(min_count=cfg.min_count, config_hash=cfg.hash())
                 relnet.save_relnet(spool / net.filename, model, vocab)
                 written.append(
                     f"relnet {net.mode}: {model.param_count()} parameters "
@@ -418,12 +412,11 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
 def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
     """Score attachment strategies, the tagger, or the reference metrics.
 
-    Strategy scoring runs on gold entities.  Documents are the outer loop,
-    streamed one at a time: each document's sentence contexts are built
-    once, and every requested strategy reads those same contexts, so each
-    target-to-Person path is computed once per document; its gold edges are
-    paired once, and every score and the cross-sentence count read them.
-    The tagger's split needs the whole corpus, so --ner-eval loads it at once.
+    Documents are streamed one at a time.  --ner-eval scores the tagger on
+    the documents it held out.  Strategy scoring runs on gold entities: each
+    document's sentence contexts are built once and every strategy reads
+    them, so each target-to-Person path is computed once per document; its
+    gold edges are paired once for every score and the cross-sentence count.
     """
     if metric_check:
         problems = evaluation.verify_reference_metrics()
@@ -442,25 +435,30 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
         return 0
 
     if ner_eval:
-        entries = load_corpus(cfg.corpus_dir)
-        _require_gold(any(doc.entities or doc.relations for doc, _ in entries))
-        train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
-        if not test_entries:
-            raise DataError("held-out split is empty; lower --split")
-        model = _fit_tagger(cfg, [doc for doc, _ in train_entries])
-        totals: dict = {}
-        for doc, _ in test_entries:
-            pred = predict_entities(model, doc)
-            for etype, counts in evaluation.entity_counts(doc.entities, pred).items():
-                prev = totals.get(etype, (0, 0, 0))
-                totals[etype] = tuple(a + b for a, b in zip(prev, counts))
+        path = _model_path(cfg.tagger_model, _TAGGER_FILE)
+        model = load_tagger(path)
+        if not model.held_out or not {"seed", "split"} <= model.meta.keys():
+            raise DataError(f"{path} records no held-out documents to score "
+                            "(train it with --split below 1)")
+        unseen, totals = set(model.held_out), {}
+        for doc, _ in iter_corpus(cfg.corpus_dir):
+            if doc.doc_id in unseen:
+                unseen.remove(doc.doc_id)
+                pred = predict_entities(model, doc)
+                for etype, counts in evaluation.entity_counts(doc.entities, pred).items():
+                    totals[etype] = tuple(map(sum, zip(totals.get(etype, (0, 0, 0)), counts)))
+        if unseen:
+            raise DataError(f"{path}: held-out document {min(unseen)!r} is not in "
+                            f"corpus {cfg.corpus_dir}")
+        if not any(tp + fn for tp, _, fn in totals.values()):  # no gold entity
+            raise DataError(f"{path}: its held-out documents have no gold annotations")
         rows = evaluation.rows_from_entity_counts(totals)
-        print(f"NER on held-out split ({len(test_entries)} docs, "
-              f"{cfg.split:.0%} train, seed {cfg.seed}):")
+        print(f"NER on held-out split ({len(model.held_out)} docs, "
+              f"{model.meta['split']:.0%} train, seed {model.meta['seed']}):")
         print(evaluation.format_prf_table(rows, decimals=2))
         with _spooled(Path(cfg.output_dir)) as spool:
             _write_json(spool / "ner_metrics.json", {
-                "config_hash": cfg.hash(), "seed": cfg.seed,
+                "config_hash": cfg.hash(), "seed": model.meta["seed"],
                 "rows": [r._asdict() for r in rows],
             })
         return 0
@@ -479,7 +477,8 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             doc_counts = evaluation.relation_counts(gold, atts)
             counts[s] = tuple(a + b for a, b in zip(counts[s], doc_counts))
         cross += sum(e.person is not None and e.context is None for e in gold)
-    _require_gold(annotated)
+    if not annotated:
+        raise DataError("corpus has no gold annotations to evaluate against")
     rows = [
         evaluation.PrfRow.from_counts(evaluation.STRATEGY_ROW_LABELS[s], *counts[s])
         for s in strategies
@@ -560,7 +559,7 @@ _OPTIONS = {
     "tagger_model": ("--tagger-model", "model file, or a directory holding "
                      + _TAGGER_FILE),
     "relnet_model": ("--relnet-model", "model file, or a directory holding relnet_*.model"),
-    "split": ("--split", "training fraction (default 0.8)"),
+    "split": ("--split", "training fraction; train holds out the rest (default 0.8)"),
     "hidden_size": ("--hidden-size", None),
     "min_count": ("--min-count", None),
     "learning_rate": ("--learning-rate", None),
@@ -603,12 +602,11 @@ _READS = {
                                "path_direction"), (_RELNET,)),
               **dict.fromkeys(("tagger_epochs", "org_gazetteer", "rank_gazetteer"),
                               (_TAGGER,))},
-    "evaluate": {**dict.fromkeys(("corpus_dir", "output_dir", "seed"), (_NO_CHECK,)),
-                 "strategy": (_NO_CHECK, _SCORING),
+    "evaluate": {**dict.fromkeys(("corpus_dir", "output_dir"), (_NO_CHECK,)),
+                 **dict.fromkeys(("seed", "strategy"), (_NO_CHECK, _SCORING)),
+                 "tagger_model": (_NO_CHECK, _NER_EVAL),
                  "relnet_model": (_NO_CHECK, _SCORING, _NETWORK),
-                 "fallback": (_NO_CHECK, _SCORING, _PARSED),
-                 **dict.fromkeys(("split", "tagger_epochs", "org_gazetteer",
-                                  "rank_gazetteer"), (_NO_CHECK, _NER_EVAL))},
+                 "fallback": (_NO_CHECK, _SCORING, _PARSED)},
     "bench": dict.fromkeys(("corpus_dir", "tagger_model", "relnet_model"), ()),
     "inspect": {"corpus_dir": ()},
 }
@@ -641,7 +639,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_eval.add_argument("--metric-check", action="store_true",
                         help="recompute reference P/R/F1 cells from their counts")
     p_eval.add_argument("--ner-eval", action="store_true",
-                        help="train on a split and score entity predictions")
+                        help="score --tagger-model on the documents it held out")
     p_bench = _add_command(sub, "bench", "measure per-line component timings")
     p_bench.add_argument("--repetitions", type=int, default=3)
     p_inspect = _add_command(sub, "inspect", "print token/tag rows for a document")

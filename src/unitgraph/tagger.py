@@ -33,10 +33,10 @@ MODEL_MAGIC = "unitgraph-tagger 1"
 # the most sentences training decodes in one batch; keeps the Viterbi
 # arrays small however long the corpus
 DECODE_AHEAD = 64
-# meta keys train_tagger writes as ints; every other key loads as a string
-_INT_META = ("seed", "epochs", "sentences")
+# meta keys written as numbers, with their type; every other key loads as a string
+_NUMBER_META = {"seed": int, "epochs": int, "sentences": int, "split": float}
 # the record kinds of a model file, in the order save_tagger writes them
-_RECORDS = ("meta", "gaz-org", "gaz-rank", "F", "T")
+_RECORDS = ("meta", "held-out", "gaz-org", "gaz-rank", "F", "T")
 
 
 @dataclass(frozen=True)
@@ -196,13 +196,14 @@ class TaggerModel:
     for any other feature.  ``transitions[p, t]`` weighs the move from
     tag p to tag t; its last row moves from ``START``.  A cell that is not
     zero is a stored weight.  Forbidden moves hold 0, and the decoder
-    bars them.
+    bars them.  ``held_out`` names the documents of its training corpus
+    that it never saw.
     """
 
     def __init__(self, feature_weights: Mapping[tuple[str, str], float] | None = None,
                  transition_weights: Mapping[tuple[str, str], float] | None = None,
                  gazetteers: Gazetteers | None = None, meta: dict | None = None,
-                 features: Iterable[str] = ()):
+                 features: Iterable[str] = (), held_out: Iterable[str] = ()):
         """A model from ``(feature, tag)`` and ``(previous tag, tag)``
         weights; ``features`` get rows ahead of the weighted features.  A
         tag outside ``TAGSET`` or a forbidden move raises ``ValueError``."""
@@ -217,6 +218,7 @@ class TaggerModel:
             self.transitions[_move(prev, tag)] = w
         self.gazetteers = gazetteers or Gazetteers()
         self.meta = meta or {}
+        self.held_out = tuple(held_out)
 
     @property
     def feature_weights(self) -> dict[tuple[str, str], float]:
@@ -453,6 +455,7 @@ def save_tagger(model: TaggerModel, path) -> None:
     """Sorted key->weight text format; reruns with one seed diff clean."""
     lines = [MODEL_MAGIC]
     lines += [f"meta\t{key}\t{model.meta[key]}" for key in sorted(model.meta)]
+    lines += [f"held-out\t{doc_id}" for doc_id in sorted(model.held_out)]
     lines += [f"gaz-org\t{phrase}" for phrase in sorted(model.gazetteers.organizations)]
     lines += [f"gaz-rank\t{phrase}" for phrase in sorted(model.gazetteers.ranks)]
     for kind, table in (("F", model.feature_weights), ("T", model.transition_weights)):
@@ -464,14 +467,14 @@ def load_tagger(path) -> TaggerModel:
     """Read a file written by ``save_tagger``, record by record in its order.
 
     Each record must sort after the one before it: by its kind's place in
-    ``_RECORDS``, then by its key (a meta key, a phrase, or an ``F`` or
-    ``T`` pair).  A malformed file, a record that is repeated or out of
-    order, or a weight on a tag outside ``TAGSET`` or on a forbidden move
-    raises ``ModelFileError`` naming the file and line.
+    ``_RECORDS``, then by its key (a meta key, a document id, a phrase, or
+    an ``F`` or ``T`` pair).  A malformed file, a record that is repeated
+    or out of order, or a weight on a tag outside ``TAGSET`` or on a
+    forbidden move raises ``ModelFileError`` naming the file and line.
     """
     lines = read_model_lines(path, MODEL_MAGIC, "tagger model")
     tables: dict[str, dict] = {"F": {}, "T": {}}
-    phrases: dict[str, list[str]] = {"gaz-org": [], "gaz-rank": []}
+    listed: dict[str, list[str]] = {"held-out": [], "gaz-org": [], "gaz-rank": []}
     meta: dict = {}
     last: tuple = ()  # the place of the record before
     for number, line in enumerate(lines[1:], start=2):
@@ -480,11 +483,15 @@ def load_tagger(path) -> TaggerModel:
             if kind == "meta":
                 name, _, value = rest.partition("\t")
                 meta[name] = value
-                if name in _INT_META:
+                if name in _NUMBER_META:
+                    parse = _NUMBER_META[name]
                     try:
-                        meta[name] = int(value)
+                        meta[name] = parse(value)
                     except ValueError:
-                        raise ValueError(f"meta {name} is not an integer: {value!r}") from None
+                        wanted = "an integer" if parse is int else "a number"
+                        raise ValueError(f"meta {name} is not {wanted}: {value!r}") from None
+                    if name == "split" and not 0 < meta[name] <= 1:  # as --split
+                        raise ValueError(f"meta split is not in (0, 1]: {value!r}")
                 key = [name]
             elif kind in tables:
                 fields = rest.split("\t")  # features and tags hold no whitespace
@@ -497,8 +504,8 @@ def load_tagger(path) -> TaggerModel:
                     _move(first, tag)
                 tables[kind][(first, tag)] = read_weight(weight)
                 key = [first, tag]
-            elif kind in phrases:
-                phrases[kind].append(rest)
+            elif kind in listed:
+                listed[kind].append(rest)
                 key = [rest]
             else:
                 raise ValueError(f"unknown record {kind!r}")
@@ -509,5 +516,5 @@ def load_tagger(path) -> TaggerModel:
             last = place
         except ValueError as exc:
             raise ModelFileError(path, str(exc), number) from None
-    gazetteers = Gazetteers(frozenset(phrases["gaz-org"]), frozenset(phrases["gaz-rank"]))
-    return TaggerModel(tables["F"], tables["T"], gazetteers, meta)
+    gazetteers = Gazetteers(frozenset(listed["gaz-org"]), frozenset(listed["gaz-rank"]))
+    return TaggerModel(tables["F"], tables["T"], gazetteers, meta, held_out=listed["held-out"])

@@ -70,10 +70,12 @@ MODEL_NER_DIGESTS = {
 # sha256 of the tagger model and each output of the same ``extract`` with a
 # tagger trained with both fixture gazetteers, so its lexicon rows fire;
 # recorded while the tagger looked up each token's feature strings, and
-# graph.json re-recorded when it lost its "seed" line.
+# graph.json re-recorded when it lost its "seed" line.  tagger.model was
+# re-recorded when it gained its "meta split" and "held-out" lines; without
+# them its sha256 is 90cb9090ec701f708ac20387c3dd8888f2bf5046bbcf7ccedace47533853fa1b.
 GAZETTEER_NER_DIGESTS = {
     "tagger.model":
-        "90cb9090ec701f708ac20387c3dd8888f2bf5046bbcf7ccedace47533853fa1b",
+        "e5ae8c221d7cf7ea94cf53ef262cfceca44eacc29cc25bcae028723be0a7b693",
     "3f8a12bc-90de-4f61-8a2b-5c7e94d0a113.ann":
         "72aa65018c2c9d4dc23c95800de22deb785dd327054f7985bf69faedbdea3360",
     "7b4c55e0-1a2f-4d3c-9e8b-0f6a7c2d4e85.ann":
@@ -515,8 +517,7 @@ class TestTrain:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not out.exists() and "->" not in proc.stdout  # no model line either
 
-    @pytest.mark.parametrize("command", [
-        ["train", "--targets", "tagger"], ["evaluate", "--ner-eval"]])
+    @pytest.mark.parametrize("command", [["train", "--targets", "tagger"]])
     @pytest.mark.parametrize("flag", ["--org-gazetteer", "--rank-gazetteer"])
     def test_gazetteer_that_is_not_utf8_is_a_data_error(self, command, flag, tmp_path,
                                                          capsys):
@@ -605,14 +606,89 @@ class TestEvaluate:
         assert run("evaluate", "--metric-check") == 0
         assert "reproduce within tolerance" in capsys.readouterr().out
 
-    def test_ner_eval_runs(self, tmp_path, capsys):
+    def test_ner_eval_runs(self, models_dir, tmp_path, capsys):
         out = tmp_path / "ner"
         code = run("evaluate", "--corpus", CORPUS_DIR, "--out", out,
-                   "--ner-eval", "--tagger-epochs", "3")
+                   "--ner-eval", "--tagger-model", models_dir)
         assert code == 0
         stdout = capsys.readouterr().out
+        assert "NER on held-out split (1 docs, 80% train, seed 13):" in stdout
         assert "All Classes" in stdout
-        assert (out / "ner_metrics.json").exists()
+        metrics = json.loads((out / "ner_metrics.json").read_text(encoding="utf-8"))
+        assert sorted(metrics) == ["config_hash", "rows", "seed"]
+        assert metrics["seed"] == 13
+
+    def test_ner_eval_scores_the_trained_tagger_on_its_held_out_documents(self, tmp_path,
+                                                                          capsys):
+        # the rows evaluate --ner-eval --split 0.6 --seed 3 gave when it fitted
+        # a tagger of its own on the same split
+        shutil.copytree(CORPUS_DIR, tmp_path / "corpus")
+        assert run("train", "--corpus", tmp_path / "corpus", "--out", tmp_path / "models",
+                   "--targets", "tagger", "--split", "0.6", "--seed", "3") == 0
+        capsys.readouterr()
+        out = tmp_path / "ner"
+        assert run("evaluate", "--corpus", tmp_path / "corpus", "--out", out, "--ner-eval",
+                   "--tagger-model", tmp_path / "models") == 0
+        assert capsys.readouterr().out.startswith(
+            "NER on held-out split (2 docs, 60% train, seed 3):\n")
+        metrics = json.loads((out / "ner_metrics.json").read_text(encoding="utf-8"))
+        assert metrics["seed"] == 3
+        assert [(r["name"], r["tp"], r["fp"], r["fn"]) for r in metrics["rows"]] == [
+            ("Person", 6, 0, 3), ("Rank", 1, 2, 0), ("Organization", 2, 0, 0),
+            ("Title/Role", 0, 2, 0), ("All Classes", 9, 4, 3)]
+
+    @pytest.mark.parametrize("case", ["missing", "none held out", "written before",
+                                      "no gold"])
+    def test_ner_eval_on_documents_it_cannot_score_is_a_data_error(self, case, tmp_path,
+                                                                   capsys):
+        corpus, models = tmp_path / "corpus", tmp_path / "models"
+        shutil.copytree(CORPUS_DIR, corpus)
+        split = "1.0" if case == "none held out" else "0.6"
+        assert run("train", "--corpus", corpus, "--out", models, "--targets", "tagger",
+                   "--split", split, "--seed", "3") == 0
+        model = models / "tagger.model"
+        held_out = [line.split("\t", 1)[1] for line in
+                    model.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("held-out\t")]
+        if case == "missing":
+            (corpus / f"{held_out[1]}.txt").unlink()
+            message = f"{model}: held-out document {held_out[1]!r} is not in corpus"
+        elif case == "none held out":
+            assert not held_out
+            message = f"{model} records no held-out documents to score"
+        elif case == "written before":
+            # a model written before train recorded its split
+            model.write_text("".join(
+                line for line in model.read_text(encoding="utf-8").splitlines(True)
+                if not line.startswith(("held-out\t", "meta\tsplit\t"))), encoding="utf-8")
+            message = f"{model} records no held-out documents to score"
+        else:
+            for doc_id in held_out:
+                (corpus / f"{doc_id}.ann").unlink()
+            message = f"{model}: its held-out documents have no gold annotations"
+        capsys.readouterr()
+        out = tmp_path / "ner"
+        assert run("evaluate", "--corpus", corpus, "--out", out, "--ner-eval",
+                   "--tagger-model", models) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_held_out_id_with_a_line_break_is_a_data_error(self, brk, tmp_path, capsys):
+        # either document is held out, and a record of the model would end
+        # inside its id
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for k in (1, 2):
+            for path in CORPUS_DIR.glob(DOC_VANGUARD + ".*"):
+                shutil.copy(path, corpus / f"doc{brk}{k}{path.suffix}")
+        out = tmp_path / "models"
+        assert run("train", "--corpus", corpus, "--out", out, "--targets", "tagger",
+                   "--split", "0.5") == 2
+        err = capsys.readouterr().err
+        assert f"data error: {out / 'tagger.model'} cannot record held-out document " in err
+        assert "it holds a line break" in err
+        assert not out.exists()
 
     def test_no_training_sentences_is_a_data_error(self, tmp_path, capsys):
         # the seeded half-split trains on the empty document alone
@@ -622,9 +698,6 @@ class TestEvaluate:
             shutil.copy(path, corpus)
         (corpus / "aaa_empty.txt").write_text("", encoding="utf-8")
         split = ["--split", "0.5", "--seed", "1"]
-        assert run("evaluate", "--corpus", corpus, "--out", tmp_path / "e",
-                   "--ner-eval", *split) == 2
-        assert "data error: no training sentences" in capsys.readouterr().err
         assert run("train", "--corpus", corpus, "--out", tmp_path / "t", *split) == 2
         assert "data error: no training sentences" in capsys.readouterr().err
 
@@ -667,10 +740,14 @@ class TestEvaluate:
         for path in CORPUS_DIR.glob(DOC_VANGUARD + ".*"):
             shutil.copy(path, corpus)
         (corpus / "aaa_empty.txt").write_text("", encoding="utf-8")
+        assert run("train", "--corpus", CORPUS_DIR, "--out", tmp_path / "tagger",
+                   "--targets", "tagger") == 0
         split = ["--split", "0.5", "--seed", "1"]
         failures = [
             ("train", "--corpus", corpus, *split),
-            ("evaluate", "--corpus", corpus, "--ner-eval", *split),
+            # a recorded held-out document that the corpus lacks
+            ("evaluate", "--corpus", corpus, "--ner-eval", "--tagger-model",
+             tmp_path / "tagger"),
             ("evaluate", "--corpus", CORPUS_DIR, "--strategy", "nn-free",
              "--relnet-model", tmp_path / "no.model"),
         ]
@@ -738,12 +815,9 @@ _READ_RUNS = {
         dict.fromkeys(("corpus_dir", "output_dir", "seed", "strategy"))),
     "evaluate --ner-eval": (
         ["evaluate", "--corpus", "{corpus}", "--out", "out", "--ner-eval",
-         "--split", "0.6"],
-        {"corpus_dir": ["--corpus", "{fewer}"], "output_dir": ["--out", "elsewhere"],
-         "seed": ["--seed", "7"], "split": ["--split", "0.8"],
-         "tagger_epochs": ["--tagger-epochs", "2"],
-         "org_gazetteer": ["--org-gazetteer", "{gazetteers}/organizations.txt"],
-         "rank_gazetteer": ["--rank-gazetteer", "{unknown_ranks}"]}),
+         "--tagger-model", "{tagger}"],
+        {"corpus_dir": None, "output_dir": ["--out", "elsewhere"],
+         "tagger_model": ["--tagger-model", "{tagger2}"]}),
     "evaluate --metric-check": (["evaluate", "--metric-check"], {}),
     "bench with models": (
         ["bench", "--corpus", "{corpus}", "--tagger-model", "{tagger}",
@@ -774,9 +848,7 @@ def read_keys_paths(tmp_path_factory):
     """The fixtures with one .conllu removed, so --fallback matters; the same
     without their first document; two taggers trained on the first; and
     relation networks trained on it, with a copy whose output layer is
-    negated (networks trained on so few examples all attach alike).  A rank
-    gazetteer that names no rank in the corpus stands in for the ranks a
-    tagger learns from its training documents."""
+    negated (networks trained on so few examples all attach alike)."""
     root = tmp_path_factory.mktemp("read_keys")
     corpus, fewer = root / "corpus", root / "fewer"
     shutil.copytree(CORPUS_DIR, corpus)
@@ -784,11 +856,9 @@ def read_keys_paths(tmp_path_factory):
     shutil.copytree(corpus, fewer)
     for path in fewer.glob(DOC_VANGUARD + ".*"):
         path.unlink()
-    paths = {"corpus": corpus, "fewer": fewer, "gazetteers": GAZETTEERS,
-             "unknown_ranks": root / "ranks.txt"}
-    paths["unknown_ranks"].write_text("Commodore\n", encoding="utf-8")
+    paths = {"corpus": corpus, "fewer": fewer, "gazetteers": GAZETTEERS}
     for name, flags in (("tagger", ["--targets", "tagger", "--tagger-epochs", "1"]),
-                        ("tagger2", ["--targets", "tagger", "--split", "1.0"]),
+                        ("tagger2", ["--targets", "tagger", "--split", "0.6"]),
                         ("relnets", ["--targets", "relnet-select,relnet-constrained",
                                      "--epochs", "3"])):
         assert run("train", "--corpus", corpus, "--out", root / name, *flags) == 0
@@ -1270,6 +1340,17 @@ class TestUsage:
          "(train one with the 'train' command)"),
         (["bench", "--corpus", CORPUS_DIR, "--relnet-model", "models"],
          "error: bench needs --tagger-model"),
+        (["evaluate", "--corpus", CORPUS_DIR, "--out", "{out}", "--ner-eval"],
+         "error: evaluate needs --tagger-model"),
+        (["evaluate", "--corpus", CORPUS_DIR, "--out", "{out}", "--tagger-model", "models"],
+         "error: evaluate reads --tagger-model only with --ner-eval"),
+        # evaluate --ner-eval scores the tagger train wrote, and fits none
+        *[(["evaluate", "--corpus", CORPUS_DIR, "--out", "{out}", "--ner-eval",
+            "--tagger-model", "models", flag, value],
+           f"error: unrecognized arguments: {flag} {value}")
+          for flag, value in (("--split", "0.6"), ("--tagger-epochs", "2"),
+                              ("--org-gazetteer", "orgs.txt"),
+                              ("--rank-gazetteer", "ranks.txt"))],
     ])
     def test_a_flag_the_run_does_not_read_shows_the_command_usage(
             self, tmp_path, tmp_path_factory, monkeypatch, capsys, flags, message):
@@ -1319,7 +1400,6 @@ class TestUsage:
         ("train", "epochs", 0),
         ("train", "epochs", -3),
         ("train", "tagger_epochs", 0),
-        ("evaluate", "tagger_epochs", 0),
         ("train", "min_count", 0),
         ("train", "hidden_size", 0),
         ("train", "learning_rate", float("nan")),
@@ -1332,8 +1412,6 @@ class TestUsage:
     def test_out_of_range_value_is_rejected(self, tmp_path, capsys, form, command,
                                             key, value):
         args = [command, "--out", tmp_path / "out"]
-        if command == "evaluate":
-            args.append("--ner-eval")
         config = {"corpus_dir": str(CORPUS_DIR)}
         if form == "flag":
             args += ["--" + key.replace("_", "-"), value]

@@ -811,12 +811,32 @@ class TestPersistence:
 
     def test_meta_keeps_its_types(self, tmp_path):
         model = TaggerModel(meta={"config_hash": "012345678901", "seed": 13,
-                                  "epochs": 2, "sentences": 1})
+                                  "epochs": 2, "sentences": 1, "split": 0.6})
         save_tagger(model, tmp_path / "a.model")
         loaded = load_tagger(tmp_path / "a.model")
         assert loaded.meta == model.meta
+        assert type(loaded.meta["split"]) is float
         save_tagger(loaded, tmp_path / "b.model")
         assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+    def test_held_out_documents_round_trip(self, tmp_path):
+        # a record ends at a line break alone: spaces, tabs, non-ASCII text
+        # and the breaks only str.splitlines() knows stay in the id
+        ids = ["zz last", "a\tb", "Ẹ̀kọ́ 1", "line\u2028sep", "\u00e9t\u00e9 2024"]
+        model = TaggerModel(meta={"seed": 3, "split": 0.6}, held_out=ids)
+        save_tagger(model, tmp_path / "a.model")
+        text = (tmp_path / "a.model").read_text(encoding="utf-8")
+        assert [line for line in text.split("\n") if line.startswith("held-out")] == [
+            f"held-out\t{i}" for i in sorted(ids)]
+        loaded = load_tagger(tmp_path / "a.model")
+        assert loaded.held_out == tuple(sorted(ids))
+        assert saved_bytes(loaded) == (tmp_path / "a.model").read_bytes()
+
+    def test_held_out_records_follow_meta(self):
+        model = TaggerModel({("cap", "B-PER"): 1.0}, meta={"seed": 3},
+                            gazetteers=Gazetteers(frozenset({"army"})), held_out=["d2", "d1"])
+        assert saved_bytes(model).decode("utf-8").split("\n")[1:5] == [
+            "meta\tseed\t3", "held-out\td1", "held-out\td2", "gaz-org\tarmy"]
 
     @pytest.mark.parametrize("body, message, line", [
         ("unitgraph-tagger 2\n", "not a tagger model file", 1),
@@ -843,6 +863,19 @@ class TestPersistence:
          "record 'gaz-org nigerian army' is repeated or out of order", 3),
         ("unitgraph-tagger 1\nT\t<start>\tO\t1.0\nF\tcap\tB-ORG\t1.0\n",
          "record 'F cap B-ORG' is repeated or out of order", 3),
+        ("unitgraph-tagger 1\nheld-out\tdoc 1\nheld-out\tdoc 2\nheld-out\tdoc 1\n",
+         "record 'held-out doc 1' is repeated or out of order", 4),
+        ("unitgraph-tagger 1\nheld-out\tdoc 2\nheld-out\tdoc 1\n",
+         "record 'held-out doc 1' is repeated or out of order", 3),
+        ("unitgraph-tagger 1\nheld-out\tdoc 1\nheld-out\tdoc 1\n",
+         "record 'held-out doc 1' is repeated or out of order", 3),
+        ("unitgraph-tagger 1\ngaz-org\tarmy\nheld-out\tdoc 1\n",
+         "record 'held-out doc 1' is repeated or out of order", 3),
+        ("unitgraph-tagger 1\nheld-out\tdoc 1\nmeta\tseed\t13\n",
+         "record 'meta seed' is repeated or out of order", 3),
+        ("unitgraph-tagger 1\nmeta\tsplit\tmost\n", "meta split is not a number: 'most'", 2),
+        ("unitgraph-tagger 1\nmeta\tsplit\tnan\n", "meta split is not in (0, 1]: 'nan'", 2),
+        ("unitgraph-tagger 1\nmeta\tsplit\t0\n", "meta split is not in (0, 1]: '0'", 2),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, message, line):
         (tmp_path / "x.model").write_text(body, encoding="utf-8")
@@ -864,7 +897,8 @@ class TestPersistence:
 
 
 _RECORD_FIELDS = st.sampled_from([
-    "F", "T", "meta", "gaz-org", "gaz-rank", "seed", "epochs", "config_hash",
+    "F", "T", "meta", "held-out", "gaz-org", "gaz-rank", "seed", "epochs", "split",
+    "config_hash",
     "w=musa", START, "O", "B-PER", "I-PER", "I-ORG", "B-XYZ", "1.0", "-2.5", "0",
     "-0.0", "1e308", "nan", "inf", "abc", "", " "]) | st.text(max_size=4)
 
