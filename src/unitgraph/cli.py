@@ -9,6 +9,7 @@ runs that read the same values write the same bytes.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import io
@@ -441,7 +442,7 @@ def cmd_evaluate(cfg: RunConfig, metric_check: bool, ner_eval: bool) -> int:
             raise DataError(f"{path} records no held-out documents to score "
                             "(train it with --split below 1)")
         unseen, totals = set(model.held_out), {}
-        for doc, _ in iter_corpus(cfg.corpus_dir):
+        for doc, _ in iter_corpus(cfg.corpus_dir, parses=False):  # NER reads no tree
             if doc.doc_id in unseen:
                 unseen.remove(doc.doc_id)
                 pred = predict_entities(model, doc)
@@ -722,9 +723,12 @@ def entry() -> None:
     sys.exit(main())
 
 
-# what the imports made lives until exit: keep it out of every collection,
-# the pass at exit included (the library itself leaves the collector alone)
+# what the imports made lives until exit: keep it out of every collection
+# (the library itself leaves the collector alone).  numpy loads later, at a
+# model's first use, so freeze again at exit: the interpreter's last pass
+# then skips numpy's objects too
 gc.freeze()
+atexit.register(gc.freeze)
 
 
 if __name__ == "__main__":

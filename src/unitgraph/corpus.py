@@ -310,8 +310,8 @@ def _read(path: Path, what: str) -> str:
         raise CorpusError(f"cannot read {what} for {path.stem}: {exc}") from exc
 
 
-def iter_corpus(corpus_dir: str | Path,
-                gold: bool = True) -> Iterator[tuple[Document, list[DepTree]]]:
+def iter_corpus(corpus_dir: str | Path, gold: bool = True,
+                parses: bool = True) -> Iterator[tuple[Document, list[DepTree]]]:
     """Yield every stem with a ``.txt`` file, sorted by stem, one at a time.
 
     Each document is read and checked only when the previous one has been
@@ -320,8 +320,10 @@ def iter_corpus(corpus_dir: str | Path,
     yields an empty annotation set, and so does ``gold=False``, which opens
     no ``.ann`` file at all (for a caller that brings its own entities);
     missing ``.conllu`` yields an empty parse list with a warning
-    (dependency-based extractors are unavailable for that document).  A
-    missing corpus directory is a CorpusError; an empty one yields nothing.
+    (dependency-based extractors are unavailable for that document), and
+    ``parses=False`` yields one for every document, with no warning and no
+    ``.conllu`` opened (for a caller that reads no tree).  A missing corpus
+    directory is a CorpusError; an empty one yields nothing.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -344,12 +346,12 @@ def iter_corpus(corpus_dir: str | Path,
             raise CorpusError(f"{ann_path.name}: {exc}") from exc
         conllu_path = txt_path.with_suffix(".conllu")
         trees: list[DepTree] = []
-        if conllu_path.exists():
+        if parses and conllu_path.exists():
             try:
                 trees = parse_conllu(_read(conllu_path, "parses"))
             except ConlluError as exc:
                 raise CorpusError(f"{conllu_path.name}: {exc}") from exc
-        else:
+        elif parses:
             log.warning("%s: no .conllu file; dependency-based extraction "
                         "unavailable for this document", stem)
         yield doc, trees

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .corpus import Document, EntitySpan, EntityType
 from .deptree import DepTree, PathPattern
@@ -30,6 +28,9 @@ from .relations import (
     gold_pairs,
     type_map,
 )
+
+if TYPE_CHECKING:  # numpy loads at the first call that needs it
+    import numpy as np
 
 MAX_PERSONS = 7  # candidate slots per sentence
 TYPE_ORDER = (EntityType.ORGANIZATION, EntityType.RANK, EntityType.TITLE_ROLE)
@@ -103,6 +104,7 @@ def featurize(
     Persons beyond the first ``k`` are dropped (flagged via ``truncated``);
     Persons or targets without aligned tree tokens leave zero slots.
     """
+    import numpy as np
     if ctx.tree is None:
         raise MissingParseError("sentence has no dependency tree")
     slots = np.zeros((k, vocab.size + 1))
@@ -183,6 +185,7 @@ def init_model(
     seed: int = 13,
     length_scale: float = 0.1,
 ) -> RelNetModel:
+    import numpy as np
     if mode not in {net.mode for net in NETWORKS.values()}:
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -204,6 +207,7 @@ def init_model(
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    import numpy as np
     shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
@@ -219,6 +223,7 @@ def _scaled(model: RelNetModel, X: np.ndarray) -> np.ndarray:
 def predict_proba(model: RelNetModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Probability rows for stacked features; row i equals ``forward`` on
     target i alone, bit for bit."""
+    import numpy as np
     if X.shape[1:] != (model.k, model.vocab_size + 1):
         raise ValueError(
             f"feature shape {X.shape[1:]} does not match model "
@@ -240,6 +245,7 @@ def _layout(models: list[RelNetModel]) -> list[np.ndarray]:
     """The parameters of networks stepped together, in their flat order:
     W1, b1, W2, b2 and b3 stacked over the networks, b3 padded to the widest
     by -inf (so padded logits are -inf), then each network's own W3."""
+    import numpy as np
     b3 = np.full((len(models), max(m.out_dim for m in models)), -np.inf)
     for row, model in zip(b3, models):
         row[:model.out_dim] = model.b3
@@ -249,6 +255,7 @@ def _layout(models: list[RelNetModel]) -> list[np.ndarray]:
 
 def _pieces(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Consecutive pieces of a flat buffer shaped like ``arrays``."""
+    import numpy as np
     ends = np.cumsum([a.size for a in arrays]).tolist()
     return [buffer[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
@@ -265,6 +272,7 @@ def _joint_step(params: list[np.ndarray], grads: list[np.ndarray], Xs: np.ndarra
     targets, 0 for all-zero rows, which therefore add neither loss nor
     gradient.
     """
+    import numpy as np
     W1, b1, W2, b2, b3, *W3s = params
     gW1, gb1, gW2, gb2, gb3, *gW3s = grads
     b = len(Xs)
@@ -302,6 +310,7 @@ def _losses(P: np.ndarray, Y: np.ndarray, widths: list[int], b: int) -> np.ndarr
     the contiguous (batches, b * width) products: the pairwise sum that
     batch alone gets.  A short last batch is summed on its own, since
     padding it would regroup the sum."""
+    import numpy as np
     logP = np.log(np.maximum(P, 1e-12))
     rows = P.shape[1]
     sizes = np.minimum(b, rows - np.arange(0, rows, b))  # each batch's rows
@@ -322,6 +331,7 @@ def loss_and_gradients(
     All-zero target rows (the >K-Persons rule) contribute neither loss nor
     gradient.  Runs the step ``train`` runs, with this network alone.
     """
+    import numpy as np
     params = _layout([model])
     grads = [np.empty(a.shape) for a in params]
     P = _joint_step(params, grads, _scaled(model, X), T, Y[None],
@@ -366,6 +376,7 @@ def train(
     is not finite raises ``FloatingPointError`` at the end of the epoch in
     which it first appears, before that epoch joins the loss curve.
     """
+    import numpy as np
     if not models or len(models) != len(Ys):
         raise ValueError("train needs one target array per network")
     if len({(m.k, m.hidden, m.vocab_size, m.length_scale) for m in models}) > 1:
@@ -425,6 +436,7 @@ def _stack(pairs: list[tuple[SentenceContext, EntitySpan]], vocab: PatternVocab,
     """The network inputs ``X`` and ``T`` of (context, target) pairs whose
     sentences have trees, one ``featurize`` call per pair (shaped so for
     no pairs too)."""
+    import numpy as np
     feats = [featurize(ctx, target, vocab, k) for ctx, target in pairs]
     return (np.array([f.slots for f in feats]).reshape(-1, k, vocab.size + 1),
             np.array([f.type_onehot for f in feats]).reshape(-1, 3))
@@ -444,6 +456,7 @@ def build_dataset(
     constrained mode the three classes are left flank / right flank /
     some other Person.
     """
+    import numpy as np
     pairs = [pair for pair in pairs if pair[0].tree is not None]
     X, T = _stack([(ctx, target) for ctx, target, _ in pairs], vocab, k)
     Ys = []
@@ -507,6 +520,7 @@ def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:
     """The magic line, then a record per line in the order ``load_relnet``
     reads them: the header, the ``hyper`` and then the ``pattern`` records
     (each sorted), ``unknown``, ``min_count``, and the arrays W1 b1 W2 b2 W3 b3."""
+    import numpy as np
     lines = [MODEL_MAGIC, f"mode {model.mode}", f"k {model.k}",
              f"hidden {model.hidden}", f"vocab_size {model.vocab_size}",
              f"length_scale {model.length_scale!r}"]
@@ -546,6 +560,7 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     ``length_scale`` that is not greater than 0 or a ``hyper directed``
     other than 0 or 1 raises ``ModelFileError`` naming the file and line;
     a file that ends early names the file alone."""
+    import numpy as np
     lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
     number = 1  # the line last read
     used: set[int] = set()  # the pattern indices read so far

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import Document, EntitySpan, EntityType
 from .errors import ModelFileError, read_model_lines, read_utf8, read_weight
 from .tokens import TAGSET, Token, iob_to_spans, sentences, spans_to_iob, tokenize, valid_transition
+
+if TYPE_CHECKING:  # numpy loads at the first call that needs it
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +102,7 @@ def _token_slots(sents: list[list[Token]], gazetteers: Gazetteers, get, none) ->
     feature ``f`` is stored as ``get(f, none)``, got once per distinct
     word; a slot with no feature holds ``none``.
     """
+    import numpy as np
     lexicon = [none, none] if gazetteers.first_words else []
     texts = [tok.text for tokens in sents for tok in tokens]
     number: dict[str, int] = {}  # each distinct word's place in table
@@ -166,9 +169,10 @@ _COLUMN = {tag: t for t, tag in enumerate(TAGSET)}
 _ROW = {**_COLUMN, START: len(TAGSET)}
 # -inf where valid_transition forbids the move from the row's tag (START
 # acts as O) to the column's tag, else 0.0; the decoder adds it to the
-# transition weights, so a forbidden move is never taken
-_BARRED = np.array([[0.0 if valid_transition(prev, tag) else NEG_INF for tag in TAGSET]
-                    for prev in (*TAGSET, "O")])
+# transition weights, so a forbidden move is never taken.  Rows of floats,
+# so that importing this module builds no array
+_BARRED = tuple(tuple(0.0 if valid_transition(prev, tag) else NEG_INF for tag in TAGSET)
+                for prev in (*TAGSET, "O"))
 
 
 def _column(tag: str) -> int:
@@ -182,10 +186,10 @@ def _move(prev: str, tag: str) -> tuple[int, int]:
     """The ``transitions`` cell of a move the decoder can take."""
     if prev not in _ROW:
         raise ValueError(f"unknown tag {prev!r}")
-    cell = _ROW[prev], _column(tag)
-    if _BARRED[cell] < 0:
+    row, col = _ROW[prev], _column(tag)
+    if _BARRED[row][col] < 0:
         raise ValueError(f"forbidden move {prev} -> {tag}")
-    return cell
+    return row, col
 
 
 class TaggerModel:
@@ -207,13 +211,14 @@ class TaggerModel:
         """A model from ``(feature, tag)`` and ``(previous tag, tag)``
         weights; ``features`` get rows ahead of the weighted features.  A
         tag outside ``TAGSET`` or a forbidden move raises ``ValueError``."""
+        import numpy as np
         feature_weights = feature_weights or {}
         self.row = {f: r for r, f in enumerate(
             dict.fromkeys(chain(features, (f for f, _ in feature_weights))))}
         self.weights = np.zeros((len(self.row) + 1, len(TAGSET)))
         for (f, tag), w in feature_weights.items():
             self.weights[self.row[f], _column(tag)] = w
-        self.transitions = np.zeros(_BARRED.shape)
+        self.transitions = np.zeros((len(_BARRED), len(TAGSET)))
         for (prev, tag), w in (transition_weights or {}).items():
             self.transitions[_move(prev, tag)] = w
         self.gazetteers = gazetteers or Gazetteers()
@@ -231,10 +236,12 @@ class TaggerModel:
         return _stored(self.transitions, list(_ROW))
 
     def param_count(self) -> int:
+        import numpy as np
         return int(np.count_nonzero(self.weights) + np.count_nonzero(self.transitions))
 
     def emissions(self, ids: np.ndarray) -> np.ndarray:
         """Per token and tag, the feature weights added from 0.0 in order."""
+        import numpy as np
         total = np.zeros((len(ids), len(TAGSET)))
         for column in ids.T:
             total += self.weights[column]
@@ -244,6 +251,7 @@ class TaggerModel:
 def _stored(matrix: np.ndarray, names: list[str]) -> dict[tuple[str, str], float]:
     """The non-zero cells of a weight matrix by the name of their row and
     their tag, as Python floats."""
+    import numpy as np
     rows, tags = np.nonzero(matrix)
     return {(names[r], TAGSET[t]): w for r, t, w in
             zip(rows.tolist(), tags.tolist(), matrix[rows, tags].tolist())}
@@ -263,6 +271,7 @@ def _decode(model: TaggerModel, ids: np.ndarray, lengths: list[int]) -> list[lis
     sentence sees the same float64 additions as when it is decoded alone,
     so batching does not change a tag.
     """
+    import numpy as np
     lengths = np.array(lengths, dtype=int)
     n, width, m = len(lengths), int(lengths.max(initial=0)), len(TAGSET)
     if width == 0:
@@ -372,6 +381,7 @@ def train_tagger(
     batch gets the tags it gets alone (``_decode``), and the weights change
     only at an update.
     """
+    import numpy as np
     if not corpus:
         raise ValueError("empty training corpus")
     if epochs < 1:

@@ -618,6 +618,24 @@ class TestEvaluate:
         assert sorted(metrics) == ["config_hash", "rows", "seed"]
         assert metrics["seed"] == 13
 
+    def test_ner_eval_reads_no_parse(self, models_dir, tmp_path, capsys, caplog):
+        # NER scoring reads no tree: a malformed .conllu and a missing one
+        # change no row and warn of nothing
+        corpus = tmp_path / "corpus"
+        shutil.copytree(CORPUS_DIR, corpus)
+        (corpus / f"{DOC_VANGUARD}.conllu").write_text("1\tnot a token row\n",
+                                                       encoding="utf-8")
+        (corpus / f"{DOC_ADEOSUN}.conllu").unlink()
+        printed, rows = [], []
+        for source, out in ((CORPUS_DIR, tmp_path / "clean"), (corpus, tmp_path / "broken")):
+            assert run("evaluate", "--corpus", source, "--out", out, "--ner-eval",
+                       "--tagger-model", models_dir) == 0
+            printed.append(capsys.readouterr().out)
+            metrics = json.loads((out / "ner_metrics.json").read_text(encoding="utf-8"))
+            rows.append(metrics["rows"])
+        assert printed[0] == printed[1] and rows[0] == rows[1]
+        assert "no .conllu" not in caplog.text
+
     def test_ner_eval_scores_the_trained_tagger_on_its_held_out_documents(self, tmp_path,
                                                                           capsys):
         # the rows evaluate --ner-eval --split 0.6 --seed 3 gave when it fitted
@@ -1528,7 +1546,8 @@ if loaded:
 """ % (_HEAVY_MODULES,)
 
 # the library leaves the collector alone; the CLI module freezes what its
-# imports made (numpy's objects among them), and a command still runs after
+# imports made (numpy is not among them: it loads at a model's first use),
+# and a command still runs after
 _FREEZE_SCRIPT = """
 import gc, sys
 import unitgraph
@@ -1537,6 +1556,28 @@ import unitgraph.cli
 assert gc.get_freeze_count() > 10_000, gc.get_freeze_count()
 corpus, out = sys.argv[1:]
 sys.exit(unitgraph.cli.main(["extract", "--corpus", corpus, "--out", out]))
+"""
+
+# commands that run no model load no numpy; a command that runs the tagger
+# loads it at its first use
+_NUMPY_SCRIPT = """
+import sys
+from unitgraph.cli import main
+corpus, models, out = sys.argv[1:]
+for argv in (
+    *(["extract", "--corpus", corpus, "--out", f"{out}/{strategy}", "--strategy", strategy]
+      for strategy in ("nearest-person", "sdp-free", "sdp-constrained")),
+    ["evaluate", "--corpus", corpus, "--out", out + "/evaluate",
+     "--strategy", "sdp-constrained"],
+    ["evaluate", "--metric-check"],
+    ["inspect", "--corpus", corpus, "--paths"],
+):
+    if main(argv) != 0 or "numpy" in sys.modules:
+        sys.exit(f"failed, or loaded numpy: {argv}")
+argv = ["extract", "--corpus", corpus, "--out", out + "/model", "--ner-mode", "model",
+        "--tagger-model", models]
+if main(argv) != 0 or "numpy" not in sys.modules:
+    sys.exit(f"failed, or loaded no numpy: {argv}")
 """
 
 # the CLI's config hashes with the built-in hash modules blocked, so that
@@ -1591,6 +1632,25 @@ class TestFootprint:
                        learning_rate=1e-300, split=0.1 + 0.2))
     def test_hash_is_sha256_of_the_sorted_config(self, cfg):
         assert cfg.hash() == _config_hash(asdict(cfg))
+
+    def test_numpy_loads_at_a_models_first_use(self, models_dir, tmp_path):
+        proc = self._python(_NUMPY_SCRIPT, CORPUS_DIR, models_dir, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_a_command_run_as_a_module_loads_no_numpy(self):
+        src = Path(unitgraph.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "unitgraph.cli", "inspect",
+             "--corpus", str(CORPUS_DIR), "--paths"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # -X importtime writes a line per module imported, its full name last
+        imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "unitgraph.tagger" in imported and "unitgraph.relnet" in imported
+        assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
     def test_only_the_cli_module_freezes_the_collector(self, tmp_path):
         proc = self._python(_FREEZE_SCRIPT, CORPUS_DIR, tmp_path / "out")
