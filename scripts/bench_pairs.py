@@ -4,9 +4,10 @@ pairs, and write both sides' runs and their summary to one JSON file.
 Usage (from anywhere; standard library and git only):
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
-        [--pairs 3] [--seed N] [--seconds 30] [--workload NAME ...]
+        [--pairs 10] [--seed N]
 
-Each run is ``perfbench/run.py --workload NAME --seed N --seconds S --trace 0``
+Each run is ``perfbench/run.py --workload NAME --seed N --seconds S --trace 0``,
+for every workload of ``BENCHMARK.json`` and its ``run_seconds`` as ``S``,
 in its own checkout: this one, and a copy of REV exported with ``git
 archive`` into a temporary directory, which is removed at the end (an
 export leaves nothing in the repository's ``.git``, even when the script is
@@ -120,19 +121,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the commit to compare with")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
-    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=spec.get("run_seconds", 30))
-    parser.add_argument("--workload", action="append", choices=workloads,
-                        help="a workload to run (repeatable; default all)")
     args = parser.parse_args(argv)
+    seconds = spec["run_seconds"]
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_rev = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     change = {"git_rev": _git("rev-parse", "HEAD"),
               "uncommitted": bool(_git("status", "--porcelain", "--untracked-files=no"))}
-    runs: dict[str, list[dict]] = {name: [] for name in args.workload or workloads}
+    runs: dict[str, list[dict]] = {name: [] for name in workloads}
     parent_dir = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         _export(parent_rev, parent_dir)
@@ -144,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for name in runs:
                 for side in sides:
-                    run = _run(checkouts[side], name, args.seed, args.seconds)
+                    run = _run(checkouts[side], name, args.seed, seconds)
                     runs[name].append({"side": side, "pair": pair, **run})
                     metrics = run["result"]["metrics"]
                     print(f"pair {pair} {name} {side}: " + ", ".join(
@@ -156,10 +155,10 @@ def main(argv: list[str] | None = None) -> int:
         "parent": parent_rev,
         "change": change,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
         "command": ["perfbench/run.py", "--seed", str(args.seed), "--seconds",
-                    str(args.seconds), "--trace", "0"],
+                    str(seconds), "--trace", "0"],
         "workloads": {name: {"summary": summarize(found, better), "runs": found}
                       for name, found in runs.items()},
     }

@@ -346,14 +346,15 @@ def iter_corpus(corpus_dir: str | Path, gold: bool = True,
             raise CorpusError(f"{ann_path.name}: {exc}") from exc
         conllu_path = txt_path.with_suffix(".conllu")
         trees: list[DepTree] = []
-        if parses and conllu_path.exists():
-            try:
-                trees = parse_conllu(_read(conllu_path, "parses"))
-            except ConlluError as exc:
-                raise CorpusError(f"{conllu_path.name}: {exc}") from exc
-        elif parses:
-            log.warning("%s: no .conllu file; dependency-based extraction "
-                        "unavailable for this document", stem)
+        if parses:
+            if conllu_path.exists():
+                try:
+                    trees = parse_conllu(_read(conllu_path, "parses"))
+                except ConlluError as exc:
+                    raise CorpusError(f"{conllu_path.name}: {exc}") from exc
+            else:
+                log.warning("%s: no .conllu file; dependency-based extraction "
+                            "unavailable for this document", stem)
         yield doc, trees
 
 
