@@ -19,8 +19,13 @@ falls on both sides.
 
 The file records each run's provenance and result lines as ``run.py``
 prints them and, per workload and end-to-end metric, each side's median
-and quartiles and the pairs each side won ("better" as ``BENCHMARK.json``
-declares it; a tie counts for neither).
+and quartiles, the pairs each side won ("better" as ``BENCHMARK.json``
+declares it; a tie counts for neither) and two verdicts:
+
+- ``gain_shown``: the change won at least 9 in 10 of the pairs, and its
+  median is better than the parent's by more than the parent's q3 - q1;
+- ``worse_than_bound``: the change's median is worse than the parent's by
+  more than the metric's relative ``bound`` in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -87,15 +92,18 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric, each side's spread and the pairs each side won.
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric, each side's spread, the pairs each side won
+    and the two verdicts (see the module docstring).
 
     ``runs`` holds one workload's runs, each with its ``side`` ("parent" or
-    "change") and ``pair``; ``better`` maps a metric to "higher" or "lower".
-    A metric a run did not emit is left out of that run's pair.
+    "change") and ``pair``; ``end_to_end`` is ``BENCHMARK.json``'s list of
+    metrics, each with its ``name``, ``better`` ("higher" or "lower") and
+    ``bound``.  A metric a run did not emit is left out of that run's pair.
     """
     summary = {}
-    for metric, direction in better.items():
+    for spec in end_to_end:
+        metric = spec["name"]
         by_pair: dict[int, dict[str, float]] = {}
         for run in runs:
             value = run["result"]["metrics"].get(metric, {}).get("value")
@@ -104,13 +112,21 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         pairs = [sides for _, sides in sorted(by_pair.items()) if len(sides) == 2]
         if not pairs:
             continue
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if spec["better"] == "higher" else -1
+        parent = _spread([p["parent"] for p in pairs])
+        change = _spread([p["change"] for p in pairs])
+        change_won = sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs)
+        gap = sign * (change["median"] - parent["median"])  # > 0: the change is better
         summary[metric] = {
-            "parent": _spread([p["parent"] for p in pairs]),
-            "change": _spread([p["change"] for p in pairs]),
+            "parent": parent,
+            "change": change,
             "pairs": len(pairs),
-            "change_won": sum(sign * (p["change"] - p["parent"]) > 0 for p in pairs),
+            "change_won": change_won,
             "parent_won": sum(sign * (p["parent"] - p["change"]) > 0 for p in pairs),
+            "median_gap": gap,
+            "gain_shown": (10 * change_won >= 9 * len(pairs)
+                           and gap > parent["q3"] - parent["q1"]),
+            "worse_than_bound": -gap > spec["bound"] * abs(parent["median"]),
         }
     return summary
 
@@ -127,7 +143,6 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_rev = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     change = {"git_rev": _git("rev-parse", "HEAD"),
               "uncommitted": bool(_git("status", "--porcelain", "--untracked-files=no"))}
@@ -159,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "command": ["perfbench/run.py", "--seed", str(args.seed), "--seconds",
                     str(seconds), "--trace", "0"],
-        "workloads": {name: {"summary": summarize(found, better), "runs": found}
+        "workloads": {name: {"summary": summarize(found, spec["end_to_end"]),
+                             "runs": found}
                       for name, found in runs.items()},
     }
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
@@ -170,7 +186,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"(q1 {row['parent']['q1']:.4g}, q3 {row['parent']['q3']:.4g}), "
                   f"change {row['change']['median']:.4g} "
                   f"(q1 {row['change']['q1']:.4g}, q3 {row['change']['q3']:.4g}), "
-                  f"change won {row['change_won']}/{row['pairs']}")
+                  f"change won {row['change_won']}/{row['pairs']}, "
+                  f"gain shown {'yes' if row['gain_shown'] else 'no'}, "
+                  f"worse than bound {'yes' if row['worse_than_bound'] else 'no'}")
     return 0
 
 

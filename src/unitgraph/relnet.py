@@ -1,17 +1,26 @@
 """Feedforward relation classifier over dependency-path patterns.
 
-For each non-Person entity the input concatenates, per candidate Person,
-a one-hot of the dependency path pattern plus the raw path length, and a
-small one-hot for the entity's type.  The first-layer weights for the
+For each non-Person entity the input holds, per candidate Person, the
+dependency path's pattern (a one-hot row) and its length, and a small
+one-hot for the entity's type.  The first-layer weights for the
 per-Person blocks are shared; a dense layer plus softmax then either
 picks one of the K candidate slots ("select_k") or one of
 left-flank/right-flank/other ("constrained3").  The classifier may
 abstain: a prediction that names no actual Person yields no relation.
+
+Inference runs on plain Python floats, so ``extract`` and ``evaluate``
+never load numpy for it: a model's weights are immutable float rows,
+``featurize`` gives each slot's (pattern row, path length), and
+``forward`` scores one pair, keeping each slot's share of the logits on
+the model.  Training alone uses numpy: ``build_dataset`` expands the
+features into dense arrays and ``train`` hands its weights back as rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -84,12 +93,13 @@ def build_vocab(
 class RelCandidateFeatures(NamedTuple):
     """Network input for one (target entity, sentence) pair.
 
-    ``slots[i]`` is the i-th Person's one-hot pattern block with the raw
-    path length appended; absent Persons leave all-zero slots.
+    ``slots[i]`` is the i-th Person's (pattern row, path length), or None
+    for an absent Person or one with no path; ``type_index`` is the
+    target's type's place in ``TYPE_ORDER``.
     """
 
-    slots: np.ndarray  # (K, vocab_size + 1)
-    type_onehot: np.ndarray  # (3,)
+    slots: tuple[tuple[int, int] | None, ...]  # k entries
+    type_index: int
     truncated: bool = False
 
 
@@ -102,69 +112,73 @@ def featurize(
     """Per-Person path features for a target entity, in sentence order.
 
     Persons beyond the first ``k`` are dropped (flagged via ``truncated``);
-    Persons or targets without aligned tree tokens leave zero slots.
+    Persons or targets without aligned tree tokens leave empty slots.
     """
-    import numpy as np
     if ctx.tree is None:
         raise MissingParseError("sentence has no dependency tree")
-    slots = np.zeros((k, vocab.size + 1))
-    truncated = len(ctx.persons) > k
+    slots: list[tuple[int, int] | None] = [None] * k
     for i, person in enumerate(ctx.persons[:k]):
         path = ctx.path(target, person)
-        if path is None:
-            continue
-        slots[i, vocab.lookup(path.key(vocab.directed))] = 1.0
-        slots[i, -1] = float(path.length)
-    type_onehot = np.zeros(3)
-    type_onehot[TYPE_ORDER.index(target.etype)] = 1.0
-    return RelCandidateFeatures(slots, type_onehot, truncated)
+        if path is not None:
+            slots[i] = (vocab.lookup(path.key(vocab.directed)), path.length)
+    return RelCandidateFeatures(tuple(slots), TYPE_ORDER.index(target.etype),
+                                len(ctx.persons) > k)
+
+
+Rows = tuple[tuple[float, ...], ...]
 
 
 @dataclass
 class RelNetModel:
-    """Weights for the two-layer network; W1 is shared across slots."""
+    """Weights for the two-layer network, as float rows; W1 is shared
+    across slots.  A model's memo of logit shares (``forward``) holds for
+    the weights it has: give a model other weights with
+    ``dataclasses.replace``, which starts an empty memo."""
 
     mode: str  # "select_k" or "constrained3"
     k: int
     hidden: int
     vocab_size: int
-    W1: np.ndarray  # (vocab_size + 1, hidden)
-    b1: np.ndarray  # (hidden,)
-    W2: np.ndarray  # (3, hidden)
-    b2: np.ndarray  # (hidden,)
-    W3: np.ndarray  # (k * hidden + hidden, out_dim)
-    b3: np.ndarray  # (out_dim,)
+    W1: Rows  # vocab_size + 1 rows of hidden
+    b1: tuple[float, ...]  # hidden
+    W2: Rows  # 3 rows of hidden
+    b2: tuple[float, ...]  # hidden
+    W3: Rows  # k * hidden + hidden rows of out_dim
+    b3: tuple[float, ...]  # out_dim
     length_scale: float = 0.1
     hyper: dict = field(default_factory=dict)
     loss_curve: list[float] = field(default_factory=list)
+    # each block's share of the logits, by (block, its input): see ``_share``
+    shares: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def out_dim(self) -> int:
         return output_width(self.mode, self.k)
 
     def param_count(self) -> int:
-        return sum(
-            a.size for a in (self.W1, self.b1, self.W2, self.b2, self.W3, self.b3)
-        )
+        # W1, b1, W2 and b2 have (vocab_size + 6) rows of hidden; W3 and b3
+        # have (k + 1) * hidden + 1 rows of out_dim
+        return ((self.vocab_size + 6) * self.hidden
+                + ((self.k + 1) * self.hidden + 1) * self.out_dim)
 
-    def params(self) -> dict[str, np.ndarray]:
+    def params(self) -> dict[str, Rows | tuple[float, ...]]:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2,
                 "W3": self.W3, "b3": self.b3}
 
     def choose(self, pairs: list[tuple[SentenceContext, EntitySpan]],
                vocab: PatternVocab) -> list[EntitySpan | None]:
-        """Each (context, target) pair's Person, or None, from one forward pass.
+        """Each (context, target) pair's Person, or None: the first
+        maximum of ``forward`` on its ``featurize`` features.
 
         select_k: the argmax slot, abstaining when it names no actual Person.
         constrained3: left flank / right flank / best non-flank by shortest
         dependency path, abstaining when the chosen class has no Person.
         Path patterns are keyed the way ``vocab`` was built.
         """
-        if not pairs:
-            return []
-        probs = predict_proba(self, *_stack(pairs, vocab, self.k))
         out = []
-        for (ctx, target), choice in zip(pairs, probs.argmax(axis=1).tolist()):
+        for ctx, target in pairs:
+            probs = forward(self, featurize(ctx, target, vocab, self.k))
+            choice = probs.index(max(probs))  # the first maximum
             if self.mode == "select_k":
                 candidates = ctx.persons[: self.k]
                 out.append(candidates[choice] if choice < len(candidates) else None)
@@ -175,6 +189,62 @@ class RelNetModel:
                 others = [p for p in ctx.persons if p is not left and p is not right]
                 out.append(_sdp_best(ctx, target, others))
         return out
+
+
+def _share(model: RelNetModel, block: int, value) -> list[float]:
+    """One block of the hidden layer's part of the logits: block ``i < k``
+    is slot i, whose ``value`` is its (pattern row, path length) or None,
+    and block ``k`` is the type layer, whose ``value`` is the type index.
+    Each output adds its terms in hidden-unit order."""
+    if block == model.k:  # the type one-hot picks a W2 row
+        pre = [w + b for w, b in zip(model.W2[value], model.b2)]
+    elif value is None:  # an empty slot: the first layer's bias alone
+        pre = model.b1
+    else:
+        row, length = value
+        if not 0 <= row < model.vocab_size:
+            raise ValueError(f"pattern row {row} does not match the model's "
+                             f"vocab_size of {model.vocab_size}")
+        scaled = length * model.length_scale  # comparable to one-hots
+        pre = [w + scaled * v + b
+               for w, v, b in zip(model.W1[row], model.W1[-1], model.b1)]
+    out = [0.0] * model.out_dim
+    for weights, a in zip(model.W3[block * model.hidden:], pre):
+        if a > 0.0:  # the ReLU: a unit at 0 adds nothing
+            for o, w in enumerate(weights):
+                out[o] += a * w
+    return out
+
+
+def forward(model: RelNetModel, feats: RelCandidateFeatures) -> tuple[float, ...]:
+    """Probabilities over the K slots (or the 3 constrained classes) of
+    one pair, in plain floats.  Each logit adds the slots' shares in slot
+    order, then the type's share, then ``b3``; a share is computed once
+    per model and (block, value) and kept in ``model.shares``."""
+    if len(feats.slots) != model.k:
+        raise ValueError(f"{len(feats.slots)} feature slots does not match the "
+                         f"model's k of {model.k}")
+    shares = model.shares
+    z = None
+    for key in (*enumerate(feats.slots), (model.k, feats.type_index)):
+        share = shares.get(key)
+        if share is None:
+            share = shares[key] = _share(model, *key)
+        z = share if z is None else list(map(add, z, share))
+    z = list(map(add, z, model.b3))
+    top = max(z)
+    e = [math.exp(v - top) for v in z]
+    total = 0.0  # in output order; sum() compensates floats from Python 3.12
+    for v in e:
+        total += v
+    return tuple([v / total for v in e])
+
+
+def _rows(a: np.ndarray) -> Rows | tuple[float, ...]:
+    """An array's values as float rows: a tuple of row tuples for a matrix,
+    one tuple for a vector (``tolist`` keeps every bit)."""
+    values = a.tolist()
+    return tuple(map(tuple, values)) if a.ndim == 2 else tuple(values)
 
 
 def init_model(
@@ -195,12 +265,12 @@ def init_model(
         k=k,
         hidden=hidden,
         vocab_size=vocab_size,
-        W1=0.1 * rng.standard_normal((vocab_size + 1, hidden)),
-        b1=np.zeros(hidden),
-        W2=0.1 * rng.standard_normal((3, hidden)),
-        b2=np.zeros(hidden),
-        W3=0.1 * rng.standard_normal((k * hidden + hidden, width)),
-        b3=np.zeros(width),
+        W1=_rows(0.1 * rng.standard_normal((vocab_size + 1, hidden))),
+        b1=(0.0,) * hidden,
+        W2=_rows(0.1 * rng.standard_normal((3, hidden))),
+        b2=(0.0,) * hidden,
+        W3=_rows(0.1 * rng.standard_normal((k * hidden + hidden, width))),
+        b3=(0.0,) * width,
         length_scale=length_scale,
         hyper={"seed": seed},
     )
@@ -220,27 +290,6 @@ def _scaled(model: RelNetModel, X: np.ndarray) -> np.ndarray:
     return Xs
 
 
-def predict_proba(model: RelNetModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Probability rows for stacked features; row i equals ``forward`` on
-    target i alone, bit for bit."""
-    import numpy as np
-    if X.shape[1:] != (model.k, model.vocab_size + 1):
-        raise ValueError(
-            f"feature shape {X.shape[1:]} does not match model "
-            f"({model.k}, {model.vocab_size + 1})"
-        )
-    H1 = np.maximum(_scaled(model, X) @ model.W1 + model.b1, 0.0)  # (b, k, hidden)
-    H2 = np.maximum(T @ model.W2 + model.b2, 0.0)  # (b, hidden)
-    hidden = np.concatenate([H1.reshape(len(X), -1), H2], axis=1)
-    # one-row products (BLAS gemv, not gemm) give each row its bits when alone
-    return _softmax((hidden[:, None, :] @ model.W3)[:, 0] + model.b3)
-
-
-def forward(model: RelNetModel, feats: RelCandidateFeatures) -> np.ndarray:
-    """Probability vector over the K slots (or the 3 constrained classes)."""
-    return predict_proba(model, feats.slots[None, ...], feats.type_onehot[None, ...])[0]
-
-
 def _layout(models: list[RelNetModel]) -> list[np.ndarray]:
     """The parameters of networks stepped together, in their flat order:
     W1, b1, W2, b2 and b3 stacked over the networks, b3 padded to the widest
@@ -250,7 +299,8 @@ def _layout(models: list[RelNetModel]) -> list[np.ndarray]:
     for row, model in zip(b3, models):
         row[:model.out_dim] = model.b3
     return [*(np.stack([getattr(m, name) for m in models])
-              for name in ("W1", "b1", "W2", "b2")), b3, *(m.W3 for m in models)]
+              for name in ("W1", "b1", "W2", "b2")), b3,
+            *(np.array(m.W3) for m in models)]
 
 
 def _pieces(buffer: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -361,8 +411,8 @@ def train(
     the first and type layers, the softmax (outputs padded to the widest
     network by -inf logits and zero targets), ``dZ``, the ReLU masks, the
     bias and W2 gradients, and the update of one flat buffer holding every
-    parameter (``model.W1``...``b3`` become views into it, without the
-    padding).  ``hidden @ W3``, ``hidden.T @ dZ``, ``dZ @ W3.T`` and the W1
+    parameter (each network's weights are read back from it, without the
+    padding, as float rows at the end).  ``hidden @ W3``, ``hidden.T @ dZ``, ``dZ @ W3.T`` and the W1
     gradient ``einsum`` run per network, in the 2-D shapes a network alone
     has: a padded W3 or a batched product sums in another order.  So each
     network gets the bits it gets trained alone, which are those of
@@ -400,8 +450,6 @@ def train(
     padded = np.zeros((len(models), len(X), arrays[4].shape[1]))
     for i, (model, Y) in enumerate(zip(models, Ys)):
         padded[i, :, :model.out_dim] = Y
-        model.W1, model.b1, model.W2, model.b2 = (p[i] for p in params[:4])
-        model.b3, model.W3 = params[4][i, :model.out_dim], params[5 + i]
         model.loss_curve = []
     Xs, mass = _scaled(models[0], X), padded.sum(axis=2, keepdims=True)
     P = np.empty(padded.shape)  # an epoch's probabilities, batch after batch
@@ -423,23 +471,15 @@ def train(
                 for loss in batch_losses:
                     total += loss
                 model.loss_curve.append(total / len(batch_losses))
-    for model in models:
+    for i, model in enumerate(models):
+        model.W1, model.b1, model.W2, model.b2 = (_rows(p[i]) for p in params[:4])
+        model.b3, model.W3 = _rows(params[4][i, :model.out_dim]), _rows(params[5 + i])
+        model.shares.clear()  # kept for the weights it had
         model.hyper.update(
             {"epochs": epochs, "learning_rate": learning_rate, "seed": seed,
              "batch_size": batch_size}
         )
     return models
-
-
-def _stack(pairs: list[tuple[SentenceContext, EntitySpan]], vocab: PatternVocab,
-           k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The network inputs ``X`` and ``T`` of (context, target) pairs whose
-    sentences have trees, one ``featurize`` call per pair (shaped so for
-    no pairs too)."""
-    import numpy as np
-    feats = [featurize(ctx, target, vocab, k) for ctx, target in pairs]
-    return (np.array([f.slots for f in feats]).reshape(-1, k, vocab.size + 1),
-            np.array([f.type_onehot for f in feats]).reshape(-1, 3))
 
 
 def build_dataset(
@@ -449,16 +489,26 @@ def build_dataset(
     k: int = MAX_PERSONS,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Training arrays from (context, target, gold Person) triples: the
-    inputs ``X`` and ``T``, each pair featurized once, and one target array
-    per mode.  Pairs whose sentence has no tree are left out.
+    dense inputs ``X`` and ``T``, each pair featurized once, and one target
+    array per mode.  Pairs whose sentence has no tree are left out.
 
-    Gold Persons outside the first ``k`` slots give all-zero targets; in
+    ``X[i, j]`` is slot j's pattern one-hot with the path length appended
+    (all zero for an empty slot), and ``T[i]`` the type one-hot.  Gold
+    Persons outside the first ``k`` slots give all-zero targets; in
     constrained mode the three classes are left flank / right flank /
     some other Person.
     """
     import numpy as np
     pairs = [pair for pair in pairs if pair[0].tree is not None]
-    X, T = _stack([(ctx, target) for ctx, target, _ in pairs], vocab, k)
+    X = np.zeros((len(pairs), k, vocab.size + 1))
+    T = np.zeros((len(pairs), 3))
+    for x, t, (ctx, target, _) in zip(X, T, pairs):
+        feats = featurize(ctx, target, vocab, k)
+        for slot, value in zip(x, feats.slots):
+            if value is not None:
+                row, length = value
+                slot[row], slot[-1] = 1.0, length
+        t[feats.type_index] = 1.0
     Ys = []
     for mode in modes:
         Y = np.zeros((len(pairs), output_width(mode, k)))
@@ -519,8 +569,8 @@ def predict_person(
 def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:
     """The magic line, then a record per line in the order ``load_relnet``
     reads them: the header, the ``hyper`` and then the ``pattern`` records
-    (each sorted), ``unknown``, ``min_count``, and the arrays W1 b1 W2 b2 W3 b3."""
-    import numpy as np
+    (each sorted), ``unknown``, ``min_count``, and the arrays W1 b1 W2 b2 W3 b3,
+    a vector as one row."""
     lines = [MODEL_MAGIC, f"mode {model.mode}", f"k {model.k}",
              f"hidden {model.hidden}", f"vocab_size {model.vocab_size}",
              f"length_scale {model.length_scale!r}"]
@@ -533,8 +583,8 @@ def save_relnet(path, model: RelNetModel, vocab: PatternVocab) -> None:
     lines.append(f"unknown {vocab.unknown_index}")
     lines.append(f"min_count {vocab.min_count}")
     for name, arr in model.params().items():
-        mat = np.atleast_2d(arr)
-        lines.append(f"array {name} {mat.shape[0]} {mat.shape[1]}")
+        mat = arr if name[0] == "W" else [arr]
+        lines.append(f"array {name} {len(mat)} {len(mat[0])}")
         for row in mat:
             lines.append(" ".join(repr(float(v)) for v in row))
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -559,8 +609,8 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
     ``0..vocab_size - 1`` or used twice, a weight that is not finite, a
     ``length_scale`` that is not greater than 0 or a ``hyper directed``
     other than 0 or 1 raises ``ModelFileError`` naming the file and line;
-    a file that ends early names the file alone."""
-    import numpy as np
+    a file that ends early names the file alone.  The weights stay the
+    float rows the file holds."""
     lines = read_model_lines(path, MODEL_MAGIC, "relation-network model")
     number = 1  # the line last read
     used: set[int] = set()  # the pattern indices read so far
@@ -634,11 +684,11 @@ def load_relnet(path) -> tuple[RelNetModel, PatternVocab]:
                 raise EOFError(f"the file ends at line {len(lines)}, inside array {name}")
             mat = []
             for number in range(number + 1, number + rows + 1):
-                row = [read_weight(v) for v in lines[number - 1].split()]
+                row = tuple(read_weight(v) for v in lines[number - 1].split())
                 if len(row) != cols:
                     raise ValueError(f"array {name} row has {len(row)} values, not {cols}")
                 mat.append(row)
-            arrays[name] = np.array(mat[0] if name[0] == "b" else mat)  # b: a vector
+            arrays[name] = mat[0] if name[0] == "b" else tuple(mat)  # b: a vector
     except EOFError as exc:
         raise ModelFileError(path, str(exc)) from None
     except ValueError as exc:

@@ -42,7 +42,8 @@ from conftest import (
     EXAMPLE_TEXT,
 )
 from test_deptree import bfs_distance, random_tree, tokens
-from test_relnet import max_gradient_error, randomized_model_and_batch, rigged_model
+from test_relnet import (max_gradient_error, randomized_model_and_batch, rigged_model,
+                         zeroed)
 from test_tokens import random_layout
 
 
@@ -239,13 +240,11 @@ def test_criterion_7_mechanism_fixtures(corpus_by_id):
     # a configured network keys on the path pattern and picks the right one
     vocab = build_vocab(collect_patterns([[ctx]]), min_count=1)
     model = init_model("select_k", vocab.size, hidden=1, seed=0)
-    for arr in model.params().values():
-        arr[:] = 0.0
     atewe_toks = ctx.tree_tokens(gold_person)
     pattern_key = span_path(ctx.tree, ctx.tree_tokens(chief), atewe_toks).key()
-    model.W1[vocab.lookup(pattern_key), 0] = 5.0
-    for slot in range(model.k):
-        model.W3[slot * model.hidden, slot] = 1.0
+    model = zeroed(model, {("W1", (vocab.lookup(pattern_key), 0)): 5.0,
+                           **{("W3", (slot * model.hidden, slot)): 1.0
+                              for slot in range(model.k)}})
     att = predict_person(model, ctx, chief, vocab)
     assert att.person == gold_person
 

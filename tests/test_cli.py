@@ -9,7 +9,7 @@ import tempfile
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -405,9 +405,9 @@ class TestTrain:
             assert not any("↑" in key or "↓" in key for key in vocab.index)
             # directed keys would miss this vocabulary: only the unknown bit
             known = {
-                int(i)
+                value[0]
                 for target in ctx.targets
-                for i in featurize(ctx, target, vocab).slots[:, :-1].nonzero()[1]
+                for value in featurize(ctx, target, vocab).slots if value is not None
             }
             assert known - {vocab.unknown_index}
 
@@ -449,7 +449,8 @@ class TestTrain:
         def overflowing_select(mode, *args, **kwargs):
             model = init_model(mode, *args, **kwargs)
             if mode == "select_k":
-                model.W3 *= 1e308
+                model = replace(model, W3=tuple(tuple(w * 1e308 for w in row)
+                                                for row in model.W3))
             return model
 
         monkeypatch.setattr(unitgraph.relnet, "init_model", overflowing_select)
@@ -887,7 +888,8 @@ def read_keys_paths(tmp_path_factory):
     paths["relnets2"].mkdir()
     for path in paths["relnets"].glob("*.model"):
         model, vocab = load_relnet(path)
-        model.W3, model.b3 = -model.W3, -model.b3
+        model = replace(model, W3=tuple(tuple(-w for w in row) for row in model.W3),
+                        b3=tuple(-b for b in model.b3))
         save_relnet(paths["relnets2"] / path.name, model, vocab)
     return {name: str(path) for name, path in paths.items()}
 
@@ -1558,8 +1560,9 @@ corpus, out = sys.argv[1:]
 sys.exit(unitgraph.cli.main(["extract", "--corpus", corpus, "--out", out]))
 """
 
-# commands that run no model load no numpy; a command that runs the tagger
-# loads it at its first use
+# commands that run no model, or only the relation networks (whose
+# inference is plain Python), load no numpy; a command that runs the
+# tagger loads it at its first use
 _NUMPY_SCRIPT = """
 import sys
 from unitgraph.cli import main
@@ -1567,8 +1570,13 @@ corpus, models, out = sys.argv[1:]
 for argv in (
     *(["extract", "--corpus", corpus, "--out", f"{out}/{strategy}", "--strategy", strategy]
       for strategy in ("nearest-person", "sdp-free", "sdp-constrained")),
+    *(["extract", "--corpus", corpus, "--out", f"{out}/{strategy}", "--strategy", strategy,
+       "--relnet-model", models] for strategy in ("nn-free", "nn-constrained")),
     ["evaluate", "--corpus", corpus, "--out", out + "/evaluate",
      "--strategy", "sdp-constrained"],
+    *(["evaluate", "--corpus", corpus, "--out", f"{out}/evaluate-{strategy}",
+       "--strategy", strategy, "--relnet-model", models]
+      for strategy in ("all", "nn-free", "nn-constrained")),
     ["evaluate", "--metric-check"],
     ["inspect", "--corpus", corpus, "--paths"],
 ):
