@@ -725,8 +725,8 @@ def entry() -> None:
 
 # what the imports made lives until exit: keep it out of every collection
 # (the library itself leaves the collector alone).  numpy loads later, when
-# the tagger first runs or a model trains, so freeze again at exit: the
-# interpreter's last pass then skips numpy's objects too
+# a relation network trains, so freeze again at exit: the interpreter's
+# last pass then skips numpy's objects too
 gc.freeze()
 atexit.register(gc.freeze)
 

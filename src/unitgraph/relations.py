@@ -326,7 +326,7 @@ def run_document(doc: Document, trees: list[DepTree], strategies=(), networks=No
     t0 = time.perf_counter()
     view, sents = doc, None
     if tagger is not None:
-        from .tagger import predict_entities  # gold mode never imports it, or numpy
+        from .tagger import predict_entities  # gold mode never imports it
         sents = []  # the tagger's sentences, reused for an unparsed document
         view = Document(doc.doc_id, doc.text, predict_entities(tagger, doc, sents), [])
     t1 = time.perf_counter()

@@ -3,7 +3,8 @@
 An averaged perceptron over hand-built token features stands in for a
 neural encoder; joint decoding enforces the IOB transition rules (an
 ``I-X`` can only follow ``B-X``/``I-X``), so the output is always a valid
-tag sequence.
+tag sequence.  Weights are rows of Python floats, in inference and in
+training, so the tagger imports no numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -23,8 +25,8 @@ from .corpus import Document, EntitySpan, EntityType
 from .errors import ModelFileError, read_model_lines, read_utf8, read_weight
 from .tokens import TAGSET, Token, iob_to_spans, sentences, spans_to_iob, tokenize, valid_transition
 
-if TYPE_CHECKING:  # numpy loads at the first call that needs it
-    import numpy as np
+if TYPE_CHECKING:
+    from .relnet import Rows
 
 log = logging.getLogger(__name__)
 
@@ -32,9 +34,6 @@ NEG_INF = float("-inf")
 START = "<start>"  # the previous tag of a first token; valid_transition treats it as O
 
 MODEL_MAGIC = "unitgraph-tagger 1"
-# the most sentences training decodes in one batch; keeps the Viterbi
-# arrays small however long the corpus
-DECODE_AHEAD = 64
 # meta keys written as numbers, with their type; every other key loads as a string
 _NUMBER_META = {"seed": int, "epochs": int, "sentences": int, "split": float}
 # the record kinds of a model file, in the order save_tagger writes them
@@ -54,7 +53,8 @@ class Gazetteers:
             if path is None:
                 return frozenset()
             lines = read_utf8(path).splitlines()
-            return frozenset(line.strip().lower() for line in lines if line.strip())
+            # a phrase's words are joined by one space, as _lexicon_hits joins tokens
+            return frozenset(" ".join(line.lower().split()) for line in lines if line.strip())
 
         return cls(read(org_path), read(rank_path))
 
@@ -90,7 +90,7 @@ def _shape(word: str) -> str:
                    else ch for ch in word)
 
 
-def _token_slots(sents: list[list[Token]], gazetteers: Gazetteers, get, none) -> np.ndarray:
+def _token_slots(sents: list[list[Token]], gazetteers: Gazetteers, get, none) -> list[tuple]:
     """One row of feature slots per token of the sentences, in order.
 
     The only definition of the features.  A token's slots hold its word's
@@ -102,41 +102,44 @@ def _token_slots(sents: list[list[Token]], gazetteers: Gazetteers, get, none) ->
     feature ``f`` is stored as ``get(f, none)``, got once per distinct
     word; a slot with no feature holds ``none``.
     """
-    import numpy as np
-    lexicon = [none, none] if gazetteers.first_words else []
     texts = [tok.text for tokens in sents for tok in tokens]
-    number: dict[str, int] = {}  # each distinct word's place in table
-    numbers = [number.setdefault(text, len(number)) for text in texts]
-    lows: list[str] = []
-    table: list = []  # the slots of each distinct word, one word after another
-    for word in number:
+    # each distinct word's own five slots, then its prev= and next= features
+    words: dict[str, tuple] = {}
+    for word in dict.fromkeys(texts):
         low = word.lower()
-        lows.append(low)
-        table += (get(f"w={low}", none), get(f"shape={_shape(word)}", none),
-                  get(f"pre3={low[:3]}", none), get(f"suf3={low[-3:]}", none),
-                  get("cap", none) if word[:1].isupper() else none,
-                  get(f"prev={low}", none), get(f"next={low}", none), *lexicon)
-    # strings go in an object array: a fixed-width one would cut prev=<s> short
-    dtype = object if none is None else np.intp
-    slots = np.array(table, dtype).reshape(len(number), 7 + len(lexicon))[numbers]
-    slots[1:, 5] = slots[:-1, 5]  # each word's prev= feature moves to the token after it
-    slots[:-1, 6] = slots[1:, 6]  # and its next= feature to the token before it
-    lengths = np.array([len(tokens) for tokens in sents], dtype=np.intp)
-    ends = np.cumsum(lengths)[lengths > 0]
-    slots[ends - lengths[lengths > 0], 5] = get("prev=<s>", none)
-    slots[ends - 1, 6] = get("next=</s>", none)
-    if lexicon:
-        org, rank = _lexicon_hits([lows[k] for k in numbers], ends.tolist(), gazetteers)
-        slots[list(org), 7] = get("org-lex", none)
-        slots[list(rank), 8] = get("rank-lex", none)
-    return slots
+        words[word] = ((get(f"w={low}", none), get(f"shape={_shape(word)}", none),
+                        get(f"pre3={low[:3]}", none), get(f"suf3={low[-3:]}", none),
+                        get("cap", none) if word[:1].isupper() else none),
+                       get(f"prev={low}", none), get(f"next={low}", none))
+    found = [words[text] for text in texts]
+    # each word's prev= feature goes to the token after it, and its next=
+    # feature to the token before it, but for the ends of the sentences
+    prevs = [none, *(entry[1] for entry in found[:-1])]
+    nexts = [*(entry[2] for entry in found[1:]), none]
+    ends = list(accumulate(len(tokens) for tokens in sents if tokens))
+    first, last = get("prev=<s>", none), get("next=</s>", none)
+    for start, end in zip([0, *ends], ends):
+        prevs[start] = first
+        nexts[end - 1] = last
+    if not gazetteers.first_words:
+        return [own + (prev, nxt) for (own, _, _), prev, nxt in zip(found, prevs, nexts)]
+    lexicon = []
+    for hits, name in zip(_lexicon_hits([text.lower() for text in texts], ends, gazetteers),
+                          ("org-lex", "rank-lex")):
+        column = [none] * len(texts)
+        feature = get(name, none)
+        for i in hits:
+            column[i] = feature
+        lexicon.append(column)
+    return [own + (prev, nxt, org, rank) for (own, _, _), prev, nxt, org, rank
+            in zip(found, prevs, nexts, *lexicon)]
 
 
 def featurize_sentences(sents: list[list[Token]], gazetteers: Gazetteers | None = None
                         ) -> list[list[list[str]]]:
     """Deterministic discrete features for every token of every sentence:
     the features in its ``_token_slots``, in order."""
-    slots = iter(_token_slots(sents, gazetteers or Gazetteers(), lambda f, _: f, None).tolist())
+    slots = iter(_token_slots(sents, gazetteers or Gazetteers(), lambda f, _: f, None))
     return [[[f for f in next(slots) if f is not None] for _ in tokens] for tokens in sents]
 
 
@@ -169,8 +172,7 @@ _COLUMN = {tag: t for t, tag in enumerate(TAGSET)}
 _ROW = {**_COLUMN, START: len(TAGSET)}
 # -inf where valid_transition forbids the move from the row's tag (START
 # acts as O) to the column's tag, else 0.0; the decoder adds it to the
-# transition weights, so a forbidden move is never taken.  Rows of floats,
-# so that importing this module builds no array
+# transition weights, so a forbidden move is never taken
 _BARRED = tuple(tuple(0.0 if valid_transition(prev, tag) else NEG_INF for tag in TAGSET)
                 for prev in (*TAGSET, "O"))
 
@@ -193,34 +195,34 @@ def _move(prev: str, tag: str) -> tuple[int, int]:
 
 
 class TaggerModel:
-    """A tagger's weights over the 9-tag IOB set, held as arrays.
+    """A tagger's weights over the 9-tag IOB set, held as rows of floats.
 
-    ``row`` maps each feature to its row of ``weights``, an ``(F + 1, 9)``
-    matrix with a column per tag of ``TAGSET`` and a last row of zeros
-    for any other feature.  ``transitions[p, t]`` weighs the move from
-    tag p to tag t; its last row moves from ``START``.  A cell that is not
-    zero is a stored weight.  Forbidden moves hold 0, and the decoder
-    bars them.  ``held_out`` names the documents of its training corpus
-    that it never saw.
+    ``row`` maps each feature to its row of ``weights``, one float per tag
+    of ``TAGSET``; a feature without a row has no weight.
+    ``transitions[p][t]`` weighs the move from tag p to tag t; its last
+    row moves from ``START``.  A cell that is not zero is a stored weight.
+    Forbidden moves hold 0, and the decoder bars them.  ``held_out`` names
+    the documents of its training corpus that it never saw.
     """
 
     def __init__(self, feature_weights: Mapping[tuple[str, str], float] | None = None,
                  transition_weights: Mapping[tuple[str, str], float] | None = None,
                  gazetteers: Gazetteers | None = None, meta: dict | None = None,
-                 features: Iterable[str] = (), held_out: Iterable[str] = ()):
+                 held_out: Iterable[str] = ()):
         """A model from ``(feature, tag)`` and ``(previous tag, tag)``
-        weights; ``features`` get rows ahead of the weighted features.  A
-        tag outside ``TAGSET`` or a forbidden move raises ``ValueError``."""
-        import numpy as np
+        weights.  A tag outside ``TAGSET`` or a forbidden move raises
+        ``ValueError``."""
         feature_weights = feature_weights or {}
-        self.row = {f: r for r, f in enumerate(
-            dict.fromkeys(chain(features, (f for f, _ in feature_weights))))}
-        self.weights = np.zeros((len(self.row) + 1, len(TAGSET)))
+        self.row = {f: r for r, f in enumerate(dict.fromkeys(f for f, _ in feature_weights))}
+        weights = [[0.0] * len(TAGSET) for _ in self.row]
         for (f, tag), w in feature_weights.items():
-            self.weights[self.row[f], _column(tag)] = w
-        self.transitions = np.zeros((len(_BARRED), len(TAGSET)))
+            weights[self.row[f]][_column(tag)] = w
+        transitions = [[0.0] * len(TAGSET) for _ in _BARRED]
         for (prev, tag), w in (transition_weights or {}).items():
-            self.transitions[_move(prev, tag)] = w
+            row, col = _move(prev, tag)
+            transitions[row][col] = w
+        self.weights: Rows = tuple(map(tuple, weights))
+        self.transitions: Rows = tuple(map(tuple, transitions))
         self.gazetteers = gazetteers or Gazetteers()
         self.meta = meta or {}
         self.held_out = tuple(held_out)
@@ -236,104 +238,126 @@ class TaggerModel:
         return _stored(self.transitions, list(_ROW))
 
     def param_count(self) -> int:
-        import numpy as np
-        return int(np.count_nonzero(self.weights) + np.count_nonzero(self.transitions))
-
-    def emissions(self, ids: np.ndarray) -> np.ndarray:
-        """Per token and tag, the feature weights added from 0.0 in order."""
-        import numpy as np
-        total = np.zeros((len(ids), len(TAGSET)))
-        for column in ids.T:
-            total += self.weights[column]
-        return total
+        return sum(1 for rows in (self.weights, self.transitions)
+                   for cells in rows for w in cells if w)
 
 
-def _stored(matrix: np.ndarray, names: list[str]) -> dict[tuple[str, str], float]:
-    """The non-zero cells of a weight matrix by the name of their row and
-    their tag, as Python floats."""
-    import numpy as np
-    rows, tags = np.nonzero(matrix)
-    return {(names[r], TAGSET[t]): w for r, t, w in
-            zip(rows.tolist(), tags.tolist(), matrix[rows, tags].tolist())}
+def _stored(rows, names: list[str]) -> dict[tuple[str, str], float]:
+    """The non-zero cells of weight rows by the name of their row and
+    their tag, row by row."""
+    return {(name, tag): w for name, cells in zip(names, rows)
+            for tag, w in zip(TAGSET, cells) if w}
 
 
-def _decode(model: TaggerModel, ids: np.ndarray, lengths: list[int]) -> list[list[int]]:
-    """Viterbi over a batch of sentences, given the feature rows of their
-    tokens in order (``_sentence_ids``) and each sentence's length; each
-    sentence's tags come back as ``TAGSET`` indices.
+_ZERO = (0.0,) * len(TAGSET)
 
-    The sentences are padded to the longest one and advanced together:
-    each step adds every sentence's scores to the transition matrix, keeps
-    the first maximum over the previous tag (so ties go to the lowest
-    index) and adds the step's emissions.  Every step's ``(n, tags)``
-    scores are kept, and each sentence's last tag is read from the step of
-    its own last token, so the padded steps after it change nothing.  Each
-    sentence sees the same float64 additions as when it is decoded alone,
-    so batching does not change a tag.
+
+def _emissions(weights, ids: list[tuple], prefix: dict) -> list:
+    """Per token of ``ids`` (each a tuple of feature rows, ``None`` for no
+    feature), each tag's weights added from +0.0 in slot order.
+
+    A slot of ``None`` adds nothing, which is exact: adding a zero row
+    leaves a running total as it is (the total starts at +0.0, and a sum
+    that starts there is never -0.0).  A token's first five slots are its
+    word's own features (``_token_slots``).  ``prefix`` keeps their sum
+    by those five, and the rest of a token is added to it, which is exact
+    too, since the additions run left to right; a caller keeps a
+    ``prefix`` only while ``weights`` do not change.
     """
-    import numpy as np
-    lengths = np.array(lengths, dtype=int)
-    n, width, m = len(lengths), int(lengths.max(initial=0)), len(TAGSET)
-    if width == 0:
-        return [[] for _ in lengths]
-    moves = model.transitions + _BARRED
-    # into[t, p]: the score of a move from tag p to tag t
-    start, into = moves[-1], moves[:-1].T
-    emit = np.zeros((n, width, m))
-    # the mask lists its cells sentence by sentence, token by token
-    emit[np.arange(width) < lengths[:, None]] = model.emissions(ids)
-    score = np.empty((width, n, m))
-    back = np.empty((width - 1, n, m), dtype=np.intp)
-    score[0] = emit[:, 0] + start
-    rows = np.arange(n * m) * m  # where each (k, t) row of a flattened cand starts
-    # cand[k, t, p]: sentence k's score of reaching tag t from tag p; the
-    # maximum is read at the argmax, which is cheaper than a second reduction.
-    # Each step writes into buffers made once and views of score and back
-    cand, at = np.empty((n, m, m)), np.empty(n * m, dtype=np.intp)
-    for prev, best, now, emitted in zip(score[:-1, :, None, :], back, score[1:],
-                                        emit.transpose(1, 0, 2)[1:]):
-        np.add(prev, into, out=cand)
-        cand.argmax(axis=2, out=best)
-        np.add(rows, best.ravel(), out=at)
-        np.add(cand.take(at).reshape(n, m), emitted, out=now)
-    last = score[lengths - 1, np.arange(n)].argmax(axis=1)
-    back_rows = back.tolist()
     out = []
-    for k, (length, tag) in enumerate(zip(lengths.tolist(), last.tolist())):
-        path = [tag]
-        for i in range(length - 2, -1, -1):
-            path.append(back_rows[i][k][path[-1]])
-        out.append(path[::-1] if length else [])
+    for slots in ids:
+        own = slots[:5]
+        total = prefix.get(own)
+        if total is None:
+            total = _ZERO
+            for r in own:
+                if r is not None:
+                    total = list(map(add, total, weights[r]))
+            prefix[own] = total
+        for r in slots[5:]:
+            if r is not None:
+                total = list(map(add, total, weights[r]))
+        out.append(total)
     return out
 
 
-def _sentence_ids(model: TaggerModel, sents: list[list[Token]]) -> np.ndarray:
-    """The feature rows of every token of the sentences, in order: its
-    ``_token_slots`` with each feature resolved to its row, and the zero
-    row for a feature the model lacks or a slot with no feature.
+def _moves(transitions) -> tuple:
+    """The decoder's form of transition rows: ``START``'s row, and per tag
+    its allowed previous tags in index order, each with its move's score.
 
-    Features are resolved once per distinct word, not per token.  A token
-    gets the rows of its ``featurize_sentences`` features in their order,
-    with zero rows between them where a slot is empty.  Adding the zero
-    row leaves a running emission total as it is (the total starts at
-    +0.0, and a sum that starts there is never -0.0), so the emissions are
-    those of its features' rows, bit for bit.
+    Every score is a stored weight plus ``_BARRED``, so a stored -0.0
+    scores +0.0.  A tag's first allowed previous tag comes apart from the
+    rest: ``(p, score, ((p, score), ...))``.
     """
-    return _token_slots(sents, model.gazetteers, model.row.get, len(model.row))
+    scores = [list(map(add, row, barred)) for row, barred in zip(transitions, _BARRED)]
+    into = []
+    for t in range(len(TAGSET)):
+        allowed = [(p, scores[p][t]) for p in range(len(TAGSET)) if _BARRED[p][t] == 0.0]
+        into.append((*allowed[0], tuple(allowed[1:])))
+    return scores[-1], into
+
+
+def _viterbi(moves: tuple, emit: list) -> list[int]:
+    """The best tag sequence of one sentence as ``TAGSET`` indices, given
+    ``_moves`` and the emissions of its tokens.
+
+    Each step scans a tag's allowed previous tags in index order and keeps
+    one only when its score is strictly greater, so the first maximum wins
+    and ties go to the lowest index; the last tag is the first maximum
+    too.  A forbidden move from ``START`` scores -inf at the first token.
+    """
+    if not emit:
+        return []
+    start, into = moves
+    score = list(map(add, emit[0], start))
+    backs = []
+    for emitted in emit[1:]:
+        back, now = [], []
+        for (arg, w, rest), e in zip(into, emitted):
+            best = score[arg] + w
+            for p, move in rest:
+                s = score[p] + move
+                if s > best:
+                    best = s
+                    arg = p
+            back.append(arg)
+            now.append(best + e)
+        backs.append(back)
+        score = now
+    tag = score.index(max(score))
+    path = [tag]
+    for back in reversed(backs):
+        tag = back[tag]
+        path.append(tag)
+    path.reverse()
+    return path
+
+
+def _sentence_ids(model: TaggerModel, sents: list[list[Token]]) -> list[tuple]:
+    """The feature rows of every token of the sentences, in order: its
+    ``_token_slots`` with each feature resolved to its row, and ``None``
+    for a feature the model lacks or a slot with no feature.  Features are
+    resolved once per distinct word, not per token."""
+    return _token_slots(sents, model.gazetteers, model.row.get, None)
 
 
 def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[str]]:
-    """Resolve the sentences' features to rows and decode them in one batch."""
-    paths = _decode(model, _sentence_ids(model, sents), [len(sent) for sent in sents])
-    return [[TAGSET[t] for t in path] for path in paths]
+    """Decode the sentences one by one, on emissions computed for all of
+    them at once."""
+    emit = _emissions(model.weights, _sentence_ids(model, sents), {})
+    moves = _moves(model.transitions)
+    tags, at = [], 0
+    for sent in sents:
+        tags.append([TAGSET[t] for t in _viterbi(moves, emit[at:at + len(sent)])])
+        at += len(sent)
+    return tags
 
 
 def viterbi_decode(model: TaggerModel, tokens: list[Token]) -> list[str]:
     """Argmax tag sequence under emission + transition scores.
 
-    The tokens are decoded as a batch of one sentence (see ``_decode``).
-    Ties resolve to the lowest tagset index, so a zero model decodes to
-    all O.
+    Ties resolve to the lowest tagset index (see ``_viterbi``), so a zero
+    model decodes to all O.
     """
     return _tag_sentences(model, [tokens])[0]
 
@@ -360,28 +384,24 @@ def train_tagger(
 ) -> TaggerModel:
     """Averaged-perceptron training against Viterbi predictions.
 
-    The model starts with a row for each training feature, assigned as
-    the sentences' slots are built, once, before the first epoch, so each
-    update adds +-1.0 to its arrays in place (the order of the additions
-    does not matter).  Averaging is lazy: each cell also accumulates
-    ``delta * now`` over its updates, so after ``now`` steps the sum of
-    the cell's weight over the steps is ``weight * now - accumulated``.
-    All of these are integers below 2**53 and so exact, and the averaged
-    weight is that sum divided by ``now``.  The averaged model keeps only
-    its non-zero cells, as a loaded one does.  Deterministic for a fixed
-    seed: the sentence order is reshuffled per epoch from a seeded RNG.
-    A gold move the decoder can never take raises ``ValueError``.
+    Each feature gets a row as the sentences' slots are built, once,
+    before the first epoch.  Each sentence is decoded in turn and, when
+    its prediction is not its gold tags, the rows of the gold tags' cells
+    gain 1.0 and those of the predicted ones lose it, in place.  Averaging
+    is lazy: each cell also accumulates ``delta * now`` over its updates,
+    so after ``now`` steps the sum of the cell's weight over the steps is
+    ``weight * now - accumulated``.  All of these are integers below 2**53
+    and so exact (the order of the additions does not matter), and the
+    averaged weight is that sum divided by ``now``.  The averaged model
+    keeps only its non-zero cells, as a loaded one does.  Deterministic
+    for a fixed seed: the sentence order is reshuffled per epoch from a
+    seeded RNG.  A gold move the decoder can never take raises
+    ``ValueError``.
 
-    The sentences are decoded ahead: the next ``w`` of the epoch's order
-    in one ``_decode`` call, then taken in order up to the first whose
-    prediction is not its gold tags.  That one is updated, and the rest of
-    the window is decoded again, with the new weights.  ``w`` doubles
-    after a window decoded exactly throughout, up to ``DECODE_AHEAD``, and
-    falls back to 1 after an update.  This is exact: each sentence of a
-    batch gets the tags it gets alone (``_decode``), and the weights change
-    only at an update.
+    An epoch that decodes every sentence exactly changes no weight, so
+    every later epoch would decode them all exactly too: those epochs
+    only count their steps.
     """
-    import numpy as np
     if not corpus:
         raise ValueError("empty training corpus")
     if epochs < 1:
@@ -392,52 +412,61 @@ def train_tagger(
             _move(prev, tag)
         gold.append([_COLUMN[tag] for tag in tags])
     gazetteers = gazetteers or Gazetteers()
-    sents = [tokens for tokens, _ in corpus]
-    row: dict[str, int] = {}  # each feature gets the next row as it is met; -1 is the zero row
-    slots = _token_slots(sents, gazetteers, lambda f, _: row.setdefault(f, len(row)), -1)
-    model = TaggerModel(gazetteers=gazetteers, features=row)
-    lengths = [len(tags) for tags in gold]
-    ids = np.split(slots, np.cumsum(lengths)[:-1])
+    row: dict[str, int] = {}  # each feature gets the next row as it is met
+    slots = _token_slots([tokens for tokens, _ in corpus], gazetteers,
+                         lambda f, _: row.setdefault(f, len(row)), None)
+    ids = [slots[end - len(tags):end]
+           for tags, end in zip(gold, accumulate(len(tags) for tags in gold))]
+    weights = [[0.0] * len(TAGSET) for _ in row]
+    transitions = [[0.0] * len(TAGSET) for _ in _BARRED]
     # per cell, the sum of delta * now over the cell's updates
-    weights_at, transitions_at = np.zeros_like(model.weights), np.zeros_like(model.transitions)
+    weights_at = [[0.0] * len(TAGSET) for _ in row]
+    transitions_at = [[0.0] * len(TAGSET) for _ in _BARRED]
     now = 0
 
     def apply(si: int, tags: list[int], delta: float) -> None:
-        columns = np.array(tags)
-        tokens, slots = np.nonzero(ids[si] >= 0)  # the cells without padding
-        cells = ids[si][tokens, slots], columns[tokens]
-        np.add.at(model.weights, cells, delta)
-        np.add.at(weights_at, cells, delta * now)
-        moves = [_ROW[START], *tags[:-1]], columns
-        np.add.at(model.transitions, moves, delta)
-        np.add.at(transitions_at, moves, delta * now)
+        step = delta * now
+        for cells, tag in zip(ids[si], tags):
+            for r in cells:
+                if r is not None:
+                    weights[r][tag] += delta
+                    weights_at[r][tag] += step
+        for prev, tag in zip([_ROW[START], *tags], tags):
+            transitions[prev][tag] += delta
+            transitions_at[prev][tag] += step
 
     rng = random.Random(seed)
     order = list(range(len(corpus)))
-    width = 1
+    moves, prefix = _moves(transitions), {}
+    exact = 0
     for epoch in range(epochs):
-        rng.shuffle(order)
-        exact = taken = 0
-        while taken < len(order):
-            window = order[taken:taken + width]
-            preds = _decode(model, np.concatenate([ids[si] for si in window]),
-                            [lengths[si] for si in window])
-            width = min(2 * width, DECODE_AHEAD)
-            for si, pred in zip(window, preds):
-                taken += 1
+        if exact == len(corpus):
+            now += len(corpus)
+        else:
+            rng.shuffle(order)
+            exact = 0
+            for si in order:
                 now += 1
-                if pred != gold[si]:
-                    apply(si, gold[si], +1.0)
-                    apply(si, pred, -1.0)
-                    width = 1
-                    break
-                exact += 1
+                pred = _viterbi(moves, _emissions(weights, ids[si], prefix))
+                if pred == gold[si]:
+                    exact += 1
+                    continue
+                apply(si, gold[si], +1.0)
+                apply(si, pred, -1.0)
+                moves, prefix = _moves(transitions), {}
         log.info("tagger epoch %d: %d/%d sentences decoded exactly",
                  epoch + 1, exact, len(corpus))
 
-    weights = (model.weights * now - weights_at) / now
-    transitions = (model.transitions * now - transitions_at) / now
-    return TaggerModel(_stored(weights, list(model.row)), _stored(transitions, list(_ROW)),
+    def averaged(names, rows, rows_at) -> dict[tuple[str, str], float]:
+        """The non-zero averaged cells by row name and tag; a row no
+        update touched is all zero and skipped whole."""
+        return {(name, tag): (w * now - a) / now
+                for name, cells, cells_at in zip(names, rows, rows_at)
+                if any(cells) or any(cells_at)
+                for tag, w, a in zip(TAGSET, cells, cells_at) if w * now != a}
+
+    return TaggerModel(averaged(row, weights, weights_at),
+                       averaged(_ROW, transitions, transitions_at),
                        gazetteers, {"seed": seed, "epochs": epochs, "sentences": len(corpus)})
 
 
@@ -445,8 +474,9 @@ def predict_entities(model: TaggerModel, doc: Document,
                      sents_out: list | None = None) -> list[EntitySpan]:
     """Entity spans for a document, decoded by ``model``.
 
-    The sentences of the document are decoded together in one batch;
-    each sentence's tags are those ``viterbi_decode`` gives it.
+    The document's features and emissions are computed once, for all
+    its sentences; each sentence's tags are those ``viterbi_decode``
+    gives it.
     ``sents_out``, if given, receives those sentences
     (``sentences(tokenize(doc.text))``), so a caller can build the
     document's contexts without tokenizing it again.

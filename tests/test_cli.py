@@ -1548,8 +1548,8 @@ if loaded:
 """ % (_HEAVY_MODULES,)
 
 # the library leaves the collector alone; the CLI module freezes what its
-# imports made (numpy is not among them: it loads at a model's first use),
-# and a command still runs after
+# imports made (numpy is not among them: it loads only when a relation network
+# trains), and a command still runs after
 _FREEZE_SCRIPT = """
 import gc, sys
 import unitgraph
@@ -1560,9 +1560,9 @@ corpus, out = sys.argv[1:]
 sys.exit(unitgraph.cli.main(["extract", "--corpus", corpus, "--out", out]))
 """
 
-# commands that run no model, or only the relation networks (whose
-# inference is plain Python), load no numpy; a command that runs the
-# tagger loads it at its first use
+# inference is plain Python: commands that run no model, or run the tagger
+# or the relation networks, load no numpy, nor does training the tagger
+# alone; training a relation network loads it at its first use
 _NUMPY_SCRIPT = """
 import sys
 from unitgraph.cli import main
@@ -1572,18 +1572,24 @@ for argv in (
       for strategy in ("nearest-person", "sdp-free", "sdp-constrained")),
     *(["extract", "--corpus", corpus, "--out", f"{out}/{strategy}", "--strategy", strategy,
        "--relnet-model", models] for strategy in ("nn-free", "nn-constrained")),
+    ["extract", "--corpus", corpus, "--out", out + "/model", "--ner-mode", "model",
+     "--tagger-model", models, "--strategy", "nn-constrained", "--relnet-model", models],
     ["evaluate", "--corpus", corpus, "--out", out + "/evaluate",
      "--strategy", "sdp-constrained"],
     *(["evaluate", "--corpus", corpus, "--out", f"{out}/evaluate-{strategy}",
        "--strategy", strategy, "--relnet-model", models]
       for strategy in ("all", "nn-free", "nn-constrained")),
+    ["evaluate", "--corpus", corpus, "--out", out + "/ner", "--ner-eval",
+     "--tagger-model", models],
     ["evaluate", "--metric-check"],
+    ["bench", "--corpus", corpus, "--tagger-model", models + "/tagger.model",
+     "--relnet-model", models],
     ["inspect", "--corpus", corpus, "--paths"],
+    ["train", "--corpus", corpus, "--out", out + "/tagger", "--targets", "tagger"],
 ):
     if main(argv) != 0 or "numpy" in sys.modules:
         sys.exit(f"failed, or loaded numpy: {argv}")
-argv = ["extract", "--corpus", corpus, "--out", out + "/model", "--ner-mode", "model",
-        "--tagger-model", models]
+argv = ["train", "--corpus", corpus, "--out", out + "/train", "--epochs", "2"]
 if main(argv) != 0 or "numpy" not in sys.modules:
     sys.exit(f"failed, or loaded no numpy: {argv}")
 """

@@ -6,7 +6,6 @@ import re
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +18,12 @@ from unitgraph.tagger import (
     Gazetteers,
     START,
     TaggerModel,
-    _decode,
+    _emissions,
+    _moves,
     _sentence_ids,
     _shape,
     _tag_sentences,
+    _viterbi,
     featurize_sentences,
     featurize_token,
     load_tagger,
@@ -178,13 +179,15 @@ def reference_train(corpus, epochs, seed, gazetteers=None):
 
 
 def string_ids(model, token_feats):
-    """Each token's feature rows, looked up string by string and padded at
-    the end with the zero row: the rows the tagger decoded before it
-    resolved features per word."""
-    zero = len(model.row)
-    width = max((len(feats) for feats in token_feats), default=0)
-    return np.array([[model.row.get(f, zero) for f in feats] + [zero] * (width - len(feats))
-                     for feats in token_feats], dtype=np.intp).reshape(len(token_feats), width)
+    """Each token's feature rows, looked up string by string, with
+    ``None`` for a feature the model lacks: the rows the tagger decoded
+    before it resolved features per word."""
+    return [tuple(model.row.get(f) for f in feats) for feats in token_feats]
+
+
+def bits(emissions):
+    """Each emission's float bits, which tell -0.0 from 0.0."""
+    return [[float.hex(e) for e in row] for row in emissions]
 
 
 def saved_bytes(model):
@@ -289,6 +292,18 @@ class TestFeatures:
         assert "org-lex" in featurize_token(toks, 2, gaz)
         assert "org-lex" not in featurize_token(toks, 3, gaz)
 
+    def test_gazetteer_line_whitespace_does_not_matter(self, tmp_path):
+        # a phrase's words may be split by a run of spaces or a tab
+        toks = tokenize("The Major General spoke.")
+        hits = []
+        for i, line in enumerate(["major general", "Major  General", "major\tgeneral "]):
+            (tmp_path / f"ranks{i}.txt").write_text(line + "\n", encoding="utf-8")
+            gaz = Gazetteers.from_files(rank_path=tmp_path / f"ranks{i}.txt")
+            assert gaz.ranks == {"major general"}
+            hits.append([j for j in range(len(toks))
+                         if "rank-lex" in featurize_token(toks, j, gaz)])
+        assert hits == [[1, 2]] * 3
+
 
 _WORDS = ["Nigerian", "nigerian", "ARMY", "Army", "Major", "General", "general",
           "of", "the", "3", "Division", "Brig.", "Gen.", "O'Neil", "Émile", "said",
@@ -363,12 +378,13 @@ def test_rows_per_word_tag_as_the_feature_strings_do(case):
     strings = [f for sent in featurize_sentences(sents, model.gazetteers) for f in sent]
     assert strings == [reference_features(sent, i, model.gazetteers)
                        for sent in sents for i in range(len(sent))]
-    expected = model.emissions(string_ids(model, strings))
-    got = model.emissions(_sentence_ids(model, sents))
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    spans = []
-    paths = _decode(model, string_ids(model, strings), [len(sent) for sent in sents])
-    for sent, path in zip(sents, paths):
+    expected = _emissions(model.weights, string_ids(model, strings), {})
+    got = _emissions(model.weights, _sentence_ids(model, sents), {})
+    assert bits(got) == bits(expected)
+    spans, at = [], 0
+    for sent in sents:
+        path = _viterbi(_moves(model.transitions), expected[at:at + len(sent)])
+        at += len(sent)
         spans.extend(iob_to_spans(sent, [TAGSET[t] for t in path], text=text,
                                   first_id=len(spans) + 1))
     assert predict_entities(model, Document("d", text)) == spans
@@ -402,9 +418,8 @@ class TestEmissions:
                     row.append(acc)
                 expected.append(row)
             model = TaggerModel(weights)
-            got = model.emissions(string_ids(model, token_feats))
-            assert np.array_equal(got.view(np.int64),
-                                  np.array(expected).view(np.int64)), f"trial {trial}"
+            got = _emissions(model.weights, string_ids(model, token_feats), {})
+            assert bits(got) == bits(expected), f"trial {trial}"
 
 
 class TestViterbi:
@@ -654,10 +669,11 @@ def random_tag_corpus(rng, size):
     return corpus
 
 
-class TestDecodeAhead:
-    """On corpora long enough for the decoding window to grow to its cap,
-    the trainer writes the reference trainer's bytes and logs its
-    per-epoch exact counts."""
+class TestConvergedEpochs:
+    """On corpora long enough for training to converge, the trainer writes
+    the reference trainer's bytes and logs its per-epoch exact counts,
+    and decodes no sentence after the first epoch that decoded them all
+    exactly."""
 
     @staticmethod
     def reference_exact_counts(monkeypatch, corpus, epochs, seed, gazetteers):
@@ -688,20 +704,21 @@ class TestDecodeAhead:
             GAZETTEERS / "organizations.txt", GAZETTEERS / "ranks.txt")))
         cases += [(random_tag_corpus(rng, size), epochs, rng.randrange(2 ** 32), None)
                   for size, epochs in ((30, 4), (75, 2), (120, 3))]
-        windows = []  # the sentences of each _decode call, over every case
-        decode = tagger._decode
+        decodes = 0  # the sentences train_tagger decodes
+        decode = tagger._viterbi
 
-        def recording(model, ids, lengths):
-            windows.append(len(lengths))
-            return decode(model, ids, lengths)
+        def recording(moves, emit):
+            nonlocal decodes
+            decodes += 1
+            return decode(moves, emit)
 
-        monkeypatch.setattr(tagger, "_decode", recording)
+        monkeypatch.setattr(tagger, "_viterbi", recording)
         caplog.set_level(logging.INFO, logger="unitgraph.tagger")
-        dropped = 0  # sentences decoded in a window after an update in it
+        skipped = 0  # the epochs decoded by the reference trainer alone
         for corpus, epochs, seed, gazetteers in cases:
             assert len(corpus) >= 30
             caplog.clear()
-            start = len(windows)
+            decodes = 0
             model = train_tagger(corpus, epochs=epochs, seed=seed, gazetteers=gazetteers)
             expected, counts = self.reference_exact_counts(monkeypatch, corpus, epochs,
                                                            seed, gazetteers)
@@ -710,9 +727,12 @@ class TestDecodeAhead:
                                    record.getMessage()).groups() for record in caplog.records]
             assert logged == [(str(epoch), str(count), str(len(corpus)))
                               for epoch, count in enumerate(counts, start=1)]
-            dropped += sum(windows[start:]) - epochs * len(corpus)
-        assert max(windows) == tagger.DECODE_AHEAD
-        assert dropped > 0
+            # every epoch up to the first that decoded every sentence exactly
+            decoded = next((epoch for epoch, count in enumerate(counts, start=1)
+                            if count == len(corpus)), epochs)
+            assert decodes == decoded * len(corpus)
+            skipped += epochs - decoded
+        assert skipped > 0
 
 
 class TestPredictEntities:
