@@ -398,29 +398,30 @@ def train_tagger(
     seeded RNG.  A gold move the decoder can never take raises
     ``ValueError``.
 
-    An epoch that decodes every sentence exactly changes no weight, so
-    every later epoch would decode them all exactly too: those epochs
-    only count their steps.
+    A sentence that decoded exactly, with no update since, would decode
+    exactly again with the same weights, so it is counted as exact and
+    not decoded.  So once an epoch decodes every sentence exactly, every
+    later epoch only counts its steps.
     """
     if not corpus:
         raise ValueError("empty training corpus")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    gold = []
-    for _, tags in corpus:
-        for prev, tag in zip([START, *tags], tags):
-            _move(prev, tag)
-        gold.append([_COLUMN[tag] for tag in tags])
+    for prev, tag in dict.fromkeys(move for _, tags in corpus
+                                   for move in zip([START, *tags], tags)):
+        _move(prev, tag)
+    gold = [[_COLUMN[tag] for tag in tags] for _, tags in corpus]
     gazetteers = gazetteers or Gazetteers()
     row: dict[str, int] = {}  # each feature gets the next row as it is met
     slots = _token_slots([tokens for tokens, _ in corpus], gazetteers,
                          lambda f, _: row.setdefault(f, len(row)), None)
     ids = [slots[end - len(tags):end]
            for tags, end in zip(gold, accumulate(len(tags) for tags in gold))]
-    weights = [[0.0] * len(TAGSET) for _ in row]
+    # a feature's row is the shared zero row until an update touches it
+    weights: list = [_ZERO] * len(row)
     transitions = [[0.0] * len(TAGSET) for _ in _BARRED]
-    # per cell, the sum of delta * now over the cell's updates
-    weights_at = [[0.0] * len(TAGSET) for _ in row]
+    # per cell of a touched row, the sum of delta * now over the cell's updates
+    weights_at: dict[int, list[float]] = {}
     transitions_at = [[0.0] * len(TAGSET) for _ in _BARRED]
     now = 0
 
@@ -429,6 +430,8 @@ def train_tagger(
         for cells, tag in zip(ids[si], tags):
             for r in cells:
                 if r is not None:
+                    if r not in weights_at:
+                        weights[r], weights_at[r] = [0.0] * len(TAGSET), [0.0] * len(TAGSET)
                     weights[r][tag] += delta
                     weights_at[r][tag] += step
         for prev, tag in zip([_ROW[START], *tags], tags):
@@ -438,35 +441,36 @@ def train_tagger(
     rng = random.Random(seed)
     order = list(range(len(corpus)))
     moves, prefix = _moves(transitions), {}
-    exact = 0
+    updates = 0
+    exact_at = [-1] * len(corpus)  # per sentence, the updates made when it last decoded exactly
     for epoch in range(epochs):
-        if exact == len(corpus):
-            now += len(corpus)
-        else:
-            rng.shuffle(order)
-            exact = 0
-            for si in order:
-                now += 1
+        rng.shuffle(order)
+        exact = 0
+        for si in order:
+            now += 1
+            if exact_at[si] != updates:
                 pred = _viterbi(moves, _emissions(weights, ids[si], prefix))
-                if pred == gold[si]:
-                    exact += 1
+                if pred != gold[si]:
+                    apply(si, gold[si], +1.0)
+                    apply(si, pred, -1.0)
+                    moves, prefix = _moves(transitions), {}
+                    updates += 1
                     continue
-                apply(si, gold[si], +1.0)
-                apply(si, pred, -1.0)
-                moves, prefix = _moves(transitions), {}
+                exact_at[si] = updates
+            exact += 1
         log.info("tagger epoch %d: %d/%d sentences decoded exactly",
                  epoch + 1, exact, len(corpus))
 
-    def averaged(names, rows, rows_at) -> dict[tuple[str, str], float]:
-        """The non-zero averaged cells by row name and tag; a row no
-        update touched is all zero and skipped whole."""
-        return {(name, tag): (w * now - a) / now
-                for name, cells, cells_at in zip(names, rows, rows_at)
-                if any(cells) or any(cells_at)
+    def averaged(rows) -> dict[tuple[str, str], float]:
+        """The non-zero averaged cells of ``(name, weights, accumulated)``
+        rows, by name and tag."""
+        return {(name, tag): (w * now - a) / now for name, cells, cells_at in rows
                 for tag, w, a in zip(TAGSET, cells, cells_at) if w * now != a}
 
-    return TaggerModel(averaged(row, weights, weights_at),
-                       averaged(_ROW, transitions, transitions_at),
+    names = list(row)
+    return TaggerModel(averaged((names[r], weights[r], cells_at)
+                                for r, cells_at in weights_at.items()),
+                       averaged(zip(_ROW, transitions, transitions_at)),
                        gazetteers, {"seed": seed, "epochs": epochs, "sentences": len(corpus)})
 
 
