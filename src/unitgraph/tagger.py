@@ -252,33 +252,28 @@ def _stored(rows, names: list[str]) -> dict[tuple[str, str], float]:
 _ZERO = (0.0,) * len(TAGSET)
 
 
-def _emissions(weights, ids: list[tuple], prefix: dict) -> list:
+def _emissions(weights, ids: list[tuple]) -> list:
     """Per token of ``ids`` (each a tuple of feature rows, ``None`` for no
     feature), each tag's weights added from +0.0 in slot order.
 
     A slot of ``None`` adds nothing, which is exact: adding a zero row
     leaves a running total as it is (the total starts at +0.0, and a sum
-    that starts there is never -0.0).  A token's first five slots are its
-    word's own features (``_token_slots``).  ``prefix`` keeps their sum
-    by those five, and the rest of a token is added to it, which is exact
-    too, since the additions run left to right; a caller keeps a
-    ``prefix`` only while ``weights`` do not change.
+    that starts there is never -0.0).  A token's rows are chained through
+    ``map``, so each tag's total is still added left to right.
     """
     out = []
     for slots in ids:
-        own = slots[:5]
-        total = prefix.get(own)
-        if total is None:
-            total = _ZERO
-            for r in own:
-                if r is not None:
-                    total = list(map(add, total, weights[r]))
-            prefix[own] = total
-        for r in slots[5:]:
+        total = _ZERO
+        for r in slots:
             if r is not None:
-                total = list(map(add, total, weights[r]))
-        out.append(total)
+                total = map(add, total, weights[r])
+        out.append(list(total))
     return out
+
+
+# per tag, the previous tags valid_transition allows, in index order
+_ALLOWED = tuple(tuple(p for p in range(len(TAGSET)) if _BARRED[p][t] == 0.0)
+                 for t in range(len(TAGSET)))
 
 
 def _moves(transitions) -> tuple:
@@ -290,11 +285,8 @@ def _moves(transitions) -> tuple:
     rest: ``(p, score, ((p, score), ...))``.
     """
     scores = [list(map(add, row, barred)) for row, barred in zip(transitions, _BARRED)]
-    into = []
-    for t in range(len(TAGSET)):
-        allowed = [(p, scores[p][t]) for p in range(len(TAGSET)) if _BARRED[p][t] == 0.0]
-        into.append((*allowed[0], tuple(allowed[1:])))
-    return scores[-1], into
+    return scores[-1], [(first, scores[first][t], tuple((p, scores[p][t]) for p in rest))
+                        for t, (first, *rest) in enumerate(_ALLOWED)]
 
 
 def _viterbi(moves: tuple, emit: list) -> list[int]:
@@ -344,7 +336,7 @@ def _sentence_ids(model: TaggerModel, sents: list[list[Token]]) -> list[tuple]:
 def _tag_sentences(model: TaggerModel, sents: list[list[Token]]) -> list[list[str]]:
     """Decode the sentences one by one, on emissions computed for all of
     them at once."""
-    emit = _emissions(model.weights, _sentence_ids(model, sents), {})
+    emit = _emissions(model.weights, _sentence_ids(model, sents))
     moves = _moves(model.transitions)
     tags, at = [], 0
     for sent in sents:
@@ -425,22 +417,34 @@ def train_tagger(
     transitions_at = [[0.0] * len(TAGSET) for _ in _BARRED]
     now = 0
 
-    def apply(si: int, tags: list[int], delta: float) -> None:
-        step = delta * now
-        for cells, tag in zip(ids[si], tags):
-            for r in cells:
-                if r is not None:
-                    if r not in weights_at:
-                        weights[r], weights_at[r] = [0.0] * len(TAGSET), [0.0] * len(TAGSET)
-                    weights[r][tag] += delta
-                    weights_at[r][tag] += step
-        for prev, tag in zip([_ROW[START], *tags], tags):
-            transitions[prev][tag] += delta
-            transitions_at[prev][tag] += step
+    def update(si: int, pred: list[int]) -> None:
+        """Gold cells gain 1.0 and predicted ones lose it.  Where a token's
+        tag or a move is predicted right, both would land on one cell and
+        cancel exactly, so those are skipped."""
+        step = float(now)
+        tags = gold[si]
+        for cells, g, p in zip(ids[si], tags, pred):
+            if g != p:
+                for r in cells:
+                    if r is not None:
+                        if r not in weights_at:
+                            weights[r], weights_at[r] = [0.0] * len(TAGSET), [0.0] * len(TAGSET)
+                        cell, cell_at = weights[r], weights_at[r]
+                        cell[g] += 1.0
+                        cell[p] -= 1.0
+                        cell_at[g] += step
+                        cell_at[p] -= step
+        first = _ROW[START]
+        for (a, g), (b, p) in zip(zip([first, *tags], tags), zip([first, *pred], pred)):
+            if (a, g) != (b, p):
+                transitions[a][g] += 1.0
+                transitions[b][p] -= 1.0
+                transitions_at[a][g] += step
+                transitions_at[b][p] -= step
 
     rng = random.Random(seed)
     order = list(range(len(corpus)))
-    moves, prefix = _moves(transitions), {}
+    moves = _moves(transitions)
     updates = 0
     exact_at = [-1] * len(corpus)  # per sentence, the updates made when it last decoded exactly
     for epoch in range(epochs):
@@ -449,11 +453,10 @@ def train_tagger(
         for si in order:
             now += 1
             if exact_at[si] != updates:
-                pred = _viterbi(moves, _emissions(weights, ids[si], prefix))
+                pred = _viterbi(moves, _emissions(weights, ids[si]))
                 if pred != gold[si]:
-                    apply(si, gold[si], +1.0)
-                    apply(si, pred, -1.0)
-                    moves, prefix = _moves(transitions), {}
+                    update(si, pred)
+                    moves = _moves(transitions)
                     updates += 1
                     continue
                 exact_at[si] = updates

@@ -378,8 +378,8 @@ def test_rows_per_word_tag_as_the_feature_strings_do(case):
     strings = [f for sent in featurize_sentences(sents, model.gazetteers) for f in sent]
     assert strings == [reference_features(sent, i, model.gazetteers)
                        for sent in sents for i in range(len(sent))]
-    expected = _emissions(model.weights, string_ids(model, strings), {})
-    got = _emissions(model.weights, _sentence_ids(model, sents), {})
+    expected = _emissions(model.weights, string_ids(model, strings))
+    got = _emissions(model.weights, _sentence_ids(model, sents))
     assert bits(got) == bits(expected)
     spans, at = [], 0
     for sent in sents:
@@ -418,7 +418,7 @@ class TestEmissions:
                     row.append(acc)
                 expected.append(row)
             model = TaggerModel(weights)
-            got = _emissions(model.weights, string_ids(model, token_feats), {})
+            got = _emissions(model.weights, string_ids(model, token_feats))
             assert bits(got) == bits(expected), f"trial {trial}"
 
 
