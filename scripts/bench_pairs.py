@@ -12,10 +12,12 @@ in its own checkout: this one, and a copy of REV exported with ``git
 archive`` into a temporary directory, which is removed at the end (an
 export leaves nothing in the repository's ``.git``, even when the script is
 stopped).  Both sides must hold the same ``perfbench/`` and
-``BENCHMARK.json``, so they run the same benchmark code.  Pair ``i`` runs
-the parent first when ``i`` is even and the change first when it is odd,
-and each pair runs every workload in turn, so a slow spell of the machine
-falls on both sides.
+``BENCHMARK.json``, so they run the same benchmark code, and no
+``__pycache__`` may exist under this checkout's ``src/``: the export has
+none, so only the change's commands would skip compiling the program.
+Pair ``i`` runs the parent first when ``i`` is even and the change first
+when it is odd, and each pair runs every workload in turn, so a slow spell
+of the machine falls on both sides.
 
 The file records each run's provenance and result lines as ``run.py``
 prints them and, per workload and end-to-end metric, each side's median
@@ -143,6 +145,10 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    cached = sorted((ROOT / "src").rglob("__pycache__"))
+    if cached:
+        raise SystemExit(f"{cached[0]} exists: the change's runs would read its bytecode "
+                         "and the parent's fresh export has none; remove it first")
     parent_rev = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     change = {"git_rev": _git("rev-parse", "HEAD"),
               "uncommitted": bool(_git("status", "--porcelain", "--untracked-files=no"))}

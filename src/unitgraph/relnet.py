@@ -14,6 +14,9 @@ never load numpy for it: a model's weights are immutable float rows,
 ``forward`` scores one pair, keeping each slot's share of the logits on
 the model.  Training alone uses numpy: ``build_dataset`` expands the
 features into dense arrays and ``train`` hands its weights back as rows.
+Random draws, for ``init_model``'s weights and ``train``'s epoch order,
+come from ``pcg64.Generator``, a plain-Python copy of numpy's
+``default_rng``, so no command loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -255,21 +258,27 @@ def init_model(
     seed: int = 13,
     length_scale: float = 0.1,
 ) -> RelNetModel:
-    import numpy as np
+    from .pcg64 import Generator
     if mode not in {net.mode for net in NETWORKS.values()}:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
+
+    def normal_rows(rows: int, cols: int) -> Rows:
+        """numpy's ``0.1 * rng.standard_normal((rows, cols))``, as rows."""
+        values = [0.1 * v for v in rng.standard_normal(rows * cols)]
+        return tuple(tuple(values[r * cols:(r + 1) * cols]) for r in range(rows))
+
     width = output_width(mode, k)
     return RelNetModel(
         mode=mode,
         k=k,
         hidden=hidden,
         vocab_size=vocab_size,
-        W1=_rows(0.1 * rng.standard_normal((vocab_size + 1, hidden))),
+        W1=normal_rows(vocab_size + 1, hidden),
         b1=(0.0,) * hidden,
-        W2=_rows(0.1 * rng.standard_normal((3, hidden))),
+        W2=normal_rows(3, hidden),
         b2=(0.0,) * hidden,
-        W3=_rows(0.1 * rng.standard_normal((k * hidden + hidden, width))),
+        W3=normal_rows(k * hidden + hidden, width),
         b3=(0.0,) * width,
         length_scale=length_scale,
         hyper={"seed": seed},
@@ -425,8 +434,12 @@ def train(
     epoch's loss adds them in batch order, as the steps did.  A loss that
     is not finite raises ``FloatingPointError`` at the end of the epoch in
     which it first appears, before that epoch joins the loss curve.
+
+    Each epoch visits the examples in the order of ``Generator(seed)``'s
+    next ``permutation``, numpy's ``default_rng(seed)`` order.
     """
     import numpy as np
+    from .pcg64 import Generator
     if not models or len(models) != len(Ys):
         raise ValueError("train needs one target array per network")
     if len({(m.k, m.hidden, m.vocab_size, m.length_scale) for m in models}) > 1:
@@ -442,7 +455,7 @@ def train(
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     arrays = _layout(models)
     flat = np.concatenate([a.ravel() for a in arrays])
     grad = np.empty_like(flat)

@@ -1,8 +1,12 @@
-"""The summary that ``scripts/bench_pairs.py`` writes for paired runs."""
+"""The summary that ``scripts/bench_pairs.py`` writes for paired runs, and
+the checkout it refuses to run in."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
@@ -78,3 +82,14 @@ def test_worse_than_bound_is_relative_to_the_parents_median():
     slower = [value * 0.75 for value in PARENT]  # 25% fewer lines/s, bound 24%
     row = summarize(_pairs(PARENT, slower), END_TO_END)["lines_per_s"]
     assert row["worse_than_bound"] and not row["gain_shown"]
+
+
+def test_bytecode_under_src_refuses_the_run(tmp_path, monkeypatch, capsys):
+    script = _script()
+    (tmp_path / "BENCHMARK.json").write_text('{"workloads": [], "run_seconds": 1}')
+    cached = tmp_path / "src" / "pkg" / "__pycache__"
+    cached.mkdir(parents=True)
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    with pytest.raises(SystemExit, match=re.escape(str(cached))):
+        script.main(["--parent", "HEAD", "--out", str(tmp_path / "out.json")])
+    assert not (tmp_path / "out.json").exists()

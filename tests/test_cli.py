@@ -1522,8 +1522,8 @@ class TestUsage:
         assert proc.stdout.startswith("usage: unitgraph")
 
 
-# what an inference command must not load: OpenSSL's libcrypto comes in with
-# _hashlib, and numpy.random brings it in through secrets and hmac
+# what no command may load: OpenSSL's libcrypto comes in with _hashlib, and
+# numpy.random brings it in through secrets and hmac
 _HEAVY_MODULES = ("_hashlib", "hmac", "secrets", "numpy.random")
 
 _INFERENCE_SCRIPT = """
@@ -1542,7 +1542,7 @@ for argv in (
 ):
     if main(argv) != 0:
         sys.exit(f"failed: {argv}")
-loaded = [name for name in %r if name in sys.modules]
+loaded = [name for name in (*%r, "unitgraph.pcg64") if name in sys.modules]
 if loaded:
     sys.exit(f"loaded: {loaded}")
 """ % (_HEAVY_MODULES,)
@@ -1562,7 +1562,8 @@ sys.exit(unitgraph.cli.main(["extract", "--corpus", corpus, "--out", out]))
 
 # inference is plain Python: commands that run no model, or run the tagger
 # or the relation networks, load no numpy, nor does training the tagger
-# alone; training a relation network loads it at its first use
+# alone; training a relation network loads it at its first use, but draws
+# from pcg64, so not even a full train loads numpy.random or OpenSSL
 _NUMPY_SCRIPT = """
 import sys
 from unitgraph.cli import main
@@ -1592,7 +1593,10 @@ for argv in (
 argv = ["train", "--corpus", corpus, "--out", out + "/train", "--epochs", "2"]
 if main(argv) != 0 or "numpy" not in sys.modules:
     sys.exit(f"failed, or loaded no numpy: {argv}")
-"""
+loaded = [name for name in %r if name in sys.modules]
+if loaded:
+    sys.exit(f"train loaded: {loaded}")
+""" % (_HEAVY_MODULES,)
 
 # the CLI's config hashes with the built-in hash modules blocked, so that
 # the hashlib branch of its import runs on any Python
