@@ -469,7 +469,7 @@ def train(
     widths = [model.out_dim for model in models]
     with np.errstate(over="ignore", invalid="ignore"):  # shows as a loss not finite
         for _ in range(epochs):
-            order = rng.permutation(len(X))
+            order = np.array(rng.permutation(len(X)))  # not a list: one conversion, not four
             Xe, Te, Ye, Me = Xs[order], T[order], padded[:, order], mass[:, order]
             for lo in range(0, len(X), batch_size):
                 hi = lo + batch_size
