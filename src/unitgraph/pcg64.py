@@ -28,6 +28,7 @@ stay the same across versions, and the models must not change with it.
 
 from __future__ import annotations
 
+import struct
 from math import exp, log1p
 
 _MASK32 = 0xFFFFFFFF
@@ -135,268 +136,228 @@ class Generator:
         ``range(n)`` shuffled from its last index down, each swap drawn by
         ``random_interval``."""
         order = list(range(n))
-        next64, half = self._next64, self._half
+        state, inc, half = self._state, self._inc, self._half
         mask = (1 << (n - 1).bit_length()) - 1  # the fewest low bits that hold n - 1
         for i in range(n - 1, 0, -1):
             if i <= mask >> 1:
                 mask >>= 1
             while True:
-                if half is None:
-                    word = next64()
+                if half is None:  # _next64, inlined: a call per draw cost 15% more
+                    state = (state * _MULTIPLIER + inc) & _MASK128
+                    word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+                    word = (word >> rot | word << (64 - rot)) & _MASK64
                     j, half = word & mask, word >> 32
                 else:
                     j, half = half & mask, None
                 if j <= i:
                     break
             order[i], order[j] = order[j], order[i]
-        self._half = half
+        self._state, self._half = state, half
         return order
 
 
 # numpy's ziggurat for the standard normal: the tail starts at _R, and
-# _KI, _WI and _FI are its 256 layers' acceptance bounds, widths and
-# densities (see the module docstring)
+# _KI, _WI and _FI are its 256 layers' acceptance bounds (uint64), widths
+# and densities (double), each table the 2048 little-endian bytes that
+# numpy's distributions.c holds (see the module docstring).  As bytes, the
+# module compiles in about half the time and memory of 768 number literals.
 _R = 3.6541528853610087963519472518
 _INV_R = 0.27366123732975827203338247596
-_KI = (
-    4208095142473578, 0, 3387314423973544, 3838760076542274,
-    4030768804392682, 4136731738896254, 4203757248105145, 4249917568205994,
-    4283617341590296, 4309289223136604, 4329489775174550, 4345795907393188,
-    4359232558744730, 4370494503737299, 4380069246215646, 4388308869042394,
-    4395473957549321, 4401761481783924, 4407323076021240, 4412277362218204,
-    4416718463613199, 4420722014516422, 4424349484777079, 4427651345409294,
-    4430669422005229, 4433438668975191, 4435988524278344, 4438343955930065,
-    4440526279077425, 4442553800234660, 4444442329865861, 4446205593658138,
-    4447855565093316, 4449402736340121, 4450856340408624, 4452224534496486,
-    4453514552210512, 4454732830656798, 4455885117109368, 4456976558985043,
-    4458011780094444, 4458994945550386, 4459929817254120, 4460819801517196,
-    4461667990089170, 4462477195632268, 4463249982500384, 4463988693531856,
-    4464695473445501, 4465372289331869, 4466020948651920, 4466643115089764,
-    4467240322552142, 4467813987562542, 4468365420260672, 4468895834186994,
-    4469406355006040, 4469898028300364, 4470371826548633, 4470828655385770,
-    4471269359229841, 4471694726349190, 4472105493433674, 4472502349725738,
-    4472885940759935, 4473256871753524, 4473615710685532, 4473962991097124,
-    4474299214642296, 4474624853414418, 4474940352071305, 4475246129778808,
-    4475542581990776, 4475830082081194, 4476108982842610, 4476379617863426,
-    4476642302795321, 4476897336520866, 4477145002230339, 4477385568415884,
-    4477619289790266, 4477846408136804, 4478067153096380, 4478281742896886,
-    4478490385029917, 4478693276879082, 4478890606303906, 4479082552182886,
-    4479269284918997, 4479450966910588, 4479627752990372, 4479799790834988,
-    4479967221347354, 4480130179013872, 4480288792238368, 4480443183654460,
-    4480593470417939, 4480739764480586, 4480882172846772, 4481020797814010,
-    4481155737198612, 4481287084547452, 4481414929336784, 4481539357158974,
-    4481660449897960, 4481778285894165, 4481892940099539, 4482004484223382,
-    4482112986869492, 4482218513665204, 4482321127382802, 4482420888053758,
-    4482517853076245, 4482612077316275, 4482703613202871, 4482792510817576,
-    4482878817978627, 4482962580320076, 4483043841366126, 4483122642600925,
-    4483199023534056, 4483273021761922, 4483344673025224, 4483414011262724,
-    4483481068661428, 4483545875703378, 4483608461209170, 4483668852378323,
-    4483727074826624, 4483783152620564, 4483837108308932, 4483888962951686,
-    4483938736146144, 4483986446050596, 4484032109405372, 4484075741551420,
-    4484117356446452, 4484156966678662, 4484194583478081, 4484230216725550,
-    4484263874959345, 4484295565379450, 4484325293849474, 4484353064896186,
-    4484378881706674, 4484402746123075, 4484424658634833, 4484444618368474,
-    4484462623074794, 4484478669113436, 4484492751434740, 4484504863558830,
-    4484514997551788, 4484523143998833, 4484529291974394, 4484533429008906,
-    4484535541052219, 4484535612433424, 4484533625816926, 4484529562154580,
-    4484523400633636, 4484515118620291, 4484504691598554, 4484492093104164,
-    4484477294653230, 4484460265665252, 4484440973380154, 4484419382768918,
-    4484395456437370, 4484369154522621, 4484340434581640, 4484309251471359,
-    4484275557219678, 4484239300886654, 4484200428415112, 4484158882469814,
-    4484114602264271, 4484067523374160, 4484017577536216, 4483964692431365,
-    4483908791450714, 4483849793442887, 4483787612441036, 4483722157367660,
-    4483653331715198, 4483581033200083, 4483505153387764, 4483425577285833,
-    4483342182902157, 4483254840764470, 4483163413397547, 4483067754753536,
-    4482967709590562, 4482863112794072, 4482753788634692, 4482639549955636,
-    4482520197281720, 4482395517841076, 4482265284489409, 4482129254525304,
-    4481987168383486, 4481838748191074, 4481683696169781, 4481521692864464,
-    4481352395175570, 4481175434169564, 4480990412637506, 4480796902367134,
-    4480594441088331, 4480382529045225, 4480160625140311, 4479928142586662,
-    4479684443993061, 4479428835793398, 4479160561915451, 4478878796564388,
-    4478582635972392, 4478271088936406, 4477943065929958, 4477597366530538,
-    4477232664848704, 4476847492576192, 4476440219183781, 4476009028690434,
-    4475551892286424, 4475066535915646, 4474550401693506, 4474000601739904,
-    4473413862618200, 4472786458058295, 4472114126959004, 4471391972746494,
-    4470614338917719, 4469774653883156, 4468865235838896, 4467877045039530,
-    4466799366045354, 4465619395558397, 4464321701199635, 4462887501169282,
-    4461293691124341, 4459511507635972, 4457504658253067, 4455226650325010,
-    4452616884242348, 4449594783440798, 4446050695647666, 4441831266659618,
-    4436714892174061, 4430368316897338, 4422264825074740, 4411517007702132,
-    4396496531309976, 4373832704204284, 4335125104963628, 4251099761679434,
-)
-_WI = (
-    8.683627060801306e-16, 4.779330175727737e-17, 6.354352417405262e-17,
-    7.454870481247696e-17, 8.3293668157931e-17, 9.068060405059482e-17,
-    9.714860076567762e-17, 1.0294750314241019e-16, 1.0823430288447684e-16,
-    1.131147019610903e-16, 1.176635945702292e-16, 1.2193617278714363e-16,
-    1.2597439914637093e-16, 1.2981099886264032e-16, 1.3347203736824123e-16,
-    1.3697864842571203e-16, 1.4034823001242382e-16, 1.4359529452056943e-16,
-    1.4673208742364422e-16, 1.4976904668391037e-16, 1.5271515003596198e-16,
-    1.5557818169460764e-16, 1.5836494009290885e-16, 1.6108140175274928e-16,
-    1.6373285203969853e-16, 1.6632399058420835e-16, 1.6885901708676596e-16,
-    1.713417017655966e-16, 1.737754436586486e-16, 1.7616331923000996e-16,
-    1.7850812316976727e-16, 1.8081240285799152e-16, 1.830784876482675e-16,
-    1.853085138861802e-16, 1.8750444639373882e-16, 1.896680970077476e-16,
-    1.918011406483862e-16, 1.9390512930625104e-16, 1.9598150426628824e-16,
-    1.9803160683128174e-16, 2.000566877627333e-16, 2.0205791562071654e-16,
-    2.0403638415480212e-16, 2.0599311887403706e-16, 2.079290829041402e-16,
-    2.0984518222370352e-16, 2.1174227035760342e-16, 2.1362115259449868e-16,
-    2.1548258978581458e-16, 2.1732730177564367e-16, 2.191559705042727e-16,
-    2.2096924282235318e-16, 2.2276773304789553e-16, 2.2455202529414355e-16,
-    2.263226755928568e-16, 2.280802138345017e-16, 2.2982514554424684e-16,
-    2.3155795351040804e-16, 2.3327909928004356e-16, 2.3498902453470955e-16,
-    2.3668815235791604e-16, 2.3837688840454243e-16, 2.4005562198135063e-16,
-    2.4172472704675025e-16, 2.433845631371103e-16, 2.4503547622614954e-16,
-    2.466777995232705e-16, 2.4831185421610877e-16, 2.4993795016204524e-16,
-    2.515563865329658e-16, 2.5316745241713583e-16, 2.547714273816944e-16,
-    2.563685819989397e-16, 2.579591783392867e-16, 2.5954347043351707e-16,
-    2.6112170470670194e-16, 2.6269412038597256e-16, 2.6426094988411895e-16,
-    2.658224191608307e-16, 2.6737874806323633e-16, 2.689301506472616e-16,
-    2.704768354811995e-16, 2.720190059327732e-16, 2.735568604408679e-16,
-    2.7509059277301666e-16, 2.7662039226963903e-16, 2.781464440759544e-16,
-    2.79668929362423e-16, 2.8118802553450207e-16, 2.827039064324479e-16,
-    2.842167425218406e-16, 2.8572670107546015e-16, 2.87233946347098e-16,
-    2.887386397378482e-16, 2.9024093995538423e-16, 2.9174100316669455e-16,
-    2.9323898314471816e-16, 2.947350314092935e-16, 2.9622929736280665e-16,
-    2.977219284209029e-16, 2.992130701386013e-16, 3.007028663321331e-16,
-    3.0219145919680615e-16, 3.036789894211802e-16, 3.051655962978219e-16,
-    3.0665141783089545e-16, 3.081365908408297e-16, 3.0962125106629225e-16,
-    3.111055332636893e-16, 3.125895713043999e-16, 3.140734982699446e-16,
-    3.1555744654528006e-16, 3.1704154791040285e-16, 3.1852593363044065e-16,
-    3.2001073454440114e-16, 3.214960811527447e-16, 3.2298210370394156e-16,
-    3.244689322801698e-16, 3.2595669688230784e-16, 3.2744552751437067e-16,
-    3.2893555426753697e-16, 3.3042690740391284e-16, 3.3191971744017523e-16,
-    3.3341411523123725e-16, 3.3491023205407785e-16, 3.364081996918765e-16,
-    3.37908150518595e-16, 3.394102175841489e-16, 3.409145347003126e-16,
-    3.424212365275018e-16, 3.4393045866258313e-16, 3.454423377278584e-16,
-    3.4695701146137835e-16, 3.4847461880874137e-16, 3.499953000165381e-16,
-    3.5151919672760744e-16, 3.53046452078274e-16, 3.5457721079774357e-16,
-    3.5611161930983884e-16, 3.5764982583726505e-16, 3.59191980508603e-16,
-    3.6073823546823514e-16, 3.6228874498941915e-16, 3.6384366559073444e-16,
-    3.65403156156137e-16, 3.669673780588701e-16, 3.685364952894914e-16,
-    3.7011067458828983e-16, 3.716900855823823e-16, 3.7327490092779435e-16,
-    3.7486529645684887e-16, 3.7646145133120287e-16, 3.7806354820089604e-16,
-    3.7967177336979443e-16, 3.8128631696783774e-16, 3.829073731305243e-16,
-    3.8453514018609596e-16, 3.8616982085091493e-16, 3.878116224335587e-16,
-    3.894607570481926e-16, 3.9111744183782054e-16, 3.9278189920805415e-16,
-    3.944543570720877e-16, 3.9613504910761354e-16, 3.9782421502646826e-16,
-    3.995221008578565e-16, 4.012289592460629e-16, 4.029450497636328e-16,
-    4.04670639241075e-16, 4.0640600211422504e-16, 4.0815142079049387e-16,
-    4.0990718603532664e-16, 4.1167359738030257e-16, 4.134509635544236e-16,
-    4.1523960294026883e-16, 4.170398440568316e-16, 4.1885202607101123e-16,
-    4.206764993399015e-16, 4.2251362598620494e-16, 4.243637805093078e-16,
-    4.262273504347798e-16, 4.2810473700531167e-16, 4.2999635591638323e-16,
-    4.3190263810026294e-16, 4.338240305622791e-16, 4.357609972736849e-16,
-    4.3771402012585875e-16, 4.3968359995105214e-16, 4.4167025761542035e-16,
-    4.4367453519065673e-16, 4.456969972112043e-16, 4.477382320247534e-16,
-    4.49798853244555e-16, 4.518795013130059e-16, 4.539808451870034e-16,
-    4.561035841567422e-16, 4.582484498109567e-16, 4.604162081631153e-16,
-    4.626076619547846e-16, 4.648236531543207e-16, 4.670650656712631e-16,
-    4.693328283093329e-16, 4.716279179838351e-16, 4.739513632325867e-16,
-    4.763042480533137e-16, 4.786877161048723e-16, 4.811029753147417e-16,
-    4.835513029411525e-16, 4.860340511450812e-16, 4.885526531353603e-16,
-    4.91108629959527e-16, 4.937035980240335e-16, 4.963392774403987e-16,
-    4.990175013091822e-16, 5.017402260718089e-16, 5.045095430818727e-16,
-    5.073276915733542e-16, 5.101970732341562e-16, 5.131202686306784e-16,
-    5.161000557743228e-16, 5.191394311757699e-16, 5.222416338000234e-16,
-    5.254101724177597e-16, 5.286488569504945e-16, 5.3196183453384e-16,
-    5.353536311816497e-16, 5.388292001334053e-16, 5.423939782201712e-16,
-    5.46053951907478e-16, 5.498157350892814e-16, 5.536866612467876e-16,
-    5.576748932926576e-16, 5.617895553555417e-16, 5.660408920082422e-16,
-    5.704404621291389e-16, 5.750013768919895e-16, 5.797385945724594e-16,
-    5.846692893455479e-16, 5.898133176477899e-16, 5.951938149641444e-16,
-    6.008379696271908e-16, 6.067780409333449e-16, 6.130527208725282e-16,
-    6.197089894581626e-16, 6.268046963301284e-16, 6.344122407127506e-16,
-    6.426239659548055e-16, 6.515603317344994e-16, 6.613827885097664e-16,
-    6.723150462505587e-16, 6.846803417564259e-16, 6.98971833638762e-16,
-    7.159994934830664e-16, 7.372424301798799e-16, 7.658936370805573e-16,
-    8.113849337656484e-16,
-)
-_FI = (
-    1.0, 0.9771017012676716, 0.9598790918001067,
-    0.9451989534422996, 0.9320600759592305, 0.919991505039347,
-    0.9087264400521309, 0.8980959218983434, 0.8879846607558334,
-    0.8783096558089174, 0.869008688036857, 0.8600336211963315,
-    0.851346258458678, 0.8429156531122042, 0.8347162929868834,
-    0.8267268339462214, 0.8189291916037024, 0.8113078743126563,
-    0.8038494831709643, 0.796542330422959, 0.7893761435660246,
-    0.7823418326548025, 0.7754313049811872, 0.7686373157984863,
-    0.7619533468367954, 0.7553735065070961, 0.7488924472191568,
-    0.742505296340151, 0.7362075981268627, 0.7299952645614762,
-    0.7238645334686302, 0.717811932630722, 0.7118342488782484,
-    0.7059285013327543, 0.7000919181365116, 0.6943219161261167,
-    0.6886160830046718, 0.6829721616449949, 0.6773880362187735,
-    0.6718617198970821, 0.6663913439087501, 0.6609751477766631,
-    0.6556114705796973, 0.6502987431108167, 0.6450354808208223,
-    0.6398202774530566, 0.6346517992876236, 0.6295287799248367,
-    0.6244500155470265, 0.6194143606058343, 0.6144207238889139,
-    0.6094680649257734, 0.6045553906974678, 0.5996817526191253,
-    0.5948462437679874, 0.590047996332826, 0.5852861792633715,
-    0.5805599961007909, 0.5758686829723537, 0.5712115067352532,
-    0.5665877632561644, 0.5619967758145243, 0.557437893618766,
-    0.5529104904258323, 0.5484139632552658, 0.5439477311900263,
-    0.5395112342569521, 0.5351039323804576, 0.5307253044036621,
-    0.5263748471716845, 0.5220520746723218, 0.5177565172297564,
-    0.513487720747327, 0.5092452459957479, 0.5050286679434681,
-    0.5008375751261487, 0.4966715690524897, 0.49253026364386854,
-    0.48841328470545803, 0.4843202694266833, 0.48025086590904675,
-    0.47620473271950586, 0.4721815384677302, 0.4681809614056936,
-    0.46420268904817436, 0.46024641781284287, 0.45631185267871643,
-    0.4523987068618485, 0.44850670150720306, 0.4446355653957394,
-    0.440785034665804, 0.43695485254798555, 0.43314476911265226,
-    0.4293545410294414, 0.42558393133802197, 0.4218327092294959,
-    0.4181006498378482, 0.4143875340408911, 0.41069314827018816,
-    0.40701728432947337, 0.4033597392211145, 0.3997203149801972,
-    0.39609881851583245, 0.3924950614593156, 0.3889088600187887,
-    0.3853400348400773, 0.38178841087339366, 0.3782538172456192,
-    0.37473608713789114, 0.3712350576682395, 0.3677505697790326,
-    0.36428246812900406, 0.36083060098964803, 0.3573948201457805,
-    0.3539749808000768, 0.3505709414814061, 0.34718256395679364,
-    0.3438097131468507, 0.34045225704452187, 0.33711006663700605,
-    0.33378301583071845, 0.3304709813791636, 0.3271738428136014,
-    0.3238914823763911, 0.32062378495690536, 0.3173706380299136,
-    0.3141319315963372, 0.3109075581262865, 0.30769741250429206,
-    0.30450139197665, 0.30131939610080305, 0.2981513266966855,
-    0.2949970877999618, 0.2918565856170952, 0.2887297284821829,
-    0.28561642681550176, 0.2825165930837076, 0.27943014176163794,
-    0.2763569892956683, 0.27329705406857707, 0.27025025636587546,
-    0.26721651834356147, 0.2641957639972612, 0.2611879191327212,
-    0.25819291133761924, 0.25521066995466196, 0.2522411260559422,
-    0.24928421241852852, 0.24633986350126383, 0.2434080154227503,
-    0.2404886059405006, 0.2375815744312381, 0.23468686187233,
-    0.23180441082433872, 0.22893416541468034, 0.22607607132238028,
-    0.22323007576391748, 0.220396127480152, 0.21757417672433113,
-    0.21476417525117358, 0.21196607630703018, 0.20917983462112508,
-    0.2064054063978808, 0.2036427493103349, 0.2008918224946566,
-    0.19815258654577514, 0.1954250035141343, 0.19270903690358918,
-    0.19000465167046499, 0.1873118142238003, 0.18463049242679927,
-    0.18196065559952251, 0.17930227452284758, 0.17665532144373486,
-    0.17401977008183855, 0.17139559563750575, 0.1687827748012113,
-    0.1661812857644819, 0.16359110823236558, 0.161012223437511,
-    0.15844461415592428, 0.1558882647244792, 0.15334316106026286,
-    0.15080929068184568, 0.14828664273257455, 0.14577520800599403,
-    0.14327497897351346, 0.1407859498144447, 0.13830811644855073,
-    0.13584147657125376, 0.13338602969166916, 0.13094177717364436,
-    0.12850872227999957, 0.1260868702201859, 0.12367622820159657,
-    0.1212768054847903, 0.11888861344291006, 0.11651166562561087,
-    0.11414597782783849, 0.11179156816383809, 0.1094484571468118,
-    0.1071166677746838, 0.10479622562248707, 0.10248715894193525,
-    0.10018949876881002, 0.09790327903886246, 0.095628536713009,
-    0.09336531191269101, 0.09111364806637376, 0.08887359206827589,
-    0.08664519445055807, 0.08442850957035347, 0.0822235958132029,
-    0.08003051581466307, 0.07784933670209612, 0.07568013035892718,
-    0.07352297371398132, 0.0713779490588904, 0.06924514439700676,
-    0.0671246538277885, 0.0650165779712429, 0.06292102443775814,
-    0.06083810834953988, 0.05876795292093374, 0.0567106901062029,
-    0.05466646132488892, 0.05263541827679219, 0.05061772386094778,
-    0.04861355321586854, 0.04662309490193038, 0.044646552251294463,
-    0.04268414491647446, 0.04073611065594094, 0.03880270740452615,
-    0.036884215688567305, 0.034980941461716125, 0.03309321945857858,
-    0.0312214171919203, 0.02936593975813336, 0.027527235669603113,
-    0.02570580400854891, 0.02390220330579588, 0.02211706270730885,
-    0.02035109623004451, 0.018605121275724622, 0.016880083152543142,
-    0.01517708830793531, 0.013497450601739867, 0.011842757857907879,
-    0.010214971439701459, 0.008616582769398726, 0.007050875471373222,
-    0.0055224032992509916, 0.0040379725933630236, 0.0026090727461021593,
-    0.001260285930498598,
-)
+_KI = struct.unpack("<256Q", bytes.fromhex(
+    "6aef25803df30e000000000000000000a8c6fb98be080c004281bdfa54a30d00"
+    "eaeec17ef6510e007ef7d3e955b20e00b9ca7e814bef0e00aa44fa0a47190f00"
+    "18cbff61ed370f005c256195464f0f0096a31be4a5610f00a49653757a700f00"
+    "9a4428ecb27c0f00d357630cf1860f00de258357a68f0f00dad04dc724970f00"
+    "09f5db07a99d0f0074fa81f560a30f00f84b5bde6fa80f00dc54d360f1ac0f00"
+    "0fb91867fbb00f00c674538d9fb40f0077fe6623ecb70f000ee5a1e9ecba0f00"
+    "ed0b049dabbd0f00576cff6030c00f0048a2371082c20f00d15be27aa6c40f00"
+    "31ee7a97a2c60f00a49628a97ac80f0085de4b5e32ca0f001a2302e9cccb0f00"
+    "c439f8124dcd0f0099ec8f4db5ce0f0030c91dbf07d00f00e6c4d64d46d10f00"
+    "50f4e2a872d20f001ec9f04f8ed30f0078b490999ad40f00530f92b898d50f00"
+    "ec998ec089d60f0032e8c8a96ed70f00e8087b5448d80f008c2cad8b17d90f00"
+    "d2ada707ddd90f008c5e107099da0f00202ec05d4ddb0f00d0fc5b5cf9db0f00"
+    "7d9ab9eb9ddc0f009d7218813bdd0f00902f3488d2dd0f00649f366463de0f00"
+    "4e518d70eede0f002eb4a60174df0f0040ed9965f4df0f00f224bce46fe00f00"
+    "58a225c2e6e00f004cb8283c59e10f00993fbc8cc7e10f00aa1cdbe931e20f00"
+    "911bda8598e20f008641b58ffbe20f004a8d55335be30f002a00d099b7e30f00"
+    "7fad9ee910e40f003477d44667e40f005c094cd3bae40f002495d2ae0be50f00"
+    "78bc4ef759e50f001212e4c8a5e50f008986133eefe50f007810d96f36e60f00"
+    "78d5c6757be60f00aa111e66bee60f00f2f4e555ffe60f0002a700593ee70f00"
+    "399e3e827be70f00a27070e3b6e70f004342778df0e70f008cf0539028e80f00"
+    "3a1735fb5ee80f00640884dc93e80f00bccef041c7e80f00f64e7d38f9e80f00"
+    "1d9b87cc29e90f00ea88d30959e90f00a29a93fb86e90f00664871acb3e90f00"
+    "d5b69426dfe90f007ce6ab7309ea0f00a466f19c32ea0f002c9532ab5aea0f00"
+    "1a74d5a681ea0f00f01cde97a7ea0f0020d9f385ccea0f003ce66578f0ea0f00"
+    "13ec2f7613eb0f004a2afe8535eb0f00b46231ae56eb0f00fa84e2f476eb0f00"
+    "1420e65f96eb0f007c9dcff4b4eb0f00d049f4b8d2eb0f003e2e6eb1efeb0f00"
+    "e8bd1ee30bec0f00155ab15227ec0f00d3af9d0442ec0f0096f129fd5bec0f00"
+    "f4ee6c4075ec0f00b40c50d28dec0f00121f91b6a5ec0f00fe27c4f0bcec0f00"
+    "15fb5484d3ec0f00b3c88874e9ec0f00b7917fc4feec0f002885357713ed0f00"
+    "0349848f27ed0f004c2f24103bed0f006e58adfb4ded0f00ddc3985460ed0f00"
+    "e84f411d72ed0f0082a9e45783ed0f00c82ca40694ed0f0004b7852ba4ed0f00"
+    "b46a74c8b3ed0f00526641dfc2ed0f00526ea471d1ed0f00d38a3c81dfed0f00"
+    "8099900feded0f0014d40f1efaed0f00c44b12ae06ee0f00065ad9c012ee0f00"
+    "e00690571eee0f0024654b7329ee0f00bce40a1534ee0f003c9bb83d3eee0f00"
+    "f48229ee47ee0f0086b01d2751ee0f00417f40e959ee0f002eb4283562ee0f00"
+    "f197580b6aee0f007a073e6c71ee0f00827b325878ee0f00ba067bcf7eee0f00"
+    "b24a48d284ee0f004363b6608aee0f0051c8cc7a8fee0f00da257e2094ee0f00"
+    "ea29a85198ee0f005c48130e9cee0f00f47372559fee0f00aecc6227a2ee0f00"
+    "ac426b83a4ee0f00712dfc68a6ee0f00fad66ed7a7ee0f000afa04cea8ee0f00"
+    "3b33e84ba9ee0f0010642950a9ee0f005e07c0d9a8ee0f00547689e7a7ee0f00"
+    "241d4878a6ee0f00839ea28aa4ee0f00dae4221da2ee0f002420352e9fee0f00"
+    "2eaf26bc9bee0f00e4f224c597ee0f003a0a3c4793ee0f00167555408eee0f00"
+    "7a9c36ae88ee0f00fd3d7f8e82ee0f0088b8a7de7bee0f00ff37ff9b74ee0f00"
+    "5ebda9c36cee0f007e009e5264ee0f008828a3455bee0f00b6574e9951ee0f00"
+    "cf06004a47ee0f00502ce1533cee0f00d82ae0b230ee0f000582ad6224ee0f00"
+    "5a3cb85e17ee0f0047142aa209ee0f00cc49e327fbed0f006c2176eaebed0f00"
+    "7e0422e4dbed0f00d339ce0ecbed0f00f42c0464b9ed0f00c938e9dca6ed0f00"
+    "8de9377293ed0f0036a8381c7fed0f002bc0b9d269ed0f0000ae068d53ed0f00"
+    "22a4de413ced0f00d82f6ae723ed0f0044e62f730aed0f0034fe07daefec0f00"
+    "b8b70e10d4ec0f00b46e9508b7ec0f00c13012b698ec0f0078a90d0a79ec0f00"
+    "fe310ff557ec0f0062c9866635ec0f0035b3b44c11ec0f00d06f8e94ebeb0f00"
+    "92b6a029c4eb0f00dc0ceef59aeb0f004285c9e16feb0f009e1fadd342eb0f00"
+    "4b2d0bb013eb0f00e9021a59e2ea0f00572299aeaeea0f0026e38e8d78ea0f00"
+    "e573fdcf3fea0f00f6d98d4c04ea0f003b562fd6c5e90f00a447a93b84e90f00"
+    "28471d473fe90f00d6c576bdf6e80f00e6e8c45daae80f00eab17ae059e80f00"
+    "40a990f604e80f00c0338248abe70f00a56a1f754ce70f0002a22a10e8e60f00"
+    "d8abb6a07de60f007e30389f0ce60f0042f7387394e50f008072977014e50f00"
+    "58f436d48be40f00371efdbff9e30f009cb1ee355de30f00fee42f12b5e20f00"
+    "5755990300e20f00148378823ce10f00b067eec468e00f00aa712bb082df0f00"
+    "aafe7ec587de0f00fd3bc60975dd0f0013bf29e546dc0f0082022ef8f8da0f00"
+    "75bab2e185d90f0004cf48efe6d70f000b65bdad13d60f0012f0e24901d40f00"
+    "acc7b4a7a1d10f009e1f7604e2ce0f00b2115ed8a8cb0f00222dcd6ed2c70f00"
+    "ed221e2f2bc30f003ab8c08165bd0f00345400c406b60f0074282a5840ac0f00"
+    "9845011e979e0f00fc1da448fa890f002c30f0f7c5660f004a1c334b5a1a0f00"
+))
+_WI = struct.unpack("<256d", bytes.fromhex(
+    "79d915783b49cf3cc6f6fde30b8d8b3cb45b2c3caf50923c613b4438b97c953c"
+    "0ca72fe8fc01983cbcd04c2e0c239a3cf761382f4d009c3c7472745a2fac9d3c"
+    "c3d54c2d48329f3cadbb8e27324da03c435d023b05f5a03c77364197a692a13c"
+    "f51a7a8fa227a23c80d863382eb5a23cf59157c03f3ca33c2fb1a2c19ebda33c"
+    "559bff8def39a43ca7fe3d36bbb1a43c74d31a627525a53c96ce07a78095a53c"
+    "ea7ed9cf3102a63c3d7ca361d26ba63c70050092a2d2a63ca6f846d3da36a73c"
+    "772ab310ad98a73c43f546ad45f8a73c770a4353cc55a83c9a767b9e64b1a83c"
+    "98cf4ea92e0ba93cea1e2c824763a93c46c5388ec9b9a93c2ca7a4dccc0eaa3c"
+    "59cd776d6762aa3c3016106eadb4aa3c9c6c136db105ab3c297a42878455ab3c"
+    "3a9f528e36a4ab3c3282bf2ad6f1ab3cf34e59f9703eac3c613b32a5138aac3c"
+    "8b2672fec9d4ac3c48b7800e9f1ead3c101fe4299d67ad3cc3b82300ceafad3c"
+    "5376f1a93af7ad3cfeedd2b5eb3dae3c006f7a33e983ae3cce82f9bd3ac9ae3c"
+    "2662f084e70daf3c88f6d854f651af3caed7879e6d95af3cac2efa7d53d8af3c"
+    "ec3442e0560db03c9a8f39f5402eb03cfca5169eea4eb03c10a0725b566fb03c"
+    "0bf47190868fb03c1361bc847dafb03c7fcc4b663dcfb03c6b08164bc8eeb03c"
+    "ee159532200eb13cbe0f3107472db13c41918e9f3e4cb13c1e20c4bf086bb13c"
+    "34da781aa789b13c886dee511ba8b13ccb2af8f866c6b13c2ed4e0938be4b13c"
+    "9fa040998a02b23ce9c6c4726520b23c1fc3e97d1d3eb23cfb6ba90cb45bb23c"
+    "7fd31d662a79b23c1bd719c78196b23cda2eb862bbb3b23c53b8e162d8d0b23c"
+    "8ea9cbe8d9edb23cd7486e0dc10ab33c30b9f4e18e27b33ca15e26704444b33c"
+    "d552cabae260b33c6a5805be6a7db33c64b2b26fdd99b33c033db8bf3bb6b33c"
+    "e01d569886d2b33c835a72debeeeb33c749ee071e50ab43c5d74a62dfb26b43c"
+    "a4303ce80043b43c5dc7ca73f75eb43c36c3669edf7ab43c2f8f4832ba96b43c"
+    "5d4102f687b2b43cdc11b3ac49ceb43c05a6381600eab43c62555eefab05b53c"
+    "5a8b0af24d21b53c4f666ad5e63cb53cc8b21b4e7758b53c785f550e0074b53c"
+    "14850ec6818fb53c591b2423fdaab53c3d737dd172c6b53cd38c2f7be3e1b53c"
+    "385e9fc84ffdb53cc31fa360b818b63ca2b0a2e81d34b63c0b26b704814fb63c"
+    "7296c957e26ab63c3731b1834286b63cb1b25029a2a1b63cbb43b3e801bdb63c"
+    "52d3286162d8b63c54f86131c4f3b63ceb688bf7270fb73cc61469518e2ab73c"
+    "dcee70dcf745b73c1f73e5356561b73c49f4effad67cb73c93bdbac84d98b73c"
+    "09148b3ccab3b73cfb22dbf34ccfb73ce7de738cd6eab73c1fea86a46706b83c"
+    "7686c8da0022b83c159f89cea23db83cbdf5d11f4e59b83cc57e7a6f0375b83c"
+    "2df7475fc390b83c43c005928eacb83c9c0ca1ab65c8b83c276a445149e4b83c"
+    "8fb573293a00b93c478328dc381cb93cfc0aef124638b93c8aa203796254b93c"
+    "eed570bb8e70b93c312a2e89cb8cb93cbf993f9319a9b93c2cd9d58c79c5b93c"
+    "11746f2bece1b93c4ad2fa2672feb93c9236f9390c1bba3c5bc8a221bb37ba3c"
+    "88bb0b9e7f54ba3ca4a94a725a71ba3c3d31a0644c8eba3c08f19f3e56abba3c"
+    "cef55acd78c8ba3c36b38be1b4e5ba3c1aa1c34f0b03bb3c5b989af07c20bb3c"
+    "000ce0a00a3ebb3c033dce41b55bbb3c27893fb97d79bb3c3cf7e5f16497bb3c"
+    "6e2585db6bb5bb3ca2c02e6b93d3bb3c83ae819bdcf1bb3ca016ec6c4810bc3c"
+    "2d7af0e5d72ebc3c1c0d6e138c4dbc3c0587ec08666cbc3c17a6ebe0668bbc3c"
+    "aba236bd8faabc3c90d63bc7e1c9bc3c37e068305ee9bc3c6e8f8b320609bd3c"
+    "20ef3710db28bd3c47c63315de48bd3c23f1e7961069bd3ca5fbd7f47389bd3c"
+    "706e209909aabd3c0e49fcf8d2cabd3c372e5295d1ebbd3c1cd249fb060dbe3c"
+    "f646eac4742ebe3c88d1c1991c50be3c25fe972f0072be3c0abf2a4b2194be3c"
+    "086ff7c081b6be3c3aa7107623d9be3ca9ec016108fcbe3c2153c28a321fbf3c"
+    "6d4db70fa442bf3c6801c9205f66bf3c82978904668abf3cbf227118bbaebf3c"
+    "85e72fd260d3bf3c0bf618c159f8bf3c75a0d347d40ec03c47c98f02a821c03c"
+    "ab02a983a934c03cc7f53e4eda47c03c7eb3adf63b5bc03c6826a723d06ec03c"
+    "172e638f9882c03c54a2e8089796c03cc4c07175cdaac03c48d4eed13dbfc03c"
+    "303daa34ead3c03c936511cfd4e8c03cb69fa6effffdc03c417020046e13c13c"
+    "355dbb9b2129c13c6d09c4691d3fc13c3b2e60486455c13cf3ee9d3bf96bc13c"
+    "6112d274df82c13caceb4e561a9ac13c8e2f7f77adb1c13c94a671a99cc9c13c"
+    "39aee4fbebe1c13c01d9e2c29ffac13c81cc049dbc13c23ceed36f7a472dc23c"
+    "249caca44547c23ce05876c7bc61c23c2e59a8fab27cc23c780e77cd2e98c23c"
+    "520a2a5337b4c23c97db9631d4d0c23cf578a9b10deec23ceeae56d2ec0bc33c"
+    "a3a4685e7b2ac33ca312ae05c449c33c40a8337ad269c33c0a415692b38ac33c"
+    "fa88ae7075acc33ca60417b327cfc33c75f460aadbf2c33cdae5b99ca417c43c"
+    "945e5415983dc43c153aa744ce64c43cbc439c75628dc43c275a6b9d73b7c43c"
+    "0289cd0d25e3c43c41ace9539f10c53c427e3a521140c53c1be44aa9b171c53c"
+    "d98d718bc0a5c53cfed03a248adcc53c4c1e86cf6916c63cea6a007bce53c63c"
+    "c3e59fbe4095c63c32e2098d6bdbc63c347a5ff02827c73c730609569579c73c"
+    "8cced6f42dd4c73c34f229050339c83c147caabf0fabc83c96446f94e02ec93c"
+    "ab574001eecbc93c5a779478dc8fca3cb1fd78381f98cb3c33ad0982b43bcd3c"
+))
+_FI = struct.unpack("<256d", bytes.fromhex(
+    "000000000000f03f87f079c96a44ef3f15a96c5b54b7ee3f77f027e0113fee3f"
+    "95de04a76fd3ed3ff2bc57069270ed3fdc19a1784914ed3feb2da7a833bdec3f"
+    "7f78a9ce5e6aec3feabaeed91c1bec3f82dce14eebceeb3f52f58f3a6585eb3f"
+    "10dd34823a3eeb3fa2e86c3f2af9ea3f04257af1feb5ea3fe1c950d58b74ea3f"
+    "0faff5fdaa34ea3fd81f65ee3bf6e93f8106248d22b9e93fc17a6157467de93f"
+    "477a1bc29142e93f4f7131bdf108e93fa80ae64f55d0e83f02dfba48ad98e83f"
+    "acbc37fceb61e83f6ecf560f052ce83fcbe2204bedf6e73f58689c779ac2e73f"
+    "d5b0a03c038fe73f56d870071f5ce73f126d3ff4e529e73fee7aeaba50f8e63f"
+    "895a639e58c7e63f2a3b515ef796e63f23e3922a2767e63f180c5598e237e63f"
+    "652680982409e63f6aff4a6fe8dae53f895cc8ac29ade53f8f8d4c26e47fe53f"
+    "469e8df01353e53fd56c655ab526e53f67b620e8c4fae43fc04e494f3fcfe43f"
+    "7852dc7221a4e43f1250df5f6879e43f7936494a114fe43fe35f358a1925e43f"
+    "825b58997efbe33fa331af103ed2e33f0ecd62a655a9e33fd500da2bc380e33f"
+    "e950f58b8458e33f353a70c99730e33fef3864fdfa08e33fee3bea55ace1e23f"
+    "4a95d714aabae23f15cd938ef293e23fed040529846de23f84db905a5d47e23f"
+    "f2f72fa97c21e23f209692a9e0fbe13f699954fe87d6e13f11d13f5771b1e13f"
+    "503c9b709b8ce13fda3986120568e13f9ca95e10ad43e13f381f3148921fe13f"
+    "135932a2b3fbe03fa042411010d8e03faed9708da6b4e03f815d991d7691e03f"
+    "363cf0cc7d6ee03f2e3fa6afbc4be03f2a828be13129e03fc4cab885dc06e03f"
+    "a1bd7b8c77c9df3fca00a9a79d85df3ff37a2fcb2942df3f958f7e711affde3f"
+    "541fbd206ebcde3fc5c34e6a237ade3f859b5fea3838de3f093a7647adf6dd3f"
+    "b1560b327fb5dd3f33de2664ad74dd3f801002a13634dd3f6d5baeb419f4dc3f"
+    "48a8c07355b4dc3fc7d700bbe874dc3fb82c1d6fd235dc3f176a617c11f7db3f"
+    "916d71d6a4b8db3f1b1307788b7adb3fca31b362c43cdb3f5285a19e4effda3f"
+    "9e5a5f3a29c2da3f80d8a44a5385da3f4dc020eacb48da3f3e844639920cda3f"
+    "df931e5ea5d0d93fc6c018840495d93f939fe0dbae59d93f17cb339ba31ed93f"
+    "15f1b9fce1e3d83f8891de3f69a9d83fb65aaca8386fd83fd90daa7f4f35d83f"
+    "11d9b811adfbd73fb014f4af50c2d73feb5292af3989d73fedb1c7696750d73f"
+    "4c61a93bd917d73faa4c12868edfd63f21de88ad86a7d63fe2cb251ac16fd63f"
+    "15e57b373d38d63fc8d28074fa00d63f44c27643f8c9d53fbeeed6193693d53f"
+    "00013d70b35cd53fed3b53c26f26d53f926dbf8e6af0d43fa29c1057a3bad43f"
+    "d46aad9f1985d43ffe24c3efcc4fd43f197a35d1bc1ad43fdbd28ed0e8e5d33f"
+    "ae43f17c50b1d33f79130868f37cd33f9ed1f925d148d33f2ff65a4de914d33f"
+    "660721773be1d23fdd3f963ec7add23f1eb14d418c7ad23f89de171f8a47d23f"
+    "9eccf779c014d23f168118f62ee2d13f50f0c239d5afd13fe85454edb27dd13f"
+    "67ee34bbc74bd13f2324cf4f131ad13fc409875995e8d03fda42b2884db7d03f"
+    "3643908f3b86d03fd9e942225f55d03f7e74c7f6b724d03fc593df898be8cf3f"
+    "3532b88c1088cf3fd298e96cfe27cf3f449cc9a454c8ce3fdd3c28b21269ce3f"
+    "84714516380ace3f0a90c755c4abcd3f4f51b2f8b64dcd3fcc6f5e8a0ff0cc3f"
+    "53df7199cd92cc3f479dd8b7f035cc3fa118be7a78d9cb3faa31877a647dcb3f"
+    "3ad1cc52b421cb3f071857a267c6ca3f7e26190b7e6bca3f3d7e2d32f710ca3f"
+    "5afed2bfd2b6c93f277c6a5f105dc93f69fa74bfaf03c93f5b819291b0aac83f"
+    "389a818a1252c83f75711f62d5f9c73f23a368d3f8a1c73fa6b57a9c7c4ac73f"
+    "1647967e60f3c63f5cf2213ea49cc63f9cf1ada24746c63ff983f8764af0c53f"
+    "6c1df388ac9ac53f3568c8a96d45c53fc11fe3ad8df0c43f2dcef56c0c9cc43f"
+    "d57503c2e947c43fae31698b25f4c33feed7e8aabfa0c33f88abb405b84dc33f"
+    "652a7c840efbc23f1a077a13c3a8c23fb75e83a2d556c23f343c18254605c23f"
+    "427d759214b4c13f632da8e54063c13fb96ea21dcb12c13fba09523db3c2c03f"
+    "85bfb84bf972c03f2a7d06549d23c03f2c226bcb3ea9bf3f1c0e5229ff0bbf3f"
+    "4ba59af27b6fbe3f8fe87661b5d3bd3fe591bdb9ab38bd3f0a743b495f9ebc3f"
+    "15100b68d004bc3f33e2f278ff6bbb3f33f6cae9ecd3ba3f8662ea33993cba3f"
+    "195b9ddc04a6b93faba0a4753010b93f5228bf9d1c7bb83fd6ef3e01cae6b73f"
+    "7611aa5a3953b73f4c4a69736bc0b63f184d8524612eb63fa46674571b9db53f"
+    "ae2bfa069b0cb53f13221b40e17cb43f869a2623efedb33f703ed9e4c55fb33f"
+    "11319bcf66d2b23f910ddd44d345b23f7d8997be0cbab13f9d17f2d0142fb13f"
+    "2596152ceda4b03f97e4309e971bb03f356e6c2b2c26af3f8151b247d516ae3f"
+    "62f1adfe2e09ad3f2c2a280f3efdab3f705f389007f3aa3f635529f990eaa93f"
+    "abb5682ae0e3a83f1e27af77fbdea73f64d098b3e9dba63fd4adf23cb2daa53f"
+    "5d27110e5ddba43fcbee98cef2dda33f97f43de87ce2a23fbc6a1f9f05e9a13f"
+    "1180962e98f1a03fc4a518d781f89f3f758c82db1a129e3f1a09cd8319309c3f"
+    "f8eb224e9f529a3f0ac100b6d179983f82bf0bf4daa5963f64b0fbf2ead6943f"
+    "135eab8d380d933f123060340349913f49dd724f2a158f3fac8f4f278da48b3f"
+    "78a48d0d0441883fe0cf1a4296eb843f922f952992a5813f3768ecf860e17c3f"
+    "5db80cd9a89e763ffdb1b0031f8a703f67b0c1439f5f653f0ff7b9b605a6543f"
+))
