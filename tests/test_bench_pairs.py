@@ -84,7 +84,7 @@ def test_worse_than_bound_is_relative_to_the_parents_median():
     assert row["worse_than_bound"] and not row["gain_shown"]
 
 
-def test_bytecode_under_src_refuses_the_run(tmp_path, monkeypatch, capsys):
+def test_bytecode_under_src_refuses_the_run(tmp_path, monkeypatch):
     script = _script()
     (tmp_path / "BENCHMARK.json").write_text('{"workloads": [], "run_seconds": 1}')
     cached = tmp_path / "src" / "pkg" / "__pycache__"
