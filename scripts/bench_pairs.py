@@ -9,12 +9,13 @@ Usage (from anywhere; standard library and git only):
 Each run is ``perfbench/run.py --workload NAME --seed N --seconds S --trace 0``,
 for every workload of ``BENCHMARK.json`` and its ``run_seconds`` as ``S``,
 in its own checkout: this one, and a copy of REV exported with ``git
-archive`` into a temporary directory, which is removed at the end (an
-export leaves nothing in the repository's ``.git``, even when the script is
-stopped).  Both sides must hold the same ``perfbench/`` and
-``BENCHMARK.json``, so they run the same benchmark code, and no
-``__pycache__`` may exist under this checkout's ``src/``: the export has
-none, so only the change's commands would skip compiling the program.
+archive`` into a temporary directory, which is removed at the end, also
+when the script is stopped by SIGINT or SIGTERM (an export leaves nothing
+in the repository's ``.git``, even when the script is killed).  Both sides
+must hold the same ``perfbench/`` and ``BENCHMARK.json``, so they run the
+same benchmark code, and no ``__pycache__`` may exist under this
+checkout's ``src/``: the export has none, so only the change's commands
+would skip compiling the program.
 Pair ``i`` runs the parent first when ``i`` is even and the change first
 when it is odd, and each pair runs every workload in turn, so a slow spell
 of the machine falls on both sides.
@@ -36,6 +37,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -71,6 +73,12 @@ def _export(rev: str, dest: Path) -> None:
     archive.stdout.close()
     if archive.wait() != 0 or untar.returncode != 0:
         raise SystemExit(f"cannot export {rev} into {dest}")
+
+
+def _stop(signum, frame) -> None:
+    """SIGTERM's handler: exit through every ``finally`` on the way out,
+    as SIGINT does, where the default action would skip them."""
+    raise SystemExit(128 + signum)
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -153,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     change = {"git_rev": _git("rev-parse", "HEAD"),
               "uncommitted": bool(_git("status", "--porcelain", "--untracked-files=no"))}
     runs: dict[str, list[dict]] = {name: [] for name in workloads}
+    default_stop = signal.signal(signal.SIGTERM, _stop)
     parent_dir = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         _export(parent_rev, parent_dir)
@@ -172,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
                         flush=True)
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
+        signal.signal(signal.SIGTERM, default_stop)
     record = {
         "parent": parent_rev,
         "change": change,

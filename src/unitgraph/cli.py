@@ -20,9 +20,9 @@ import random
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 # hashlib loads OpenSSL's libcrypto (about 3.5 MB of peak RSS) for one 12-digit
 # digest; CPython's own random.py takes the built-in module first in the same way
@@ -77,8 +77,7 @@ _RULES = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     corpus_dir: str = ""
     output_dir: str = "out"
     strategy: str = "nearest-person"
@@ -102,7 +101,6 @@ class RunConfig:
         """The config file's values with the flags' on top, every value checked:
         a UsageError names the key and what the value must be, and the flag
         too when ``overrides`` (the command's flags, by key) holds it."""
-        kinds = {f.name: f.type for f in fields(cls)}
         values: dict = {}
         if config_path:
             try:
@@ -113,18 +111,18 @@ class RunConfig:
                 raise UsageError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(raw, dict):
                 raise UsageError("config file must hold a JSON object")
-            unknown = sorted(set(raw) - set(kinds))
+            unknown = sorted(set(raw) - set(_KINDS))
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
             values.update(raw)
         for key, value in overrides.items():
             if value is not None:
                 values[key] = value
-            if isinstance(value, str) and kinds[key] in ("int", "float"):
+            if isinstance(value, str) and _KINDS[key] in ("int", "float"):
                 with contextlib.suppress(ValueError):  # else the check rejects it
-                    values[key] = (int if kinds[key] == "int" else float)(value)
+                    values[key] = (int if _KINDS[key] == "int" else float)(value)
         cfg = cls(**values)
-        for key, kind in kinds.items():
+        for key, kind in _KINDS.items():
             value = getattr(cfg, key)
             test, wanted = _RULES.get(key, (lambda v: True, f"of type {kind}"))
             if type(value) not in _TYPES[kind] or not test(value):
@@ -137,10 +135,17 @@ class RunConfig:
 
     def hash(self) -> str:
         payload = {
-            k: v for k, v in asdict(self).items() if k not in self._UNHASHED
+            k: v for k, v in self._asdict().items() if k not in self._UNHASHED
         }
         canon = json.dumps(payload, sort_keys=True)
         return sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
+# each config key's kind as its annotation spells it ("str | None"): a
+# NamedTuple wraps a postponed annotation in a ForwardRef, which holds the
+# text as __forward_arg__ (Python 3.10-3.13)
+_KINDS = {key: getattr(kind, "__forward_arg__", kind)
+          for key, kind in RunConfig.__annotations__.items()}
 
 
 def _split_corpus(entries, fraction: float, seed: int):
@@ -355,7 +360,7 @@ def cmd_extract(cfg: RunConfig) -> int:
                 n_nodes += len(run.view.entities)
         _write_json(spool / "run.json", {
             "command": "extract",
-            "config": asdict(cfg),
+            "config": cfg._asdict(),
             "config_hash": cfg.hash(),
             "documents": n_docs,
         })
@@ -370,6 +375,12 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
     """Fit the target models and write them into ``--out`` through a spool
     (``_spooled``), so a model that fails to fit leaves no file behind and
     no line naming one."""
+    networks = [net for net in NETWORKS.values() if net.target in targets]
+    if networks:
+        from importlib.util import find_spec  # None for a module blocked in sys.modules
+        if find_spec("numpy") is None:
+            raise UsageError("training a relation network needs numpy, which the "
+                             "'train' extra installs: pip install 'unitgraph[train]'")
     entries = load_corpus(cfg.corpus_dir)
     train_entries, test_entries = _split_corpus(entries, cfg.split, cfg.seed)
     if not train_entries:
@@ -392,7 +403,6 @@ def cmd_train(cfg: RunConfig, targets: list[str]) -> int:
             written.append(f"tagger: {model.param_count()} weights -> "
                            f"{out_dir / _TAGGER_FILE}")
 
-        networks = [net for net in NETWORKS.values() if net.target in targets]
         if networks:
             vocab, models, examples = _fit_relnets(cfg, train_entries,
                                                    [net.mode for net in networks])

@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -81,19 +80,35 @@ class RelationEdge(NamedTuple):
     arg2: str
 
 
-@dataclass
 class Document:
     """Raw text of one corpus file plus its annotation set.
 
     ``schema_flags`` records relations whose type disagrees with the
     schema for their Arg2 entity class; such relations are loaded as-is.
+    Two documents are equal when all but their ``schema_flags`` are.
     """
 
-    doc_id: str
-    text: str
-    entities: list[EntitySpan] = field(default_factory=list)
-    relations: list[RelationEdge] = field(default_factory=list)
-    schema_flags: list[str] = field(default_factory=list, compare=False)
+    __slots__ = ("doc_id", "text", "entities", "relations", "schema_flags", "__weakref__")
+
+    def __init__(self, doc_id: str, text: str, entities: list[EntitySpan] | None = None,
+                 relations: list[RelationEdge] | None = None,
+                 schema_flags: list[str] | None = None):
+        self.doc_id = doc_id
+        self.text = text
+        self.entities = [] if entities is None else entities
+        self.relations = [] if relations is None else relations
+        self.schema_flags = [] if schema_flags is None else schema_flags
+
+    def __eq__(self, other):
+        if type(other) is not Document:
+            return NotImplemented
+        return ((self.doc_id, self.text, self.entities, self.relations)
+                == (other.doc_id, other.text, other.entities, other.relations))
+
+    def __repr__(self) -> str:
+        return (f"Document(doc_id={self.doc_id!r}, text={self.text!r}, "
+                f"entities={self.entities!r}, relations={self.relations!r}, "
+                f"schema_flags={self.schema_flags!r})")
 
 
 def _parse_textbound(line: str, lineno: int, text: str) -> EntitySpan:

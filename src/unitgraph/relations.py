@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -51,19 +50,34 @@ NETWORKS = {
 }
 
 
-@dataclass
 class SentenceContext:
-    """One sentence's entities and (optional) dependency tree."""
+    """One sentence's entities and (optional) dependency tree.  Two
+    contexts are equal when all but their memo of paths are."""
 
-    tree: DepTree | None
-    persons: list[EntitySpan]  # sorted by start offset
-    targets: list[EntitySpan]  # non-Person entities, sorted by start
-    extent: tuple[int, int]
-    tree_spans: list[tuple[int, int] | None] = field(default_factory=list)
-    # (target start, end, Person start, end) -> path; filled by path()
-    _paths: dict[tuple[int, int, int, int], PathPattern | None] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    __slots__ = ("tree", "persons", "targets", "extent", "tree_spans", "_paths")
+
+    def __init__(self, tree: DepTree | None, persons: list[EntitySpan],
+                 targets: list[EntitySpan], extent: tuple[int, int],
+                 tree_spans: list[tuple[int, int] | None] | None = None):
+        self.tree = tree
+        self.persons = persons  # sorted by start offset
+        self.targets = targets  # non-Person entities, sorted by start
+        self.extent = extent
+        self.tree_spans = [] if tree_spans is None else tree_spans
+        # (target start, end, Person start, end) -> path; filled by path()
+        self._paths: dict[tuple[int, int, int, int], PathPattern | None] = {}
+
+    def __eq__(self, other):
+        if type(other) is not SentenceContext:
+            return NotImplemented
+        return ((self.tree, self.persons, self.targets, self.extent, self.tree_spans)
+                == (other.tree, other.persons, other.targets, other.extent,
+                    other.tree_spans))
+
+    def __repr__(self) -> str:
+        return (f"SentenceContext(tree={self.tree!r}, persons={self.persons!r}, "
+                f"targets={self.targets!r}, extent={self.extent!r}, "
+                f"tree_spans={self.tree_spans!r})")
 
     def tree_tokens(self, span: EntitySpan) -> set[int]:
         """Tree token indices whose aligned text overlaps the span."""

@@ -12,7 +12,8 @@ Inference runs on plain Python floats, so ``extract`` and ``evaluate``
 never load numpy for it: a model's weights are immutable float rows,
 ``featurize`` gives each slot's (pattern row, path length), and
 ``forward`` scores one pair, keeping each slot's share of the logits on
-the model.  Training alone uses numpy: ``build_dataset`` expands the
+the model (``RelNetModel.replace`` copies a model with other weights and
+an empty memo).  Training alone uses numpy: ``build_dataset`` expands the
 features into dense arrays and ``train`` hands its weights back as rows.
 Random draws, for ``init_model``'s weights and ``train``'s epoch order,
 come from ``pcg64.Generator``, a plain-Python copy of numpy's
@@ -22,7 +23,6 @@ come from ``pcg64.Generator``, a plain-Python copy of numpy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -131,28 +131,53 @@ def featurize(
 Rows = tuple[tuple[float, ...], ...]
 
 
-@dataclass
 class RelNetModel:
     """Weights for the two-layer network, as float rows; W1 is shared
-    across slots.  A model's memo of logit shares (``forward``) holds for
-    the weights it has: give a model other weights with
-    ``dataclasses.replace``, which starts an empty memo."""
+    across slots.  ``train`` sets a model's weights and ``loss_curve`` in
+    place.  A model's memo of logit shares (``forward``) holds for the
+    weights it has: give a model other weights with ``replace``, which
+    starts an empty memo.  Two models are equal when all but their memos
+    are."""
 
-    mode: str  # "select_k" or "constrained3"
-    k: int
-    hidden: int
-    vocab_size: int
-    W1: Rows  # vocab_size + 1 rows of hidden
-    b1: tuple[float, ...]  # hidden
-    W2: Rows  # 3 rows of hidden
-    b2: tuple[float, ...]  # hidden
-    W3: Rows  # k * hidden + hidden rows of out_dim
-    b3: tuple[float, ...]  # out_dim
-    length_scale: float = 0.1
-    hyper: dict = field(default_factory=dict)
-    loss_curve: list[float] = field(default_factory=list)
-    # each block's share of the logits, by (block, its input): see ``_share``
-    shares: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _FIELDS = ("mode", "k", "hidden", "vocab_size", "W1", "b1", "W2", "b2", "W3", "b3",
+               "length_scale", "hyper", "loss_curve")
+    __slots__ = (*_FIELDS, "shares")
+
+    def __init__(self, mode: str, k: int, hidden: int, vocab_size: int,
+                 W1: Rows, b1: tuple[float, ...], W2: Rows, b2: tuple[float, ...],
+                 W3: Rows, b3: tuple[float, ...], length_scale: float = 0.1,
+                 hyper: dict | None = None, loss_curve: list[float] | None = None):
+        self.mode = mode  # "select_k" or "constrained3"
+        self.k = k
+        self.hidden = hidden
+        self.vocab_size = vocab_size
+        self.W1 = W1  # vocab_size + 1 rows of hidden
+        self.b1 = b1  # hidden
+        self.W2 = W2  # 3 rows of hidden
+        self.b2 = b2  # hidden
+        self.W3 = W3  # k * hidden + hidden rows of out_dim
+        self.b3 = b3  # out_dim
+        self.length_scale = length_scale
+        self.hyper = {} if hyper is None else hyper
+        self.loss_curve = [] if loss_curve is None else loss_curve
+        # each block's share of the logits, by (block, its input): see ``_share``
+        self.shares: dict = {}
+
+    def replace(self, **changes) -> RelNetModel:
+        """A new model with the fields in ``changes`` (weights, say) in place
+        of this one's, the others shared with it, and an empty memo."""
+        return RelNetModel(**{**{name: getattr(self, name) for name in self._FIELDS},
+                              **changes})
+
+    def __eq__(self, other):
+        if type(other) is not RelNetModel:
+            return NotImplemented
+        return (tuple(getattr(self, name) for name in self._FIELDS)
+                == tuple(getattr(other, name) for name in self._FIELDS))
+
+    def __repr__(self) -> str:
+        return "RelNetModel(" + ", ".join(f"{name}={getattr(self, name)!r}"
+                                          for name in self._FIELDS) + ")"
 
     @property
     def out_dim(self) -> int:

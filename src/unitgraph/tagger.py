@@ -14,8 +14,6 @@ import random
 import string
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from operator import add
 from pathlib import Path
@@ -40,12 +38,32 @@ _NUMBER_META = {"seed": int, "epochs": int, "sentences": int, "split": float}
 _RECORDS = ("meta", "held-out", "gaz-org", "gaz-rank", "F", "T")
 
 
-@dataclass(frozen=True)
 class Gazetteers:
-    """Case-insensitive phrase lists that fire lexicon features."""
+    """Case-insensitive phrase lists that fire lexicon features.
 
-    organizations: frozenset[str] = frozenset()
-    ranks: frozenset[str] = frozenset()
+    ``max_words`` is the number of words in the longest phrase (at least
+    1), and ``first_words`` the first word of every phrase; both are
+    computed once, when the lists are given.  Two gazetteers are equal
+    when their lists are.
+    """
+
+    __slots__ = ("organizations", "ranks", "max_words", "first_words")
+
+    def __init__(self, organizations: frozenset[str] = frozenset(),
+                 ranks: frozenset[str] = frozenset()):
+        self.organizations = organizations
+        self.ranks = ranks
+        phrases = organizations | ranks
+        self.max_words = max((p.count(" ") + 1 for p in phrases), default=1)
+        self.first_words = frozenset(p.split(" ", 1)[0] for p in phrases)
+
+    def __eq__(self, other):
+        if type(other) is not Gazetteers:
+            return NotImplemented
+        return (self.organizations, self.ranks) == (other.organizations, other.ranks)
+
+    def __repr__(self) -> str:
+        return f"Gazetteers(organizations={self.organizations!r}, ranks={self.ranks!r})"
 
     @classmethod
     def from_files(cls, org_path=None, rank_path=None) -> "Gazetteers":
@@ -57,16 +75,6 @@ class Gazetteers:
             return frozenset(" ".join(line.lower().split()) for line in lines if line.strip())
 
         return cls(read(org_path), read(rank_path))
-
-    @cached_property
-    def max_words(self) -> int:
-        """Words in the longest phrase (at least 1); computed once."""
-        return max((p.count(" ") + 1 for p in self.organizations | self.ranks), default=1)
-
-    @cached_property
-    def first_words(self) -> frozenset[str]:
-        """The first word of every phrase; computed once."""
-        return frozenset(p.split(" ", 1)[0] for p in self.organizations | self.ranks)
 
 
 def rank_lexicon(docs: list[Document]) -> frozenset[str]:

@@ -1,9 +1,13 @@
-"""The summary that ``scripts/bench_pairs.py`` writes for paired runs, and
-the checkout it refuses to run in."""
+"""The summary that ``scripts/bench_pairs.py`` writes for paired runs, the
+checkout it refuses to run in, and the export it removes when stopped."""
 
 import importlib.util
+import os
 import re
+import shutil
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,4 +96,46 @@ def test_bytecode_under_src_refuses_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(script, "ROOT", tmp_path)
     with pytest.raises(SystemExit, match=re.escape(str(cached))):
         script.main(["--parent", "HEAD", "--out", str(tmp_path / "out.json")])
+    assert not (tmp_path / "out.json").exists()
+
+
+# a benchmark whose one run says it has started, then waits to be stopped
+_WAITING_RUN = """
+import os, time
+open(os.environ["RUN_STARTED"], "w").close()
+time.sleep(30)
+"""
+
+
+def test_sigterm_removes_the_parents_export(tmp_path):
+    repo, scratch = tmp_path / "repo", tmp_path / "tmp"
+    (repo / "scripts").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    scratch.mkdir()
+    shutil.copy(SCRIPT, repo / "scripts" / SCRIPT.name)
+    (repo / "perfbench" / "run.py").write_text(_WAITING_RUN)
+    (repo / "BENCHMARK.json").write_text(
+        '{"paths": ["perfbench"], "run_seconds": 1, "workloads": [{"name": "w"}], '
+        '"end_to_end": []}')
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@example.com",
+                  "commit", "-q", "-m", "benchmark"]):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+    started = tmp_path / "started"
+    env = dict(os.environ, TMPDIR=str(scratch), RUN_STARTED=str(started))
+    proc = subprocess.Popen(
+        [sys.executable, str(repo / "scripts" / SCRIPT.name), "--parent", "HEAD",
+         "--out", str(tmp_path / "out.json"), "--pairs", "1"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert started.exists() and [p.name[:13] for p in scratch.iterdir()] == ["bench-parent-"]
+        proc.terminate()
+        assert proc.wait(timeout=60) == 128 + 15
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(scratch.iterdir()) == []
     assert not (tmp_path / "out.json").exists()

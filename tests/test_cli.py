@@ -9,7 +9,6 @@ import tempfile
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,7 +23,7 @@ import unitgraph.relations
 import unitgraph.relnet
 import unitgraph.tagger
 import unitgraph.tokens
-from unitgraph.cli import RunConfig, UsageError, _graph_writer, main
+from unitgraph.cli import _KINDS, RunConfig, UsageError, _graph_writer, main
 from unitgraph.corpus import load_corpus, parse_brat
 from unitgraph.corpus import EntitySpan, EntityType, RelationType
 from unitgraph.evaluation import relation_counts
@@ -449,8 +448,8 @@ class TestTrain:
         def overflowing_select(mode, *args, **kwargs):
             model = init_model(mode, *args, **kwargs)
             if mode == "select_k":
-                model = replace(model, W3=tuple(tuple(w * 1e308 for w in row)
-                                                for row in model.W3))
+                model = model.replace(W3=tuple(tuple(w * 1e308 for w in row)
+                                               for row in model.W3))
             return model
 
         monkeypatch.setattr(unitgraph.relnet, "init_model", overflowing_select)
@@ -888,8 +887,8 @@ def read_keys_paths(tmp_path_factory):
     paths["relnets2"].mkdir()
     for path in paths["relnets"].glob("*.model"):
         model, vocab = load_relnet(path)
-        model = replace(model, W3=tuple(tuple(-w for w in row) for row in model.W3),
-                        b3=tuple(-b for b in model.b3))
+        model = model.replace(W3=tuple(tuple(-w for w in row) for row in model.W3),
+                              b3=tuple(-b for b in model.b3))
         save_relnet(paths["relnets2"] / path.name, model, vocab)
     return {name: str(path) for name, path in paths.items()}
 
@@ -958,7 +957,7 @@ def test_each_unread_config_key_changes_no_output(kind, read_keys_paths, stopped
     set in a --config file, changes no byte that the run prints or writes,
     config hashes and run.json included.  Only evaluate's strategy scoring
     still rejects ner_mode 'model'."""
-    assert set(_KEY_VALUES) == {f.name for f in fields(RunConfig)}
+    assert set(_KEY_VALUES) == set(RunConfig._fields)
     for key, value in _KEY_VALUES.items():
         assert RunConfig.load(None, {key: value}) != RunConfig(), key
     argv, reads = _READ_RUNS[kind]
@@ -1488,7 +1487,7 @@ class TestUsage:
 
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(
-        st.sampled_from([f.name for f in fields(RunConfig)]),
+        st.sampled_from(RunConfig._fields),
         st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
                   st.lists(st.integers(), max_size=2),
                   st.sampled_from(["gold", "model", "skip", "all", "sdp-free"]),
@@ -1505,8 +1504,8 @@ class TestUsage:
                 cfg = RunConfig.load(str(path), {})
             except UsageError:
                 return
-        for f in fields(cfg):
-            assert type(getattr(cfg, f.name)) in accepts[f.type], f.name
+        for name, kind in _KINDS.items():
+            assert type(getattr(cfg, name)) in accepts[kind], name
 
     def test_missing_corpus_flag(self):
         assert run("extract") == 1
@@ -1598,6 +1597,43 @@ if loaded:
     sys.exit(f"train loaded: {loaded}")
 """ % (_HEAVY_MODULES,)
 
+# no command loads dataclasses, nor the modules it imports: inspect, ast
+# and dis.  A relation network's training loads numpy, which imports
+# inspect, but it still loads no dataclasses
+_INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis")
+
+_INTROSPECTION_SCRIPT = """
+import sys
+from unitgraph.cli import main
+corpus, models, out = sys.argv[1:]
+for argv in (
+    ["extract", "--corpus", corpus, "--out", out + "/gold", "--strategy", "nearest-person"],
+    ["extract", "--corpus", corpus, "--out", out + "/model", "--ner-mode", "model",
+     "--tagger-model", models, "--strategy", "nn-constrained", "--relnet-model", models],
+    ["evaluate", "--corpus", corpus, "--out", out + "/evaluate", "--strategy", "all",
+     "--relnet-model", models],
+    ["inspect", "--corpus", corpus, "--paths"],
+    ["evaluate", "--metric-check"],
+):
+    if main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+loaded = [name for name in %r if name in sys.modules]
+if loaded:
+    sys.exit(f"loaded: {loaded}")
+argv = ["train", "--corpus", corpus, "--out", out + "/train", "--epochs", "2"]
+if main(argv) != 0 or "dataclasses" in sys.modules:
+    sys.exit(f"failed, or loaded dataclasses: {argv}")
+""" % (_INTROSPECTION_MODULES,)
+
+# with numpy missing, a train that names a relation network stops before it
+# reads the corpus
+_NUMPY_MISSING_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+from unitgraph.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 # the CLI's config hashes with the built-in hash modules blocked, so that
 # the hashlib branch of its import runs on any Python
 _FALLBACK_SCRIPT = """
@@ -1623,8 +1659,8 @@ _FIELD_VALUES = {
     "float": st.floats() | st.integers(),
     "bool": st.booleans(),
 }
-_CONFIGS = st.builds(RunConfig, **{f.name: _FIELD_VALUES[f.type]
-                                   for f in fields(RunConfig)})
+_CONFIGS = st.builds(RunConfig, **{name: _FIELD_VALUES[kind]
+                                   for name, kind in _KINDS.items()})
 
 
 class TestFootprint:
@@ -1649,11 +1685,26 @@ class TestFootprint:
                        tagger_model=None, relnet_model="modèles/",
                        learning_rate=1e-300, split=0.1 + 0.2))
     def test_hash_is_sha256_of_the_sorted_config(self, cfg):
-        assert cfg.hash() == _config_hash(asdict(cfg))
+        assert cfg.hash() == _config_hash(cfg._asdict())
 
     def test_numpy_loads_at_a_models_first_use(self, models_dir, tmp_path):
         proc = self._python(_NUMPY_SCRIPT, CORPUS_DIR, models_dir, tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_command_loads_dataclasses(self, models_dir, tmp_path):
+        proc = self._python(_INTROSPECTION_SCRIPT, CORPUS_DIR, models_dir, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("targets", ["relnet-select", "tagger,relnet-constrained"])
+    def test_relnet_training_without_numpy_names_the_extra(self, targets, tmp_path):
+        out = tmp_path / "models"
+        proc = self._python(_NUMPY_MISSING_SCRIPT, "train", "--corpus", CORPUS_DIR,
+                            "--out", out, "--targets", targets)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "unitgraph[train]" in proc.stderr
+        assert not out.exists()
 
     def test_a_command_run_as_a_module_loads_no_numpy(self):
         src = Path(unitgraph.__file__).resolve().parents[1]
@@ -1684,5 +1735,5 @@ class TestFootprint:
         ]
         proc = self._python(_FALLBACK_SCRIPT, input=json.dumps(configs))
         assert proc.returncode == 0, proc.stderr
-        expected = [_config_hash(asdict(RunConfig(**c))) for c in configs]
+        expected = [_config_hash(RunConfig(**c)._asdict()) for c in configs]
         assert proc.stdout.split() == expected

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import functools
 import io
 import itertools
@@ -68,14 +67,13 @@ def as_rows(a):
 
 def with_weights(model, **weights):
     """``model`` with the ``weights`` given (as arrays) in place of its own."""
-    return dataclasses.replace(model, **{name: as_rows(a) for name, a in weights.items()})
+    return model.replace(**{name: as_rows(a) for name, a in weights.items()})
 
 
 def with_arrays(model):
     """``model`` with each weight a numpy array, which the training-side
     references read and update in place."""
-    return dataclasses.replace(model, **{name: np.array(a)
-                                         for name, a in model.params().items()})
+    return model.replace(**{name: np.array(a) for name, a in model.params().items()})
 
 
 def dense(feats, vocab_size):
@@ -848,7 +846,7 @@ def test_forward_and_choose_match_the_numpy_reference(drawn):
         probs, want = forward(model, feats), reference_probs(model, feats)
         assert np.allclose(probs, want, rtol=0, atol=FORWARD_ATOL)
         # the memo gives the bits of a model that has none yet
-        assert forward(dataclasses.replace(model), feats) == probs
+        assert forward(model.replace(), feats) == probs
         best, second = np.sort(want)[::-1][:2] if len(want) > 1 else (want[0], -1.0)
         if best - second > CHOICE_GAP:
             assert chosen[i] == rigged(int(np.argmax(want)))[i]
