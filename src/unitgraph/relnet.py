@@ -16,13 +16,14 @@ the model (``RelNetModel.replace`` copies a model with other weights and
 an empty memo).  Training alone uses numpy: ``build_dataset`` expands the
 features into dense arrays and ``train`` hands its weights back as rows.
 Random draws, for ``init_model``'s weights and ``train``'s epoch order,
-come from ``pcg64.Generator``, a plain-Python copy of numpy's
-``default_rng``, so no command loads ``numpy.random``.
+come from ``random.Random(seed)``, as the tagger's and the split's do, so
+no command loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -283,15 +284,16 @@ def init_model(
     seed: int = 13,
     length_scale: float = 0.1,
 ) -> RelNetModel:
-    from .pcg64 import Generator
     if mode not in {net.mode for net in NETWORKS.values()}:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = Generator(seed)
+    r = random.Random(seed).random
 
     def normal_rows(rows: int, cols: int) -> Rows:
-        """numpy's ``0.1 * rng.standard_normal((rows, cols))``, as rows."""
-        values = [0.1 * v for v in rng.standard_normal(rows * cols)]
-        return tuple(tuple(values[r * cols:(r + 1) * cols]) for r in range(rows))
+        """0.1 times Irwin-Hall draws, as rows: 12 uniforms added left to
+        right, less 6, so only ``+`` and ``*`` (no libm, no sum()) make them."""
+        return tuple(tuple(0.1 * (r() + r() + r() + r() + r() + r() + r() + r()
+                                  + r() + r() + r() + r() - 6.0)
+                           for _ in range(cols)) for _ in range(rows))
 
     width = output_width(mode, k)
     return RelNetModel(
@@ -460,11 +462,11 @@ def train(
     is not finite raises ``FloatingPointError`` at the end of the epoch in
     which it first appears, before that epoch joins the loss curve.
 
-    Each epoch visits the examples in the order of ``Generator(seed)``'s
-    next ``permutation``, numpy's ``default_rng(seed)`` order.
+    Each epoch visits the examples in the order that one
+    ``random.Random(seed)``, kept across epochs, shuffles ``range(len(X))``
+    into.
     """
     import numpy as np
-    from .pcg64 import Generator
     if not models or len(models) != len(Ys):
         raise ValueError("train needs one target array per network")
     if len({(m.k, m.hidden, m.vocab_size, m.length_scale) for m in models}) > 1:
@@ -480,7 +482,7 @@ def train(
         raise ValueError("epochs must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    rng = Generator(seed)
+    rng = random.Random(seed)
     arrays = _layout(models)
     flat = np.concatenate([a.ravel() for a in arrays])
     grad = np.empty_like(flat)
@@ -494,7 +496,9 @@ def train(
     widths = [model.out_dim for model in models]
     with np.errstate(over="ignore", invalid="ignore"):  # shows as a loss not finite
         for _ in range(epochs):
-            order = np.array(rng.permutation(len(X)))  # not a list: one conversion, not four
+            order = list(range(len(X)))
+            rng.shuffle(order)
+            order = np.array(order)  # not a list: one conversion, not four
             Xe, Te, Ye, Me = Xs[order], T[order], padded[:, order], mass[:, order]
             for lo in range(0, len(X), batch_size):
                 hi = lo + batch_size

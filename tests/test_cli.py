@@ -91,22 +91,22 @@ GAZETTEER_NER_DIGESTS = {
 
 # sha256 of the relation-network model files ``train`` writes on a copy of
 # the fixtures at ``corpus`` (config_hash holds the corpus path), with the
-# default flags and with RELNET_FLAGS, recorded while the two networks
-# were trained one after the other.
+# default flags and with RELNET_FLAGS, recorded once their draws came from
+# random.Random.
 RELNET_FLAGS = ("--hidden-size", "4", "--min-count", "1", "--no-path-direction",
                 "--learning-rate", "0.5", "--epochs", "40")
 RELNET_DIGESTS = {
     (): {
         "relnet_constrained.model":
-            "224415f9ef8165a786e1ce8303806daf0e1474464b53295ef1e9c8c59e0dd48f",
+            "a550193ce335a558de6bed48d8c70026f5d9f425f1db8b7c11c58df9b86bf785",
         "relnet_select.model":
-            "d3303214466e55ea1dd56207cd627e2fb4253d8269a82bac1f56e2ab2a3f171f",
+            "5396ffb520c40946f6e73c11c8617917fb3ae9359d8cd8f995d37e5e3130bb51",
     },
     RELNET_FLAGS: {
         "relnet_constrained.model":
-            "8bca6847fae6d96f7a4e01e592319b6e6754e250cc117d81eade129a23334269",
+            "6ea9a7ad73e2d66e52cb144d8731e811fc5b4fc85a07a79f83cf4e6dc45ffa2b",
         "relnet_select.model":
-            "d909ba77cdbb9b4bef43c3175aad4985163d4edab8a64068b2a92a780e72707b",
+            "c82897a1df61e9b313746072da2e6323f62be3e5f2a06e3d36a4611be92d9acd",
     },
 }
 
@@ -1541,7 +1541,7 @@ for argv in (
 ):
     if main(argv) != 0:
         sys.exit(f"failed: {argv}")
-loaded = [name for name in (*%r, "unitgraph.pcg64") if name in sys.modules]
+loaded = [name for name in %r if name in sys.modules]
 if loaded:
     sys.exit(f"loaded: {loaded}")
 """ % (_HEAVY_MODULES,)
@@ -1562,7 +1562,7 @@ sys.exit(unitgraph.cli.main(["extract", "--corpus", corpus, "--out", out]))
 # inference is plain Python: commands that run no model, or run the tagger
 # or the relation networks, load no numpy, nor does training the tagger
 # alone; training a relation network loads it at its first use, but draws
-# from pcg64, so not even a full train loads numpy.random or OpenSSL
+# from random.Random, so not even a full train loads numpy.random or OpenSSL
 _NUMPY_SCRIPT = """
 import sys
 from unitgraph.cli import main

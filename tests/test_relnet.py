@@ -343,10 +343,15 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_mid_epoch_leaves_that_epoch_off_the_curve(self, monkeypatch):
         # four batches: the first two steps are finite, the third overflows,
-        # and the epoch still ends before its loss pass reports it
+        # and the epoch still ends before its loss pass reports it.  Weights
+        # of 0.5 in a checkerboard of signs, not init_model's draws, start
+        # it: after a step this large, most draws leave every ReLU dead
         rng = np.random.default_rng(2)
         X, T, Y = self.separable_dataset(rng, n=32)
         model = init_model("select_k", vocab_size=1, k=3, seed=2)
+        model = with_weights(model, **{
+            name: 0.5 * (-1.0) ** np.add.outer(*map(np.arange, np.shape(w)))
+            for name, w in model.params().items() if name.startswith("W")})
         finite = []  # per step, whether its probabilities are finite
         step = relnet._joint_step
 
@@ -433,12 +438,13 @@ def reference_train(model, dataset, epochs, learning_rate, seed, batch_size):
     afresh, then update each parameter on its own.  Returns the model
     with its weights as arrays."""
     X, T, Y = dataset
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     model = with_arrays(model)
     params = model.params()
     model.loss_curve = []
     for _ in range(epochs):
-        order = rng.permutation(len(X))
+        order = list(range(len(X)))
+        rng.shuffle(order)
         epoch_loss = 0.0
         batches = 0
         for lo in range(0, len(X), batch_size):
